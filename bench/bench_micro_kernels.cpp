@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -166,13 +167,19 @@ void BM_ConflictBuildImplicitClique(benchmark::State& state) {
 BENCHMARK(BM_ConflictBuildImplicitClique)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
 
-// ---- Invalid-tuple repair kernel (solveInvalidTuples hot path). ----
+// ---- Invalid-tuple repair kernels (solveInvalidTuples pass 2). ----
 //
-// One candidate-key probe for an invalid row against a same-key bucket of
-// size B. The oracle path is one WouldViolate call — O(B) pair tests plus a
-// hyperedge membership check — while the scan path replays the pre-oracle
-// code: per-bucket-member BodyHoldsUnordered permutations for binary DCs
-// plus a Θ(B²) bucket-pair loop for the arity-3 DC.
+// Probe kernels: one candidate-key probe for an invalid row against a
+// same-key bucket of size B. The oracle path is one WouldViolate call — O(B)
+// pair tests plus a hyperedge membership check — while ScanWouldViolate
+// evaluates the DCs directly: O(B) pair tests per binary DC plus a Θ(B²)
+// bucket-pair loop for the arity-3 DC (the probe row can fill it).
+//
+// Combo kernels: a whole repair combo through AssignRepairKeys with each
+// conflict source forced, so the oracle build is charged too. They bracket
+// the kBySize rule: a combo with no partition and a growing repair group
+// (RepairGroup*, where the oracle wins), and a large colored partition that
+// takes four repaired rows (RepairFew*, where scanning wins).
 
 struct RepairFixture {
   Table table;
@@ -258,37 +265,71 @@ void BM_InvalidRepairScanProbe(benchmark::State& state) {
   CEXTEND_CHECK(bucket_size + 1 <= f.others.size());
   std::vector<size_t> bucket(f.others.begin(),
                              f.others.begin() + bucket_size);
-  uint32_t probe_row = f.rows[f.others.back()];
+  // A multilingual "Other" row past the bucket: it can fill the triple DC,
+  // so the scan walks every bucket pair (the G chain never closes).
+  const uint32_t probe_row = 8160;
   for (auto _ : state) {
-    bool ok = true;
-    for (size_t member : bucket) {
-      uint32_t other = f.rows[member];
-      for (const BoundDenialConstraint& dc : f.dcs) {
-        if (dc.arity() != 2) continue;
-        if (dc.BodyHoldsUnordered(f.table, {probe_row, other})) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) break;
-    }
-    for (const BoundDenialConstraint& dc : f.dcs) {
-      if (!ok || dc.arity() != 3) continue;
-      for (size_t a = 0; a < bucket.size() && ok; ++a) {
-        for (size_t b = a + 1; b < bucket.size() && ok; ++b) {
-          if (dc.BodyHoldsUnordered(
-                  f.table, {probe_row, f.rows[bucket[a]], f.rows[bucket[b]]})) {
-            ok = false;
-          }
-        }
-      }
-    }
-    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(
+        ScanWouldViolate(f.table, f.dcs, probe_row, bucket, f.rows));
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_InvalidRepairScanProbe)
     ->Arg(64)->Arg(256)->Arg(1024)->Complexity();
+
+/// One repair combo over the repair fixture: `colored` partition rows in
+/// same-key buckets of four, then `group` rows to repair. Rows are spread
+/// over the fixture so owners and triple-DC rows mix.
+void RunRepairCombo(benchmark::State& state, size_t colored, size_t group,
+                    RepairProbe probe) {
+  RepairFixture f = MakeRepairFixture(8192);
+  CEXTEND_CHECK(colored + group <= f.rows.size());
+  std::vector<uint32_t> rows;
+  for (size_t j = 0; j < colored + group; ++j) {
+    rows.push_back(f.rows[(j * 7919) % f.rows.size()]);
+  }
+  const int64_t num_keys = std::max<int64_t>(4, colored / 4);
+  std::vector<int64_t> colored_keys;
+  for (size_t v = 0; v < colored; ++v) {
+    colored_keys.push_back(static_cast<int64_t>(v) % num_keys);
+  }
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < num_keys; ++k) keys.push_back(k);
+  for (auto _ : state) {
+    auto assigned =
+        AssignRepairKeys(f.table, f.dcs, rows, colored_keys, keys, probe);
+    CEXTEND_CHECK(assigned.ok());
+    benchmark::DoNotOptimize(assigned->keys.data());
+  }
+  // Which side the production size rule takes on this combo.
+  auto by_size = AssignRepairKeys(f.table, f.dcs, rows, colored_keys, keys);
+  CEXTEND_CHECK(by_size.ok());
+  state.counters["size_rule_oracle"] = by_size->used_oracle ? 1 : 0;
+}
+
+void BM_InvalidRepairGroupScan(benchmark::State& state) {
+  RunRepairCombo(state, 0, static_cast<size_t>(state.range(0)),
+                 RepairProbe::kScan);
+}
+BENCHMARK(BM_InvalidRepairGroupScan)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_InvalidRepairGroupOracle(benchmark::State& state) {
+  RunRepairCombo(state, 0, static_cast<size_t>(state.range(0)),
+                 RepairProbe::kOracle);
+}
+BENCHMARK(BM_InvalidRepairGroupOracle)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_InvalidRepairFewScan(benchmark::State& state) {
+  RunRepairCombo(state, static_cast<size_t>(state.range(0)), 4,
+                 RepairProbe::kScan);
+}
+BENCHMARK(BM_InvalidRepairFewScan)->Arg(1024)->Arg(4096);
+
+void BM_InvalidRepairFewOracle(benchmark::State& state) {
+  RunRepairCombo(state, static_cast<size_t>(state.range(0)), 4,
+                 RepairProbe::kOracle);
+}
+BENCHMARK(BM_InvalidRepairFewOracle)->Arg(1024)->Arg(4096);
 
 // ---- Simplex on random dense feasible LPs. ----
 void BM_SimplexRandomLp(benchmark::State& state) {

@@ -28,15 +28,12 @@ void RecordPhase2Bench(const Dataset& dataset, Method method,
           "\"phase2_seconds\": %.6f, \"partition_seconds\": %.6f, "
           "\"coloring_seconds\": %.6f, \"invalid_seconds\": %.6f, "
           "\"num_partitions\": %zu, \"skipped_vertices\": %zu, "
-          "\"new_r2_tuples\": %zu, \"repair_oracle_cache_hits\": %zu, "
-          "\"repair_oracle_rebuilds\": %zu, "
-          "\"repair_oracle_invalidations\": %zu}\n",
+          "\"new_r2_tuples\": %zu}\n",
           MethodName(method), dataset.scale, dataset.data.persons.NumRows(),
           dataset.data.housing.NumRows(), result.seconds,
           result.stats.phase2_seconds, p2.partition_seconds,
           p2.coloring_seconds, p2.invalid_seconds, p2.num_partitions,
-          p2.skipped_vertices, p2.new_r2_tuples, p2.repair_oracle_cache_hits,
-          p2.repair_oracle_rebuilds, p2.repair_oracle_invalidations);
+          p2.skipped_vertices, p2.new_r2_tuples);
   fclose(f);
 }
 

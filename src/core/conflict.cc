@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <iterator>
 #include <set>
 #include <unordered_map>
 
+#include "graph/list_coloring.h"
 #include "util/fault_injection.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -845,6 +847,144 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
   std::unique_ptr<PartitionOracle> oracle =
       std::make_unique<NaiveConflictOracle>(std::move(naive));
   return oracle;
+}
+
+// ---- Invalid-tuple repair probes. ----
+
+namespace {
+
+/// True when some `need`-subset of members[start..] completes `tuple` into a
+/// row set on which the DC body holds (any ordering).
+bool SubsetViolates(const Table& table, const BoundDenialConstraint& dc,
+                    const std::vector<size_t>& members,
+                    const std::vector<uint32_t>& rows, size_t start,
+                    size_t need, std::vector<uint32_t>& tuple) {
+  if (need == 0) return dc.BodyHoldsUnordered(table, tuple);
+  for (size_t i = start; i + need <= members.size(); ++i) {
+    tuple.push_back(rows[members[i]]);
+    if (SubsetViolates(table, dc, members, rows, i + 1, need - 1, tuple)) {
+      tuple.pop_back();
+      return true;
+    }
+    tuple.pop_back();
+  }
+  return false;
+}
+
+}  // namespace
+
+bool ScanWouldViolate(const Table& table,
+                      const std::vector<BoundDenialConstraint>& dcs,
+                      uint32_t row, const std::vector<size_t>& members,
+                      const std::vector<uint32_t>& rows) {
+  for (const BoundDenialConstraint& dc : dcs) {
+    // A violating row set needs `row` in some variable's role.
+    bool can_join = false;
+    for (int var = 0; var < dc.arity() && !can_join; ++var) {
+      can_join = dc.SideMatches(table, row, var);
+    }
+    if (!can_join) continue;
+    if (dc.arity() == 2) {
+      for (size_t m : members) {
+        if (rows[m] != row &&
+            dc.BodyHoldsUnordered(table, {row, rows[m]})) {
+          return true;
+        }
+      }
+      continue;
+    }
+    size_t need = static_cast<size_t>(dc.arity()) - 1;
+    if (members.size() < need) continue;
+    std::vector<uint32_t> tuple = {row};
+    if (SubsetViolates(table, dc, members, rows, 0, need, tuple)) return true;
+  }
+  return false;
+}
+
+StatusOr<RepairAssignment> AssignRepairKeys(
+    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
+    const std::vector<int64_t>& candidate_keys, RepairProbe probe,
+    const ConflictOracleOptions& options) {
+  const size_t num_colored = colored_keys.size();
+  CEXTEND_CHECK(num_colored <= rows.size());
+  const size_t group = rows.size() - num_colored;
+  // Same-key buckets as local ids into `rows`.
+  std::unordered_map<int64_t, std::vector<size_t>> bucket;
+  size_t largest = 0;
+  for (size_t v = 0; v < num_colored; ++v) {
+    std::vector<size_t>& members = bucket[colored_keys[v]];
+    members.push_back(v);
+    largest = std::max(largest, members.size());
+  }
+
+  bool use_oracle = probe == RepairProbe::kOracle;
+  if (probe == RepairProbe::kBySize && group > 0) {
+    // Scan: per k-ary DC, every repaired row that can fill one of its
+    // variables checks up to (largest bucket + group)^(k-1) row sets. Build:
+    // one pass over `rows`, plus the ordered candidate product that
+    // hyperedge enumeration walks for each DC of arity >= 3.
+    double scan_work = 0.0;
+    double build_work = static_cast<double>(rows.size());
+    std::vector<uint8_t> match;
+    for (const BoundDenialConstraint& dc : dcs) {
+      size_t joinable = 0;
+      for (size_t local = num_colored; local < rows.size(); ++local) {
+        for (int var = 0; var < dc.arity(); ++var) {
+          if (dc.SideMatches(table, rows[local], var)) {
+            ++joinable;
+            break;
+          }
+        }
+      }
+      scan_work += static_cast<double>(joinable) *
+                   std::pow(static_cast<double>(largest + group),
+                            dc.arity() - 1);
+      if (dc.arity() == 2) continue;
+      double product = 1.0;
+      for (int var = 0; var < dc.arity(); ++var) {
+        dc.SideMatchesBatch(table, rows, var, &match);
+        product *= std::max<double>(
+            1.0, static_cast<double>(
+                     std::count(match.begin(), match.end(), uint8_t{1})));
+      }
+      build_work += product;
+    }
+    use_oracle = scan_work > kRepairOracleWorkRatio * build_work;
+  }
+
+  RepairAssignment out;
+  std::unique_ptr<PartitionOracle> oracle;
+  if (use_oracle) {
+    StatusOr<std::unique_ptr<PartitionOracle>> built =
+        BuildPartitionOracle(table, dcs, rows, options, &out.build);
+    if (built.ok()) {
+      oracle = std::move(built).value();
+      out.used_oracle = true;
+    } else if (built.status().code() != StatusCode::kResourceExhausted) {
+      return built.status();
+    }
+  }
+
+  out.keys.reserve(group);
+  for (size_t local = num_colored; local < rows.size(); ++local) {
+    int64_t chosen = kNoColor;
+    for (int64_t key : candidate_keys) {
+      auto it = bucket.find(key);
+      if (it == bucket.end() ||
+          !(oracle != nullptr
+                ? oracle->WouldViolate(local, it->second)
+                : ScanWouldViolate(table, dcs, rows[local], it->second,
+                                   rows))) {
+        chosen = key;
+        break;
+      }
+    }
+    out.keys.push_back(chosen);
+    // Fresh keys are never candidates, so only candidate buckets grow.
+    if (chosen != kNoColor) bucket[chosen].push_back(local);
+  }
+  return out;
 }
 
 }  // namespace cextend

@@ -26,6 +26,9 @@
 //    fallback when materialized adjacency would exceed the pair budget.
 //
 // DCs of arity >= 3 are expanded into an explicit hypergraph by both oracles.
+//
+// AssignRepairKeys (invalid-tuple repair) answers its key probes either by
+// direct DC scans or through a per-combo oracle, chosen from combo sizes.
 
 #ifndef CEXTEND_CORE_CONFLICT_H_
 #define CEXTEND_CORE_CONFLICT_H_
@@ -219,6 +222,56 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},
     BuildOracleInfo* info = nullptr);
+
+// ---- Invalid-tuple repair probes (solveInvalidTuples pass 2). ----
+
+/// Direct-evaluation twin of PartitionOracle::WouldViolate: true when giving
+/// `row` the same key as the bucket `members` (local ids into `rows`)
+/// violates any DC. Covers every arity; O(|bucket|^(arity-1)) per DC whose
+/// unary atoms `row` satisfies for some variable, O(1) for the rest.
+bool ScanWouldViolate(const Table& table,
+                      const std::vector<BoundDenialConstraint>& dcs,
+                      uint32_t row, const std::vector<size_t>& members,
+                      const std::vector<uint32_t>& rows);
+
+/// How AssignRepairKeys answers its probes. kBySize picks per combo from the
+/// observable sizes (see AssignRepairKeys); the forced modes exist for
+/// benchmarks and equivalence tests.
+enum class RepairProbe { kBySize, kScan, kOracle };
+
+struct RepairAssignment {
+  /// Per repaired row: the chosen candidate key, or kNoColor when no
+  /// candidate fits and the row needs a fresh key.
+  std::vector<int64_t> keys;
+  /// The probes went through a per-combo oracle (false: direct scans).
+  bool used_oracle = false;
+  BuildOracleInfo build;
+};
+
+/// Key assignment for one repair combo. `rows` holds the combo's colored
+/// partition rows (their keys in `colored_keys`, same order) followed by the
+/// rows to repair. Each repaired row, in order, takes the first of
+/// `candidate_keys` whose same-key bucket — colored rows plus rows repaired
+/// so far — it can join without violating a DC.
+///
+/// Both conflict sources answer that question identically. kBySize builds a
+/// per-combo oracle over `rows` when the estimated scan work — per k-ary DC,
+/// (repaired rows that can fill one of its variables) · (largest bucket +
+/// |group|)^(k − 1) — exceeds kRepairOracleWorkRatio times the estimated
+/// build work — |rows| plus, per DC of arity >= 3, the product of its
+/// per-variable candidate counts (the hyperedge enumeration) — and scans
+/// otherwise. An oracle build that trips a resource cap falls back to
+/// scans.
+StatusOr<RepairAssignment> AssignRepairKeys(
+    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
+    const std::vector<int64_t>& candidate_keys,
+    RepairProbe probe = RepairProbe::kBySize,
+    const ConflictOracleOptions& options = {});
+
+/// Crossover of AssignRepairKeys' kBySize rule, from the
+/// InvalidRepairCombo{Scan,Oracle} micro-kernels.
+inline constexpr double kRepairOracleWorkRatio = 16.0;
 
 }  // namespace cextend
 

@@ -117,7 +117,6 @@ struct PreparedPlan {
   std::unordered_map<std::vector<int64_t>, size_t, CodeVectorHash>
       partition_index;                    ///< combo codes → partition id
   std::vector<size_t> worklist;           ///< partition ids, size-descending
-  std::vector<uint8_t> is_invalid;        ///< per join-view row
   /// Per-combo repair groups (solveInvalidTuples pass 2 input), keyed by
   /// ComboIndex id in ascending order; rows keep plan order within a group.
   std::map<size_t, std::vector<uint32_t>> repair_groups;

@@ -19,52 +19,6 @@
 namespace cextend {
 namespace {
 
-/// True when some `need`-subset of members[start..] completes `tuple` into a
-/// row set on which the DC body holds (any ordering).
-bool SubsetViolates(const Table& table, const BoundDenialConstraint& dc,
-                    const std::vector<size_t>& members,
-                    const std::vector<uint32_t>& rows, size_t start,
-                    size_t need, std::vector<uint32_t>& tuple) {
-  if (need == 0) return dc.BodyHoldsUnordered(table, tuple);
-  for (size_t i = start; i + need <= members.size(); ++i) {
-    tuple.push_back(rows[members[i]]);
-    if (SubsetViolates(table, dc, members, rows, i + 1, need - 1, tuple)) {
-      tuple.pop_back();
-      return true;
-    }
-    tuple.pop_back();
-  }
-  return false;
-}
-
-/// Direct-evaluation twin of PartitionOracle::WouldViolate for the repair
-/// stage: true when giving `row` the same key as the bucket `members` (local
-/// ids into `rows`) violates any DC. Covers every arity uniformly;
-/// O(|bucket|^(arity-1)) per DC. Used on the oracle-reuse path (repair rows
-/// are vertices no retained oracle ever saw) and when a per-combo rebuild
-/// exceeds its resource caps.
-bool ScanWouldViolate(const Table& table,
-                      const std::vector<BoundDenialConstraint>& dcs,
-                      uint32_t row, const std::vector<size_t>& members,
-                      const std::vector<uint32_t>& rows) {
-  for (const BoundDenialConstraint& dc : dcs) {
-    if (dc.arity() == 2) {
-      for (size_t m : members) {
-        if (rows[m] != row &&
-            dc.BodyHoldsUnordered(table, {row, rows[m]})) {
-          return true;
-        }
-      }
-      continue;
-    }
-    size_t need = static_cast<size_t>(dc.arity()) - 1;
-    if (members.size() < need) continue;
-    std::vector<uint32_t> tuple = {row};
-    if (SubsetViolates(table, dc, members, rows, 0, need, tuple)) return true;
-  }
-  return false;
-}
-
 void PutU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -388,9 +342,8 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
   }
 
   // Partitions whose combo is a repair target have their resolved colors
-  // retained at retirement — the only per-row state the repair stage needs,
-  // replacing the monolithic solver's whole-database color array + retained
-  // oracles (repair probes on the reuse path evaluate the DCs directly).
+  // retained at retirement — the only per-row state the repair stage needs
+  // (no oracle outlives a shard).
   const std::vector<uint8_t> is_repair_partition =
       RepairPartitionFlags(prepared);
 
@@ -530,118 +483,52 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
 
   // ---- solveInvalidTuples pass 2, retired as the final shard. ----
   // Runs serially after every partition shard (its fresh keys extend the
-  // global sequence); per touched combo, probe candidate keys for each
-  // repaired row against the current same-key bucket. The conflict source is
-  // the retained-colors reuse path (probes evaluate the DCs directly — the
-  // repaired rows are vertices no coloring oracle ever saw), a freshly built
-  // per-combo oracle, or direct scans when a rebuild trips a resource cap.
-  // All three answer the identical question, so the chosen keys are
-  // bit-identical across them (equivalence-tested). Skipped entirely when the
-  // resume state says the repair shard already retired — then only the sink
-  // trailer below is (re)written, healing a crash between the repair commit
-  // and the trailer.
+  // global sequence). Per touched combo, each repaired row takes the first
+  // candidate key whose same-key bucket — the partition's retained colors
+  // plus the rows repaired so far — it joins without violating a DC
+  // (AssignRepairKeys; it scans the DCs directly or, when the estimated scan
+  // work outgrows an oracle build, probes a per-combo oracle). Skipped
+  // entirely when the resume state says the repair shard already retired —
+  // then only the sink trailer below is (re)written, healing a crash between
+  // the repair commit and the trailer.
   if (!resume.repair_done) {
     ScopedTimer timer(&stats.invalid_seconds);
     ResolvedShard repair;
     repair.shard_id = num_shards;
     ResolvedShard::Block block;
     block.worklist_idx = ResolvedShard::kRepairBlock;
-    if (!prepared.repair_groups.empty()) {
-      const Table& v_join = *prepared.v_join;
-      ConflictOracleOptions repair_oracle_options;
-      repair_oracle_options.force_naive = options.use_naive_oracle;
-      repair_oracle_options.pool = pool.get();
-      repair_oracle_options.run_control = options.run_control;
-      if (options.max_hyperedge_candidates > 0) {
-        repair_oracle_options.max_hyperedge_candidates =
-            options.max_hyperedge_candidates;
+    ConflictOracleOptions oracle_options;
+    oracle_options.force_naive = options.use_naive_oracle;
+    oracle_options.pool = pool.get();
+    oracle_options.run_control = options.run_control;
+    for (const auto& [combo_id, group] : prepared.repair_groups) {
+      CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
+      const std::vector<int64_t>& combo = prepared.combos.combo_codes(combo_id);
+      // Colored partition rows first, then the group.
+      std::vector<uint32_t> rows;
+      std::vector<int64_t> colored_keys;
+      auto pit = prepared.partition_index.find(combo);
+      if (pit != prepared.partition_index.end()) {
+        rows = prepared.partitions[pit->second].rows;
+        colored_keys.reserve(rows.size());
+        for (uint32_t row : rows) colored_keys.push_back(repair_colors.at(row));
       }
-      for (const auto& [combo_id, group] : prepared.repair_groups) {
-        CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
-        const std::vector<int64_t>& combo =
-            prepared.combos.combo_codes(combo_id);
-        std::vector<uint32_t> oracle_rows;
-        bool partition_exists = false;
-        auto pit = prepared.partition_index.find(combo);
-        if (pit != prepared.partition_index.end()) {
-          oracle_rows = prepared.partitions[pit->second].rows;
-          partition_exists = true;
+      rows.insert(rows.end(), group.begin(), group.end());
+      CEXTEND_ASSIGN_OR_RETURN(
+          RepairAssignment assigned,
+          AssignRepairKeys(*prepared.v_join, prepared.bound_dcs, rows,
+                           colored_keys, prepared.combos.keys(combo_id),
+                           RepairProbe::kBySize, oracle_options));
+      if (assigned.used_oracle) ++stats.oracle_repair_combos;
+      if (assigned.build.naive_fallback) ++stats.naive_oracle_fallbacks;
+      stats.biclique_overflows += assigned.build.biclique_overflows;
+      for (size_t g = 0; g < group.size(); ++g) {
+        int64_t chosen = assigned.keys[g];
+        if (chosen == kNoColor) {
+          chosen = next_key++;
+          block.new_tuples.push_back(ResolvedShard::NewTuple{chosen, combo});
         }
-        size_t num_colored = oracle_rows.size();
-        oracle_rows.insert(oracle_rows.end(), group.begin(), group.end());
-        // Reuse rung: the combo's partition was colored, so its resolved
-        // colors are retained and no per-combo oracle rebuild is needed
-        // (random assignment never built one, so it always rebuilds).
-        bool use_cached = partition_exists && options.reuse_repair_oracles &&
-                          !options.random_assignment;
-        if (use_cached) {
-          // Invalidation: repair's B-cell writes only ever touched invalid
-          // rows (in the planner), and partitions never contain invalid
-          // rows; the check is the protocol's safety net should that
-          // invariant ever move.
-          for (size_t v = 0; v < num_colored; ++v) {
-            if (prepared.is_invalid[oracle_rows[v]]) {
-              use_cached = false;
-              ++stats.repair_oracle_invalidations;
-              break;
-            }
-          }
-        }
-        std::unique_ptr<PartitionOracle> rebuilt;
-        if (use_cached) {
-          ++stats.repair_oracle_cache_hits;
-        } else if (CEXTEND_INJECT_FAULT("phase2.repair_oracle")) {
-          // Simulated rebuild resource exhaustion: the group degrades to
-          // direct ScanWouldViolate probes (oracle-probe→scan-probe rung).
-          ++stats.scan_probe_repairs;
-        } else {
-          BuildOracleInfo build_info;
-          auto oracle_or =
-              BuildPartitionOracle(v_join, prepared.bound_dcs, oracle_rows,
-                                   repair_oracle_options, &build_info);
-          if (!oracle_or.ok() &&
-              oracle_or.status().code() != StatusCode::kResourceExhausted) {
-            return oracle_or.status();
-          }
-          if (oracle_or.ok()) {
-            rebuilt = std::move(oracle_or).value();
-            ++stats.repair_oracles;
-            ++stats.repair_oracle_rebuilds;
-            if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
-            stats.biclique_overflows += build_info.biclique_overflows;
-          } else {
-            ++stats.scan_probe_repairs;
-          }
-        }
-        // Same-key buckets as local vertex ids.
-        std::unordered_map<int64_t, std::vector<size_t>> bucket;
-        for (size_t v = 0; v < num_colored; ++v) {
-          bucket[repair_colors.at(oracle_rows[v])].push_back(v);
-        }
-        for (size_t g = 0; g < group.size(); ++g) {
-          size_t local = num_colored + g;
-          uint32_t row = group[g];
-          int64_t chosen = kNoColor;
-          for (int64_t key : prepared.combos.keys(combo_id)) {
-            auto it = bucket.find(key);
-            bool ok =
-                it == bucket.end() ||
-                (rebuilt != nullptr
-                     ? !rebuilt->WouldViolate(local, it->second)
-                     : !ScanWouldViolate(v_join, prepared.bound_dcs, row,
-                                         it->second, oracle_rows));
-            if (ok) {
-              chosen = key;
-              break;
-            }
-          }
-          if (chosen == kNoColor) {
-            chosen = next_key++;
-            block.new_tuples.push_back(ResolvedShard::NewTuple{chosen, combo});
-          }
-          block.rows.push_back(ShardRow{row, chosen});
-          bucket[chosen].push_back(local);
-        }
+        block.rows.push_back(ShardRow{group[g], chosen});
       }
     }
     repair.blocks.push_back(std::move(block));

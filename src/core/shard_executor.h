@@ -104,9 +104,9 @@ class RowSink {
   virtual Status Finish() { return Status::Ok(); }
 };
 
-/// In-memory sink for the legacy API: clones R1/R2 up front, writes FK cells
-/// and appends new R2 tuples as shards retire. Finish verifies every join
-/// view row received a key.
+/// In-memory sink for the table-returning API: clones R1/R2 up front,
+/// writes FK cells and appends new R2 tuples as shards retire. Finish
+/// verifies every join view row received a key.
 class TableSink : public RowSink {
  public:
   TableSink(const Table& r1, const Table& r2, const PairSchema& names);

@@ -24,10 +24,8 @@ Phase2Options EffectivePhase2Options(const SolverOptions& options) {
 /// executed phase-2 stats into the solve record and moves the collected
 /// tables out of the sink.
 Solution FinishSolution(PlannedCExtension&& planned, SolveStats stats,
-                        Phase2Stats phase2_stats,
-                        const Phase2Options& phase2_options,
-                        TableSink&& table_sink, double phase2_elapsed,
-                        double total_elapsed) {
+                        Phase2Stats phase2_stats, TableSink&& table_sink,
+                        double phase2_elapsed, double total_elapsed) {
   phase2_stats.partition_seconds += stats.phase2.partition_seconds;
   phase2_stats.invalid_seconds += stats.phase2.invalid_seconds;
   stats.phase2 = phase2_stats;
@@ -35,9 +33,7 @@ Solution FinishSolution(PlannedCExtension&& planned, SolveStats stats,
 
   stats.ladder.naive_oracle_fallbacks = phase2_stats.naive_oracle_fallbacks;
   stats.ladder.biclique_overflows = phase2_stats.biclique_overflows;
-  stats.ladder.scan_probe_repairs = phase2_stats.scan_probe_repairs;
   stats.ladder.shard_regenerations = phase2_stats.shard_regenerations;
-  stats.ladder.forced_naive_oracle = phase2_options.use_naive_oracle;
   stats.total_seconds += total_elapsed;
 
   return Solution{std::move(table_sink.r1_hat()),
@@ -72,14 +68,9 @@ StatusOr<PlannedCExtension> PlanCExtension(
   stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   stats.invalid_tuples = phase1.invalid_rows.size();
 
-  // Phase-1 ladder rungs (entered under pressure or forced via options);
-  // phase-2 rungs are recorded at execution.
+  // The phase-1 ladder rung; phase-2 rungs are recorded at execution.
   stats.ladder.cold_solve_fallbacks =
       static_cast<size_t>(stats.phase1.ilp.cold_fallbacks);
-  stats.ladder.forced_dense_tableau =
-      phase1_options.ilp.ilp.simplex.use_dense_tableau;
-  stats.ladder.forced_cold_solves = !phase1_options.ilp.ilp.warm_start;
-  stats.ladder.forced_monolithic_ilp = !phase1_options.ilp.decompose;
 
   // Freeze the synthesis plan: repair combo selection (writes the invalid
   // rows' B cells), combo layout, shard map. Phase 1's combo index is
@@ -122,8 +113,8 @@ StatusOr<Solution> ExecuteCExtensionPlan(
   CEXTEND_ASSIGN_OR_RETURN(Phase2Stats phase2_stats,
                            ExecutePlan(prepared, phase2_options, sink));
   return FinishSolution(std::move(planned), std::move(stats),
-                        std::move(phase2_stats), phase2_options,
-                        std::move(table_sink), phase2_watch.ElapsedSeconds(),
+                        std::move(phase2_stats), std::move(table_sink),
+                        phase2_watch.ElapsedSeconds(),
                         total_watch.ElapsedSeconds());
 }
 
@@ -144,8 +135,8 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
       Phase2Stats phase2_stats,
       ExecutePlanDurable(prepared, phase2_options, stream, &table_sink));
   return FinishSolution(std::move(planned), std::move(stats),
-                        std::move(phase2_stats), phase2_options,
-                        std::move(table_sink), phase2_watch.ElapsedSeconds(),
+                        std::move(phase2_stats), std::move(table_sink),
+                        phase2_watch.ElapsedSeconds(),
                         total_watch.ElapsedSeconds());
 }
 

@@ -27,13 +27,12 @@ std::string SolveStats::BreakdownTable() const {
 std::string SolveStats::Summary() const {
   std::string out = StrFormat(
       "total=%s phase1=%s phase2=%s ccs(hasse=%zu ilp=%zu) invalid=%zu "
-      "new_r2=%zu skipped=%zu repair_oracle(hit=%zu rebuild=%zu inval=%zu)",
+      "new_r2=%zu skipped=%zu",
       FormatDuration(total_seconds).c_str(),
       FormatDuration(phase1_seconds).c_str(),
       FormatDuration(phase2_seconds).c_str(), phase1.ccs_to_hasse,
       phase1.ccs_to_ilp, invalid_tuples, phase2.new_r2_tuples,
-      phase2.skipped_vertices, phase2.repair_oracle_cache_hits,
-      phase2.repair_oracle_rebuilds, phase2.repair_oracle_invalidations);
+      phase2.skipped_vertices);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,
                    phase2.max_shards_in_flight);
@@ -43,15 +42,9 @@ std::string SolveStats::Summary() const {
   }
   if (ladder.AnyDegradation()) {
     out += StrFormat(
-        " ladder(naive=%zu biclique_overflow=%zu cold=%zu scan_probe=%zu"
-        " shard_regen=%zu%s%s%s%s)",
+        " ladder(naive=%zu biclique_overflow=%zu cold=%zu shard_regen=%zu)",
         ladder.naive_oracle_fallbacks, ladder.biclique_overflows,
-        ladder.cold_solve_fallbacks, ladder.scan_probe_repairs,
-        ladder.shard_regenerations,
-        ladder.forced_naive_oracle ? " forced:naive" : "",
-        ladder.forced_dense_tableau ? " forced:dense" : "",
-        ladder.forced_cold_solves ? " forced:cold" : "",
-        ladder.forced_monolithic_ilp ? " forced:monolithic" : "");
+        ladder.cold_solve_fallbacks, ladder.shard_regenerations);
   }
   return out;
 }

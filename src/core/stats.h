@@ -36,25 +36,14 @@ struct DegradationLadder {
   /// B&B nodes whose dual warm start fell back to a cold solve
   /// (warm→cold).
   size_t cold_solve_fallbacks = 0;
-  /// Repair combo groups probed by direct DC scans because the per-combo
-  /// oracle rebuild exceeded a resource cap (oracle-probe→scan-probe).
-  size_t scan_probe_repairs = 0;
   /// Shard emissions that failed and were regenerated in place from the
   /// plan (lost-shard→re-emit; regeneration is byte-identical).
   size_t shard_regenerations = 0;
-  /// Configured rungs, forced via options rather than entered under
-  /// pressure (the CLI retry loop sets these on later attempts):
-  bool forced_naive_oracle = false;    ///< Phase2Options::use_naive_oracle
-  bool forced_dense_tableau = false;   ///< SimplexOptions::use_dense_tableau
-  bool forced_cold_solves = false;     ///< IlpOptions::warm_start == false
-  bool forced_monolithic_ilp = false;  ///< Phase1IlpOptions::decompose == false
 
-  /// True when any rung (fallback or forced) was active.
+  /// True when any rung was entered.
   bool AnyDegradation() const {
     return naive_oracle_fallbacks > 0 || biclique_overflows > 0 ||
-           cold_solve_fallbacks > 0 || scan_probe_repairs > 0 ||
-           shard_regenerations > 0 || forced_naive_oracle ||
-           forced_dense_tableau || forced_cold_solves || forced_monolithic_ilp;
+           cold_solve_fallbacks > 0 || shard_regenerations > 0;
   }
 };
 

@@ -135,7 +135,6 @@ const std::vector<std::string>& FaultInjection::KnownSites() {
       "manifest.commit",
       "oracle.build",
       "oracle.pair_budget",
-      "phase2.repair_oracle",
       "pool.alloc",
       "shard.emit",
       "simplex.iteration_cap",

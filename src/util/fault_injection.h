@@ -25,7 +25,6 @@
 //   simplex.refactor      basis refactorization (LU rebuild)
 //   simplex.iteration_cap primal/dual pivot-count cap
 //   dual.warm_start       warm dual-simplex solve in B&B
-//   phase2.repair_oracle  per-combo repair-oracle rebuild
 //   pool.alloc            conflict-entry pool charge
 //   shard.emit            shard emission (executor regenerates from plan)
 //   sink.write            durable stream append (fails before any byte lands)

@@ -4,6 +4,7 @@
 
 #include "graph/list_coloring.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace cextend {
 namespace {
@@ -114,6 +115,123 @@ TEST(ConflictOracleTest, EmptyAndSingletonPartitions) {
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(one->Degree(0), 0);
   EXPECT_EQ(one->CountEdges(), 0u);
+}
+
+// ---- Invalid-tuple repair probes. ----
+
+struct RepairInstance {
+  Table table;
+  std::vector<BoundDenialConstraint> dcs;
+};
+
+/// Household-shaped rows under a clique, an ordering and one `arity`-ary
+/// "too many multilingual children" DC.
+RepairInstance MakeRepairInstance(size_t n, int arity) {
+  Schema schema{{"Rel", DataType::kString},
+                {"Age", DataType::kInt64},
+                {"ML", DataType::kInt64}};
+  Table t{schema};
+  Rng rng(17);
+  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
+  for (size_t i = 0; i < n; ++i) {
+    CEXTEND_CHECK(t.AppendRow({Value(rels[rng.UniformInt(0, 3)]),
+                               Value(rng.UniformInt(0, 90)),
+                               Value(rng.UniformInt(0, 1))})
+                      .ok());
+  }
+  std::vector<DenialConstraint> dcs;
+  DenialConstraint owners(2, "owner-owner");
+  owners.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  owners.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+  dcs.push_back(std::move(owners));
+  DenialConstraint gap(2, "age-gap");
+  gap.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  gap.Unary(1, "Rel", CompareOp::kEq, Value("Spouse"));
+  gap.Binary(1, "Age", CompareOp::kLt, 0, "Age", -40);
+  dcs.push_back(std::move(gap));
+  DenialConstraint children(arity, "ml-children");
+  for (int var = 0; var < arity; ++var) {
+    children.Unary(var, "Rel", CompareOp::kEq, Value("Child"));
+    children.Unary(var, "ML", CompareOp::kEq, Value(int64_t{1}));
+  }
+  dcs.push_back(std::move(children));
+  auto bound = BindAll(dcs, t);
+  CEXTEND_CHECK(bound.ok());
+  return RepairInstance{std::move(t), std::move(bound).value()};
+}
+
+/// Rows 0..colored+group of `instance`, the first `colored` in round-robin
+/// buckets over `num_keys` candidate keys.
+StatusOr<RepairAssignment> Repair(const RepairInstance& instance,
+                                  size_t colored, size_t group,
+                                  int64_t num_keys, RepairProbe probe,
+                                  const ConflictOracleOptions& options = {}) {
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < colored + group; ++i) rows.push_back(i);
+  std::vector<int64_t> colored_keys;
+  for (size_t v = 0; v < colored; ++v) {
+    colored_keys.push_back(static_cast<int64_t>(v) % num_keys);
+  }
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < num_keys; ++k) keys.push_back(k);
+  return AssignRepairKeys(instance.table, instance.dcs, rows, colored_keys,
+                          keys, probe, options);
+}
+
+TEST(AssignRepairKeysTest, ConflictSourcesAgree) {
+  struct Shape {
+    size_t colored, group;
+    int64_t keys;
+  };
+  size_t fitted = 0, fresh = 0;
+  for (int arity : {3, 4}) {
+    RepairInstance instance = MakeRepairInstance(260, arity);
+    for (Shape s : {Shape{0, 6, 2}, Shape{0, 40, 3}, Shape{30, 5, 4},
+                    Shape{60, 20, 3}, Shape{200, 3, 50}}) {
+      auto scan = Repair(instance, s.colored, s.group, s.keys,
+                         RepairProbe::kScan);
+      auto oracle = Repair(instance, s.colored, s.group, s.keys,
+                           RepairProbe::kOracle);
+      auto by_size = Repair(instance, s.colored, s.group, s.keys,
+                            RepairProbe::kBySize);
+      ASSERT_TRUE(scan.ok() && oracle.ok() && by_size.ok());
+      EXPECT_FALSE(scan->used_oracle);
+      EXPECT_TRUE(oracle->used_oracle);
+      EXPECT_EQ(scan->keys, oracle->keys)
+          << "arity " << arity << " colored " << s.colored;
+      EXPECT_EQ(scan->keys, by_size->keys)
+          << "arity " << arity << " colored " << s.colored;
+      for (int64_t key : scan->keys) ++(key == kNoColor ? fresh : fitted);
+    }
+  }
+  // Both outcomes occur, so the comparison is not vacuous.
+  EXPECT_GT(fitted, 0u);
+  EXPECT_GT(fresh, 0u);
+}
+
+TEST(AssignRepairKeysTest, BySizePicksEachSource) {
+  RepairInstance instance = MakeRepairInstance(500, 3);
+  // No partition, a large group: scanning is quadratic in the group.
+  auto group = Repair(instance, 0, 64, 4, RepairProbe::kBySize);
+  ASSERT_TRUE(group.ok());
+  EXPECT_TRUE(group->used_oracle);
+  // A large colored partition in small buckets and two rows to repair: an
+  // oracle build over the whole partition would dominate.
+  auto few = Repair(instance, 400, 2, 100, RepairProbe::kBySize);
+  ASSERT_TRUE(few.ok());
+  EXPECT_FALSE(few->used_oracle);
+}
+
+TEST(AssignRepairKeysTest, OracleCapFallsBackToScans) {
+  RepairInstance instance = MakeRepairInstance(100, 3);
+  ConflictOracleOptions capped;
+  capped.max_hyperedge_candidates = 10;
+  auto fallback = Repair(instance, 40, 30, 3, RepairProbe::kOracle, capped);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_FALSE(fallback->used_oracle);
+  auto scan = Repair(instance, 40, 30, 3, RepairProbe::kScan);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(fallback->keys, scan->keys);
 }
 
 }  // namespace

@@ -12,12 +12,14 @@ namespace {
 
 using testing_fixtures::MakePaperExample;
 using testing_fixtures::PaperExample;
+using testing_fixtures::Phase2Tables;
+using testing_fixtures::PlanAndExecutePhase2;
 
 /// Runs phase I (hybrid) then phase II on the paper example and returns the
 /// phase-II result alongside the completed view.
 struct FullRun {
   Table v_join;
-  Phase2Result phase2;
+  Phase2Tables phase2;
 };
 
 FullRun RunBoth(const PaperExample& ex, const Phase2Options& p2_options) {
@@ -27,8 +29,9 @@ FullRun RunBoth(const PaperExample& ex, const Phase2Options& p2_options) {
   HybridOptions options;
   auto phase1 = RunHybridPhase1(v_join, ex.housing, ex.names, ex.ccs, ex.dcs, options);
   CEXTEND_CHECK(phase1.ok());
-  auto phase2 = RunPhase2(v_join, ex.persons, ex.housing, ex.names, ex.dcs,
-                          ex.ccs, phase1->invalid_rows, p2_options);
+  auto phase2 =
+      PlanAndExecutePhase2(v_join, ex.persons, ex.housing, ex.names, ex.dcs,
+                           ex.ccs, phase1->invalid_rows, p2_options);
   CEXTEND_CHECK(phase2.ok()) << phase2.status().ToString();
   return FullRun{std::move(v_join), std::move(phase2).value()};
 }
@@ -76,8 +79,9 @@ TEST(Phase2Test, NewR2TuplesCarryComboValues) {
   auto phase1 =
       RunHybridPhase1(v_join, small_housing, ex.names, ex.ccs, ex.dcs, p1);
   ASSERT_TRUE(phase1.ok());
-  auto phase2 = RunPhase2(v_join, ex.persons, small_housing, ex.names, ex.dcs,
-                          ex.ccs, phase1->invalid_rows, {});
+  auto phase2 =
+      PlanAndExecutePhase2(v_join, ex.persons, small_housing, ex.names,
+                           ex.dcs, ex.ccs, phase1->invalid_rows, {});
   ASSERT_TRUE(phase2.ok());
   EXPECT_GT(phase2->stats.new_r2_tuples, 0u);
   EXPECT_EQ(phase2->r2_hat.NumRows(),
@@ -109,8 +113,8 @@ TEST(Phase2Test, RandomAssignmentIgnoresDcs) {
   Phase2Options p2;
   p2.random_assignment = true;
   p2.seed = 11;
-  auto phase2 = RunPhase2(v_join, ex.persons, two_homes, ex.names, ex.dcs, {},
-                          phase1->invalid_rows, p2);
+  auto phase2 = PlanAndExecutePhase2(v_join, ex.persons, two_homes, ex.names,
+                                     ex.dcs, {}, phase1->invalid_rows, p2);
   ASSERT_TRUE(phase2.ok());
   auto dc_report = EvaluateDcError(ex.dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(dc_report.ok());
@@ -183,8 +187,8 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
   ASSERT_TRUE(v.ok());
   Table v_join = std::move(v).value();
   std::vector<uint32_t> invalid = {0, 1, 2, 3, 4};
-  auto phase2 = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                          invalid, {});
+  auto phase2 = PlanAndExecutePhase2(v_join, persons, housing, names.value(),
+                                     dcs, {}, invalid, {});
   ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
   auto report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(report.ok());
@@ -194,44 +198,6 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
                                         "hid", v_join, {"Area"});
   ASSERT_TRUE(mismatches.ok()) << mismatches.status();
   EXPECT_EQ(mismatches.value(), 0u);
-}
-
-TEST(Phase2Test, InvalidTupleRepairFallsBackWhenOracleCapped) {
-  // With the hyperedge-candidate cap forced to 1, the per-combo repair
-  // oracle cannot be built; repair must degrade to the direct bucket scan
-  // (which also covers arity 4) instead of failing the run.
-  Schema persons_schema{{"pid", DataType::kInt64},
-                        {"Rel", DataType::kString},
-                        {"hid", DataType::kInt64}};
-  Table persons{persons_schema};
-  for (int64_t i = 1; i <= 5; ++i) {
-    CEXTEND_CHECK(
-        persons.AppendRow({Value(i), Value("Senior"), Value::Null()}).ok());
-  }
-  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
-  Table housing{housing_schema};
-  for (int64_t h = 1; h <= 3; ++h) {
-    CEXTEND_CHECK(housing.AppendRow({Value(h), Value("X")}).ok());
-  }
-  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
-  ASSERT_TRUE(names.ok());
-  DenialConstraint dc(4, "no-4-seniors");
-  for (int var = 0; var < 4; ++var) {
-    dc.Unary(var, "Rel", CompareOp::kEq, Value("Senior"));
-  }
-  std::vector<DenialConstraint> dcs;
-  dcs.push_back(std::move(dc));
-  auto v = MakeJoinView(persons, housing, names.value());
-  ASSERT_TRUE(v.ok());
-  Table v_join = std::move(v).value();
-  Phase2Options options;
-  options.max_hyperedge_candidates = 1;
-  auto phase2 = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                          {0, 1, 2, 3, 4}, options);
-  ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
-  auto report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_violations, 0u) << report->Summary();
 }
 
 TEST(ConflictOracleTest, PaperExample53Degrees) {

@@ -27,6 +27,10 @@
 namespace cextend {
 namespace {
 
+using testing_fixtures::ExpectTablesEqual;
+using testing_fixtures::Phase2Tables;
+using testing_fixtures::PlanAndExecutePhase2;
+
 struct Instance {
   Table persons;
   Table housing;
@@ -119,17 +123,6 @@ SynthesisPlan BuildPlanFor(const Instance& instance, Table& v_join,
                                  instance.invalid, options);
   CEXTEND_CHECK(plan.ok()) << plan.status().ToString();
   return std::move(plan).value();
-}
-
-void ExpectTablesEqual(const Table& a, const Table& b, const char* what) {
-  ASSERT_EQ(a.NumRows(), b.NumRows()) << what;
-  ASSERT_EQ(a.NumColumns(), b.NumColumns()) << what;
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    for (size_t c = 0; c < a.NumColumns(); ++c) {
-      ASSERT_EQ(a.GetCode(r, c), b.GetCode(r, c))
-          << what << " differs at row " << r << ", col " << c;
-    }
-  }
 }
 
 TEST(SynthesisPlanTest, SerializeRoundTripIsByteStable) {
@@ -294,7 +287,7 @@ TEST(ShardExecutorTest, StreamBytesIndependentOfShardGeometry) {
   }
 }
 
-TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
+TEST(ShardExecutorTest, TablesIndependentOfShardGeometry) {
   Instance instance = MakeInstance();
   auto run = [&](size_t shards, size_t max_resident, size_t threads) {
     Table v_join = instance.v_join.Clone();
@@ -303,13 +296,14 @@ TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
     options.num_threads = threads;
     options.num_shards = shards;
     options.max_resident_shards = max_resident;
-    auto result =
-        RunPhase2(v_join, instance.persons, instance.housing, instance.names,
-                  instance.dcs, {}, instance.invalid, options);
+    auto result = PlanAndExecutePhase2(v_join, instance.persons,
+                                       instance.housing, instance.names,
+                                       instance.dcs, {}, instance.invalid,
+                                       options);
     CEXTEND_CHECK(result.ok()) << result.status().ToString();
     return std::move(result).value();
   };
-  Phase2Result mono = run(1, 0, 1);
+  Phase2Tables mono = run(1, 0, 1);
   EXPECT_GT(mono.stats.skipped_vertices, 0u);
   EXPECT_GT(mono.stats.new_r2_tuples, 0u);
   EXPECT_EQ(mono.stats.shards_emitted, 1u);
@@ -318,7 +312,7 @@ TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
         {8, 2, 8},
         {0, 0, 8},
         {3, 1, 2}}) {
-    Phase2Result sharded = run(shards, max_resident, threads);
+    Phase2Tables sharded = run(shards, max_resident, threads);
     ExpectTablesEqual(mono.r1_hat, sharded.r1_hat, "r1_hat");
     ExpectTablesEqual(mono.r2_hat, sharded.r2_hat, "r2_hat");
     EXPECT_EQ(mono.stats.skipped_vertices, sharded.stats.skipped_vertices);
@@ -335,9 +329,10 @@ TEST(ShardExecutorTest, BoundedAdmissionCapsResidencyBelowMonolithic) {
     options.num_threads = 1;
     options.num_shards = shards;
     options.max_resident_shards = max_resident;
-    auto result =
-        RunPhase2(v_join, instance.persons, instance.housing, instance.names,
-                  instance.dcs, {}, instance.invalid, options);
+    auto result = PlanAndExecutePhase2(v_join, instance.persons,
+                                       instance.housing, instance.names,
+                                       instance.dcs, {}, instance.invalid,
+                                       options);
     CEXTEND_CHECK(result.ok()) << result.status().ToString();
     return result.value().stats;
   };

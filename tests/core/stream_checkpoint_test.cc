@@ -27,6 +27,8 @@
 namespace cextend {
 namespace {
 
+using testing_fixtures::ExpectTablesEqual;
+
 struct Instance {
   Table persons;
   Table housing;
@@ -166,17 +168,6 @@ std::string ReferenceStream(const Planned& planned) {
   auto stats = ExecutePlan(planned.prepared, MakeOptions(1, 0), &sink);
   CEXTEND_CHECK(stats.ok()) << stats.status().ToString();
   return stream.str();
-}
-
-void ExpectTablesEqual(const Table& a, const Table& b, const char* what) {
-  ASSERT_EQ(a.NumRows(), b.NumRows()) << what;
-  ASSERT_EQ(a.NumColumns(), b.NumColumns()) << what;
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    for (size_t c = 0; c < a.NumColumns(); ++c) {
-      ASSERT_EQ(a.GetCode(r, c), b.GetCode(r, c))
-          << what << " differs at row " << r << ", col " << c;
-    }
-  }
 }
 
 TEST(StreamCheckpointTest, FreshDurableRunMatchesPlainExecutorBytes) {

@@ -92,9 +92,9 @@ void ExpectVerifierClean(const Instance& instance, const Solution& solution,
 
 // All registered fault points (kept in sync with util/fault_injection.h).
 const char* const kFaultSites[] = {
-    "oracle.build",     "oracle.pair_budget",    "simplex.refactor",
-    "simplex.iteration_cap", "dual.warm_start",  "phase2.repair_oracle",
-    "pool.alloc",       "shard.emit",
+    "oracle.build",          "oracle.pair_budget", "simplex.refactor",
+    "simplex.iteration_cap", "dual.warm_start",    "pool.alloc",
+    "shard.emit",
 };
 
 class ChaosSweepTest
@@ -320,7 +320,7 @@ TEST(ChaosLadderTest, ShardEmitFaultRegeneratesLostShardsBitIdentical) {
 // until it completes, and require the stream bytes *and* the synthesized
 // tables to be identical to an uninterrupted run. The plan is built once and
 // reconstituted from its serialized bytes each round — the same plan-cache
-// discipline the CLI retry ladder uses.
+// discipline the CLI retry loop uses.
 TEST(ChaosStreamingTest, InterruptedDurableSolveResumesBitIdentical) {
   if (!FaultInjection::CompiledIn()) {
     GTEST_SKIP() << "fault injection compiled out";

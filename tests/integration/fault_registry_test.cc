@@ -153,66 +153,6 @@ uint64_t FireInCensusSolve(const std::string& site) {
   return FaultInjection::Global().FiredCount(site);
 }
 
-/// The repair-oracle rebuild site only runs when the plan has invalid rows
-/// (repair groups) and oracle reuse is off — driven through RunPhase2 with
-/// explicit invalid rows, like the phase-2 determinism fixture.
-uint64_t FireInRepairStage() {
-  Schema persons_schema{{"pid", DataType::kInt64},
-                        {"Age", DataType::kInt64},
-                        {"Rel", DataType::kString},
-                        {"hid", DataType::kInt64}};
-  Table persons{persons_schema};
-  Rng rng(123);
-  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
-  constexpr size_t kPersons = 200;
-  for (size_t i = 0; i < kPersons; ++i) {
-    CEXTEND_CHECK(persons
-                      .AppendRow({Value(static_cast<int64_t>(i + 1)),
-                                  Value(rng.UniformInt(0, 90)),
-                                  Value(rels[rng.UniformInt(0, 3)]),
-                                  Value::Null()})
-                      .ok());
-  }
-  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
-  Table housing{housing_schema};
-  for (size_t h = 0; h < 8; ++h) {
-    CEXTEND_CHECK(housing
-                      .AppendRow({Value(static_cast<int64_t>(h + 1)),
-                                  Value("A" + std::to_string(h / 2))})
-                      .ok());
-  }
-  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
-  CEXTEND_CHECK(names.ok());
-  std::vector<DenialConstraint> dcs;
-  DenialConstraint dc(2, "owner-owner");
-  dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-  dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
-  dcs.push_back(std::move(dc));
-
-  auto v = MakeJoinView(persons, housing, names.value());
-  CEXTEND_CHECK(v.ok());
-  Table v_join = std::move(v).value();
-  size_t area_v = v_join.schema().IndexOrDie("Area");
-  size_t area_r2 = housing.schema().IndexOrDie("Area");
-  std::vector<uint32_t> invalid;
-  for (size_t r = 0; r < kPersons; ++r) {
-    if (r % 10 == 0) {
-      invalid.push_back(static_cast<uint32_t>(r));
-      continue;
-    }
-    v_join.SetCode(r, area_v, housing.GetCode(2 * (r % 4), area_r2));
-  }
-
-  ScopedFaults faults("phase2.repair_oracle", /*seed=*/47);
-  Phase2Options options;
-  options.seed = 9;
-  options.reuse_repair_oracles = false;
-  auto ignored = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                           invalid, options);
-  (void)ignored;
-  return FaultInjection::Global().FiredCount("phase2.repair_oracle");
-}
-
 /// Random branching ILPs reach the simplex/dual sites (warm starts, basis
 /// refactorizations, pivot-cap checks).
 uint64_t FireInIlp(const std::string& site) {
@@ -288,8 +228,6 @@ TEST(FaultRegistryTest, EverySiteFiresUnderSomeChaosScenario) {
         std::string("pool.alloc"), std::string("shard.emit")}) {
     fired[site] = FireInCensusSolve(site);
   }
-  // The rebuild path is only taken with oracle reuse off and invalid rows.
-  fired["phase2.repair_oracle"] = FireInRepairStage();
   for (const std::string& site :
        {std::string("simplex.iteration_cap"), std::string("simplex.refactor"),
         std::string("dual.warm_start")}) {

@@ -4,13 +4,21 @@
 #ifndef CEXTEND_TESTS_TEST_UTIL_H_
 #define CEXTEND_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
 #include "core/join_view.h"
+#include "core/phase2.h"
+#include "core/plan.h"
+#include "core/shard_executor.h"
 #include "relational/table.h"
 #include "util/logging.h"
+#include "util/statusor.h"
 
 namespace cextend {
 namespace testing_fixtures {
@@ -132,6 +140,51 @@ inline PaperExample MakePaperExample() {
     ex.dcs.push_back(std::move(dc));
   }
   return ex;
+}
+
+/// Asserts two tables hold identical dictionary codes cell by cell.
+inline void ExpectTablesEqual(const Table& a, const Table& b,
+                              const char* what) {
+  ASSERT_EQ(a.NumRows(), b.NumRows()) << what;
+  ASSERT_EQ(a.NumColumns(), b.NumColumns()) << what;
+  for (size_t r = 0; r < a.NumRows(); ++r) {
+    for (size_t c = 0; c < a.NumColumns(); ++c) {
+      ASSERT_EQ(a.GetCode(r, c), b.GetCode(r, c))
+          << what << " differs at row " << r << ", col " << c;
+    }
+  }
+}
+
+/// Phase II's output as a TableSink collects it.
+struct Phase2Tables {
+  Table r1_hat;
+  Table r2_hat;
+  Phase2Stats stats;
+};
+
+/// Runs phase II on a hand-built join view whose `invalid_rows` still lack
+/// B values: BuildSynthesisPlan (which writes the invalid rows' repair combos
+/// into `v_join`, guided by `ccs`) → PreparePlan → ExecutePlan into a
+/// TableSink.
+inline StatusOr<Phase2Tables> PlanAndExecutePhase2(
+    Table& v_join, const Table& r1, const Table& r2, const PairSchema& names,
+    const std::vector<DenialConstraint>& dcs,
+    const std::vector<CardinalityConstraint>& ccs,
+    const std::vector<uint32_t>& invalid_rows, const Phase2Options& options) {
+  SynthesisPlanOptions plan_options;
+  plan_options.seed = options.seed;
+  plan_options.num_shards = options.num_shards;
+  plan_options.num_threads_hint = options.num_threads;
+  CEXTEND_ASSIGN_OR_RETURN(SynthesisPlan plan,
+                           BuildSynthesisPlan(v_join, r2, names, ccs,
+                                              invalid_rows, plan_options));
+  CEXTEND_ASSIGN_OR_RETURN(PreparedPlan prepared,
+                           PreparePlan(plan, v_join, r2, names, dcs));
+  TableSink sink(r1, r2, names);
+  CEXTEND_ASSIGN_OR_RETURN(Phase2Stats stats,
+                           ExecutePlan(prepared, options, &sink));
+  return Phase2Tables{std::move(sink.r1_hat()), std::move(sink.r2_hat()),
+                      stats};
 }
 
 }  // namespace testing_fixtures

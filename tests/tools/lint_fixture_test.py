@@ -3,12 +3,9 @@
 
 Asserts, per check, that the positive fixture fires, the negative fixture
 stays silent, and that the waiver-comment syntax (plus the sorted-drain and
-``(void)`` idioms) suppresses findings. Runs the token engine always, and the
-clang engine too when the libclang Python bindings are importable, so CI
-environments with clang exercise both paths.
+``(void)`` idioms) suppresses findings.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -29,10 +26,9 @@ SUPPRESSED_RE = re.compile(
 )
 
 
-def run_lint(engine, extra_args=()):
+def run_lint(extra_args=()):
     proc = subprocess.run(
-        [sys.executable, LINTER, "--root", FIXTURES, "--engine", engine,
-         "--verbose", *extra_args],
+        [sys.executable, LINTER, "--root", FIXTURES, "--verbose", *extra_args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -52,20 +48,12 @@ def run_lint(engine, extra_args=()):
     return proc, findings, suppressed
 
 
-def clang_engine_available():
-    try:
-        from clang import cindex  # noqa: F401
-        return True
-    except Exception:
-        return False
-
-
 class LintFixtureTest(unittest.TestCase):
     maxDiff = None
 
     @classmethod
     def setUpClass(cls):
-        cls.proc, cls.findings, cls.suppressed = run_lint("token")
+        cls.proc, cls.findings, cls.suppressed = run_lint()
 
     def checks_for(self, path):
         return {check for check, _ in self.findings.get(path, set())}
@@ -126,21 +114,10 @@ class LintFixtureTest(unittest.TestCase):
 
     def test_check_filter(self):
         # --checks restricts which detectors run.
-        proc, findings, _ = run_lint("token", ("--checks", "D2"))
+        proc, findings, _ = run_lint(("--checks", "D2"))
         self.assertEqual(proc.returncode, 1, proc.stderr)
         all_checks = {c for per_file in findings.values() for c, _ in per_file}
         self.assertEqual(all_checks, {"D2"})
-
-    @unittest.skipUnless(clang_engine_available(),
-                         "libclang Python bindings not installed")
-    def test_clang_engine_matches_token_engine(self):
-        proc, findings, _ = run_lint("clang")
-        self.assertEqual(proc.returncode, 1, proc.stderr)
-        token_summary = {p: {c for c, _ in s} for p, s in self.findings.items()}
-        clang_summary = {p: {c for c, _ in s} for p, s in findings.items()}
-        self.assertEqual(clang_summary, token_summary,
-                         json.dumps({"token": sorted(token_summary),
-                                     "clang": sorted(clang_summary)}))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,14 @@
 //               [--method=hybrid|baseline|baseline-marginals]
 //
 // --timeout-ms bounds each solve attempt with a monotonic deadline (expiry
-// returns DEADLINE_EXCEEDED). On resource-style failures the CLI retries
-// down a degradation ladder (naive oracle, cold solves, dense tableau,
-// monolithic ILP — cumulative), up to --max-attempts attempts; every rung
-// yields the same database for a fixed seed. The plan is built once and
-// cached in serialized form, so retries only re-execute shards, never
-// phase 1 or planning (unless planning itself failed).
+// returns DEADLINE_EXCEEDED). A transient failure (INTERNAL: shard emission,
+// sink or manifest I/O) is retried with the same options, up to
+// --max-attempts attempts; RESOURCE_EXHAUSTED (the deterministic hyperedge
+// cap) is not retried. The solver already degrades in place (naive-oracle
+// fallback, warm→cold solves, shard regeneration), so a retry never switches
+// paths. The plan is built once and cached in serialized form, so retries
+// only re-execute shards, never phase 1 or planning (unless planning itself
+// failed).
 //
 // --stream-out streams phase 2 to PATH as shards retire from the
 // bounded-memory executor (format: src/core/shard_executor.h), instead of
@@ -30,9 +32,8 @@
 // manifest (--manifest, default <stream-out>.manifest) is fsync'd at every
 // shard retirement. --resume restarts an interrupted run from the last
 // committed shard boundary instead of from scratch, and a retried attempt
-// likewise resumes from the durable prefix — degradation rungs only apply
-// to shards that have not retired yet. The resumed stream is byte-identical
-// to an uninterrupted run.
+// likewise resumes from the durable prefix. The resumed stream is
+// byte-identical to an uninterrupted run.
 //
 // The spec file holds one constraint per line (see constraints/parser.h):
 //     cc chicago_owners: COUNT(Rel = "Owner" & Area = "Chicago") = 4
@@ -76,45 +77,28 @@ struct CliArgs {
   size_t shards = 0;             // 0 = auto
   size_t max_resident_shards = 0;  // 0 = unbounded
   int64_t timeout_ms = 0;  // 0 = no deadline
-  size_t max_attempts = 5; // 1 = no degradation retries
+  size_t max_attempts = 5; // 1 = no retries
 };
 
-// Retry ladder: attempt k forces rungs 1..k cumulatively. Every rung is a
-// slower-but-equivalent path (bit-identical output for a fixed seed), so a
-// retry changes resource behaviour, never the synthesized database.
-constexpr const char* kRungLabels[] = {
-    "default configuration",
-    "naive conflict oracle",
-    "cold LP solves (no warm start)",
-    "dense simplex tableau",
-    "monolithic phase-1 ILP",
-};
-constexpr size_t kNumRungs = sizeof(kRungLabels) / sizeof(kRungLabels[0]);
-
-SolverOptions OptionsForAttempt(const CliArgs& args, size_t rung) {
+SolverOptions OptionsForAttempt(const CliArgs& args) {
   SolverOptions options;
   options.seed = args.seed;
   options.phase2.num_threads = args.threads;
   options.phase2.num_shards = args.shards;
   options.phase2.max_resident_shards = args.max_resident_shards;
-  if (rung >= 1) options.phase2.use_naive_oracle = true;
-  if (rung >= 2) options.phase1.ilp.ilp.warm_start = false;
-  if (rung >= 3) options.phase1.ilp.ilp.simplex.use_dense_tableau = true;
-  if (rung >= 4) options.phase1.ilp.decompose = false;
   if (args.timeout_ms > 0) {
-    // Fresh per-attempt deadline: a degraded retry gets the full budget.
+    // Fresh per-attempt deadline: a retry gets the full budget.
     options.run_control.deadline = Deadline::AfterMillis(args.timeout_ms);
   }
   return options;
 }
 
-// A retry down the ladder only helps with resource-style failures. Bad
-// input (kInvalidArgument, kNotFound) and an expired deadline (degraded
-// rungs are slower, not faster) fail the run immediately.
-bool IsRetryable(StatusCode code) {
-  return code == StatusCode::kResourceExhausted ||
-         code == StatusCode::kInternal;
-}
+// A retry only helps with transient failures: kInternal from shard emission
+// and sink/manifest I/O. Everything else fails the run immediately — bad
+// input (kInvalidArgument, kNotFound), an expired deadline, and
+// kResourceExhausted, whose only source that reaches here is the
+// deterministic hyperedge cap, which a rerun would hit identically.
+bool IsRetryable(StatusCode code) { return code == StatusCode::kInternal; }
 
 StatusOr<Schema> ParseSchemaSpec(const std::string& spec) {
   std::vector<ColumnSpec> columns;
@@ -198,11 +182,10 @@ Status Run(const CliArgs& args) {
     return Status::InvalidArgument(
         "--resume requires --stream-out (only streamed runs are durable)");
   }
-  size_t max_attempts = std::min(std::max<size_t>(args.max_attempts, 1),
-                                 kNumRungs);
-  // The plan is identical on every rung (degraded paths are equivalence-
-  // tested), so it is built once and cached in serialized form; retries
-  // deserialize it and jump straight to shard execution.
+  const size_t max_attempts = std::max<size_t>(args.max_attempts, 1);
+  // The plan does not depend on the attempt, so it is built once and cached
+  // in serialized form; retries deserialize it and jump straight to shard
+  // execution.
   struct PlanCache {
     std::string plan_bytes;
     std::optional<Table> v_join;
@@ -212,8 +195,7 @@ Status Run(const CliArgs& args) {
   PlanCache cache;
   // Whether the next streaming attempt continues from the durable prefix:
   // --resume opts in up front, and any streaming attempt that got far enough
-  // to commit manifest records makes the *retry* resume (degradation rungs
-  // then only apply to shards that never retired).
+  // to commit manifest records makes the *retry* resume.
   bool resume_stream = args.resume;
   auto attempt_hybrid = [&](const SolverOptions& options)
       -> StatusOr<Solution> {
@@ -246,11 +228,11 @@ Status Run(const CliArgs& args) {
                                         names, spec.dcs, stream, options);
   };
   StatusOr<Solution> solution = Status::Internal("unset");
-  for (size_t rung = 0; rung < max_attempts; ++rung) {
-    SolverOptions options = OptionsForAttempt(args, rung);
-    if (rung > 0) {
-      std::fprintf(stderr, "retrying with %s (attempt %zu/%zu)%s\n",
-                   kRungLabels[rung], rung + 1, max_attempts,
+  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    SolverOptions options = OptionsForAttempt(args);
+    if (attempt > 0) {
+      std::fprintf(stderr, "retrying (attempt %zu/%zu)%s\n", attempt + 1,
+                   max_attempts,
                    cache.v_join.has_value() ? ", reusing cached plan" : "");
     }
     if (args.method == "hybrid") {
@@ -263,7 +245,8 @@ Status Run(const CliArgs& args) {
                                BaselineKind::kWithMarginals, options);
     }
     if (solution.ok()) break;
-    if (!IsRetryable(solution.status().code()) || rung + 1 == max_attempts) {
+    if (!IsRetryable(solution.status().code()) ||
+        attempt + 1 == max_attempts) {
       break;
     }
     std::fprintf(stderr, "solve failed: %s\n",

@@ -2,7 +2,8 @@
 # Kill/resume leg of the chaos CI job: interrupt a durable streaming CLI run
 # -- with injected sink faults and with a real SIGKILL -- then resume with
 # --resume and require the final stream and output CSVs to be byte-identical
-# to an uninterrupted reference run.
+# to an uninterrupted reference run. A last leg lets the CLI's retry loop
+# recover from an injected fault on its own.
 #
 # Usage: kill_resume_test.sh <path-to-cextend_cli> [workdir]
 set -euo pipefail
@@ -130,5 +131,27 @@ run --stream-out=cur.stream --manifest=cur.manifest --resume --shards=256 \
     --max-resident-shards=1 \
     --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null
 compare "finished-run resume"
+
+# ---- Leg 4: the CLI's own retry loop. A low-rate manifest.commit fault fails
+# some attempt mid-stream; with the default --max-attempts the CLI retries
+# with the same options, resumes from the durable prefix, and must exit 0
+# with the reference bytes. Seeds are scanned until one fails an attempt.
+retried=0
+for seed in $(seq 1 16); do
+  rm -f cur.stream cur.manifest cur_r1.csv cur_r2.csv
+  if CEXTEND_FAULTS="manifest.commit=0.02" CEXTEND_FAULTS_SEED=$seed \
+       run --stream-out=cur.stream --manifest=cur.manifest --shards=64 \
+           --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null 2> retry.err &&
+     grep -q "retrying" retry.err; then
+    retried=1
+    break
+  fi
+done
+if [ "$retried" -ne 1 ]; then
+  echo "ERROR: no fault seed made the CLI retry and then succeed" >&2
+  exit 1
+fi
+echo "== fault seed $seed: $(grep -c retrying retry.err) retry(s), exit 0 =="
+compare "CLI retry loop"
 
 echo "== kill/resume test PASSED =="

@@ -33,14 +33,11 @@ Waivers
   The reason is mandatory; an empty reason keeps the finding alive. S1 is
   additionally suppressed by an explicit `(void)` cast.
 
-Engines
-  --engine clang   libclang AST analysis (exact; needs the `clang` python
-                   package and a libclang shared library).
-  --engine token   token-stream heuristics (no dependencies; the default
-                   fallback). Declarations are resolved per file first, then
-                   across the scanned set, so cross-file member iteration is
-                   still caught when the member name is unambiguous.
-  --engine auto    clang when importable, token otherwise (default).
+Analysis
+  Token-stream heuristics with no dependencies: comments and strings are
+  scrubbed with line structure preserved, and declarations are resolved per
+  file first, then across the scanned set, so cross-file member iteration is
+  still caught when the member name is unambiguous.
 
 Usage
   tools/lint/cextend_lint.py                 # lint src/ under the repo root
@@ -98,8 +95,8 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Source model shared by both engines: raw text, a comment/string-scrubbed
-# twin with identical line structure, and the waiver lines.
+# Source model: raw text, a comment/string-scrubbed twin with identical line
+# structure, and the waiver lines.
 # ---------------------------------------------------------------------------
 
 class SourceFile:
@@ -191,7 +188,7 @@ def match_forward(text, start, open_ch, close_ch):
 
 
 # ---------------------------------------------------------------------------
-# Token engine
+# Checks
 # ---------------------------------------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(r"\b(?:std\s*::\s*)?unordered_(?:map|set)\s*<")
@@ -421,7 +418,7 @@ def check_t1(src, findings):
             suppressed))
 
 
-def run_token_engine(sources, enabled):
+def run_checks(sources, enabled):
     findings = []
     global_unordered, global_ordered = set(), set()
     for src in sources:
@@ -440,103 +437,6 @@ def run_token_engine(sources, enabled):
         if ("T1" in enabled and src.in_result_affecting()
                 and src.rel.endswith(".cc")):
             check_t1(src, findings)
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# libclang engine
-# ---------------------------------------------------------------------------
-
-def load_libclang():
-    try:
-        from clang import cindex  # noqa: F401
-        index = cindex.Index.create()
-        return cindex, index
-    except Exception:
-        return None, None
-
-
-def run_clang_engine(cindex, index, sources, enabled, include_root):
-    """AST-exact D1/S1/T1 (D2 stays token-based; it is purely lexical)."""
-    findings = []
-    args = ["-std=c++20", "-x", "c++", f"-I{include_root}"]
-    K = cindex.CursorKind
-
-    def type_is_unordered(t):
-        spelling = t.get_canonical().spelling
-        return "unordered_map<" in spelling or "unordered_set<" in spelling
-
-    def type_is_status(t):
-        s = t.get_canonical().spelling
-        return (s.endswith("::Status") or s == "Status"
-                or "::StatusOr<" in s or s.startswith("StatusOr<"))
-
-    for src in sources:
-        tu = index.parse(src.abspath, args=args)
-        severe = [d for d in tu.diagnostics if d.severity >= 4]
-        if severe:
-            raise RuntimeError(
-                f"{src.rel}: libclang parse failed: {severe[0].spelling}")
-
-        def walk(cursor, parent_kind):
-            for child in cursor.get_children():
-                if (child.location.file is None
-                        or child.location.file.name != src.abspath):
-                    walk(child, child.kind)
-                    continue
-                line = child.location.line
-                if ("D1" in enabled and src.in_result_affecting()
-                        and child.kind == K.CXX_FOR_RANGE_STMT):
-                    kids = list(child.get_children())
-                    if kids and type_is_unordered(kids[-2].type
-                                                  if len(kids) >= 2
-                                                  else kids[0].type):
-                        suppressed = None
-                        if src.waived(line, CHECKS["D1"][0]):
-                            suppressed = "waiver"
-                        elif has_sort_after(src, line):
-                            suppressed = "sorted-drain"
-                        findings.append(Finding(
-                            src.rel, line, "D1",
-                            "range-for over an unordered container (AST); "
-                            "hash order can leak into results",
-                            suppressed))
-                if ("S1" in enabled and child.kind == K.CALL_EXPR
-                        and parent_kind == K.COMPOUND_STMT
-                        and type_is_status(child.type)):
-                    suppressed = ("waiver"
-                                  if src.waived(line, CHECKS["S1"][0])
-                                  else None)
-                    findings.append(Finding(
-                        src.rel, line, "S1",
-                        f"result of Status-returning "
-                        f"`{child.spelling}(...)` is discarded (AST)",
-                        suppressed))
-                if ("T1" in enabled and src.in_result_affecting()
-                        and src.rel.endswith(".cc")
-                        and child.kind == K.VAR_DECL):
-                    storage = child.storage_class
-                    is_static = storage == cindex.StorageClass.STATIC
-                    at_file_scope = parent_kind in (
-                        K.TRANSLATION_UNIT, K.NAMESPACE)
-                    if ((is_static or at_file_scope)
-                            and not child.type.is_const_qualified()):
-                        suppressed = ("waiver"
-                                      if src.waived(line, CHECKS["T1"][0])
-                                      else None)
-                        findings.append(Finding(
-                            src.rel, line, "T1",
-                            "mutable static/file-scope state in a solver "
-                            "translation unit (AST)",
-                            suppressed))
-                walk(child, child.kind)
-
-        walk(tu.cursor, K.TRANSLATION_UNIT)
-
-    if "D2" in enabled:
-        for src in sources:
-            if not src.is_rng_exempt():
-                check_d2(src, findings)
     return findings
 
 
@@ -569,8 +469,6 @@ def main():
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels up from this "
                              "script)")
-    parser.add_argument("--engine", choices=["auto", "clang", "token"],
-                        default="auto")
     parser.add_argument("--checks", default="D1,D2,S1,T1",
                         help="comma-separated subset of checks to run")
     parser.add_argument("--verbose", action="store_true",
@@ -600,29 +498,7 @@ def main():
               file=sys.stderr)
         return 2
 
-    engine = args.engine
-    cindex = index = None
-    if engine in ("auto", "clang"):
-        cindex, index = load_libclang()
-        if cindex is None:
-            if engine == "clang":
-                print("error: --engine clang requested but the clang python "
-                      "bindings / libclang are unavailable", file=sys.stderr)
-                return 2
-            engine = "token"
-        else:
-            engine = "clang"
-
-    if engine == "clang":
-        try:
-            findings = run_clang_engine(cindex, index, sources, enabled,
-                                        os.path.join(root, "src"))
-        except Exception as e:
-            print(f"warning: clang engine failed ({e}); falling back to the "
-                  f"token engine", file=sys.stderr)
-            engine = "token"
-    if engine == "token":
-        findings = run_token_engine(sources, enabled)
+    findings = run_checks(sources, enabled)
 
     findings.sort(key=lambda f: (f.path, f.line, f.check))
     live = [f for f in findings if f.suppressed is None]
@@ -634,7 +510,7 @@ def main():
                 print(f"{f.path}:{f.line}: suppressed [{f.check}] "
                       f"({f.suppressed})")
     n_waived = sum(1 for f in findings if f.suppressed is not None)
-    print(f"cextend-lint ({engine} engine): {len(sources)} files, "
+    print(f"cextend-lint: {len(sources)} files, "
           f"{len(live)} finding(s), {n_waived} suppressed", file=sys.stderr)
     return 1 if live else 0
 
