@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: simplex
 // LP solves, conflict-oracle construction, greedy list coloring, CC pairwise
-// classification, and binning.
+// classification, binning, and the phase-1 final fill.
 //
 // Every per-size run additionally appends one JSON-lines record
 //   {"kernel": "<name>", "n": <arg>, "seconds": <time per iteration>}
@@ -21,6 +21,7 @@
 #include "core/binning.h"
 #include "core/conflict.h"
 #include "core/join_view.h"
+#include "core/phase1_hasse.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "graph/hypergraph.h"
@@ -426,6 +427,50 @@ void BM_Binning(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Binning)->Arg(2500)->Arg(10000);
+
+// ---- Phase-1 final fill (CompleteLeftoverRows). ----
+//
+// A census instance with the good 201-CC family and S_all_DC, after the
+// Hasse recursion: as on a good-CC solve, the fill completes almost every
+// row of the join view. Only the fill is timed.
+void BM_FinalFill(benchmark::State& state) {
+  size_t persons = static_cast<size_t>(state.range(0));
+  datagen::CensusOptions census;
+  census.num_persons = persons;
+  census.num_households = persons * 2 / 5;
+  auto data = datagen::GenerateCensus(census);
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = 201;
+  auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+  CEXTEND_CHECK(ccs.ok());
+  std::vector<DenialConstraint> dcs = datagen::MakeCensusDcs(false);
+  auto v = MakeJoinView(data->persons, data->housing, data->names);
+  CEXTEND_CHECK(v.ok());
+  auto binning = Binning::Create(v.value(), data->names.r1_attrs, *ccs);
+  CEXTEND_CHECK(binning.ok());
+  auto combos = ComboIndex::Build(data->housing, data->names);
+  CEXTEND_CHECK(combos.ok());
+  Rng rng(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Table v_join = v->Clone();
+    auto fill = FillState::Create(&v_join, data->names, &binning.value());
+    CEXTEND_CHECK(fill.ok());
+    Phase1HasseStats hasse;
+    CEXTEND_CHECK(RunPhase1HasseStandalone(
+                      *fill, *combos, *ccs, v_join.schema(),
+                      data->housing.schema(), &hasse)
+                      .ok());
+    FinalFillStats stats;
+    state.ResumeTiming();
+    auto invalid = CompleteLeftoverRows(*fill, *combos, *ccs, dcs,
+                                        LeftoverMode::kAvoidCcs, rng, &stats);
+    CEXTEND_CHECK(invalid.ok());
+    benchmark::DoNotOptimize(stats.completed_rows);
+  }
+}
+BENCHMARK(BM_FinalFill)->Arg(25000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // ---- JSON-lines trajectory reporter. ----
 //

@@ -1,6 +1,7 @@
 #include "constraints/denial_constraint.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -135,7 +136,6 @@ StatusOr<BoundDenialConstraint> BoundDenialConstraint::Bind(
       u.tuple = atom.lhs_tuple;
       u.col = *lhs_col;
       u.op = atom.op;
-      u.never_matches = false;
       bool is_ordering =
           atom.op == CompareOp::kLt || atom.op == CompareOp::kLe ||
           atom.op == CompareOp::kGt || atom.op == CompareOp::kGe;
@@ -288,6 +288,38 @@ bool BoundDenialConstraint::CrossAtomsHold(
     int64_t rhs =
         table.GetCode(rows[static_cast<size_t>(b.rhs_tuple)], b.rhs_col);
     if (!CrossAtomHolds(b, lhs, rhs)) return false;
+  }
+  return true;
+}
+
+bool BoundDenialConstraint::MayHoldOnOneRow() const {
+  // The codes an =/IN atom admits, sorted (Bind sorts rhs_set).
+  auto admitted = [](const BoundUnary& a) {
+    return a.op == CompareOp::kIn ? a.rhs_set : std::vector<int64_t>{a.rhs};
+  };
+  auto is_membership = [](const BoundUnary& a) {
+    return a.op == CompareOp::kEq || a.op == CompareOp::kIn;
+  };
+  for (size_t i = 0; i < unary_.size(); ++i) {
+    const BoundUnary& a = unary_[i];
+    if (a.never_matches) return false;
+    if (!is_membership(a)) continue;
+    std::vector<int64_t> a_codes = admitted(a);
+    for (size_t j = i + 1; j < unary_.size(); ++j) {
+      const BoundUnary& b = unary_[j];
+      if (b.col != a.col || !is_membership(b)) continue;
+      std::vector<int64_t> b_codes = admitted(b);
+      std::vector<int64_t> common;
+      std::set_intersection(a_codes.begin(), a_codes.end(), b_codes.begin(),
+                            b_codes.end(), std::back_inserter(common));
+      if (common.empty()) return false;
+    }
+  }
+  // On one row both operands read the same cell x, and x ∘ x + offset holds
+  // exactly when 0 ∘ offset does (kIn never holds).
+  for (const CrossAtom& a : binary_) {
+    if (a.lhs_col == a.rhs_col && !CompareCodes(0, a.op, a.offset))
+      return false;
   }
   return true;
 }

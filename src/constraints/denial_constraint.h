@@ -131,14 +131,26 @@ class BoundDenialConstraint {
   bool CrossAtomsHold(const Table& table,
                       const std::vector<uint32_t>& rows) const;
 
+  /// Sound static test of whether the body can hold with one row bound to
+  /// every tuple variable. False means no row of any table can; true is
+  /// only "maybe". It is false when
+  ///   * some unary atom never matches;
+  ///   * two variables carry =/IN atoms on one column with disjoint codes
+  ///     (t0.Rel = Owner, t1.Rel = Spouse);
+  ///   * a binary atom compares a column with itself and x ∘ x + offset
+  ///     fails for every x (t1.Age < t0.Age - 12).
+  /// The final fill uses it to drop DCs that can form no clique class.
+  bool MayHoldOnOneRow() const;
+
  private:
   struct BoundUnary {
-    int tuple;
-    size_t col;
-    CompareOp op;
-    int64_t rhs;
+    int tuple = 0;
+    size_t col = 0;
+    CompareOp op = CompareOp::kEq;
+    int64_t rhs = kNullCode;
     std::vector<int64_t> rhs_set;
-    bool never_matches;  // e.g. equality against a string absent from dict
+    bool never_matches = false;  // e.g. equality against a string absent
+                                 // from the dictionary
   };
   static bool EvalUnary(const BoundUnary& a, int64_t cell);
 

@@ -168,33 +168,12 @@ BinaryDcPlan PlanBinaryDc(const BoundDenialConstraint& dc) {
   return plan;
 }
 
-/// True when local vertex `i` can play variable `var` of `dc`: unary side
+/// match[i] = whether rows[i] can play variable `var` of `dc`: unary side
 /// atoms hold, same-tuple binary atoms hold, and no column referenced by a
 /// cross atom is NULL (a NULL operand can never satisfy a cross atom).
-bool SideEligible(const Table& table, const BoundDenialConstraint& dc,
-                  const BinaryDcPlan& plan, uint32_t row, int var) {
-  if (!dc.SideMatches(table, row, var)) return false;
-  const std::vector<CrossAtom>& same = var == 0 ? plan.same0 : plan.same1;
-  for (const CrossAtom& a : same) {
-    if (!BoundDenialConstraint::CrossAtomHolds(
-            a, table.GetCode(row, a.lhs_col), table.GetCode(row, a.rhs_col)))
-      return false;
-  }
-  auto cols_non_null = [&](const std::vector<OrientedAtom>& atoms) {
-    for (const OrientedAtom& a : atoms) {
-      size_t col = var == 0 ? a.u_col : a.v_col;
-      if (table.GetCode(row, col) == kNullCode) return false;
-    }
-    return true;
-  };
-  return cols_non_null(plan.eq) && cols_non_null(plan.ord) &&
-         cols_non_null(plan.other);
-}
-
-/// Batch SideEligible over every local vertex: match[i] = SideEligible(table,
-/// dc, plan, rows[i], var). Column sweeps (one linear pass per atom over the
-/// raw codes) replace the per-row atom loops — this is the O(n)-per-DC
-/// prologue of every oracle build, so it runs at memory speed.
+/// Column sweeps (one linear pass per atom over the raw codes) replace
+/// per-row atom loops — this is the O(n)-per-DC prologue of every oracle
+/// build, so it runs at memory speed.
 void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
                    const BinaryDcPlan& plan, const std::vector<uint32_t>& rows,
                    int var, std::vector<uint8_t>* match) {

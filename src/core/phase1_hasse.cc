@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 
 #include "relational/attr_set.h"
@@ -96,6 +96,53 @@ class HasseRecursion {
   std::vector<bool> processed_;
   std::vector<size_t> round_robin_;
 };
+
+/// Clique classes of a row list in CSR form: the classes of rows[i] are
+/// ids[offsets[i] .. offsets[i + 1]), in ascending DC order.
+struct CliqueClasses {
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> ids;
+
+  std::span<const uint32_t> of(size_t i) const {
+    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
+  }
+};
+
+/// rows[i] is in DC d's class when it matches both tuple roles of dcs[d]
+/// and every binary atom of dcs[d] holds with rows[i] bound to both roles.
+/// One pass per atom over the raw column codes, not one per row.
+CliqueClasses SweepCliqueClasses(const Table& table,
+                                 const std::vector<BoundDenialConstraint>& dcs,
+                                 const std::vector<uint32_t>& rows) {
+  const size_t n = rows.size();
+  std::vector<std::vector<uint8_t>> in_class(dcs.size());
+  std::vector<uint8_t> side1;
+  for (size_t d = 0; d < dcs.size(); ++d) {
+    std::vector<uint8_t>& m = in_class[d];
+    dcs[d].SideMatchesBatch(table, rows, 0, &m);
+    dcs[d].SideMatchesBatch(table, rows, 1, &side1);
+    for (size_t i = 0; i < n; ++i) m[i] &= side1[i];
+    for (const BoundDenialConstraint::CrossAtom& a : dcs[d].cross_atoms()) {
+      const int64_t* lhs = table.ColumnCodes(a.lhs_col).data();
+      const int64_t* rhs = table.ColumnCodes(a.rhs_col).data();
+      for (size_t i = 0; i < n; ++i) {
+        if (m[i] != 0 && !BoundDenialConstraint::CrossAtomHolds(
+                             a, lhs[rows[i]], rhs[rows[i]])) {
+          m[i] = 0;
+        }
+      }
+    }
+  }
+  CliqueClasses classes;
+  classes.offsets.assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dcs.size(); ++d) {
+      if (in_class[d][i] != 0) classes.ids.push_back(static_cast<uint32_t>(d));
+    }
+    classes.offsets[i + 1] = classes.ids.size();
+  }
+  return classes;
+}
 
 StatusOr<std::vector<CcPlan>> BuildPlans(
     const FillState& state, const ComboIndex& combos,
@@ -271,76 +318,75 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     if (all_columns_ok) synthesized = combo;
   }
 
-  // Per bin: the list of zero-badness existing combos (cached), expanded by
-  // key count so round-robin respects R2's per-combo capacity. Only the CCs
-  // whose R1 condition covers the bin can veto a combo, and most bins are
-  // covered by a handful of CCs, so the relevant-CC list is collected first.
-  std::unordered_map<size_t, std::vector<size_t>> bin_free_combos;
-  std::vector<uint64_t> bad_mask(combo_words);
+  // Per bin: the list of zero-badness existing combos (computed on first
+  // use), expanded by key count so round-robin respects R2's per-combo
+  // capacity. Only the CCs whose R1 condition covers the bin can veto a
+  // combo. Bins whose vetoed combos coincide share one list: the census CC
+  // families give a handful of distinct lists over hundreds of bins, and
+  // each expanded list is thousands of entries long.
+  std::map<std::vector<uint64_t>, std::vector<size_t>> free_by_bad_mask;
+  std::vector<const std::vector<size_t>*> bin_free_combos(binning.num_bins(),
+                                                          nullptr);
   auto free_combos_for_bin = [&](size_t bin) -> const std::vector<size_t>& {
-    auto it = bin_free_combos.find(bin);
-    if (it != bin_free_combos.end()) return it->second;
-    // OR the combo masks of every CC covering the bin, then collect the
-    // zero bits: word-wise instead of a per-(cc, combo) byte matrix walk.
-    std::fill(bad_mask.begin(), bad_mask.end(), 0);
+    const std::vector<size_t>*& cached = bin_free_combos[bin];
+    if (cached != nullptr) return *cached;
+    // OR the combo masks of every CC covering the bin; the zero bits are
+    // the free combos.
+    std::vector<uint64_t> bad_mask(combo_words, 0);
     for (size_t c = 0; c < num_ccs; ++c) {
       if (!bin_matches_cc(c, bin)) continue;
       const uint64_t* mask = combo_match.data() + c * combo_words;
       for (size_t w = 0; w < combo_words; ++w) bad_mask[w] |= mask[w];
     }
-    std::vector<size_t> free;
-    for (size_t w = 0; w < combo_words; ++w) {
-      uint64_t good = ~bad_mask[w];
-      while (good != 0) {
-        size_t i = (w << 6) + static_cast<size_t>(__builtin_ctzll(good));
-        good &= good - 1;
-        if (i >= combos.num_combos()) break;
-        free.push_back(i);
+    auto [it, inserted] = free_by_bad_mask.try_emplace(bad_mask);
+    std::vector<size_t>& free = it->second;
+    if (inserted) {
+      for (size_t w = 0; w < combo_words; ++w) {
+        uint64_t good = ~bad_mask[w];
+        while (good != 0) {
+          size_t i = (w << 6) + static_cast<size_t>(__builtin_ctzll(good));
+          good &= good - 1;
+          if (i >= combos.num_combos()) break;
+          free.push_back(i);
+        }
       }
+      free = combos.ExpandByKeyCount(free);
     }
-    free = combos.ExpandByKeyCount(free);
-    return bin_free_combos.emplace(bin, std::move(free)).first->second;
+    cached = &free;
+    return free;
   };
-
   // Stagger each bin's rotation start so different bins do not pile their
   // first leftovers onto the same few combos.
-  std::unordered_map<size_t, size_t> bin_cursor;
-  auto cursor_for_bin = [&](size_t bin) -> size_t& {
-    auto [it, inserted] = bin_cursor.emplace(bin, bin * 7919);
-    return it->second;
-  };
+  std::vector<size_t> bin_cursor(binning.num_bins());
+  for (size_t bin = 0; bin < bin_cursor.size(); ++bin)
+    bin_cursor[bin] = bin * 7919;
+
   // DC-aware per-combo capacity ledgers. A binary DC forms a clique class
   // when a row can fill both of its tuple roles with the cross atoms
   // trivially satisfied against itself (owner-owner, spouse-spouse): any two
   // same-class rows sharing an FK violate the DC, so a combo can absorb at
   // most keys(combo) of them. The fill keeps each class's per-combo load
   // under that capacity whenever a candidate allows it, falling back to
-  // plain rotation (the paper's behaviour) when all are saturated.
+  // plain rotation (the paper's behaviour) when all are saturated. DCs that
+  // cannot hold on one row (age gaps, owner-child) form no class and are
+  // dropped before any row is looked at.
   std::vector<BoundDenialConstraint> clique_dcs;
   for (const DenialConstraint& dc : dcs) {
     if (dc.arity() != 2) continue;
     auto bound = BoundDenialConstraint::Bind(dc, v_join);
-    if (bound.ok()) clique_dcs.push_back(std::move(bound).value());
+    if (bound.ok() && bound->MayHoldOnOneRow())
+      clique_dcs.push_back(std::move(bound).value());
   }
-  auto row_classes = [&](uint32_t row) {
-    std::vector<size_t> classes;
-    for (size_t d = 0; d < clique_dcs.size(); ++d) {
-      const BoundDenialConstraint& dc = clique_dcs[d];
-      if (dc.SideMatches(v_join, row, 0) && dc.SideMatches(v_join, row, 1) &&
-          dc.CrossAtomsHold(v_join, {row, row})) {
-        classes.push_back(d);
-      }
-    }
-    return classes;
-  };
-  std::vector<std::vector<int64_t>> class_load(
-      clique_dcs.size(), std::vector<int64_t>(combos.num_combos(), 0));
-  {
+  const size_t num_combos = combos.num_combos();
+  std::vector<int64_t> class_load(clique_dcs.size() * num_combos, 0);
+  if (!clique_dcs.empty()) {
     // Seed loads with the rows phase I already assigned.
     std::vector<uint8_t> is_leftover(v_join.NumRows(), 0);
     for (uint32_t r : leftovers) is_leftover[r] = 1;
+    std::vector<uint32_t> seeded;
+    std::vector<size_t> seeded_combo;
     std::vector<int64_t> codes(state.b_cols().size());
-    for (size_t r = 0; r < v_join.NumRows() && !clique_dcs.empty(); ++r) {
+    for (size_t r = 0; r < v_join.NumRows(); ++r) {
       if (is_leftover[r]) continue;
       bool complete = true;
       for (size_t i = 0; i < state.b_cols().size(); ++i) {
@@ -353,21 +399,26 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
       if (!complete) continue;
       auto combo = combos.Find(codes);
       if (!combo.has_value()) continue;
-      for (size_t d : row_classes(static_cast<uint32_t>(r))) {
-        ++class_load[d][*combo];
-      }
+      seeded.push_back(static_cast<uint32_t>(r));
+      seeded_combo.push_back(*combo);
+    }
+    CliqueClasses seeded_classes =
+        SweepCliqueClasses(v_join, clique_dcs, seeded);
+    for (size_t i = 0; i < seeded.size(); ++i) {
+      for (uint32_t d : seeded_classes.of(i))
+        ++class_load[d * num_combos + seeded_combo[i]];
     }
   }
   auto pick_from = [&](const std::vector<size_t>& candidates, size_t& cursor,
-                       const std::vector<size_t>& classes) -> size_t {
+                       std::span<const uint32_t> classes) -> size_t {
     size_t chosen = candidates[cursor % candidates.size()];
     bool found = classes.empty();
     for (size_t attempt = 0; !found && attempt < candidates.size();
          ++attempt) {
       size_t combo = candidates[(cursor + attempt) % candidates.size()];
       bool fits = true;
-      for (size_t d : classes) {
-        if (class_load[d][combo] >=
+      for (uint32_t d : classes) {
+        if (class_load[d * num_combos + combo] >=
             static_cast<int64_t>(combos.keys(combo).size())) {
           fits = false;
           break;
@@ -380,10 +431,13 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
       }
     }
     if (!found) ++cursor;  // all saturated: plain rotation
-    for (size_t d : classes) ++class_load[d][chosen];
+    for (uint32_t d : classes) ++class_load[d * num_combos + chosen];
     return chosen;
   };
-  for (uint32_t row : leftovers) {
+
+  CliqueClasses classes = SweepCliqueClasses(v_join, clique_dcs, leftovers);
+  for (size_t i = 0; i < leftovers.size(); ++i) {
+    uint32_t row = leftovers[i];
     // Skip rows that already have every B value (defensive; partial rows
     // filled elsewhere would land here).
     bool complete = true;
@@ -398,7 +452,7 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     size_t bin = binning.bin_of_row(row);
     const std::vector<size_t>& free = free_combos_for_bin(bin);
     if (!free.empty()) {
-      size_t pick = pick_from(free, cursor_for_bin(bin), row_classes(row));
+      size_t pick = pick_from(free, bin_cursor[bin], classes.of(i));
       state.AssignFullCombo(row, combos.combo_codes(pick));
       ++stats->completed_rows;
     } else if (synthesized.has_value()) {

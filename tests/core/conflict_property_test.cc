@@ -110,7 +110,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // No-cross-atom DC with a same-tuple binary atom as a side filter: the
-  // implicit side masks must honor SideEligible, not just the unary atoms.
+  // implicit side masks must honor same-tuple atoms, not just the unary atoms.
   if (rng.Bernoulli(0.5)) {
     DenialConstraint dc(2, "filtered-product");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Child"));

@@ -114,7 +114,9 @@ TEST_P(ColoringRandomTest, ProperOnRandomGraphs) {
     const std::vector<int>& edge = g.edge(e);
     int64_t c0 = tight.colors[static_cast<size_t>(edge[0])];
     int64_t c1 = tight.colors[static_cast<size_t>(edge[1])];
-    if (c0 != kNoColor && c1 != kNoColor) EXPECT_NE(c0, c1);
+    if (c0 != kNoColor && c1 != kNoColor) {
+      EXPECT_NE(c0, c1);
+    }
   }
 }
 
