@@ -1,17 +1,20 @@
 // Streamed vs monolithic phase-2 emission: the bounded-memory shard
-// executor's headline claim. For each scale the same dataset is solved three
+// executor's headline claim. For each scale the same dataset is solved four
 // times through the plan-then-stream API — once as a single shard (the whole
 // emission resident, equivalent to the legacy monolithic path), once with
 // 64 shards admitted one at a time (max_resident_shards=1), retiring each
-// shard to a file sink as it completes, and once through the durable
-// manifest path (fsync per shard retirement), whose extra cost over plain
-// streaming is recorded as resume_overhead. Records land in the phase-2
-// JSON trajectory (CEXTEND_BENCH_JSON, default BENCH_phase2.json) under the
-// methods "hybrid-mono" / "hybrid-stream" / "hybrid-durable", keyed by
-// scale, so tools/bench_diff.py gates wall time; peak_resident_bytes
-// carries the memory claim. Byte-level agreement is unnecessary here —
-// that invariant is pinned by tests — but the executor's resident high-water
-// mark must be strictly lower under admission control.
+// shard to a file sink as it completes, once more like that at 1 thread
+// whatever --threads says (the thread-scaling baseline of the streamed
+// run), and once through the durable manifest path (fsync per shard
+// retirement), whose extra cost over plain streaming is recorded as
+// resume_overhead. Records land in the phase-2 JSON trajectory
+// (CEXTEND_BENCH_JSON, default BENCH_phase2.json) under the methods
+// "hybrid-mono" / "hybrid-stream" / "hybrid-stream-1t" / "hybrid-durable",
+// keyed by scale, so tools/bench_diff.py gates wall time (the streamed run
+// at --threads and at 1 thread); peak_resident_bytes carries the memory
+// claim. Byte-level agreement is unnecessary here — that invariant is pinned
+// by tests — but the executor's resident high-water mark must be strictly
+// lower under admission control.
 
 #include <cstdio>
 #include <cstdlib>
@@ -123,7 +126,7 @@ int main(int argc, char** argv) {
   HarnessOptions options = HarnessOptions::FromArgs(argc, argv);
   PrintBanner("Streamed vs monolithic phase-2 emission (shard executor)",
               options);
-  std::printf("%7s %14s %12s %18s %10s\n", "scale", "method", "wall",
+  std::printf("%7s %16s %12s %18s %10s\n", "scale", "method", "wall",
               "peak_resident", "shards");
   for (double scale : ClipScales({4.0, 10.0}, options.max_scale)) {
     auto dataset = MakeDataset(options, scale, /*bad_ccs=*/false,
@@ -133,7 +136,7 @@ int main(int argc, char** argv) {
     StreamRun mono = RunOnce(dataset.value(), options, /*num_shards=*/1,
                              /*max_resident=*/0, Mode::kMono);
     Record(dataset.value(), "hybrid-mono", mono);
-    std::printf("%6.1fx %14s %12s %17zuB %10zu\n", scale, "hybrid-mono",
+    std::printf("%6.1fx %16s %12s %17zuB %10zu\n", scale, "hybrid-mono",
                 FormatDuration(mono.seconds).c_str(),
                 mono.stats.phase2.peak_resident_bytes,
                 mono.stats.phase2.shards_emitted);
@@ -141,11 +144,24 @@ int main(int argc, char** argv) {
     StreamRun streamed = RunOnce(dataset.value(), options, /*num_shards=*/64,
                                  /*max_resident=*/1, Mode::kStream);
     Record(dataset.value(), "hybrid-stream", streamed);
-    std::printf("%6.1fx %14s %12s %17zuB %10zu  (streamed %zuB, hwm %zu)\n",
+    std::printf("%6.1fx %16s %12s %17zuB %10zu  (streamed %zuB, hwm %zu)\n",
                 scale, "hybrid-stream", FormatDuration(streamed.seconds).c_str(),
                 streamed.stats.phase2.peak_resident_bytes,
                 streamed.stats.phase2.shards_emitted, streamed.streamed_bytes,
                 streamed.stats.phase2.max_shards_in_flight);
+
+    HarnessOptions one_thread = options;
+    one_thread.threads = 1;
+    StreamRun streamed_1t = RunOnce(dataset.value(), one_thread,
+                                    /*num_shards=*/64, /*max_resident=*/1,
+                                    Mode::kStream);
+    Record(dataset.value(), "hybrid-stream-1t", streamed_1t);
+    std::printf(
+        "%6.1fx %16s %12s %17zuB %10zu  (speedup at %zu threads: %.2fx)\n",
+        scale, "hybrid-stream-1t", FormatDuration(streamed_1t.seconds).c_str(),
+        streamed_1t.stats.phase2.peak_resident_bytes,
+        streamed_1t.stats.phase2.shards_emitted, options.threads,
+        streamed_1t.seconds / streamed.seconds);
 
     StreamRun durable = RunOnce(dataset.value(), options, /*num_shards=*/64,
                                 /*max_resident=*/1, Mode::kDurable);
@@ -157,7 +173,7 @@ int main(int argc, char** argv) {
                           ? durable.seconds - streamed.seconds
                           : 0.0;
     Record(dataset.value(), "hybrid-durable", durable, overhead);
-    std::printf("%6.1fx %14s %12s %17zuB %10zu  (overhead %s, commits %zu)\n",
+    std::printf("%6.1fx %16s %12s %17zuB %10zu  (overhead %s, commits %zu)\n",
                 scale, "hybrid-durable",
                 FormatDuration(durable.seconds).c_str(),
                 durable.stats.phase2.peak_resident_bytes,

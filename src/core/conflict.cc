@@ -1,9 +1,7 @@
 #include "core/conflict.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <iterator>
 #include <set>
 #include <unordered_map>
 
@@ -12,7 +10,6 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace cextend {
 namespace {
@@ -278,27 +275,24 @@ bool IsProductDc(const BinaryDcPlan& plan) {
   return plan.eq.empty() && plan.ord.empty() && plan.other.empty();
 }
 
-/// Pairs emitted before the next charge against the shared budget counter;
-/// bounds the global transient memory at budget + threads · chunk instead
-/// of threads · budget when several DC runs emit concurrently.
+/// Pairs emitted before the next charge against the build's budget counter
+/// (and the next deadline/cancel check).
 constexpr size_t kBudgetChargeChunk = 1 << 16;
 
-/// Materializes every conflicting (unordered) pair of one binary DC into
-/// `pairs` (packed (u << 32) | v, u < v; duplicates allowed — deduplicated when
-/// the CSR graph is built). Every ordered pair (u = var 0, v = var 1) with
-/// u in side 0 and v in side 1 is covered, so both orientations of each
-/// unordered pair are tested exactly as the brute-force oracle does.
-/// Emission is charged in chunks against `global_emitted`, the pre-dedup
-/// pair count shared by every DC run of one build: the budget decision
-/// (total raw emission vs. max_materialized_pairs) matches the old
-/// cumulative serial check while keeping concurrent runs' combined memory
-/// near the budget.
+/// Appends every conflicting (unordered) pair of one binary DC to `pairs`
+/// (packed (u << 32) | v, u < v; duplicates allowed — deduplicated when the
+/// CSR graph is built). Every ordered pair (u = var 0, v = var 1) with u in
+/// side 0 and v in side 1 is covered, so both orientations of each unordered
+/// pair are tested exactly as the brute-force oracle does. Emission is
+/// charged in chunks against `*build_emitted`, the pre-dedup pair count of
+/// every DC of one build, so the budget decision is on the total raw
+/// emission vs. max_materialized_pairs.
 Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
                          const BinaryDcPlan& plan,
                          const std::vector<uint32_t>& rows,
                          size_t max_materialized_pairs,
                          const RunControl& run_control,
-                         std::atomic<size_t>* global_emitted,
+                         size_t* build_emitted,
                          std::vector<uint64_t>* pairs) {
   size_t n = rows.size();
   if (n < 2) return Status::Ok();
@@ -319,15 +313,15 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
         StrFormat("materialized conflict pairs exceed the budget (%zu)",
                   max_materialized_pairs));
   };
-  size_t charged = 0;
+  size_t charged = pairs->size();  // pairs[0, charged) are paid for
   // Charges `count` more emitted pairs; true when the build-wide total
   // crosses the budget. The injected fault simulates a budget overrun at
   // the first charge, driving the indexed→naive fallback.
   auto charge = [&](size_t count) {
     charged += count;
     if (CEXTEND_INJECT_FAULT("oracle.pair_budget")) return true;
-    size_t prior = global_emitted->fetch_add(count);
-    return prior + count > max_materialized_pairs;
+    *build_emitted += count;
+    return *build_emitted > max_materialized_pairs;
   };
 
   // Fast path: no cross atoms at all (owner-owner style DCs) — the conflict
@@ -376,9 +370,8 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   };
   {
     if (CEXTEND_INJECT_FAULT("pool.alloc")) return over_budget();
-    size_t pool_words = 3 * side1.size();
-    size_t prior = global_emitted->fetch_add(pool_words);
-    if (prior + pool_words > max_materialized_pairs) return over_budget();
+    *build_emitted += 3 * side1.size();
+    if (*build_emitted > max_materialized_pairs) return over_budget();
   }
   std::vector<Entry> entries;
   entries.reserve(side1.size());
@@ -476,36 +469,6 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   return Status::Ok();
 }
 
-/// Merges independently sorted, deduplicated per-DC pair runs into one
-/// sorted unique list via pairwise std::merge rounds (O(total · log k) with
-/// a tight two-way inner loop; cross-run duplicates fall to a final unique
-/// pass). The result is exactly what sorting + deduplicating the
-/// concatenated emission would produce, so the parallel build stays
-/// byte-identical to the serial one.
-std::vector<uint64_t> MergeSortedRuns(std::vector<std::vector<uint64_t>>&& runs) {
-  runs.erase(std::remove_if(runs.begin(), runs.end(),
-                            [](const std::vector<uint64_t>& r) {
-                              return r.empty();
-                            }),
-             runs.end());
-  if (runs.empty()) return {};
-  while (runs.size() > 1) {
-    std::vector<std::vector<uint64_t>> next;
-    next.reserve((runs.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < runs.size(); i += 2) {
-      std::vector<uint64_t> merged;
-      merged.reserve(runs[i].size() + runs[i + 1].size());
-      std::merge(runs[i].begin(), runs[i].end(), runs[i + 1].begin(),
-                 runs[i + 1].end(), std::back_inserter(merged));
-      next.push_back(std::move(merged));
-    }
-    if (runs.size() % 2 != 0) next.push_back(std::move(runs.back()));
-    runs = std::move(next);
-  }
-  runs[0].erase(std::unique(runs[0].begin(), runs[0].end()), runs[0].end());
-  return std::move(runs[0]);
-}
-
 }  // namespace
 
 // ---- PartitionConflictOracle (indexed). ----
@@ -531,10 +494,14 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   size_t n = oracle.rows_.size();
   oracle.implicit_ = ImplicitBicliqueFamily(n);
 
-  // Pass 1 (serial, O(n) per DC): split binary DCs into implicitly held
-  // product DCs and indexed DCs whose pairs get materialized.
-  std::vector<const BoundDenialConstraint*> indexed_dcs;
-  std::vector<BinaryDcPlan> indexed_plans;
+  // One pass over the binary DCs: product DCs become implicit bicliques,
+  // every other DC appends its pairs to one list, which becomes the CSR
+  // graph (sorted and deduplicated there). The pair budget is authoritative
+  // on the *pre-dedup* total. A deadline/cancel outranks a budget overrun:
+  // the overrun would trigger the naive fallback, which must not mask an
+  // expired deadline / cancel.
+  std::vector<uint64_t> pairs;
+  size_t emitted = 0;
   std::vector<uint8_t> in0, in1;
   for (const BoundDenialConstraint& dc : dcs) {
     if (dc.arity() != 2) continue;
@@ -556,46 +523,15 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
       // joins the indexed path and pays the pair budget like any other DC.
       ++oracle.biclique_overflows_;
     }
-    indexed_dcs.push_back(&dc);
-    indexed_plans.push_back(std::move(plan));
-  }
-  oracle.implicit_.Finalize();
-
-  // Pass 2: per-DC pair emission, fanned out on the thread pool when one is
-  // supplied. Each DC emits into a private run, which is then sorted and
-  // deduplicated inside the task; the runs merge into one sorted unique pair
-  // list, byte-identical to the serial sort-then-dedup of the concatenated
-  // emission. The pair budget is authoritative on the *pre-dedup* total (as
-  // in the old cumulative serial check): every run charges the shared
-  // counter in chunks, so concurrent runs' combined memory stays near the
-  // budget rather than a per-run multiple of it.
-  std::vector<std::vector<uint64_t>> runs(indexed_dcs.size());
-  std::vector<Status> run_status(indexed_dcs.size(), Status::Ok());
-  std::atomic<size_t> total_emitted{0};
-  ParallelFor(options.pool, indexed_dcs.size(), [&](size_t i) {
-    // Chunk-start check: a tripped deadline/cancel skips the emission work
-    // and surfaces after the (deterministic) status sweep below.
-    run_status[i] = options.run_control.Check();
-    if (!run_status[i].ok()) return;
-    run_status[i] =
-        EmitBinaryDcPairs(table, *indexed_dcs[i], indexed_plans[i],
-                          oracle.rows_, options.max_materialized_pairs,
-                          options.run_control, &total_emitted, &runs[i]);
-    std::sort(runs[i].begin(), runs[i].end());
-    runs[i].erase(std::unique(runs[i].begin(), runs[i].end()), runs[i].end());
-  });
-  // Interrupts outrank budget errors: a budget overrun would trigger the
-  // naive fallback, which must not mask an expired deadline / cancel.
-  for (const Status& st : run_status) {
-    if (st.code() == StatusCode::kDeadlineExceeded ||
-        st.code() == StatusCode::kCancelled) {
+    Status st = EmitBinaryDcPairs(table, dc, plan, oracle.rows_,
+                                  options.max_materialized_pairs,
+                                  options.run_control, &emitted, &pairs);
+    if (!st.ok()) {
+      CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
       return st;
     }
   }
-  for (size_t i = 0; i < indexed_dcs.size(); ++i) {
-    CEXTEND_RETURN_IF_ERROR(run_status[i]);
-  }
-  std::vector<uint64_t> pairs = MergeSortedRuns(std::move(runs));
+  oracle.implicit_.Finalize();
   // The implicit layer normally stores O(K · n) bits, but pathologically
   // overlapping product DCs can mint up to n distinct signature groups, each
   // with an n-bit neighborhood. Charge its storage (one 64-bit word ≈ one
@@ -606,8 +542,7 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
         StrFormat("implicit biclique bitsets exceed the pair budget (%zu)",
                   options.max_materialized_pairs));
   }
-  oracle.adjacency_ =
-      AdjacencyGraph::FromSortedUniquePairs(n, std::move(pairs));
+  oracle.adjacency_ = AdjacencyGraph::FromPackedPairs(n, std::move(pairs));
 
   // Union simple-graph degrees over (implicit ∪ CSR); hypergraph degrees
   // stack on top, matching the brute-force oracle's accounting.

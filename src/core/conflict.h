@@ -45,8 +45,6 @@
 
 namespace cextend {
 
-class ThreadPool;
-
 struct ConflictOracleOptions {
   /// Edge enumeration for arity >= 3 DCs is capped at this many candidate
   /// assignments (guard against pathological inputs); exceeding it fails.
@@ -61,14 +59,8 @@ struct ConflictOracleOptions {
   size_t max_materialized_pairs = 32'000'000;
   /// Forces the brute-force oracle (benchmarks / cross-checking).
   bool force_naive = false;
-  /// Optional worker pool for *within-partition* parallel construction: each
-  /// indexed binary DC emits (and sorts) its pair run as an independent
-  /// task, and the runs are merged — already deduplicated — into the CSR
-  /// graph. The adjacency produced is byte-identical to the serial build, so
-  /// coloring results never depend on the thread count. Null = serial.
-  ThreadPool* pool = nullptr;
   /// Deadline/cancellation, checked per DC during hyperedge enumeration and
-  /// at every pair-budget charge chunk during pair emission.
+  /// pair emission, and at every pair-budget charge chunk.
   RunControl run_control;
 };
 

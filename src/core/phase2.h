@@ -34,7 +34,8 @@ struct Phase2Options {
   /// Baseline behaviour: pick a uniformly random candidate key per tuple
   /// instead of coloring (ignores DCs entirely).
   bool random_assignment = false;
-  /// Number of worker threads for partition coloring (1 = sequential).
+  /// Maximum number of phase-2 threads: ExecutePlan's shard workers
+  /// (1 = sequential, on the calling thread).
   size_t num_threads = 1;
   uint64_t seed = 1;
   /// Forces the brute-force conflict oracle instead of the indexed one

@@ -13,7 +13,6 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cextend {
@@ -235,8 +234,7 @@ Status TeeSink::Finish() {
 // ---- EmitShard ----
 
 StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
-                                const Phase2Options& options,
-                                ThreadPool* pool) {
+                                const Phase2Options& options) {
   const SynthesisPlan& plan = *prepared.plan;
   if (shard_id >= plan.num_shards()) {
     return Status::InvalidArgument("shard id out of range");
@@ -249,7 +247,6 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
 
   ConflictOracleOptions oracle_options;
   oracle_options.force_naive = options.use_naive_oracle;
-  oracle_options.pool = pool;
   oracle_options.run_control = options.run_control;
 
   ShardOutput out;
@@ -336,11 +333,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
   }
   CEXTEND_RETURN_IF_ERROR(sink->Begin(prepared));
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-
   // Partitions whose combo is a repair target have their resolved colors
   // retained at retirement — the only per-row state the repair stage needs
   // (no oracle outlives a shard).
@@ -396,7 +388,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
           st.stats.max_shards_in_flight = std::max(
               st.stats.max_shards_in_flight, st.next_admit - st.next_retire);
         }
-        StatusOr<ShardOutput> out = EmitShard(prepared, s, options, pool.get());
+        StatusOr<ShardOutput> out = EmitShard(prepared, s, options);
         // A lost shard is regenerated in place from the plan — emission is a
         // pure function of (plan, shard id), so the retry is byte-identical.
         for (int attempt = 1;
@@ -408,7 +400,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
             MutexLock lock(st.mu);
             ++st.stats.shard_regenerations;
           }
-          out = EmitShard(prepared, s, options, pool.get());
+          out = EmitShard(prepared, s, options);
         }
         MutexLock lock(st.mu);
         if (!out.ok()) {
@@ -499,7 +491,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
     block.worklist_idx = ResolvedShard::kRepairBlock;
     ConflictOracleOptions oracle_options;
     oracle_options.force_naive = options.use_naive_oracle;
-    oracle_options.pool = pool.get();
     oracle_options.run_control = options.run_control;
     for (const auto& [combo_id, group] : prepared.repair_groups) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());

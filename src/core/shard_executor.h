@@ -32,8 +32,6 @@
 
 namespace cextend {
 
-class ThreadPool;
-
 /// One colored join-view row. Keys >= the plan's fresh base are provisional
 /// (shard-local) in a ShardOutput and final (globally renumbered) in a
 /// ResolvedShard.
@@ -189,12 +187,10 @@ class TeeSink : public RowSink {
 /// Emits one shard: colors every partition in the shard's worklist range
 /// (or random-assigns when options.random_assignment). Keys >= fresh_base in
 /// the result are provisional. Fault site "shard.emit" fires at entry
-/// (simulated shard loss; ExecutePlan regenerates). `pool`, when non-null,
-/// parallelizes *within-partition* oracle construction only — the output is
-/// byte-identical with or without it.
+/// (simulated shard loss; ExecutePlan regenerates). Runs entirely on the
+/// calling thread; options.num_threads is not read here.
 StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
-                                const Phase2Options& options,
-                                ThreadPool* pool = nullptr);
+                                const Phase2Options& options);
 
 /// Restart state for ExecutePlan when resuming over a durable prefix (see
 /// src/core/stream_checkpoint.h, which derives one from a CXMF manifest).
@@ -219,12 +215,15 @@ struct ExecuteResume {
 /// Runs every shard plus the repair stage through `sink` under the bounded
 /// admission policy: at most max(1, options.max_resident_shards) shards in
 /// flight (0 = unbounded), retired strictly in shard order. Emission
-/// parallelism = min(threads, shards, window). A shard whose emission fails
-/// is regenerated in place (up to 2 retries; deadline/cancel excepted),
-/// counted in Phase2Stats::shard_regenerations. Timings, ladder counters,
-/// and memory high-water marks are returned in the stats. `resume` restarts
-/// the run at resume.first_shard with the checkpointed fresh-key counter and
-/// repair colors; stats then cover only the work actually redone (except
+/// parallelism = min(threads, shards, window), and those shard workers are
+/// the only threads phase 2 runs on: a single worker is the calling thread,
+/// and the repair stage runs serially on the calling thread after the
+/// workers join. A shard whose emission fails is regenerated in place (up to
+/// 2 retries; deadline/cancel excepted), counted in
+/// Phase2Stats::shard_regenerations. Timings, ladder counters, and memory
+/// high-water marks are returned in the stats. `resume` restarts the run at
+/// resume.first_shard with the checkpointed fresh-key counter and repair
+/// colors; stats then cover only the work actually redone (except
 /// new_r2_tuples, which stays the whole-run total).
 StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
                                   const Phase2Options& options, RowSink* sink,

@@ -14,15 +14,6 @@ AdjacencyGraph AdjacencyGraph::FromPackedPairs(
   packed_pairs.erase(
       std::unique(packed_pairs.begin(), packed_pairs.end()),
       packed_pairs.end());
-  return FromSortedUniquePairs(n, std::move(packed_pairs));
-}
-
-AdjacencyGraph AdjacencyGraph::FromSortedUniquePairs(
-    size_t n, std::vector<uint64_t>&& packed_pairs) {
-  CEXTEND_DCHECK(
-      std::is_sorted(packed_pairs.begin(), packed_pairs.end()) &&
-      std::adjacent_find(packed_pairs.begin(), packed_pairs.end()) ==
-          packed_pairs.end());
   AdjacencyGraph g;
   g.offsets_.assign(n + 1, 0);
   for (uint64_t p : packed_pairs) {

@@ -75,12 +75,6 @@ class AdjacencyGraph {
   static AdjacencyGraph FromPackedPairs(size_t n,
                                         std::vector<uint64_t>&& packed_pairs);
 
-  /// As FromPackedPairs but `packed_pairs` is already sorted ascending with
-  /// no duplicates (e.g. the merge of independently sorted per-DC runs);
-  /// skips the O(E log E) sort.
-  static AdjacencyGraph FromSortedUniquePairs(
-      size_t n, std::vector<uint64_t>&& packed_pairs);
-
   size_t num_vertices() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   size_t num_edges() const { return neighbors_.size() / 2; }
 

@@ -1,5 +1,6 @@
-// Fixed-size thread pool used by the optional parallel coloring step
-// (paper Appendix A.3).
+// Fixed-size thread pool used by the phase-1 ILP to solve independent
+// components in parallel (core/phase1_ilp.cc). Phase 2 does not use it: its
+// shard workers are its only threads (core/shard_executor.h).
 
 #ifndef CEXTEND_UTIL_THREAD_POOL_H_
 #define CEXTEND_UTIL_THREAD_POOL_H_

@@ -14,7 +14,6 @@
 #include "graph/list_coloring.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace cextend {
 namespace {
@@ -241,45 +240,6 @@ TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {
     }
   }
   EXPECT_EQ((*fallback)->CountEdges(), (*indexed)->CountEdges());
-}
-
-TEST_P(ConflictPropertyTest, ParallelBuildIsByteIdenticalToSerial) {
-  // Within-partition parallel construction (per-DC pair runs fanned out on a
-  // thread pool, merged as sorted runs) must reproduce the serial CSR
-  // adjacency exactly — same neighbor arrays, not just the same semantics.
-  Rng rng(GetParam() * 31 + 7);
-  size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 60));
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
-  ASSERT_TRUE(bound.ok());
-  std::vector<uint32_t> rows;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.9)) rows.push_back(i);
-  }
-
-  auto serial = PartitionConflictOracle::Build(t, bound.value(), rows);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    ThreadPool pool(threads);
-    ConflictOracleOptions options;
-    options.pool = &pool;
-    auto parallel =
-        PartitionConflictOracle::Build(t, bound.value(), rows, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    ASSERT_EQ(parallel->NumVertices(), serial->NumVertices());
-    EXPECT_EQ(parallel->CountEdges(), serial->CountEdges());
-    EXPECT_EQ(parallel->num_materialized_pairs(),
-              serial->num_materialized_pairs());
-    for (size_t v = 0; v < rows.size(); ++v) {
-      EXPECT_EQ(parallel->Degree(v), serial->Degree(v)) << "vertex " << v;
-      std::vector<uint32_t> ns(serial->adjacency().NeighborsBegin(v),
-                               serial->adjacency().NeighborsEnd(v));
-      std::vector<uint32_t> np(parallel->adjacency().NeighborsBegin(v),
-                               parallel->adjacency().NeighborsEnd(v));
-      ASSERT_EQ(np, ns) << "neighbor run of vertex " << v << " at "
-                        << threads << " threads";
-    }
-  }
 }
 
 TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {

@@ -4,12 +4,15 @@
 //  * SynthesisPlan serialize → deserialize → re-serialize is byte-stable.
 //  * A shard is a pure function of (plan, shard id): shard i emitted alone
 //    against a *deserialized* plan in a reconstituted join view is
-//    byte-identical to shard i from the in-process run, at 1/2/8 threads.
+//    byte-identical to shard i from the in-process run.
 //  * The sink stream is byte-identical for every (shard count,
 //    max_resident_shards, thread count) — and so are the collected tables.
 //  * max_resident_shards=1 bounds shards in flight to one and keeps peak
 //    resident bytes below the single-shard (whole-database) run.
+//  * num_threads bounds the threads alive while the executor runs.
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +25,6 @@
 #include "core/solver.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace cextend {
 namespace {
@@ -185,21 +187,16 @@ TEST(ShardExecutorTest, ShardEmittedAloneFromDeserializedPlanIsByteIdentical) {
                                     instance.dcs);
   ASSERT_TRUE(fresh_prepared.ok()) << fresh_prepared.status().ToString();
 
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    Phase2Options options;
-    options.seed = 9;
-    options.num_threads = threads;
-    for (size_t s = 0; s < plan.num_shards(); ++s) {
-      auto in_process = EmitShard(prepared.value(), s, options, pool.get());
-      ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
-      auto fresh = EmitShard(fresh_prepared.value(), s, options, pool.get());
-      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-      EXPECT_EQ(SerializeShardOutput(in_process.value()),
-                SerializeShardOutput(fresh.value()))
-          << "shard " << s << " at " << threads << " threads";
-    }
+  Phase2Options options;
+  options.seed = 9;
+  for (size_t s = 0; s < plan.num_shards(); ++s) {
+    auto in_process = EmitShard(prepared.value(), s, options);
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    auto fresh = EmitShard(fresh_prepared.value(), s, options);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(SerializeShardOutput(in_process.value()),
+              SerializeShardOutput(fresh.value()))
+        << "shard " << s;
   }
 }
 
@@ -344,6 +341,58 @@ TEST(ShardExecutorTest, BoundedAdmissionCapsResidencyBelowMonolithic) {
   // One shard at a time must be strictly cheaper than holding the entire
   // emission resident (the monolithic single-shard run).
   EXPECT_LT(bounded.peak_resident_bytes, mono.peak_resident_bytes);
+}
+
+/// Threads of this process: the entries of /proc/self/task (0 when the
+/// directory is unavailable).
+size_t CountProcessThreads() {
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+/// Records the process thread count at every retirement.
+class ThreadCountingSink : public RowSink {
+ public:
+  Status Consume(const ResolvedShard& /*shard*/) override {
+    max_threads_ = std::max(max_threads_, CountProcessThreads());
+    ++consumed_;
+    return Status::Ok();
+  }
+  size_t max_threads() const { return max_threads_; }
+  size_t consumed() const { return consumed_; }
+
+ private:
+  size_t max_threads_ = 0;
+  size_t consumed_ = 0;
+};
+
+TEST(ShardExecutorTest, NumThreadsBoundsProcessThreads) {
+  // num_threads bounds the threads phase 2 starts: at most num_threads
+  // shard workers, with no second pool nested inside them.
+  // Threads alive before the run (1, plus any a sanitizer runtime keeps).
+  const size_t baseline = CountProcessThreads();
+  if (baseline == 0) GTEST_SKIP() << "no /proc/self/task";
+  Instance instance = MakeInstance();
+  Table v_join = instance.v_join.Clone();
+  SynthesisPlan plan = BuildPlanFor(instance, v_join, 16);
+  ASSERT_GE(plan.num_shards(), 8u);
+  auto prepared = PreparePlan(plan, v_join, instance.housing, instance.names,
+                              instance.dcs);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  constexpr size_t kThreads = 4;
+  Phase2Options options;
+  options.seed = 9;
+  options.num_threads = kThreads;
+  ThreadCountingSink sink;
+  auto stats = ExecutePlan(prepared.value(), options, &sink);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(sink.consumed(), plan.num_shards() + 1);  // + repair
+  EXPECT_LE(sink.max_threads(), baseline + kThreads);
 }
 
 TEST(ShardExecutorTest, PlanExecuteSolverApiMatchesSolveCExtension) {
