@@ -384,15 +384,18 @@ void BM_GreedyColoring(benchmark::State& state) {
 BENCHMARK(BM_GreedyColoring)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ---- CC pairwise classification. ----
-void BM_ClassifyAll(benchmark::State& state) {
+//
+// Census CC families at the perfbench workload sizes over the scale-1 census
+// (25,099 persons): 201 CCs as in good_250k, 1001 as in bad_1001cc. The good
+// and bad families are separate kernels so the trajectory key (kernel, n)
+// tells them apart.
+void BM_ClassifyAll(benchmark::State& state, bool intersecting) {
   size_t num_ccs = static_cast<size_t>(state.range(0));
-  datagen::CensusOptions census;
-  census.num_persons = 1000;
-  census.num_households = 400;
-  auto data = datagen::GenerateCensus(census);
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(1.0));
   CEXTEND_CHECK(data.ok());
   datagen::CcFamilyOptions cc_options;
   cc_options.num_ccs = num_ccs;
+  cc_options.intersecting = intersecting;
   auto ccs = datagen::GenerateCcs(data.value(), cc_options);
   CEXTEND_CHECK(ccs.ok());
   auto v = MakeJoinView(data->persons, data->housing, data->names);
@@ -402,9 +405,15 @@ void BM_ClassifyAll(benchmark::State& state) {
     CEXTEND_CHECK(matrix.ok());
     benchmark::DoNotOptimize(matrix->matrix.data());
   }
-  state.SetComplexityN(static_cast<int64_t>(num_ccs));
 }
-BENCHMARK(BM_ClassifyAll)->Arg(64)->Arg(201)->Arg(400)->Complexity();
+void BM_ClassifyAllGood(benchmark::State& state) {
+  BM_ClassifyAll(state, /*intersecting=*/false);
+}
+void BM_ClassifyAllBad(benchmark::State& state) {
+  BM_ClassifyAll(state, /*intersecting=*/true);
+}
+BENCHMARK(BM_ClassifyAllGood)->Arg(201)->Arg(1001);
+BENCHMARK(BM_ClassifyAllBad)->Arg(201)->Arg(1001);
 
 // ---- Binning (intervalization + assignment). ----
 void BM_Binning(benchmark::State& state) {

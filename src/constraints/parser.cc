@@ -1,6 +1,7 @@
 #include "constraints/parser.h"
 
 #include <cctype>
+#include <optional>
 
 #include "util/string_util.h"
 
@@ -50,7 +51,8 @@ class Lexer {
         continue;
       }
       if (std::isdigit(static_cast<unsigned char>(c))) {
-        out.push_back(LexNumber());
+        CEXTEND_ASSIGN_OR_RETURN(Token t, LexNumber());
+        out.push_back(std::move(t));
         continue;
       }
       if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
@@ -141,14 +143,20 @@ class Lexer {
     return Token{TokenKind::kString, std::move(value)};
   }
 
-  Token LexNumber() {
+  StatusOr<Token> LexNumber() {
     size_t start = pos_;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
     Token t{TokenKind::kInt, std::string(text_.substr(start, pos_ - start))};
-    t.number = *ParseInt64(t.text);
+    std::optional<int64_t> number = ParseInt64(t.text);
+    if (!number.has_value()) {
+      return Status::InvalidArgument(
+          StrFormat("integer literal out of range at offset %zu: %s", start,
+                    t.text.c_str()));
+    }
+    t.number = *number;
     return t;
   }
 

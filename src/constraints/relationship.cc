@@ -1,52 +1,183 @@
 #include "constraints/relationship.h"
 
+#include <algorithm>
+#include <compare>
+#include <map>
+#include <string>
+
+#include "relational/attr_set.h"
+
 namespace cextend {
 namespace {
 
-/// True when some attribute common to both maps has provably disjoint sets,
-/// or either condition is unsatisfiable on its own.
-bool ConditionsDisjoint(const std::map<std::string, AttrSet>& a,
-                        const std::map<std::string, AttrSet>& b) {
-  for (const auto& [attr, set_a] : a) {
-    if (set_a.IsEmpty()) return true;
-    auto it = b.find(attr);
-    if (it != b.end() && set_a.DisjointFrom(it->second)) return true;
+using Kind = AttrSet::Kind;
+
+/// One attribute's AttrSet with the attribute name and category strings
+/// replaced by integer codes. Code order is string order, so sorted codes
+/// compare exactly like the sorted strings they replace.
+struct Term {
+  int32_t col = 0;
+  Kind kind = Kind::kUnknown;
+  bool empty = false;
+  int64_t lo = 0;  ///< kInterval only
+  int64_t hi = -1;
+  std::vector<int32_t> codes;  ///< kCat* only, sorted
+
+  /// Equal terms ⇔ equal AttrSets (same attribute).
+  auto operator<=>(const Term&) const = default;
+};
+
+/// A conjunctive condition: one term per mentioned attribute, sorted by col.
+using Side = std::vector<Term>;
+
+struct CompiledCc {
+  Side r1;
+  Side r2;
+  Side merged;  ///< R1 ∪ R2 by column; R1 wins a name collision
+  bool r1_empty = false;  ///< some R1 term admits no value
+  bool r2_empty = false;
+};
+
+/// String -> code, codes assigned in string order.
+using Codes = std::map<std::string, int32_t>;
+
+void NumberInOrder(Codes& codes) {
+  int32_t next = 0;
+  for (auto& [s, code] : codes) code = next++;
+}
+
+Side CompileSide(const std::map<std::string, AttrSet>& sets,
+                 const Codes& names, const Codes& categories,
+                 bool* has_empty) {
+  Side side;
+  // std::map iterates names in string order, which is code order.
+  for (const auto& [name, set] : sets) {
+    Term term;
+    term.col = names.at(name);
+    term.kind = set.kind();
+    term.empty = set.IsEmpty();
+    if (set.kind() == Kind::kInterval) {
+      term.lo = set.lo();
+      term.hi = set.hi();
+    }
+    for (const std::string& v : set.values()) {
+      term.codes.push_back(categories.at(v));
+    }
+    *has_empty = *has_empty || term.empty;
+    side.push_back(std::move(term));
   }
-  for (const auto& [attr, set_b] : b) {
-    if (set_b.IsEmpty()) return true;
+  return side;
+}
+
+Side MergeSides(const Side& r1, const Side& r2) {
+  Side merged;
+  auto i = r1.begin();
+  auto j = r2.begin();
+  while (i != r1.end() || j != r2.end()) {
+    if (j == r2.end() || (i != r1.end() && i->col <= j->col)) {
+      if (j != r2.end() && i->col == j->col) ++j;
+      merged.push_back(*i++);
+    } else {
+      merged.push_back(*j++);
+    }
+  }
+  return merged;
+}
+
+/// a ⊆ b for sorted codes.
+bool Includes(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
+  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+}
+
+/// a ∩ b ≠ ∅ for sorted codes.
+bool Meet(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      return true;
+    }
   }
   return false;
 }
 
-/// True when the conditions are syntactically identical (same attributes,
-/// equal sets).
-bool ConditionsEqual(const std::map<std::string, AttrSet>& a,
-                     const std::map<std::string, AttrSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (const auto& [attr, set_a] : a) {
-    auto it = b.find(attr);
-    if (it == b.end() || !(set_a == it->second)) return false;
+/// AttrSet::DisjointFrom over compiled terms.
+bool TermsDisjoint(const Term& x, const Term& y) {
+  if (x.empty || y.empty) return true;
+  if (x.kind == Kind::kUnknown || y.kind == Kind::kUnknown) return false;
+  if (x.kind == Kind::kInterval && y.kind == Kind::kInterval) {
+    return std::max(x.lo, y.lo) > std::min(x.hi, y.hi);
   }
-  return true;
+  if (x.kind == Kind::kInterval || y.kind == Kind::kInterval) {
+    return false;  // interval vs categorical: type confusion
+  }
+  if (x.kind == Kind::kCatPositive && y.kind == Kind::kCatPositive) {
+    return !Meet(x.codes, y.codes);
+  }
+  if (x.kind == Kind::kCatPositive) return Includes(x.codes, y.codes);
+  if (y.kind == Kind::kCatPositive) return Includes(y.codes, x.codes);
+  return false;  // complements of finite sets over an open domain meet
+}
+
+/// AttrSet::SubsetOf over compiled terms.
+bool TermSubset(const Term& x, const Term& y) {
+  if (x.empty) return true;
+  if (x.kind == Kind::kUnknown || y.kind == Kind::kUnknown) {
+    return x.kind == y.kind;  // unknown sets are all equal
+  }
+  if (x.kind == Kind::kInterval && y.kind == Kind::kInterval) {
+    return x.lo >= y.lo && x.hi <= y.hi;
+  }
+  if (x.kind == Kind::kCatPositive && y.kind == Kind::kCatPositive) {
+    return Includes(x.codes, y.codes);
+  }
+  if (x.kind == Kind::kCatPositive && y.kind == Kind::kCatNegative) {
+    return !Meet(x.codes, y.codes);
+  }
+  if (x.kind == Kind::kCatNegative && y.kind == Kind::kCatNegative) {
+    return Includes(y.codes, x.codes);  // comp(A) ⊆ comp(B) iff B ⊆ A
+  }
+  // Negative ⊆ positive needs the full domain; mixed kinds never hold.
+  return false;
+}
+
+/// True when some attribute common to both sides has provably disjoint sets.
+/// (Callers check the sides' own emptiness first.)
+bool CommonTermDisjoint(const Side& a, const Side& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (i->col < j->col) {
+      ++i;
+    } else if (j->col < i->col) {
+      ++j;
+    } else if (TermsDisjoint(*i++, *j++)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Definition 4.3: condition `a` is contained in condition `b` when `a`
-/// mentions a (non-strict) superset of b's attributes and, per common
-/// attribute, a's set is a subset of b's.
-bool ConditionContained(const std::map<std::string, AttrSet>& a,
-                        const std::map<std::string, AttrSet>& b) {
-  for (const auto& [attr, set_b] : b) {
-    auto it = a.find(attr);
-    if (it == a.end()) return false;  // b mentions an attr a lacks
-    if (!it->second.SubsetOf(set_b)) return false;
+/// mentions every attribute `b` does and, per such attribute, a's set is a
+/// subset of b's.
+bool Contained(const Side& a, const Side& b) {
+  auto i = a.begin();
+  for (const Term& y : b) {
+    while (i != a.end() && i->col < y.col) ++i;
+    if (i == a.end() || i->col != y.col || !TermSubset(*i, y)) return false;
   }
   return true;
 }
 
-std::map<std::string, AttrSet> MergeSides(const CcAttrSets& s) {
-  std::map<std::string, AttrSet> merged = s.r1;
-  merged.insert(s.r2.begin(), s.r2.end());
-  return merged;
+CcRelation Mirror(CcRelation rel) {
+  if (rel == CcRelation::kFirstInSecond) return CcRelation::kSecondInFirst;
+  if (rel == CcRelation::kSecondInFirst) return CcRelation::kFirstInSecond;
+  return rel;
 }
 
 }  // namespace
@@ -67,54 +198,92 @@ const char* CcRelationToString(CcRelation rel) {
   return "?";
 }
 
-StatusOr<CcAttrSets> ComputeCcAttrSets(const CardinalityConstraint& cc,
-                                       const Schema& r1_schema,
-                                       const Schema& r2_schema) {
-  CcAttrSets out;
-  CEXTEND_ASSIGN_OR_RETURN(out.r1,
-                           ComputeAttrSets(cc.r1_condition, r1_schema));
-  CEXTEND_ASSIGN_OR_RETURN(out.r2,
-                           ComputeAttrSets(cc.r2_condition, r2_schema));
+CcRelationMatrix CcRelationMatrix::Restrict(
+    const std::vector<int>& ids) const {
+  CcRelationMatrix out(ids.size());
+  CcRelation* entry = out.matrix.data();
+  for (int a : ids) {
+    const CcRelation* row = matrix.data() + static_cast<size_t>(a) * n_;
+    for (int b : ids) *entry++ = row[b];
+  }
   return out;
-}
-
-CcRelation ClassifyPair(const CcAttrSets& a, const CcAttrSets& b) {
-  // Definition 4.2, first clause: R1 conditions disjoint.
-  if (ConditionsDisjoint(a.r1, b.r1)) return CcRelation::kDisjoint;
-  // Definition 4.2, second clause: identical R1 conditions, disjoint R2.
-  if (ConditionsEqual(a.r1, b.r1) && ConditionsDisjoint(a.r2, b.r2))
-    return CcRelation::kDisjoint;
-
-  std::map<std::string, AttrSet> ma = MergeSides(a);
-  std::map<std::string, AttrSet> mb = MergeSides(b);
-  bool a_in_b = ConditionContained(ma, mb);
-  bool b_in_a = ConditionContained(mb, ma);
-  if (a_in_b && b_in_a) return CcRelation::kEqual;
-  if (a_in_b) return CcRelation::kFirstInSecond;
-  if (b_in_a) return CcRelation::kSecondInFirst;
-  return CcRelation::kIntersecting;
 }
 
 StatusOr<CcRelationMatrix> ClassifyAll(
     const std::vector<CardinalityConstraint>& ccs, const Schema& r1_schema,
     const Schema& r2_schema) {
-  CcRelationMatrix out;
-  out.attr_sets.reserve(ccs.size());
-  for (const CardinalityConstraint& cc : ccs) {
-    CEXTEND_ASSIGN_OR_RETURN(CcAttrSets sets,
-                             ComputeCcAttrSets(cc, r1_schema, r2_schema));
-    out.attr_sets.push_back(std::move(sets));
-  }
-  size_t n = ccs.size();
-  out.matrix.assign(n, std::vector<CcRelation>(n, CcRelation::kEqual));
+  const size_t n = ccs.size();
+  std::vector<std::map<std::string, AttrSet>> r1_sets(n);
+  std::vector<std::map<std::string, AttrSet>> r2_sets(n);
+  Codes names;
+  Codes categories;
   for (size_t i = 0; i < n; ++i) {
+    CEXTEND_ASSIGN_OR_RETURN(r1_sets[i],
+                             ComputeAttrSets(ccs[i].r1_condition, r1_schema));
+    CEXTEND_ASSIGN_OR_RETURN(r2_sets[i],
+                             ComputeAttrSets(ccs[i].r2_condition, r2_schema));
+    for (const auto* sets : {&r1_sets[i], &r2_sets[i]}) {
+      for (const auto& [name, set] : *sets) {
+        names.emplace(name, 0);
+        for (const std::string& v : set.values()) categories.emplace(v, 0);
+      }
+    }
+  }
+  NumberInOrder(names);
+  NumberInOrder(categories);
+
+  // Compile every CC, grouping CCs with identical R1 conditions; the first
+  // member of a group represents it.
+  std::vector<CompiledCc> compiled(n);
+  std::vector<size_t> group(n);
+  std::vector<size_t> representative;
+  std::map<Side, size_t> group_of_r1;
+  for (size_t i = 0; i < n; ++i) {
+    CompiledCc& cc = compiled[i];
+    cc.r1 = CompileSide(r1_sets[i], names, categories, &cc.r1_empty);
+    cc.r2 = CompileSide(r2_sets[i], names, categories, &cc.r2_empty);
+    cc.merged = MergeSides(cc.r1, cc.r2);
+    auto [it, inserted] = group_of_r1.try_emplace(cc.r1, representative.size());
+    if (inserted) representative.push_back(i);
+    group[i] = it->second;
+  }
+
+  // Definition 4.2, first clause, once per group pair: R1 conditions
+  // disjoint (either is unsatisfiable, or a common attribute's sets are).
+  const size_t num_groups = representative.size();
+  std::vector<uint8_t> r1_disjoint(num_groups * num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (size_t h = g; h < num_groups; ++h) {
+      const CompiledCc& a = compiled[representative[g]];
+      const CompiledCc& b = compiled[representative[h]];
+      r1_disjoint[g * num_groups + h] = r1_disjoint[h * num_groups + g] =
+          a.r1_empty || b.r1_empty || CommonTermDisjoint(a.r1, b.r1);
+    }
+  }
+
+  CcRelationMatrix out(n);
+  for (size_t i = 0; i < n; ++i) {
+    const CompiledCc& a = compiled[i];
+    const uint8_t* disjoint_row = r1_disjoint.data() + group[i] * num_groups;
     for (size_t j = i + 1; j < n; ++j) {
-      CcRelation rel = ClassifyPair(out.attr_sets[i], out.attr_sets[j]);
-      out.matrix[i][j] = rel;
-      CcRelation sym = rel;
-      if (rel == CcRelation::kFirstInSecond) sym = CcRelation::kSecondInFirst;
-      else if (rel == CcRelation::kSecondInFirst) sym = CcRelation::kFirstInSecond;
-      out.matrix[j][i] = sym;
+      const CompiledCc& b = compiled[j];
+      CcRelation rel;
+      if (disjoint_row[group[j]]) {
+        rel = CcRelation::kDisjoint;
+      } else if (group[i] == group[j] &&
+                 (a.r2_empty || b.r2_empty || CommonTermDisjoint(a.r2, b.r2))) {
+        // Definition 4.2, second clause: identical R1 conditions, disjoint R2.
+        rel = CcRelation::kDisjoint;
+      } else {
+        const bool a_in_b = Contained(a.merged, b.merged);
+        const bool b_in_a = Contained(b.merged, a.merged);
+        rel = a_in_b ? (b_in_a ? CcRelation::kEqual
+                               : CcRelation::kFirstInSecond)
+                     : (b_in_a ? CcRelation::kSecondInFirst
+                               : CcRelation::kIntersecting);
+      }
+      out.matrix[i * n + j] = rel;
+      out.matrix[j * n + i] = Mirror(rel);
     }
   }
   return out;

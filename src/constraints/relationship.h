@@ -5,18 +5,17 @@
 #ifndef CEXTEND_CONSTRAINTS_RELATIONSHIP_H_
 #define CEXTEND_CONSTRAINTS_RELATIONSHIP_H_
 
-#include <map>
-#include <string>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
-#include "relational/attr_set.h"
 #include "relational/schema.h"
 #include "util/statusor.h"
 
 namespace cextend {
 
-enum class CcRelation {
+enum class CcRelation : uint8_t {
   kDisjoint,      ///< Definition 4.2
   kFirstInSecond, ///< CC_a ⊆ CC_b (Definition 4.3)
   kSecondInFirst, ///< CC_b ⊆ CC_a
@@ -26,32 +25,48 @@ enum class CcRelation {
 
 const char* CcRelationToString(CcRelation rel);
 
-/// Pre-computed per-CC attribute sets, split by side.
-struct CcAttrSets {
-  std::map<std::string, AttrSet> r1;
-  std::map<std::string, AttrSet> r2;
-};
-
-/// Computes attribute sets for one CC against the relation schemas.
-StatusOr<CcAttrSets> ComputeCcAttrSets(const CardinalityConstraint& cc,
-                                       const Schema& r1_schema,
-                                       const Schema& r2_schema);
-
-/// Classifies the relation of `a` vs `b` (precomputed sets). Conservative:
-/// anything not provably disjoint/contained is kIntersecting, which only
-/// routes CCs to the general ILP path (correct, less efficient).
-CcRelation ClassifyPair(const CcAttrSets& a, const CcAttrSets& b);
-
-/// Full pairwise classification. `matrix[i][j]` relates ccs[i] to ccs[j];
-/// the matrix is antisymmetric in the containment entries.
+/// Pairwise relations of n CCs as one flat row-major n×n byte matrix:
+/// `At(i, j)` relates CC i to CC j. The diagonal is kEqual; the containment
+/// entries are antisymmetric (At(i, j) is kFirstInSecond exactly when
+/// At(j, i) is kSecondInFirst) and every other entry is symmetric.
 struct CcRelationMatrix {
-  std::vector<CcAttrSets> attr_sets;
-  std::vector<std::vector<CcRelation>> matrix;
+  CcRelationMatrix() = default;
+  /// n×n, every entry kEqual.
+  explicit CcRelationMatrix(size_t n)
+      : matrix(n * n, CcRelation::kEqual), n_(n) {}
 
-  CcRelation At(size_t i, size_t j) const { return matrix[i][j]; }
-  size_t size() const { return matrix.size(); }
+  std::vector<CcRelation> matrix;  ///< entry (i, j) at i * size() + j
+
+  CcRelation At(size_t i, size_t j) const { return matrix[i * n_ + j]; }
+  size_t size() const { return n_; }
+
+  /// The relations among the CCs `ids` (indices into this matrix): entry
+  /// (a, b) of the result is At(ids[a], ids[b]).
+  CcRelationMatrix Restrict(const std::vector<int>& ids) const;
+
+ private:
+  size_t n_ = 0;
 };
 
+/// Classifies every pair of `ccs`; R1-side conditions resolve against
+/// `r1_schema`, R2-side ones against `r2_schema`. Fails when a condition
+/// names a column its schema lacks.
+///
+/// Each CC is compiled once: attribute names and category strings are
+/// interned to integer codes in string order, and each side (R1, R2, and
+/// their merge, where R1 wins a name collision) becomes a column-sorted list
+/// of per-attribute value sets (relational/attr_set.h). CCs with identical
+/// R1 conditions share a group, and the R1 disjointness of every group pair
+/// is computed once. A pair then costs a table lookup (Definition 4.2's
+/// first clause) and, when that does not decide it, merge walks over the
+/// compiled lists, with no allocation.
+///
+/// Conservative: anything not provably disjoint or contained is
+/// kIntersecting, which only routes CCs to the general ILP path (correct,
+/// less efficient). An unknown (not representable) set is equal to and
+/// contained in only another unknown set, and is disjoint only from empty
+/// sets; an interval is never disjoint from a categorical set; and two
+/// complement sets always intersect.
 StatusOr<CcRelationMatrix> ClassifyAll(
     const std::vector<CardinalityConstraint>& ccs, const Schema& r1_schema,
     const Schema& r2_schema);

@@ -65,16 +65,7 @@ StatusOr<HybridResult> RunHybridPhase1(
   // Sub-matrix over the active CCs, then the Hasse diagram; components
   // containing a tainted CC are routed to the ILP (paper: discard diagrams
   // with intersecting CCs).
-  CcRelationMatrix sub;
-  sub.matrix.assign(active_ids.size(),
-                    std::vector<CcRelation>(active_ids.size(),
-                                            CcRelation::kEqual));
-  for (size_t a = 0; a < active_ids.size(); ++a) {
-    for (size_t b = 0; b < active_ids.size(); ++b) {
-      sub.matrix[a][b] = relations.At(static_cast<size_t>(active_ids[a]),
-                                      static_cast<size_t>(active_ids[b]));
-    }
-  }
+  CcRelationMatrix sub = relations.Restrict(active_ids);
   HasseDiagram diagram = HasseDiagram::Build(sub);
 
   std::vector<int> s1_local, s2_local;  // indices into active_ccs
@@ -121,17 +112,7 @@ StatusOr<HybridResult> RunHybridPhase1(
     std::vector<CardinalityConstraint> s1_ccs;
     for (int a : s1_local)
       s1_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
-    CcRelationMatrix s1_rel;
-    s1_rel.matrix.assign(s1_local.size(),
-                         std::vector<CcRelation>(s1_local.size(),
-                                                 CcRelation::kEqual));
-    for (size_t a = 0; a < s1_local.size(); ++a) {
-      for (size_t b = 0; b < s1_local.size(); ++b) {
-        s1_rel.matrix[a][b] =
-            sub.matrix[static_cast<size_t>(s1_local[a])]
-                      [static_cast<size_t>(s1_local[b])];
-      }
-    }
+    CcRelationMatrix s1_rel = sub.Restrict(s1_local);
     HasseDiagram s1_diagram = HasseDiagram::Build(s1_rel);
     ScopedTimer timer(&stats.recursion_seconds);
     CEXTEND_RETURN_IF_ERROR(RunPhase1Hasse(state, combos, s1_ccs, s1_rel,

@@ -220,9 +220,13 @@ StatusOr<std::map<std::string, AttrSet>> ComputeAttrSets(const Predicate& pred,
           case CompareOp::kEq:
             atom_set = AttrSet::Interval(c, c);
             break;
+          // `< c` is `<= c - 1` and `> c` is `>= c + 1`; saturating at the
+          // int64 limits gives an empty interval (nothing is below INT64_MIN
+          // or above INT64_MAX) instead of overflowing.
           case CompareOp::kLt:
             atom_set = AttrSet::Interval(
-                std::numeric_limits<int64_t>::min() + 1, c - 1);
+                std::numeric_limits<int64_t>::min() + 1,
+                c == std::numeric_limits<int64_t>::min() ? c : c - 1);
             break;
           case CompareOp::kLe:
             atom_set =
@@ -230,7 +234,8 @@ StatusOr<std::map<std::string, AttrSet>> ComputeAttrSets(const Predicate& pred,
             break;
           case CompareOp::kGt:
             atom_set = AttrSet::Interval(
-                c + 1, std::numeric_limits<int64_t>::max() - 1);
+                c == std::numeric_limits<int64_t>::max() ? c : c + 1,
+                std::numeric_limits<int64_t>::max() - 1);
             break;
           case CompareOp::kGe:
             atom_set =

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "test_util.h"
 
 namespace cextend {
@@ -48,6 +51,22 @@ TEST(ParsePredicateTest, Errors) {
   EXPECT_FALSE(ParsePredicate("Age ^ 3").ok());
 }
 
+TEST(ParsePredicateTest, OutOfRangeIntegerIsAnError) {
+  auto p = ParsePredicate("Age > 99999999999999999999");
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(p.status().message().find("integer literal out of range"),
+            std::string::npos)
+      << p.status();
+  // INT64_MAX itself still parses.
+  auto max = ParsePredicate("Age > 9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->atoms()[0].value,
+            Value(std::numeric_limits<int64_t>::max()));
+  EXPECT_FALSE(ParsePredicate("Age > 9223372036854775808").ok());
+  EXPECT_FALSE(ParsePredicate("Rel IN {1, 99999999999999999999}").ok());
+}
+
 TEST(ParseCcTest, SplitsSidesBySchema) {
   auto cc = ParseCc("COUNT(Rel = \"Owner\" & Area = \"Chicago\") = 4",
                     R1Schema(), R2Schema(), "cc1");
@@ -77,6 +96,14 @@ TEST(ParseCcTest, Errors) {
   EXPECT_FALSE(ParseCc("Rel = 'x'", r1, r2).ok());            // no COUNT
   EXPECT_FALSE(ParseCc("COUNT(Rel = 'x')", r1, r2).ok());     // no target
   EXPECT_FALSE(ParseCc("COUNT(Nope = 'x') = 1", r1, r2).ok()); // unknown col
+  EXPECT_EQ(ParseCc("COUNT(Age > 99999999999999999999) = 1", r1, r2)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // literal out of range
+  EXPECT_EQ(ParseCc("COUNT(Age > 1) = 99999999999999999999", r1, r2)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // target out of range
   Schema overlapping{{"Rel", DataType::kString}};
   EXPECT_FALSE(ParseCc("COUNT(Rel = 'x') = 1", r1, overlapping).ok());
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cextend {
 namespace {
 
@@ -24,12 +26,12 @@ CardinalityConstraint MakeCc(int64_t age_lo, int64_t age_hi,
   return cc;
 }
 
+/// The relation of `a` to `b`, through the production classifier.
 CcRelation Classify(const CardinalityConstraint& a,
                     const CardinalityConstraint& b) {
-  auto sa = ComputeCcAttrSets(a, R1Schema(), R2Schema());
-  auto sb = ComputeCcAttrSets(b, R1Schema(), R2Schema());
-  EXPECT_TRUE(sa.ok() && sb.ok());
-  return ClassifyPair(sa.value(), sb.value());
+  auto matrix = ClassifyAll({a, b}, R1Schema(), R2Schema());
+  EXPECT_TRUE(matrix.ok()) << matrix.status();
+  return matrix->At(0, 1);
 }
 
 // Figure 6 of the paper: CC1 ∩ CC2 = ∅ (disjoint ages), CC4 ⊆ CC3.
@@ -120,6 +122,62 @@ TEST(RelationshipTest, UnknownSetsRouteToIntersecting) {
   a.r2_condition.Eq("Area", Value("Chicago"));
   CardinalityConstraint b = MakeCc(0, 5, "Chicago");
   EXPECT_EQ(Classify(a, b), CcRelation::kIntersecting);
+}
+
+TEST(RelationshipTest, UnsatisfiableIntervalIsDisjointFromEverything) {
+  // `Age > INT64_MAX` and `Age < INT64_MIN` admit no value. Without
+  // saturation, c + 1 / c - 1 overflowed and the interval wrapped to almost
+  // the whole range, so the CC was classified as containing the others.
+  CardinalityConstraint above;
+  above.r1_condition.Gt("Age", Value(std::numeric_limits<int64_t>::max()));
+  above.r2_condition.Eq("Area", Value("Chicago"));
+  CardinalityConstraint below;
+  below.r1_condition.Lt("Age", Value(std::numeric_limits<int64_t>::min()));
+  below.r2_condition.Eq("Area", Value("Chicago"));
+  CardinalityConstraint any_age;
+  any_age.r2_condition.Eq("Area", Value("Chicago"));
+  std::vector<CardinalityConstraint> ccs = {
+      above, below, any_age, MakeCc(10, 14, "Chicago"),
+      MakeCc(0, 114, "Chicago", 1), above};
+  auto matrix = ClassifyAll(ccs, R1Schema(), R2Schema());
+  ASSERT_TRUE(matrix.ok()) << matrix.status();
+  for (size_t empty : {size_t{0}, size_t{1}, size_t{5}}) {
+    for (size_t j = 0; j < ccs.size(); ++j) {
+      if (j == empty) continue;
+      EXPECT_EQ(matrix->At(empty, j), CcRelation::kDisjoint)
+          << "CC " << empty << " vs CC " << j;
+      EXPECT_EQ(matrix->At(j, empty), CcRelation::kDisjoint)
+          << "CC " << j << " vs CC " << empty;
+    }
+  }
+}
+
+TEST(RelationshipTest, RestrictSelectsRowsAndColumnsInOrder) {
+  std::vector<CardinalityConstraint> ccs = {
+      MakeCc(10, 14, "Chicago"), MakeCc(50, 60, "NYC", 0),
+      MakeCc(13, 64, "Chicago"), MakeCc(18, 24, "Chicago", 0)};
+  auto matrix = ClassifyAll(ccs, R1Schema(), R2Schema());
+  ASSERT_TRUE(matrix.ok());
+  const std::vector<int> ids = {3, 0, 2};
+  CcRelationMatrix sub = matrix->Restrict(ids);
+  ASSERT_EQ(sub.size(), ids.size());
+  ASSERT_EQ(sub.matrix.size(), ids.size() * ids.size());
+  for (size_t a = 0; a < ids.size(); ++a) {
+    for (size_t b = 0; b < ids.size(); ++b) {
+      EXPECT_EQ(sub.At(a, b), matrix->At(static_cast<size_t>(ids[a]),
+                                         static_cast<size_t>(ids[b])));
+    }
+  }
+  EXPECT_EQ(sub.At(0, 2), CcRelation::kFirstInSecond);  // CC4 ⊆ CC3
+  EXPECT_EQ(matrix->Restrict({}).size(), 0u);
+}
+
+TEST(RelationshipTest, UnknownColumnFails) {
+  CardinalityConstraint bad;
+  bad.r1_condition.Eq("Height", Value(int64_t{3}));
+  auto matrix =
+      ClassifyAll({MakeCc(10, 14, "Chicago"), bad}, R1Schema(), R2Schema());
+  EXPECT_FALSE(matrix.ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace cextend {
 namespace {
 
@@ -102,6 +104,30 @@ TEST(ComputeAttrSetsTest, StrictBoundsShrink) {
   ASSERT_TRUE(sets.ok());
   EXPECT_EQ(sets->at("Age").lo(), 11);
   EXPECT_EQ(sets->at("Age").hi(), 19);
+}
+
+TEST(ComputeAttrSetsTest, StrictBoundsPastInt64LimitsAreEmpty) {
+  // Nothing is above INT64_MAX or below INT64_MIN; the bound saturates
+  // instead of overflowing into a near-full interval.
+  Schema schema{{"Age", DataType::kInt64}};
+  Predicate above;
+  above.Gt("Age", Value(std::numeric_limits<int64_t>::max()));
+  auto sets = ComputeAttrSets(above, schema);
+  ASSERT_TRUE(sets.ok());
+  EXPECT_TRUE(sets->at("Age").IsEmpty()) << sets->at("Age").ToString();
+  Predicate below;
+  below.Lt("Age", Value(std::numeric_limits<int64_t>::min()));
+  sets = ComputeAttrSets(below, schema);
+  ASSERT_TRUE(sets.ok());
+  EXPECT_TRUE(sets->at("Age").IsEmpty()) << sets->at("Age").ToString();
+  // One step inside the limits the bounds still shrink by one.
+  Predicate inside;
+  inside.Gt("Age", Value(std::numeric_limits<int64_t>::min()))
+      .Lt("Age", Value(std::numeric_limits<int64_t>::max()));
+  sets = ComputeAttrSets(inside, schema);
+  ASSERT_TRUE(sets.ok());
+  EXPECT_EQ(sets->at("Age").lo(), std::numeric_limits<int64_t>::min() + 1);
+  EXPECT_EQ(sets->at("Age").hi(), std::numeric_limits<int64_t>::max() - 1);
 }
 
 TEST(ComputeAttrSetsTest, ContradictionYieldsEmpty) {
