@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <unordered_set>
 
 #include "constraints/relationship.h"
 #include "core/binning.h"
@@ -167,6 +168,95 @@ void BM_ConflictBuildImplicitClique(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictBuildImplicitClique)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
+
+// ---- CSR construction from a packed pair list. ----
+//
+// Shaped like the largest partition of a good_250k solve (13,333 vertices,
+// ~600k unique pairs): 16 ordered DCs each pair the partition's owners
+// (40% of its rows) with a run of other members, emitted owner by owner in
+// ascending order, so owner rows are long and the list is only partly
+// ordered. The duplicate-heavy variant repeats every pair 1-3 times, as
+// overlapping DCs do.
+
+std::vector<uint64_t> CensusShapedPairs(size_t n, bool duplicates) {
+  Rng rng(31);
+  size_t owners = n * 2 / 5;
+  std::vector<uint64_t> pairs;
+  std::unordered_set<uint64_t> seen;
+  for (int dc = 0; dc < 16; ++dc) {
+    for (size_t u = 0; u < owners; ++u) {
+      int64_t run = rng.UniformInt(0, 14);
+      for (int64_t k = 0; k < run; ++k) {
+        size_t v = static_cast<size_t>(
+            rng.UniformInt(static_cast<int64_t>(owners),
+                           static_cast<int64_t>(n) - 1));
+        uint64_t p = (static_cast<uint64_t>(u) << 32) | v;
+        if (seen.insert(p).second) pairs.push_back(p);
+      }
+    }
+  }
+  if (duplicates) {
+    size_t unique = pairs.size();
+    for (int copy = 1; copy <= 2; ++copy) {
+      for (size_t i = 0; i < unique; ++i) {
+        if (rng.Bernoulli(copy == 1 ? 0.6 : 0.3)) pairs.push_back(pairs[i]);
+      }
+    }
+  }
+  return pairs;
+}
+
+void RunAdjacencyFromPackedPairs(benchmark::State& state, bool duplicates) {
+  size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<uint64_t> pairs = CensusShapedPairs(n, duplicates);
+  size_t edges = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<uint64_t> input = pairs;
+    state.ResumeTiming();
+    AdjacencyGraph g = AdjacencyGraph::FromPackedPairs(n, std::move(input));
+    edges = g.num_edges();
+    benchmark::DoNotOptimize(g.NeighborsBegin(0));
+    benchmark::ClobberMemory();
+  }
+  state.counters["raw_pairs"] = static_cast<double>(pairs.size());
+  state.counters["edges"] = static_cast<double>(edges);
+}
+void BM_AdjacencyFromPackedPairs(benchmark::State& state) {
+  RunAdjacencyFromPackedPairs(state, false);
+}
+void BM_AdjacencyFromPackedPairsDuplicates(benchmark::State& state) {
+  RunAdjacencyFromPackedPairs(state, true);
+}
+BENCHMARK(BM_AdjacencyFromPackedPairs)->Arg(13333);
+BENCHMARK(BM_AdjacencyFromPackedPairsDuplicates)->Arg(13333);
+
+// Whole indexed oracle build over a census partition with every census DC
+// (MakeCensusDcs(false)): the 16 ordered age-gap DCs materialize pairs, the
+// four product DCs stay implicit.
+void BM_ConflictBuildCensus(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  datagen::CensusOptions census;
+  census.num_persons = n;
+  census.num_households = n * 2 / 5;
+  auto data = datagen::GenerateCensus(census);
+  CEXTEND_CHECK(data.ok());
+  const Table& persons = data->persons;
+  auto bound = BindAll(datagen::MakeCensusDcs(false), persons);
+  CEXTEND_CHECK(bound.ok());
+  std::vector<uint32_t> rows(persons.NumRows());
+  for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  size_t pairs = 0;
+  for (auto _ : state) {
+    auto oracle = PartitionConflictOracle::Build(persons, bound.value(), rows);
+    CEXTEND_CHECK(oracle.ok());
+    pairs = oracle->num_materialized_pairs();
+    benchmark::DoNotOptimize(oracle->CountEdges());
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ConflictBuildCensus)->Arg(4096)->Arg(16384)->Complexity();
 
 // ---- Invalid-tuple repair kernels (solveInvalidTuples pass 2). ----
 //

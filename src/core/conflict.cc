@@ -735,7 +735,7 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
                        options.run_control));
   // The injected fault abandons the indexed build outright, exercising the
   // same indexed→naive rung a real pair-budget overrun takes.
-  if (!options.force_naive && !CEXTEND_INJECT_FAULT("oracle.build")) {
+  if (!CEXTEND_INJECT_FAULT("oracle.build")) {
     StatusOr<PartitionConflictOracle> indexed =
         PartitionConflictOracle::BuildWithHypergraph(table, dcs, rows,
                                                      options, higher);
@@ -753,7 +753,7 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     }
     // Pair budget exceeded: fall back to the O(n) memory brute-force oracle.
   }
-  if (info != nullptr && !options.force_naive) info->naive_fallback = true;
+  if (info != nullptr) info->naive_fallback = true;
   CEXTEND_ASSIGN_OR_RETURN(
       NaiveConflictOracle naive,
       NaiveConflictOracle::BuildWithHypergraph(table, dcs, std::move(rows),

@@ -17,8 +17,11 @@
 //    AdjacencyGraph. Degrees, edge counts, forbidden colors and pair queries
 //    compose the (implicit ∪ CSR ∪ hypergraph) union with simple-graph
 //    semantics, identical to one deduplicated all-pairs scan. Construction
-//    is O(n) per implicit DC and O(n log n + E) per indexed DC instead of
-//    the brute-force O(n^2 * |DC|) all-pairs CrossAtomsHold scan.
+//    is O(n) per implicit DC; O(n + s log s + E) per indexed DC, where the
+//    s log s is the entry sort and binary-search probes over its s side
+//    entries and E its emitted pairs; and O(n + E) for the CSR over the
+//    whole partition (two counting scatters, no comparison sort). The
+//    brute-force all-pairs CrossAtomsHold scan is O(n^2 * |DC|).
 //
 //  * NaiveConflictOracle: the reference brute-force implementation (side
 //    masks + on-the-fly pair tests). Kept behind the same interface so tests
@@ -57,8 +60,6 @@ struct ConflictOracleOptions {
   /// against this budget word-for-word (normally a few n/64-word bitsets,
   /// i.e. negligible), so adversarial signature blowups also fall back.
   size_t max_materialized_pairs = 32'000'000;
-  /// Forces the brute-force oracle (benchmarks / cross-checking).
-  bool force_naive = false;
   /// Deadline/cancellation, checked per DC during hyperedge enumeration and
   /// pair emission, and at every pair-budget charge chunk.
   RunControl run_control;
@@ -207,9 +208,8 @@ class NaiveConflictOracle final : public PartitionOracle {
 };
 
 /// Builds the indexed oracle, falling back to the naive oracle when the
-/// materialized-pair budget is exceeded (or when `options.force_naive`).
-/// `info`, when non-null, receives degradation accounting for the build
-/// (`force_naive` is a configured rung, not a fallback, and is not counted).
+/// materialized-pair budget is exceeded (or the `oracle.build` fault fires).
+/// `info`, when non-null, receives degradation accounting for the build.
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},

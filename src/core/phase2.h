@@ -38,9 +38,6 @@ struct Phase2Options {
   /// (1 = sequential, on the calling thread).
   size_t num_threads = 1;
   uint64_t seed = 1;
-  /// Forces the brute-force conflict oracle instead of the indexed one
-  /// (cross-checking / ablation; both yield identical colorings).
-  bool use_naive_oracle = false;
   /// Deadline/cancellation, checked at every partition-coloring task start
   /// and per repair combo group, and forwarded into oracle construction.
   RunControl run_control;

@@ -64,6 +64,7 @@ class Reader {
   }
 
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t Remaining() const { return data_.size() - pos_; }
 
  private:
   const std::string& data_;
@@ -159,7 +160,12 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
     }
     plan.b_names.push_back(std::move(name));
   }
-  if (!in.U32(&num_combos)) {
+  // Every count below is checked against the bytes its entries need before
+  // anything is sized from it, so a corrupt count fails instead of
+  // allocating. Combos are distinct, so zero columns admit at most one.
+  if (!in.U32(&num_combos) ||
+      (q == 0 ? num_combos > 1
+              : num_combos > in.Remaining() / (8 * static_cast<size_t>(q)))) {
     return Status::InvalidArgument("truncated SynthesisPlan combo table");
   }
   plan.combo_table.assign(num_combos, std::vector<int64_t>(q));
@@ -170,13 +176,16 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
       }
     }
   }
+  if (plan.num_rows > in.Remaining() / 4) {
+    return Status::InvalidArgument("truncated SynthesisPlan row combos");
+  }
   plan.row_combo.resize(plan.num_rows);
   for (uint32_t& combo : plan.row_combo) {
     if (!in.U32(&combo) || combo >= num_combos) {
       return Status::InvalidArgument("bad SynthesisPlan row combo");
     }
   }
-  if (!in.U32(&num_invalid)) {
+  if (!in.U32(&num_invalid) || num_invalid > in.Remaining() / 4) {
     return Status::InvalidArgument("truncated SynthesisPlan invalid rows");
   }
   plan.invalid_rows.resize(num_invalid);
@@ -188,7 +197,11 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
   if (!in.U32(&num_shards) || num_shards == 0) {
     return Status::InvalidArgument("SynthesisPlan must have >= 1 shard");
   }
-  plan.shard_begin.resize(num_shards + 1);
+  // shard_begin holds num_shards + 1 offsets, shard_seeds num_shards seeds.
+  if (2 * static_cast<size_t>(num_shards) + 1 > in.Remaining() / 8) {
+    return Status::InvalidArgument("truncated SynthesisPlan shard map");
+  }
+  plan.shard_begin.resize(static_cast<size_t>(num_shards) + 1);
   for (size_t i = 0; i < plan.shard_begin.size(); ++i) {
     if (!in.U64(&plan.shard_begin[i]) ||
         (i > 0 && plan.shard_begin[i] < plan.shard_begin[i - 1])) {

@@ -246,7 +246,6 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
   const Table& v_join = *prepared.v_join;
 
   ConflictOracleOptions oracle_options;
-  oracle_options.force_naive = options.use_naive_oracle;
   oracle_options.run_control = options.run_control;
 
   ShardOutput out;
@@ -490,7 +489,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
     ResolvedShard::Block block;
     block.worklist_idx = ResolvedShard::kRepairBlock;
     ConflictOracleOptions oracle_options;
-    oracle_options.force_naive = options.use_naive_oracle;
     oracle_options.run_control = options.run_control;
     for (const auto& [combo_id, group] : prepared.repair_groups) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());

@@ -10,10 +10,6 @@ namespace cextend {
 
 AdjacencyGraph AdjacencyGraph::FromPackedPairs(
     size_t n, std::vector<uint64_t>&& packed_pairs) {
-  std::sort(packed_pairs.begin(), packed_pairs.end());
-  packed_pairs.erase(
-      std::unique(packed_pairs.begin(), packed_pairs.end()),
-      packed_pairs.end());
   AdjacencyGraph g;
   g.offsets_.assign(n + 1, 0);
   for (uint64_t p : packed_pairs) {
@@ -24,18 +20,56 @@ AdjacencyGraph AdjacencyGraph::FromPackedPairs(
     ++g.offsets_[v + 1];
   }
   for (size_t i = 1; i <= n; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.neighbors_.resize(packed_pairs.size() * 2);
+
+  // Pass 1: bucket every arc (row -> x) by its neighbor x, storing the row.
   std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  std::vector<uint32_t> rows_by_neighbor(packed_pairs.size() * 2);
   for (uint64_t p : packed_pairs) {
-    size_t u = static_cast<size_t>(p >> 32);
-    size_t v = static_cast<size_t>(p & 0xFFFFFFFFULL);
-    g.neighbors_[cursor[u]++] = static_cast<uint32_t>(v);
-    g.neighbors_[cursor[v]++] = static_cast<uint32_t>(u);
+    uint32_t u = static_cast<uint32_t>(p >> 32);
+    uint32_t v = static_cast<uint32_t>(p);
+    rows_by_neighbor[cursor[v]++] = u;
+    rows_by_neighbor[cursor[u]++] = v;
   }
-  // Neighbor runs come out sorted without a per-row pass: scanning the
-  // (u, v)-sorted unique pairs, row x first collects its lower neighbors u
-  // in ascending order (every (u, x) precedes (x, ·) lexicographically) and
-  // then its higher neighbors v in ascending order within the (x, ·) run.
+  std::vector<uint64_t>().swap(packed_pairs);
+
+  // Pass 2: walk the buckets in ascending x and append x to each of its
+  // rows. A stable counting sort, so every neighbor run comes out sorted and
+  // a repeated pair (several DCs, or both orientations of one DC) arrives
+  // right after its first copy: `last` drops it before it is written.
+  struct RowCursor {
+    size_t next;
+    uint32_t last;
+  };
+  std::vector<RowCursor> rows(n);
+  for (size_t r = 0; r < n; ++r) rows[r] = {g.offsets_[r], UINT32_MAX};
+  g.neighbors_.resize(rows_by_neighbor.size());
+  size_t repeats = 0;
+  for (size_t x = 0; x < n; ++x) {
+    for (size_t i = g.offsets_[x]; i < g.offsets_[x + 1]; ++i) {
+      RowCursor& row = rows[rows_by_neighbor[i]];
+      if (row.last == x) {
+        ++repeats;
+        continue;
+      }
+      row.last = static_cast<uint32_t>(x);
+      g.neighbors_[row.next++] = static_cast<uint32_t>(x);
+    }
+  }
+  std::vector<uint32_t>().swap(rows_by_neighbor);
+  if (repeats == 0) return g;
+
+  // Close the gaps the dropped repeats left at the end of each run.
+  uint32_t* nb = g.neighbors_.data();
+  size_t out = 0;
+  for (size_t r = 0; r < n; ++r) {
+    size_t begin = g.offsets_[r];
+    g.offsets_[r] = out;
+    out = static_cast<size_t>(
+        std::copy(nb + begin, nb + rows[r].next, nb + out) - nb);
+  }
+  g.offsets_[n] = out;
+  g.neighbors_.resize(out);
+  g.neighbors_.shrink_to_fit();
   return g;
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,34 +149,20 @@ std::multiset<int64_t> ForbiddenSet(const PartitionOracle& oracle, size_t v,
   return std::multiset<int64_t>(out.begin(), out.end());
 }
 
-class ConflictPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
-  Rng rng(GetParam());
-  size_t n = 30 + static_cast<size_t>(rng.UniformInt(0, 50));
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
-  ASSERT_TRUE(bound.ok()) << bound.status();
-
-  std::vector<uint32_t> rows;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.9)) rows.push_back(i);  // non-contiguous partitions
-  }
-  size_t m = rows.size();
-
-  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
-  ASSERT_TRUE(naive.ok()) << naive.status();
-
-  ASSERT_EQ(indexed->NumVertices(), naive->NumVertices());
-  EXPECT_EQ(indexed->CountEdges(), naive->CountEdges());
+/// Cross-checks the indexed oracle against the naive one: degrees, edge
+/// count, every pair, forbidden colors and WouldViolate under random partial
+/// colorings, and the full greedy coloring.
+void ExpectIndexedMatchesNaive(const PartitionConflictOracle& indexed,
+                               const NaiveConflictOracle& naive, Rng& rng) {
+  ASSERT_EQ(indexed.NumVertices(), naive.NumVertices());
+  size_t m = indexed.NumVertices();
+  EXPECT_EQ(indexed.CountEdges(), naive.CountEdges());
   for (size_t v = 0; v < m; ++v) {
-    EXPECT_EQ(indexed->Degree(v), naive->Degree(v)) << "vertex " << v;
+    EXPECT_EQ(indexed.Degree(v), naive.Degree(v)) << "vertex " << v;
   }
   for (size_t u = 0; u < m; ++u) {
     for (size_t v = u + 1; v < m; ++v) {
-      EXPECT_EQ(indexed->PairConflicts(u, v), naive->PairConflicts(u, v))
+      EXPECT_EQ(indexed.PairConflicts(u, v), naive.PairConflicts(u, v))
           << "pair " << u << "," << v;
     }
   }
@@ -189,8 +176,8 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
     for (size_t v = 0; v < m; ++v) {
       // The naive oracle never reports a self-edge and neither may the
       // indexed one; compare the deduplicated color sets.
-      auto lhs = ForbiddenSet(*indexed, v, colors);
-      auto rhs = ForbiddenSet(*naive, v, colors);
+      auto lhs = ForbiddenSet(indexed, v, colors);
+      auto rhs = ForbiddenSet(naive, v, colors);
       EXPECT_EQ(std::set<int64_t>(lhs.begin(), lhs.end()),
                 std::set<int64_t>(rhs.begin(), rhs.end()))
           << "vertex " << v;
@@ -200,8 +187,8 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
       if (rng.Bernoulli(0.3)) same_color.push_back(v);
     }
     for (size_t v = 0; v < m; ++v) {
-      EXPECT_EQ(indexed->WouldViolate(v, same_color),
-                naive->WouldViolate(v, same_color))
+      EXPECT_EQ(indexed.WouldViolate(v, same_color),
+                naive.WouldViolate(v, same_color))
           << "vertex " << v;
     }
   }
@@ -210,10 +197,72 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
   std::vector<int64_t> candidates;
   int64_t num_candidates = rng.UniformInt(1, 8);
   for (int64_t c = 0; c < num_candidates; ++c) candidates.push_back(c * 7);
-  ListColoringResult a = GreedyListColoring(*indexed, {}, candidates);
-  ListColoringResult b = GreedyListColoring(*naive, {}, candidates);
+  ListColoringResult a = GreedyListColoring(indexed, {}, candidates);
+  ListColoringResult b = GreedyListColoring(naive, {}, candidates);
   EXPECT_EQ(a.colors, b.colors);
   EXPECT_EQ(a.skipped, b.skipped);
+}
+
+class ConflictPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
+  Rng rng(GetParam());
+  size_t n = 30 + static_cast<size_t>(rng.UniformInt(0, 50));
+  Table t = RandomTable(rng, n);
+  auto bound = BindAll(RandomDcs(rng), t);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.9)) rows.push_back(i);  // non-contiguous partitions
+  }
+
+  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ExpectIndexedMatchesNaive(indexed.value(), naive.value(), rng);
+}
+
+TEST_P(ConflictPropertyTest, BicliqueOverflowMatchesNaive) {
+  // More overlapping product DCs than ImplicitBicliqueFamily holds: DCs past
+  // kMaxBicliques take the materialized path (closed-form count, mirror
+  // orientation skipped) and their pairs dedup against each other and
+  // against the indexed DCs in the CSR.
+  Rng rng(GetParam() * 389 + 3);
+  size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 40));
+  Table t = RandomTable(rng, n);
+  std::vector<DenialConstraint> dcs;
+  constexpr int kProducts =
+      static_cast<int>(ImplicitBicliqueFamily::kMaxBicliques) + 8;
+  for (int k = 0; k < kProducts; ++k) {
+    DenialConstraint dc(2, "product-" + std::to_string(k));
+    dc.Unary(0, "Age", CompareOp::kGe, Value(int64_t{2 * k}));
+    if (k % 2 == 0) {
+      // Both sides alike: a clique, whose mirror pairs the emitter skips.
+      dc.Unary(1, "Age", CompareOp::kGe, Value(int64_t{2 * k}));
+    } else {
+      dc.Unary(1, "G", CompareOp::kEq, Value(int64_t{k % 5}));
+    }
+    dcs.push_back(std::move(dc));
+  }
+  for (DenialConstraint& dc : RandomDcs(rng)) dcs.push_back(std::move(dc));
+  auto bound = BindAll(dcs, t);
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  std::vector<uint32_t> rows;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.9)) rows.push_back(i);
+  }
+
+  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(indexed->num_implicit_bicliques(),
+            ImplicitBicliqueFamily::kMaxBicliques);
+  EXPECT_GT(indexed->num_biclique_overflows(), 0u);
+  EXPECT_GT(indexed->num_materialized_pairs(), 0u);
+  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ExpectIndexedMatchesNaive(indexed.value(), naive.value(), rng);
 }
 
 TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {

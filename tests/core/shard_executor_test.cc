@@ -148,6 +148,23 @@ TEST(SynthesisPlanTest, SerializeRoundTripIsByteStable) {
   EXPECT_EQ(restored.value().Serialize(), bytes);
 }
 
+/// Little-endian CXPL v1 fields, for hand-built corrupt plans.
+void AppendU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void AppendU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+std::string PlanHeader(uint64_t num_rows, uint32_t q) {
+  std::string out = "CXPL";
+  AppendU32(&out, 1);  // version
+  AppendU64(&out, 7);  // seed
+  AppendU64(&out, num_rows);
+  AppendU32(&out, q);
+  for (uint32_t i = 0; i < q; ++i) AppendU32(&out, 0);  // empty names
+  return out;
+}
+
 TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
   Instance instance = MakeInstance();
   Table v_join = instance.v_join.Clone();
@@ -159,6 +176,26 @@ TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(
       SynthesisPlan::Deserialize(bytes.substr(0, bytes.size() / 2)).ok());
   EXPECT_FALSE(SynthesisPlan::Deserialize(bytes + "x").ok());
+
+  // Each count claims more entries than the remaining bytes can encode; the
+  // decoder must say so instead of sizing a vector from it.
+  std::string huge_rows = PlanHeader(uint64_t{1} << 61, 0);
+  AppendU32(&huge_rows, 0);  // num_combos
+  ASSERT_EQ(huge_rows.size(), 32u);
+  auto rows = SynthesisPlan::Deserialize(huge_rows);
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+
+  std::string huge_shards = PlanHeader(0, 0);
+  AppendU32(&huge_shards, 0);            // num_combos
+  AppendU32(&huge_shards, 0);            // num_invalid
+  AppendU32(&huge_shards, 0xFFFFFFFFu);  // num_shards (+ 1 wraps in 32 bits)
+  auto shards = SynthesisPlan::Deserialize(huge_shards);
+  EXPECT_EQ(shards.status().code(), StatusCode::kInvalidArgument);
+
+  std::string huge_combos = PlanHeader(0, 4096);
+  AppendU32(&huge_combos, 0xFFFFFFFFu);  // num_combos
+  auto combos = SynthesisPlan::Deserialize(huge_combos);
+  EXPECT_EQ(combos.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardExecutorTest, ShardEmittedAloneFromDeserializedPlanIsByteIdentical) {
