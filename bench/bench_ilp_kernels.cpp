@@ -1,8 +1,9 @@
 // Phase-1 ILP micro-kernels: model build, LP relaxation, and full branch &
 // bound on synthetic bin×combo count models with the paper's block
-// structure, at several scales — dense-tableau baseline vs. sparse revised
-// simplex (warm-started B&B), plus the component-decomposed solve at 1/2/8
-// threads.
+// structure, at several scales — the dense-tableau test oracle
+// (tests/ilp/dense_tableau_oracle.h: cold dense solves under a depth-first
+// B&B) vs. the sparse revised simplex (warm-started best-first B&B), plus
+// the component-decomposed solve at 1/2/8 threads.
 //
 // Each cell appends a JSON-lines record to the phase-1 perf trajectory
 // (default `BENCH_phase1.json`, overridable via CEXTEND_BENCH_PHASE1_JSON;
@@ -22,7 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "ilp/solver.h"
+#include "ilp/branch_and_bound.h"
+#include "ilp/dense_tableau_oracle.h"
+#include "ilp/simplex.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -162,10 +165,14 @@ Instance MakeInstance(const Scale& scale, uint64_t seed) {
   return instance;
 }
 
+// Both B&B legs stop at the first zero-slack incumbent (zero slack == all
+// CCs satisfied) or after kMaxNodes nodes.
+constexpr int64_t kMaxNodes = 500;
+
 ilp::IlpOptions BenchIlpOptions() {
   ilp::IlpOptions options;
-  options.objective_target = 0.0;  // zero slack == all CCs satisfied
-  options.max_nodes = 500;
+  options.objective_target = 0.0;
+  options.max_nodes = kMaxNodes;
   options.time_limit_seconds = 300.0;
   return options;
 }
@@ -202,10 +209,9 @@ void RunScale(const Scale& scale, uint64_t seed) {
   Record("model_build", scale, vars, rows, 0.0, build_seconds, 1);
 
   // LP relaxation, dense vs sparse.
-  ilp::SimplexOptions dense_simplex;
-  dense_simplex.use_dense_tableau = true;
   Stopwatch lp_dense_watch;
-  ilp::LpResult lp_dense = ilp::SolveLp(instance.model, dense_simplex);
+  ilp::LpResult lp_dense =
+      ilp::dense_oracle::SolveLpDenseTableau(instance.model);
   double lp_dense_seconds = lp_dense_watch.ElapsedSeconds();
   Stopwatch lp_sparse_watch;
   ilp::LpResult lp_sparse = ilp::SolveLp(instance.model);
@@ -221,14 +227,15 @@ void RunScale(const Scale& scale, uint64_t seed) {
   Record("lp_relax", scale, vars, rows, lp_dense_seconds, lp_sparse_seconds, 1);
 
   // Full branch & bound on the monolithic model.
-  ilp::IlpOptions dense_options = BenchIlpOptions();
-  dense_options.simplex.use_dense_tableau = true;
+  ilp::dense_oracle::DenseIlpLimits dense_limits;
+  dense_limits.max_nodes = kMaxNodes;
+  dense_limits.objective_target = 0.0;
   Stopwatch ilp_dense_watch;
-  ilp::IlpResult ilp_dense = ilp::Solve(instance.model, dense_options);
+  ilp::IlpResult ilp_dense =
+      ilp::dense_oracle::SolveIlpDense(instance.model, dense_limits);
   double ilp_dense_seconds = ilp_dense_watch.ElapsedSeconds();
-  ilp::IlpOptions sparse_options = BenchIlpOptions();
   Stopwatch ilp_sparse_watch;
-  ilp::IlpResult ilp_sparse = ilp::Solve(instance.model, sparse_options);
+  ilp::IlpResult ilp_sparse = ilp::SolveIlp(instance.model, BenchIlpOptions());
   double ilp_sparse_seconds = ilp_sparse_watch.ElapsedSeconds();
   std::printf("  ilp_solve  dense %8.4fs (%4lld nodes, %s)  "
               "sparse %8.4fs (%4lld nodes, %lld warm, %s)  speedup %5.1fx\n",
@@ -246,7 +253,7 @@ void RunScale(const Scale& scale, uint64_t seed) {
     Stopwatch watch;
     std::vector<ilp::IlpResult> results(instance.components.size());
     auto solve_one = [&](size_t i) {
-      results[i] = ilp::Solve(instance.components[i], BenchIlpOptions());
+      results[i] = ilp::SolveIlp(instance.components[i], BenchIlpOptions());
     };
     if (threads > 1) {
       ThreadPool pool(threads);
@@ -286,7 +293,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::printf("# phase-1 ILP kernels: dense tableau vs sparse revised "
+  std::printf("# phase-1 ILP kernels: dense-tableau oracle vs sparse revised "
               "simplex + decomposition\n");
   std::vector<cextend::Scale> scales = {
       {48, 8, 12, 8},

@@ -27,7 +27,7 @@
 #include "datagen/constraint_gen.h"
 #include "graph/hypergraph.h"
 #include "graph/list_coloring.h"
-#include "ilp/solver.h"
+#include "ilp/simplex.h"
 #include "util/rng.h"
 
 namespace cextend {

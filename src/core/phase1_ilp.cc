@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <unordered_map>
 
-#include "ilp/solver.h"
+#include "ilp/branch_and_bound.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -40,11 +39,9 @@ struct BuiltModel {
   size_t num_ccs = 0;
 };
 
-/// Builds the sub-model for `comp`. Variable order matches the monolithic
-/// construction restricted to the component: CC-major structural variables,
-/// then per-bin unused variables (bins ascending), then bin rows, then CC
-/// rows with slack — so the monolithic model is exactly the single-component
-/// case.
+/// Builds the sub-model for `comp` in the encoding documented in
+/// phase1_ilp.h: CC-major structural variables, then per-bin unused
+/// variables (bins ascending), then bin rows, then CC rows with slack.
 BuiltModel BuildComponentModel(
     FillState& state, const Component& comp,
     const std::vector<CardinalityConstraint>& ccs,
@@ -199,7 +196,6 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
                     const Phase1IlpOptions& options, Phase1IlpStats* stats) {
   if (ccs.empty()) return Status::Ok();
   const Binning& binning = state.binning();
-  size_t num_bins = binning.num_bins();
 
   std::vector<Component> components;
   std::vector<BuiltModel> models;
@@ -216,44 +212,32 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
                                combos.MatchingCombos(ccs[c].r2_condition));
     }
 
-    if (options.decompose) {
-      // Two CCs share model structure only through a bin (a common variable
-      // requires a common bin, and bin rows couple every CC touching the
-      // bin), so union CCs via first-seen bin owners. CCs whose R2 condition
-      // matches no combo create no variables and stay singletons.
-      UnionFind uf(ccs.size());
-      std::unordered_map<size_t, size_t> bin_owner;  // bin -> first CC
-      for (size_t c = 0; c < ccs.size(); ++c) {
-        if (cc_combos[c].empty()) continue;
-        for (size_t bin : cc_bins[c]) {
-          if (state.pool(bin).empty()) continue;
-          auto [it, inserted] = bin_owner.emplace(bin, c);
-          if (!inserted) uf.Union(c, it->second);
-        }
+    // Two CCs share model structure only through a bin (a common variable
+    // requires a common bin, and bin rows couple every CC touching the
+    // bin), so union CCs via first-seen bin owners. CCs whose R2 condition
+    // matches no combo create no variables and stay singletons.
+    UnionFind uf(ccs.size());
+    std::unordered_map<size_t, size_t> bin_owner;  // bin -> first CC
+    for (size_t c = 0; c < ccs.size(); ++c) {
+      if (cc_combos[c].empty()) continue;
+      for (size_t bin : cc_bins[c]) {
+        if (state.pool(bin).empty()) continue;
+        auto [it, inserted] = bin_owner.emplace(bin, c);
+        if (!inserted) uf.Union(c, it->second);
       }
-      std::unordered_map<size_t, size_t> root_slot;
-      for (size_t c = 0; c < ccs.size(); ++c) {
-        size_t root = uf.Find(c);
-        auto [it, inserted] = root_slot.emplace(root, components.size());
-        if (inserted) components.push_back({});
-        components[it->second].ccs.push_back(c);
-      }
-      for (const auto& [bin, owner] : bin_owner) {
-        components[root_slot.at(uf.Find(owner))].bins.push_back(bin);
-      }
-      for (Component& comp : components) {
-        std::sort(comp.bins.begin(), comp.bins.end());
-      }
-    } else {
-      // Monolithic reference model: every CC plus every bin with remaining
-      // rows (covered or not), exactly the pre-decomposition encoding.
-      Component all;
-      all.ccs.resize(ccs.size());
-      std::iota(all.ccs.begin(), all.ccs.end(), size_t{0});
-      for (size_t bin = 0; bin < num_bins; ++bin) {
-        if (!state.pool(bin).empty()) all.bins.push_back(bin);
-      }
-      components.push_back(std::move(all));
+    }
+    std::unordered_map<size_t, size_t> root_slot;
+    for (size_t c = 0; c < ccs.size(); ++c) {
+      size_t root = uf.Find(c);
+      auto [it, inserted] = root_slot.emplace(root, components.size());
+      if (inserted) components.push_back({});
+      components[it->second].ccs.push_back(c);
+    }
+    for (const auto& [bin, owner] : bin_owner) {
+      components[root_slot.at(uf.Find(owner))].bins.push_back(bin);
+    }
+    for (Component& comp : components) {
+      std::sort(comp.bins.begin(), comp.bins.end());
     }
 
     models.reserve(components.size());
@@ -295,7 +279,7 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
           [&built, &state, marginals](const std::vector<double>& lp) {
             return RoundLpPoint(built, state, marginals, lp);
           };
-      results[idx] = ilp::Solve(built.model, ilp_options);
+      results[idx] = ilp::SolveIlp(built.model, ilp_options);
     };
     if (options.num_threads > 1 && models.size() > 1) {
       ThreadPool pool(options.num_threads);
@@ -340,8 +324,7 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
 
   // Greedy fill (Algorithm 1 lines 15-17): for each variable of each solved
   // component, pop up to its value in rows from the bin and write the combo.
-  // Components own disjoint bins, so filling in component order touches each
-  // pool in the same order the monolithic fill would.
+  // Components own disjoint bins, so each pool is popped by one component.
   {
     ScopedTimer timer(&stats->fill_seconds);
     for (size_t idx = 0; idx < models.size(); ++idx) {

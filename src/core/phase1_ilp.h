@@ -20,7 +20,10 @@
 // partitions the system with a union-find, builds one sub-ILP per component,
 // and solves them independently — optionally in parallel on a thread pool.
 // Sub-solves are single-threaded and deterministic and are merged in
-// component order, so results are bit-identical at any thread count.
+// component order, so results are bit-identical at any thread count. The
+// model is block-diagonal, so the summed component optima equal the optimum
+// of the one model over every bin with remaining rows
+// (tests/core/phase1_ilp_decompose_test.cc builds that model as its oracle).
 
 #ifndef CEXTEND_CORE_PHASE1_ILP_H_
 #define CEXTEND_CORE_PHASE1_ILP_H_
@@ -41,9 +44,6 @@ struct Phase1IlpOptions {
   /// Include the per-bin marginal rows (Algorithm 1 lines 8-10). The plain
   /// baseline of Section 6.1 turns this off.
   bool include_marginals = true;
-  /// Split the model into connected (bins, CCs) components and solve each
-  /// sub-ILP independently. Off = one monolithic model (ablation/reference).
-  bool decompose = true;
   /// Worker threads for independent component solves (1 = serial). The
   /// result is bit-identical regardless of this value.
   size_t num_threads = 1;

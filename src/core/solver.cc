@@ -30,10 +30,6 @@ Solution FinishSolution(PlannedCExtension&& planned, SolveStats stats,
   phase2_stats.invalid_seconds += stats.phase2.invalid_seconds;
   stats.phase2 = phase2_stats;
   stats.phase2_seconds = planned.plan_build_seconds + phase2_elapsed;
-
-  stats.ladder.naive_oracle_fallbacks = phase2_stats.naive_oracle_fallbacks;
-  stats.ladder.biclique_overflows = phase2_stats.biclique_overflows;
-  stats.ladder.shard_regenerations = phase2_stats.shard_regenerations;
   stats.total_seconds += total_elapsed;
 
   return Solution{std::move(table_sink.r1_hat()),
@@ -67,10 +63,6 @@ StatusOr<PlannedCExtension> PlanCExtension(
   stats.phase1 = phase1.stats;
   stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   stats.invalid_tuples = phase1.invalid_rows.size();
-
-  // The phase-1 ladder rung; phase-2 rungs are recorded at execution.
-  stats.ladder.cold_solve_fallbacks =
-      static_cast<size_t>(stats.phase1.ilp.cold_fallbacks);
 
   // Freeze the synthesis plan: repair combo selection (writes the invalid
   // rows' B cells), combo layout, shard map. Phase 1's combo index is

@@ -40,13 +40,19 @@ std::string SolveStats::Summary() const {
     out += StrFormat(" durable(resumed=%zu commits=%zu)",
                      phase2.resumed_shards, phase2.manifest_commits);
   }
-  if (ladder.AnyDegradation()) {
+  if (AnyDegradation()) {
     out += StrFormat(
         " ladder(naive=%zu biclique_overflow=%zu cold=%zu shard_regen=%zu)",
-        ladder.naive_oracle_fallbacks, ladder.biclique_overflows,
-        ladder.cold_solve_fallbacks, ladder.shard_regenerations);
+        phase2.naive_oracle_fallbacks, phase2.biclique_overflows,
+        static_cast<size_t>(phase1.ilp.cold_fallbacks),
+        phase2.shard_regenerations);
   }
   return out;
+}
+
+bool SolveStats::AnyDegradation() const {
+  return phase1.ilp.cold_fallbacks > 0 || phase2.naive_oracle_fallbacks > 0 ||
+         phase2.biclique_overflows > 0 || phase2.shard_regenerations > 0;
 }
 
 }  // namespace cextend

@@ -20,37 +20,9 @@
 
 namespace cextend {
 
-/// Observable degradation ladder (see src/core/README.md "Resilience").
-/// Each rung records that the solver stepped from its fast path onto a
-/// slower-but-equivalent one — under resource pressure, a numerical
-/// failure, or an injected fault. Invariant: every rung either preserves
-/// bit-identical output for a fixed seed or the solve returns a non-OK
-/// Status; a rung never silently changes the synthesized database.
-struct DegradationLadder {
-  /// Partitions (coloring or repair) whose indexed conflict-oracle build
-  /// fell back to the O(n)-memory naive oracle (indexed→naive).
-  size_t naive_oracle_fallbacks = 0;
-  /// Product DCs materialized as pairs because the implicit-biclique
-  /// family was full (implicit→materialized).
-  size_t biclique_overflows = 0;
-  /// B&B nodes whose dual warm start fell back to a cold solve
-  /// (warm→cold).
-  size_t cold_solve_fallbacks = 0;
-  /// Shard emissions that failed and were regenerated in place from the
-  /// plan (lost-shard→re-emit; regeneration is byte-identical).
-  size_t shard_regenerations = 0;
-
-  /// True when any rung was entered.
-  bool AnyDegradation() const {
-    return naive_oracle_fallbacks > 0 || biclique_overflows > 0 ||
-           cold_solve_fallbacks > 0 || shard_regenerations > 0;
-  }
-};
-
 struct SolveStats {
   HybridStats phase1;
   Phase2Stats phase2;
-  DegradationLadder ladder;
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;
   double total_seconds = 0.0;
@@ -60,6 +32,18 @@ struct SolveStats {
   std::string BreakdownTable() const;
   /// One-line summary.
   std::string Summary() const;
+
+  /// True when any rung of the degradation ladder (see src/core/README.md
+  /// "Resilience") was entered: the solver stepped from its fast path onto
+  /// a slower-but-equivalent one under resource pressure, a numerical
+  /// failure, or an injected fault. Every rung either preserves
+  /// bit-identical output for a fixed seed or the solve returns a non-OK
+  /// Status. The rungs are counted where they happen:
+  ///   phase1.ilp.cold_fallbacks       warm B&B node re-solved cold;
+  ///   phase2.naive_oracle_fallbacks   indexed conflict oracle → naive;
+  ///   phase2.biclique_overflows       implicit biclique → materialized;
+  ///   phase2.shard_regenerations      lost shard re-emitted from the plan.
+  bool AnyDegradation() const;
 };
 
 }  // namespace cextend

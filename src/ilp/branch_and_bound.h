@@ -43,14 +43,8 @@ struct IlpResult {
 };
 
 struct IlpOptions {
-  SimplexOptions simplex;
-  /// Re-optimize child nodes from the parent's optimal basis with a dual
-  /// simplex phase instead of a cold two-phase solve (sparse path only; the
-  /// dense tableau oracle always solves cold).
-  bool warm_start = true;
   int64_t max_nodes = 2000;
   double time_limit_seconds = 120.0;
-  double integrality_tol = 1e-6;
   /// Stop as soon as an incumbent with objective <= target is found
   /// (phase-I slack models use 0: a zero-slack solution is perfect).
   std::optional<double> objective_target;
@@ -59,7 +53,7 @@ struct IlpOptions {
   std::function<std::optional<std::vector<double>>(
       const std::vector<double>&)> rounding_heuristic;
   /// Deadline/cancellation, polled at every node pop and forwarded into the
-  /// simplex (unless `simplex.run_control` already carries its own).
+  /// simplex.
   RunControl run_control;
 };
 
@@ -68,9 +62,9 @@ struct IlpOptions {
 bool IsFeasible(const Model& model, const std::vector<double>& x, double tol);
 
 /// Solves the integer program by best-bound (best-first) branch & bound.
-/// Nodes re-optimize from the parent basis via dual simplex when
-/// `options.warm_start` is set, falling back to a cold solve on numerical
-/// trouble.
+/// Child nodes re-optimize from the parent basis via dual simplex, falling
+/// back to a cold solve on numerical trouble. A model without integer
+/// variables is solved as one root node.
 IlpResult SolveIlp(const Model& model, const IlpOptions& options = {});
 
 }  // namespace ilp

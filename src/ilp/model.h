@@ -4,7 +4,8 @@
 // from-scratch replacement. A model is
 //     minimize    c^T x
 //     subject to  A x {<=, =, >=} b,   x >= 0,   x_i integer for marked i,
-// with optional finite upper bounds (compiled to extra rows by the solver).
+// with optional finite upper bounds (handled implicitly by the bounded-variable
+// revised simplex; see revised_simplex.h).
 
 #ifndef CEXTEND_ILP_MODEL_H_
 #define CEXTEND_ILP_MODEL_H_

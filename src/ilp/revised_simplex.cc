@@ -10,15 +10,19 @@ namespace cextend {
 namespace ilp {
 namespace {
 
-constexpr double kPivotEps = 1e-8;   // minimum acceptable pivot magnitude
-constexpr double kAlphaEps = 1e-7;   // dual ratio-test eligibility threshold
-constexpr double kDropEps = 1e-12;   // eta entries below this are dropped
+constexpr int64_t kMaxIterations = 200000;  // pivot cap per solve
+constexpr int kDegenerateSwitch = 64;   // degenerate pivots before Bland
+constexpr size_t kRefactorInterval = 64;  // pivots between reinversions
+constexpr double kEps = 1e-9;       // feasibility / optimality tolerance
+constexpr double kPivotEps = 1e-8;  // minimum acceptable pivot magnitude
+constexpr double kAlphaEps = 1e-7;  // dual ratio-test eligibility threshold
+constexpr double kDropEps = 1e-12;  // eta entries below this are dropped
 
 }  // namespace
 
 RevisedSimplex::RevisedSimplex(const Model& model,
-                               const SimplexOptions& options)
-    : model_(model), options_(options) {
+                               const RunControl& run_control)
+    : model_(model), run_control_(run_control) {
   m_ = model.num_constraints();
   n_struct_ = model.num_variables();
   n_total_ = n_struct_ + 2 * m_;
@@ -79,7 +83,7 @@ bool RevisedSimplex::SetupBounds(const std::vector<double>& extra_lower,
       upper_[j] = std::min(upper_[j], extra_upper[j]);
   }
   for (size_t j = 0; j < n_struct_; ++j) {
-    if (lower_[j] > upper_[j] + options_.eps) return false;
+    if (lower_[j] > upper_[j] + kEps) return false;
   }
   // Logical column per row: Ax + s = b with the sense encoded in s's bounds.
   for (size_t i = 0; i < m_; ++i) {
@@ -105,6 +109,11 @@ bool RevisedSimplex::SetupBounds(const std::vector<double>& extra_lower,
     upper_[j] = 0.0;
   }
   return true;
+}
+
+bool RevisedSimplex::IsFixed(int col) const {
+  return upper_[static_cast<size_t>(col)] - lower_[static_cast<size_t>(col)] <
+         kEps;
 }
 
 double RevisedSimplex::ColumnDot(const std::vector<double>& y, int col) const {
@@ -251,15 +260,14 @@ bool RevisedSimplex::Refactorize() {
 
 RevisedSimplex::PricingOutcome RevisedSimplex::PrimalIterate(
     const std::vector<double>& cost, int64_t* iterations) {
-  const double eps = options_.eps;
   int degenerate_run = 0;
   bool bland = false;
-  while (*iterations < options_.max_iterations) {
+  while (*iterations < kMaxIterations) {
     if (CEXTEND_INJECT_FAULT("simplex.iteration_cap")) {
       return PricingOutcome::kIterationLimit;
     }
-    if ((*iterations & 0x3F) == 0 && options_.run_control.CanInterrupt()) {
-      interrupt_ = options_.run_control.Check();
+    if ((*iterations & 0x3F) == 0 && run_control_.CanInterrupt()) {
+      interrupt_ = run_control_.Check();
       if (!interrupt_.ok()) return PricingOutcome::kIterationLimit;
     }
     // y = B^{-T} c_B, then reduced costs d_j = c_j - y . A_j.
@@ -270,17 +278,17 @@ RevisedSimplex::PricingOutcome RevisedSimplex::PrimalIterate(
 
     int enter = -1;
     int enter_dir = 0;  // +1: entering increases from lower; -1: decreases
-    double best_viol = eps;
+    double best_viol = kEps;
     for (size_t j = 0; j < n_total_; ++j) {
       if (status_[j] == SimplexBasis::kBasic) continue;
       if (IsFixed(static_cast<int>(j))) continue;
       double d = cost[j] - ColumnDot(work_y_, static_cast<int>(j));
       double viol;
       int dir;
-      if (status_[j] == SimplexBasis::kAtLower && d < -eps) {
+      if (status_[j] == SimplexBasis::kAtLower && d < -kEps) {
         viol = -d;
         dir = 1;
-      } else if (status_[j] == SimplexBasis::kAtUpper && d > eps) {
+      } else if (status_[j] == SimplexBasis::kAtUpper && d > kEps) {
         viol = d;
         dir = -1;
       } else {
@@ -328,9 +336,9 @@ RevisedSimplex::PricingOutcome RevisedSimplex::PrimalIterate(
       }
       if (ratio < 0.0) ratio = 0.0;  // absorb tiny bound drift
       bool take = false;
-      if (ratio < best_ratio - eps) {
+      if (ratio < best_ratio - kEps) {
         take = true;
-      } else if (ratio < best_ratio + eps &&
+      } else if (ratio < best_ratio + kEps &&
                  (leave < 0 || bcol < basic_[static_cast<size_t>(leave)])) {
         // Ties prefer a basis pivot over a bound flip, then the smallest
         // basic column id (the dense tableau's deterministic rule).
@@ -365,14 +373,13 @@ RevisedSimplex::PricingOutcome RevisedSimplex::PrimalIterate(
       basic_[static_cast<size_t>(leave)] = enter;
       x_basic_[static_cast<size_t>(leave)] = enter_value;
       AppendEta(leave, work_col_);
-      if (t < eps) {
-        if (++degenerate_run >= options_.degenerate_switch) bland = true;
+      if (t < kEps) {
+        if (++degenerate_run >= kDegenerateSwitch) bland = true;
       } else {
         degenerate_run = 0;
         bland = false;
       }
-      if (++pivots_since_refactor_ >=
-          static_cast<size_t>(options_.refactor_interval)) {
+      if (++pivots_since_refactor_ >= kRefactorInterval) {
         if (CEXTEND_INJECT_FAULT("simplex.refactor") || !Refactorize())
           return PricingOutcome::kIterationLimit;
       }
@@ -384,14 +391,13 @@ RevisedSimplex::PricingOutcome RevisedSimplex::PrimalIterate(
 
 RevisedSimplex::PricingOutcome RevisedSimplex::DualIterate(
     const std::vector<double>& cost, int64_t* iterations) {
-  const double eps = options_.eps;
   const double feas = 1e-9;
-  while (*iterations < options_.max_iterations) {
+  while (*iterations < kMaxIterations) {
     if (CEXTEND_INJECT_FAULT("simplex.iteration_cap")) {
       return PricingOutcome::kIterationLimit;
     }
-    if ((*iterations & 0x3F) == 0 && options_.run_control.CanInterrupt()) {
-      interrupt_ = options_.run_control.Check();
+    if ((*iterations & 0x3F) == 0 && run_control_.CanInterrupt()) {
+      interrupt_ = run_control_.Check();
       if (!interrupt_.ok()) return PricingOutcome::kIterationLimit;
     }
     // Leaving row: the basic variable with the largest bound violation.
@@ -453,8 +459,8 @@ RevisedSimplex::PricingOutcome RevisedSimplex::DualIterate(
       if (!eligible) continue;
       double d = cost[j] - ColumnDot(y, static_cast<int>(j));
       double ratio = std::fabs(d) / std::fabs(alpha);
-      if (ratio < best_ratio - eps ||
-          (ratio < best_ratio + eps &&
+      if (ratio < best_ratio - kEps ||
+          (ratio < best_ratio + kEps &&
            (enter < 0 || static_cast<int>(j) < enter))) {
         best_ratio = std::min(best_ratio, ratio);
         enter = static_cast<int>(j);
@@ -480,8 +486,7 @@ RevisedSimplex::PricingOutcome RevisedSimplex::DualIterate(
     basic_[static_cast<size_t>(leave)] = enter;
     x_basic_[static_cast<size_t>(leave)] = enter_value;
     AppendEta(leave, work_col_);
-    if (++pivots_since_refactor_ >=
-        static_cast<size_t>(options_.refactor_interval)) {
+    if (++pivots_since_refactor_ >= kRefactorInterval) {
       if (CEXTEND_INJECT_FAULT("simplex.refactor") || !Refactorize())
         return PricingOutcome::kIterationLimit;
     }
@@ -556,13 +561,13 @@ LpResult RevisedSimplex::Solve(const std::vector<double>& extra_lower,
     bool logical_fits = false;
     switch (sense_[i]) {
       case Sense::kLe:
-        logical_fits = r >= -options_.eps;
+        logical_fits = r >= -kEps;
         break;
       case Sense::kGe:
-        logical_fits = r <= options_.eps;
+        logical_fits = r <= kEps;
         break;
       case Sense::kEq:
-        logical_fits = std::fabs(r) <= options_.eps;
+        logical_fits = std::fabs(r) <= kEps;
         break;
     }
     if (logical_fits) {

@@ -48,7 +48,9 @@ struct SimplexBasis {
 class RevisedSimplex {
  public:
   /// Compiles `model` to CSC once; bounds are supplied per solve.
-  RevisedSimplex(const Model& model, const SimplexOptions& options);
+  /// `run_control` is polled every 64 pivots (see SolveLp).
+  explicit RevisedSimplex(const Model& model,
+                          const RunControl& run_control = {});
 
   /// Cold two-phase solve. `extra_lower`/`extra_upper` as in SolveLp.
   LpResult Solve(const std::vector<double>& extra_lower = {},
@@ -100,10 +102,7 @@ class RevisedSimplex {
   void RecomputeBasicValues();
 
   double NonbasicValue(int col) const;
-  bool IsFixed(int col) const {
-    return upper_[static_cast<size_t>(col)] -
-               lower_[static_cast<size_t>(col)] < options_.eps;
-  }
+  bool IsFixed(int col) const;
 
   /// Primal bounded-variable simplex for cost vector `cost` until optimal.
   PricingOutcome PrimalIterate(const std::vector<double>& cost,
@@ -121,7 +120,7 @@ class RevisedSimplex {
 
   // ---- Immutable problem data. ----
   const Model& model_;
-  SimplexOptions options_;
+  RunControl run_control_;
   size_t m_ = 0;         // rows
   size_t n_struct_ = 0;  // structural columns
   size_t n_total_ = 0;   // structural + logical + artificial
@@ -141,7 +140,7 @@ class RevisedSimplex {
   std::vector<Eta> etas_;
   // Pivots since the last reinversion. The eta file itself is not a proxy:
   // reinversion leaves one eta per structural basic column, which could
-  // exceed refactor_interval and thrash.
+  // exceed the reinversion interval and thrash.
   size_t pivots_since_refactor_ = 0;
   Status interrupt_;  // set when run_control trips mid-iteration
   std::vector<uint8_t> is_artificial_;  // per column

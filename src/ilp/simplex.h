@@ -1,11 +1,9 @@
 // LP relaxation solving:  min c^T x  s.t.  A x {<=,=,>=} b,  0 <= x <= u.
 //
-// SolveLp dispatches to the sparse revised simplex (see revised_simplex.h)
-// by default; the original dense two-phase tableau is kept behind
-// SimplexOptions::use_dense_tableau as a debug/reference oracle (it stores
-// the full O(m·n) tableau and compiles upper bounds into extra rows). Both
-// paths use Dantzig pricing with an automatic switch to Bland's rule after a
-// run of degenerate pivots to guarantee termination.
+// SolveLp runs the sparse revised simplex (see revised_simplex.h): Dantzig
+// pricing with an automatic switch to Bland's rule after a run of degenerate
+// pivots to guarantee termination. Its reference oracle is the dense
+// two-phase tableau in tests/ilp/dense_tableau_oracle.h.
 
 #ifndef CEXTEND_ILP_SIMPLEX_H_
 #define CEXTEND_ILP_SIMPLEX_H_
@@ -40,27 +38,13 @@ struct LpResult {
   Status interrupt;
 };
 
-struct SimplexOptions {
-  int64_t max_iterations = 200000;
-  double eps = 1e-9;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  int degenerate_switch = 64;
-  /// Pivots between eta-file refactorizations (revised simplex only).
-  int refactor_interval = 64;
-  /// Route SolveLp through the dense two-phase tableau instead of the sparse
-  /// revised simplex. Debug/reference oracle; O(m·n) per pivot.
-  bool use_dense_tableau = false;
-  /// Deadline/cancellation, polled every few hundred pivots and at every
-  /// basis reinversion. A trip surfaces as kIterationLimit with
-  /// LpResult::interrupt set.
-  RunControl run_control;
-};
-
 /// Solves the LP relaxation of `model` (integrality ignored). Additional
 /// variable bounds can be supplied to support branch & bound: `extra_lower`
 /// and `extra_upper` (empty = none; otherwise one entry per variable, with
-/// kInfinity/-kInfinity meaning unbounded).
-LpResult SolveLp(const Model& model, const SimplexOptions& options = {},
+/// kInfinity/-kInfinity meaning unbounded). `run_control` (deadline or
+/// cancellation) is polled every 64 pivots; a trip surfaces as
+/// kIterationLimit with LpResult::interrupt set.
+LpResult SolveLp(const Model& model, const RunControl& run_control = {},
                  const std::vector<double>& extra_lower = {},
                  const std::vector<double>& extra_upper = {});
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ilp/solver.h"
 #include "util/rng.h"
 
 namespace cextend {

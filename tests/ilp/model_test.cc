@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ilp/solver.h"
+#include "ilp/branch_and_bound.h"
 
 namespace cextend {
 namespace ilp {
@@ -53,7 +53,7 @@ TEST(ModelEdgeTest, EmptyModelSolves) {
   LpResult r = SolveLp(m);
   EXPECT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_DOUBLE_EQ(r.objective, 0.0);
-  IlpResult ir = Solve(m);
+  IlpResult ir = SolveIlp(m);
   EXPECT_EQ(ir.status, IlpStatus::kOptimal);
 }
 
@@ -80,7 +80,7 @@ TEST(ModelEdgeTest, IntegerUpperBoundZeroPinsVariable) {
   int x = m.AddVariable(-1.0, true, /*upper=*/0.0);
   int y = m.AddVariable(-1.0, true, /*upper=*/3.0);
   m.AddConstraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 10.0);
-  IlpResult r = Solve(m);
+  IlpResult r = SolveIlp(m);
   ASSERT_EQ(r.status, IlpStatus::kOptimal);
   EXPECT_NEAR(r.values[static_cast<size_t>(x)], 0.0, 1e-9);
   EXPECT_NEAR(r.values[static_cast<size_t>(y)], 3.0, 1e-9);

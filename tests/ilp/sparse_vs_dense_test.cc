@@ -1,9 +1,12 @@
-// Randomized property tests pitting the sparse revised simplex against the
-// dense two-phase tableau (SimplexOptions::use_dense_tableau), on LPs and on
-// full branch & bound: statuses must agree, optimal objectives must match,
-// and every returned point must be feasible for its model. Also exercises
-// the warm-start path directly (parent basis + tightened bounds -> dual
-// simplex must reach the same optimum as a cold solve).
+// Randomized property tests pitting the sparse revised simplex and the
+// warm-started branch & bound against the dense-tableau oracle
+// (ilp/dense_tableau_oracle.h, which shares no code with them), on LPs and
+// on full branch & bound: statuses must agree, optimal objectives must
+// match, and every returned point must be feasible for its model. The cold
+// B&B leg forces every child node through the warm→cold rung with the
+// dual.warm_start fault point. Also exercises the warm-start path directly
+// (parent basis + tightened bounds -> dual simplex must reach the same
+// optimum as a cold solve).
 
 #include <cmath>
 #include <vector>
@@ -11,9 +14,10 @@
 #include <gtest/gtest.h>
 
 #include "ilp/branch_and_bound.h"
+#include "ilp/dense_tableau_oracle.h"
 #include "ilp/revised_simplex.h"
 #include "ilp/simplex.h"
-#include "ilp/solver.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace cextend {
@@ -86,9 +90,7 @@ TEST_P(SparseVsDenseLpTest, AgreeOnRandomLps) {
   Rng rng(GetParam());
   for (int round = 0; round < 8; ++round) {
     Model model = RandomModel(rng, /*integer_vars=*/false);
-    SimplexOptions dense_options;
-    dense_options.use_dense_tableau = true;
-    LpResult dense = SolveLp(model, dense_options);
+    LpResult dense = dense_oracle::SolveLpDenseTableau(model);
     LpResult sparse = SolveLp(model);
     // The dense tableau can in principle hit its iteration cap first; none
     // of these tiny instances do, so statuses must agree outright.
@@ -113,13 +115,24 @@ TEST_P(SparseVsDenseLpTest, AgreeUnderBranchBounds) {
       if (rng.Bernoulli(0.5)) lower[j] = static_cast<double>(rng.UniformInt(0, 3));
       if (rng.Bernoulli(0.5)) upper[j] = static_cast<double>(rng.UniformInt(2, 9));
     }
-    SimplexOptions dense_options;
-    dense_options.use_dense_tableau = true;
-    LpResult dense = SolveLp(model, dense_options, lower, upper);
+    LpResult dense = dense_oracle::SolveLpDenseTableau(model, lower, upper);
     LpResult sparse = SolveLp(model, {}, lower, upper);
     ASSERT_EQ(sparse.status, dense.status) << model.ToString();
     if (dense.status != LpStatus::kOptimal) continue;
     EXPECT_NEAR(sparse.objective, dense.objective, 1e-6) << model.ToString();
+  }
+}
+
+/// Proven-optimal instances must agree on the optimal value (the argmin may
+/// differ); proven-infeasible ones on the status.
+void ExpectMatchesOracle(const Model& model, const IlpResult& dense,
+                         const IlpResult& got) {
+  if (dense.status == IlpStatus::kOptimal) {
+    ASSERT_EQ(got.status, IlpStatus::kOptimal) << model.ToString();
+    EXPECT_NEAR(got.objective, dense.objective, 1e-6) << model.ToString();
+    EXPECT_TRUE(IsFeasible(model, got.values, 1e-5)) << model.ToString();
+  } else if (dense.status == IlpStatus::kInfeasible) {
+    EXPECT_EQ(got.status, IlpStatus::kInfeasible) << model.ToString();
   }
 }
 
@@ -129,25 +142,24 @@ TEST_P(SparseVsDenseIlpTest, AgreeOnRandomIlps) {
   Rng rng(GetParam() * 977 + 3);
   for (int round = 0; round < 4; ++round) {
     Model model = RandomModel(rng, /*integer_vars=*/true);
-    IlpOptions dense_options;
-    dense_options.simplex.use_dense_tableau = true;
-    IlpResult dense = SolveIlp(model, dense_options);
-    IlpResult warm = SolveIlp(model);
-    IlpOptions cold_options;
-    cold_options.warm_start = false;
-    IlpResult cold = SolveIlp(model, cold_options);
-    // Proven-optimal instances must agree on the optimal value across all
-    // three solvers (the argmax may differ).
-    if (dense.status == IlpStatus::kOptimal) {
-      ASSERT_EQ(warm.status, IlpStatus::kOptimal) << model.ToString();
-      ASSERT_EQ(cold.status, IlpStatus::kOptimal) << model.ToString();
-      EXPECT_NEAR(warm.objective, dense.objective, 1e-6) << model.ToString();
-      EXPECT_NEAR(cold.objective, dense.objective, 1e-6) << model.ToString();
-      EXPECT_TRUE(IsFeasible(model, warm.values, 1e-5)) << model.ToString();
-      EXPECT_TRUE(IsFeasible(model, cold.values, 1e-5)) << model.ToString();
-    } else if (dense.status == IlpStatus::kInfeasible) {
-      EXPECT_EQ(warm.status, IlpStatus::kInfeasible) << model.ToString();
-    }
+    ExpectMatchesOracle(model, dense_oracle::SolveIlpDense(model),
+                        SolveIlp(model));
+  }
+}
+
+TEST_P(SparseVsDenseIlpTest, ColdNodesAgreeOnRandomIlps) {
+  if (!FaultInjection::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out";
+  }
+  Rng rng(GetParam() * 977 + 3);
+  for (int round = 0; round < 4; ++round) {
+    Model model = RandomModel(rng, /*integer_vars=*/true);
+    IlpResult dense = dense_oracle::SolveIlpDense(model);
+    // Every child node skips the warm dual solve and re-solves cold.
+    ScopedFaults faults("dual.warm_start");
+    IlpResult cold = SolveIlp(model);
+    EXPECT_EQ(cold.warm_solves, 0);
+    ExpectMatchesOracle(model, dense, cold);
   }
 }
 
@@ -182,9 +194,9 @@ TEST_P(SparseVsDenseIlpTest, CountingSystemsSolveToZeroSlack) {
   IlpOptions options;
   options.objective_target = 0.0;
   IlpResult sparse = SolveIlp(model, options);
-  IlpOptions dense_options = options;
-  dense_options.simplex.use_dense_tableau = true;
-  IlpResult dense = SolveIlp(model, dense_options);
+  dense_oracle::DenseIlpLimits limits;
+  limits.objective_target = 0.0;
+  IlpResult dense = dense_oracle::SolveIlpDense(model, limits);
   ASSERT_EQ(sparse.status, IlpStatus::kOptimal);
   ASSERT_EQ(dense.status, IlpStatus::kOptimal);
   EXPECT_NEAR(sparse.objective, 0.0, 1e-6);
@@ -200,8 +212,7 @@ TEST(WarmStartTest, DualSimplexMatchesColdAfterBoundTightening) {
   for (uint64_t seed = 1; seed < 40 && checked < 12; ++seed) {
     Rng local(seed);
     Model model = RandomModel(local, /*integer_vars=*/false);
-    SimplexOptions options;
-    RevisedSimplex solver(model, options);
+    RevisedSimplex solver(model);
     LpResult root = solver.Solve();
     if (root.status != LpStatus::kOptimal) continue;
     SimplexBasis basis = solver.basis();
@@ -219,7 +230,7 @@ TEST(WarmStartTest, DualSimplexMatchesColdAfterBoundTightening) {
         lo[j] = std::floor(v) + 1.0;
       }
       std::optional<LpResult> warm = solver.SolveWarm(basis, lo, up);
-      RevisedSimplex fresh(model, options);
+      RevisedSimplex fresh(model);
       LpResult cold = fresh.Solve(lo, up);
       ASSERT_TRUE(warm.has_value()) << model.ToString();
       ASSERT_EQ(warm->status, cold.status) << model.ToString();
@@ -261,8 +272,7 @@ TEST(WarmStartTest, EqualityOnlyModelsMatchColdAfterTightening) {
       model.AddConstraint(std::move(terms), Sense::kEq,
                           static_cast<double>(rng.UniformInt(0, 8)));
     }
-    SimplexOptions options;
-    RevisedSimplex solver(model, options);
+    RevisedSimplex solver(model);
     LpResult root = solver.Solve();
     if (root.status != LpStatus::kOptimal) continue;
     SimplexBasis basis = solver.basis();
@@ -270,7 +280,7 @@ TEST(WarmStartTest, EqualityOnlyModelsMatchColdAfterTightening) {
       std::vector<double> lo(n, 0.0), up(n, kInfinity);
       up[j] = std::floor(root.values[j]);  // force the variable down
       std::optional<LpResult> warm = solver.SolveWarm(basis, lo, up);
-      RevisedSimplex fresh(model, options);
+      RevisedSimplex fresh(model);
       LpResult cold = fresh.Solve(lo, up);
       ASSERT_TRUE(warm.has_value()) << "seed " << seed << "\n" << model.ToString();
       ASSERT_EQ(warm->status, cold.status)

@@ -222,7 +222,7 @@ TEST(ChaosLadderTest, WarmStartFaultFallsBackToColdSameObjective) {
 }
 
 // The indexed→naive rung, driven through the oracle.build site: output must
-// be bit-identical and the fallback visible in the ladder stats.
+// be bit-identical and the fallback visible in the phase-2 stats.
 TEST(ChaosLadderTest, OracleBuildFaultFallsBackToNaiveBitIdentical) {
   if (!FaultInjection::CompiledIn()) {
     GTEST_SKIP() << "fault injection compiled out";
@@ -242,7 +242,8 @@ TEST(ChaosLadderTest, OracleBuildFaultFallsBackToNaiveBitIdentical) {
                       instance.data.names, instance.ccs, instance.dcs,
                       options);
   ASSERT_TRUE(naive.ok()) << naive.status();
-  EXPECT_GT(naive->stats.ladder.naive_oracle_fallbacks, 0u);
+  EXPECT_GT(naive->stats.phase2.naive_oracle_fallbacks, 0u);
+  EXPECT_TRUE(naive->stats.AnyDegradation());
   size_t hid_col = indexed->r1_hat.schema().IndexOrDie("hid");
   ASSERT_EQ(naive->r1_hat.NumRows(), indexed->r1_hat.NumRows());
   for (size_t r = 0; r < indexed->r1_hat.NumRows(); ++r) {
@@ -291,8 +292,7 @@ TEST(ChaosLadderTest, ShardEmitFaultRegeneratesLostShardsBitIdentical) {
     }
     if (faulted->stats.phase2.shard_regenerations == 0) continue;
     EXPECT_GT(FaultInjection::Global().FiredCount("shard.emit"), 0u);
-    EXPECT_GT(faulted->stats.ladder.shard_regenerations, 0u);
-    EXPECT_TRUE(faulted->stats.ladder.AnyDegradation());
+    EXPECT_TRUE(faulted->stats.AnyDegradation());
     size_t hid_col = baseline->r1_hat.schema().IndexOrDie("hid");
     ASSERT_EQ(faulted->r1_hat.NumRows(), baseline->r1_hat.NumRows());
     for (size_t r = 0; r < baseline->r1_hat.NumRows(); ++r) {

@@ -253,7 +253,7 @@ Status Run(const CliArgs& args) {
                  solution.status().ToString().c_str());
   }
   CEXTEND_RETURN_IF_ERROR(solution.status());
-  if (solution->stats.ladder.AnyDegradation()) {
+  if (solution->stats.AnyDegradation()) {
     std::fprintf(stderr, "note: degraded paths were used: %s\n",
                  solution->stats.Summary().c_str());
   }
