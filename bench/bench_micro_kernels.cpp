@@ -23,6 +23,8 @@
 #include "core/conflict.h"
 #include "core/join_view.h"
 #include "core/phase1_hasse.h"
+#include "core/plan.h"
+#include "core/solver.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "graph/hypergraph.h"
@@ -525,7 +527,45 @@ void BM_Binning(benchmark::State& state) {
     benchmark::DoNotOptimize(binning->num_bins());
   }
 }
-BENCHMARK(BM_Binning)->Arg(2500)->Arg(10000);
+BENCHMARK(BM_Binning)->Arg(2500)->Arg(10000)->Arg(250990);
+
+// ---- Code-tuple interning at the good_250k scale. ----
+//
+// The scale-10 census (250,990 persons, 98,200 households), as in
+// perfbench's good_250k: ComboIndex::Build over R2, and PreparePlan over
+// the plan a full phase 1 with the 201 good CCs and S_all_DC freezes.
+void BM_ComboIndexBuild(benchmark::State& state) {
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(
+      static_cast<double>(state.range(0))));
+  CEXTEND_CHECK(data.ok());
+  for (auto _ : state) {
+    auto combos = ComboIndex::Build(data->housing, data->names);
+    CEXTEND_CHECK(combos.ok());
+    benchmark::DoNotOptimize(combos->num_combos());
+  }
+}
+BENCHMARK(BM_ComboIndexBuild)->Arg(10)->Unit(benchmark::kMillisecond);
+
+void BM_PreparePlan(benchmark::State& state) {
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(
+      static_cast<double>(state.range(0))));
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = 201;
+  auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+  CEXTEND_CHECK(ccs.ok());
+  std::vector<DenialConstraint> dcs = datagen::MakeCensusDcs(false);
+  auto planned = PlanCExtension(data->persons, data->housing, data->names,
+                                *ccs, dcs);
+  CEXTEND_CHECK(planned.ok());
+  for (auto _ : state) {
+    auto prepared = PreparePlan(planned->plan, planned->v_join, data->housing,
+                                data->names, dcs);
+    CEXTEND_CHECK(prepared.ok());
+    benchmark::DoNotOptimize(prepared->partitions.data());
+  }
+}
+BENCHMARK(BM_PreparePlan)->Arg(10)->Unit(benchmark::kMillisecond);
 
 // ---- Phase-1 final fill (CompleteLeftoverRows). ----
 //

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "relational/attr_set.h"
+#include "util/code_interner.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -76,28 +77,73 @@ StatusOr<Binning> Binning::Create(
     irregular_preds.push_back(std::move(p));
   }
 
-  // Assign rows to bins.
-  std::map<std::vector<int64_t>, uint32_t> key_to_bin;
-  b.bin_of_row_.resize(table.NumRows());
-  std::vector<int64_t> key(a_columns.size() + irregular_preds.size());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    for (size_t i = 0; i < b.a_col_idx_.size(); ++i) {
-      int64_t code = table.GetCode(r, b.a_col_idx_[i]);
-      if (code != kNullCode && !b.column_cuts_[i].empty() &&
-          table.schema().column(b.a_col_idx_[i]).type == DataType::kInt64) {
-        key[i] = IntervalIndex(b.column_cuts_[i], code);
-      } else {
+  // Per a-column: its codes, and for an intervalized column either a
+  // code -> interval lookup table over the observed code range (when that
+  // range is at most kMaxLookupRange codes) or the cut list's upper_bound.
+  struct KeyColumn {
+    const int64_t* codes;
+    const std::vector<int64_t>* cuts;  // nullptr: the raw code is the key
+    int64_t lookup_base = 0;
+    std::vector<uint32_t> lookup;      // empty: upper_bound over *cuts
+  };
+  constexpr uint64_t kMaxLookupRange = uint64_t{1} << 20;
+  const size_t num_rows = table.NumRows();
+  std::vector<KeyColumn> key_columns;
+  for (size_t i = 0; i < b.a_col_idx_.size(); ++i) {
+    const size_t col = b.a_col_idx_[i];
+    KeyColumn kc{table.ColumnCodes(col).data(), nullptr, 0, {}};
+    if (!b.column_cuts_[i].empty() &&
+        table.schema().column(col).type == DataType::kInt64) {
+      kc.cuts = &b.column_cuts_[i];
+      int64_t lo = std::numeric_limits<int64_t>::max();
+      int64_t hi = std::numeric_limits<int64_t>::min();
+      for (size_t r = 0; r < num_rows; ++r) {
+        if (kc.codes[r] == kNullCode) continue;
+        lo = std::min(lo, kc.codes[r]);
+        hi = std::max(hi, kc.codes[r]);
+      }
+      if (lo <= hi && static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) <
+                          kMaxLookupRange) {
+        // One merge-walk over codes and cuts: O(range + cuts).
+        kc.lookup_base = lo;
+        kc.lookup.resize(static_cast<size_t>(hi - lo) + 1);
+        size_t interval = static_cast<size_t>(IntervalIndex(*kc.cuts, lo));
+        for (size_t v = 0; v < kc.lookup.size(); ++v) {
+          const int64_t code = lo + static_cast<int64_t>(v);
+          while (interval < kc.cuts->size() && (*kc.cuts)[interval] <= code) {
+            ++interval;
+          }
+          kc.lookup[v] = static_cast<uint32_t>(interval);
+        }
+      }
+    }
+    key_columns.push_back(std::move(kc));
+  }
+
+  // Assign rows to bins, numbered in first-row order.
+  const size_t arity = a_columns.size() + irregular_preds.size();
+  CodeInterner bins(arity);
+  b.bin_of_row_.resize(num_rows);
+  std::vector<int64_t> key(arity);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t i = 0; i < key_columns.size(); ++i) {
+      const KeyColumn& kc = key_columns[i];
+      const int64_t code = kc.codes[r];
+      if (kc.cuts == nullptr || code == kNullCode) {
         key[i] = code;
+      } else if (!kc.lookup.empty()) {
+        key[i] = kc.lookup[static_cast<size_t>(code - kc.lookup_base)];
+      } else {
+        key[i] = IntervalIndex(*kc.cuts, code);
       }
     }
     for (size_t i = 0; i < irregular_preds.size(); ++i) {
       key[a_columns.size() + i] = irregular_preds[i].Matches(table, r) ? 1 : 0;
     }
-    auto [it, inserted] =
-        key_to_bin.emplace(key, static_cast<uint32_t>(b.rows_.size()));
+    const auto [bin, inserted] = bins.Intern(key.data());
     if (inserted) b.rows_.emplace_back();
-    b.bin_of_row_[r] = it->second;
-    b.rows_[it->second].push_back(static_cast<uint32_t>(r));
+    b.bin_of_row_[r] = bin;
+    b.rows_[bin].push_back(static_cast<uint32_t>(r));
   }
   return b;
 }

@@ -1,7 +1,6 @@
 #include "core/join_view.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -142,18 +141,22 @@ StatusOr<ComboIndex> ComboIndex::Build(const Table& r2,
   for (const std::string& b : names.r2_attrs) {
     index.b_cols_.push_back(r2.schema().IndexOrDie(b));
   }
+  std::vector<const int64_t*> b_codes;
+  for (size_t col : index.b_cols_) {
+    b_codes.push_back(r2.ColumnCodes(col).data());
+  }
+  const int64_t* key_codes = r2.ColumnCodes(index.key_col_).data();
+  index.lookup_ = CodeInterner(b_codes.size());
+  std::vector<int64_t> codes(b_codes.size());
   for (size_t r = 0; r < r2.NumRows(); ++r) {
-    std::vector<int64_t> codes(index.b_cols_.size());
-    for (size_t i = 0; i < index.b_cols_.size(); ++i) {
-      codes[i] = r2.GetCode(r, index.b_cols_[i]);
-    }
-    auto [it, inserted] = index.lookup_.emplace(codes, index.combos_.size());
+    for (size_t i = 0; i < b_codes.size(); ++i) codes[i] = b_codes[i][r];
+    const auto [id, inserted] = index.lookup_.Intern(codes.data());
     if (inserted) {
       index.combos_.push_back(codes);
       index.keys_.emplace_back();
       index.representative_.push_back(static_cast<uint32_t>(r));
     }
-    index.keys_[it->second].push_back(r2.GetCode(r, index.key_col_));
+    index.keys_[id].push_back(key_codes[r]);
   }
   for (auto& k : index.keys_) std::sort(k.begin(), k.end());
   return index;
@@ -161,9 +164,8 @@ StatusOr<ComboIndex> ComboIndex::Build(const Table& r2,
 
 std::optional<size_t> ComboIndex::Find(
     const std::vector<int64_t>& codes) const {
-  auto it = lookup_.find(codes);
-  if (it == lookup_.end()) return std::nullopt;
-  return it->second;
+  if (codes.size() != lookup_.arity()) return std::nullopt;
+  return lookup_.Find(codes.data());
 }
 
 StatusOr<std::vector<size_t>> ComboIndex::MatchingCombos(

@@ -8,13 +8,13 @@
 #define CEXTEND_CORE_JOIN_VIEW_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "relational/predicate.h"
 #include "relational/table.h"
+#include "util/code_interner.h"
 #include "util/statusor.h"
 
 namespace cextend {
@@ -67,7 +67,8 @@ class ComboIndex {
   /// K2 values carrying combo `i`, ascending.
   const std::vector<int64_t>& keys(size_t i) const { return keys_[i]; }
 
-  /// Combo id for exact codes, if present in R2.
+  /// Combo id for exact codes, if present in R2 (nullopt when `codes` has
+  /// the wrong arity). Ids are in first-appearance order over R2's rows.
   std::optional<size_t> Find(const std::vector<int64_t>& codes) const;
 
   /// Ids of combos whose values satisfy `r2_condition` (bound against R2).
@@ -93,7 +94,7 @@ class ComboIndex {
   std::vector<std::vector<int64_t>> combos_;
   std::vector<std::vector<int64_t>> keys_;
   std::vector<uint32_t> representative_;    // an R2 row per combo
-  std::map<std::vector<int64_t>, size_t> lookup_;
+  CodeInterner lookup_;                     // B codes -> combo id
 };
 
 }  // namespace cextend

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/fill_state.h"
+#include "util/code_interner.h"
 #include "util/logging.h"
 #include "util/sanitize.h"
 #include "util/timer.h"
@@ -82,31 +83,41 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Partition sizes over the valid rows, in first-row insertion order, plus
-/// the size-descending stable worklist over them — exactly the grouping the
-/// executor (and the monolithic phase 2 before it) derives, so shard
-/// boundaries computed here line up with PreparePlan's worklist.
-void ComputeWorklistSizes(const SynthesisPlan& plan,
-                          const std::vector<uint8_t>& is_invalid,
-                          std::vector<uint64_t>* worklist_sizes) {
-  std::vector<uint64_t> partition_size;     // insertion order
-  std::vector<size_t> partition_of_combo(plan.combo_table.size(), SIZE_MAX);
+/// The valid rows grouped by plan combo id: partitions numbered in
+/// first-row order, and the size-descending stable worklist over them. The
+/// plan builder cuts shard boundaries from it and PreparePlan builds its
+/// partitions from it, so the two always agree on the worklist.
+struct PartitionLayout {
+  std::vector<size_t> partition_of_combo;    // kNoPartition: no valid row
+  std::vector<uint32_t> combo_of_partition;
+  std::vector<uint64_t> sizes;               // rows per partition
+  std::vector<size_t> worklist;              // partition ids
+};
+
+PartitionLayout LayoutPartitions(const SynthesisPlan& plan,
+                                 const std::vector<uint8_t>& is_invalid) {
+  PartitionLayout layout;
+  layout.partition_of_combo.assign(plan.combo_table.size(),
+                                   PreparedPlan::kNoPartition);
   for (size_t r = 0; r < plan.num_rows; ++r) {
     if (is_invalid[r]) continue;
-    size_t combo = plan.row_combo[r];
-    if (partition_of_combo[combo] == SIZE_MAX) {
-      partition_of_combo[combo] = partition_size.size();
-      partition_size.push_back(0);
+    const uint32_t combo = plan.row_combo[r];
+    size_t& partition = layout.partition_of_combo[combo];
+    if (partition == PreparedPlan::kNoPartition) {
+      partition = layout.sizes.size();
+      layout.combo_of_partition.push_back(combo);
+      layout.sizes.push_back(0);
     }
-    ++partition_size[partition_of_combo[combo]];
+    ++layout.sizes[partition];
   }
-  std::vector<size_t> order(partition_size.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return partition_size[a] > partition_size[b];
-  });
-  worklist_sizes->clear();
-  for (size_t i : order) worklist_sizes->push_back(partition_size[i]);
+  // Size-descending, ties in insertion order.
+  layout.worklist.resize(layout.sizes.size());
+  for (size_t i = 0; i < layout.worklist.size(); ++i) layout.worklist[i] = i;
+  std::stable_sort(layout.worklist.begin(), layout.worklist.end(),
+                   [&](size_t a, size_t b) {
+                     return layout.sizes[a] > layout.sizes[b];
+                   });
+  return layout;
 }
 
 }  // namespace
@@ -168,12 +179,18 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
               : num_combos > in.Remaining() / (8 * static_cast<size_t>(q)))) {
     return Status::InvalidArgument("truncated SynthesisPlan combo table");
   }
+  // Partitions and repair groups are keyed by combo id, so two equal
+  // combos would split one partition in two over one candidate list.
   plan.combo_table.assign(num_combos, std::vector<int64_t>(q));
+  CodeInterner distinct(q);
   for (auto& combo : plan.combo_table) {
     for (int64_t& code : combo) {
       if (!in.I64(&code)) {
         return Status::InvalidArgument("truncated SynthesisPlan combo table");
       }
+    }
+    if (!distinct.Intern(combo.data()).inserted) {
+      return Status::InvalidArgument("duplicate SynthesisPlan combo");
     }
   }
   if (plan.num_rows > in.Remaining() / 4) {
@@ -294,21 +311,21 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
     // Every row (valid and repaired) now carries its combo; intern them in
     // first-appearance order. Phase 1 may synthesize combos absent from R2,
     // which is why the plan keeps its own table instead of ComboIndex ids.
-    std::unordered_map<std::vector<int64_t>, uint32_t, CodeVectorHash> interned;
+    std::vector<const int64_t*> b_codes;
+    for (size_t col : b_cols) b_codes.push_back(v_join.ColumnCodes(col).data());
+    CodeInterner interned(b_cols.size());
     plan.row_combo.resize(v_join.NumRows());
     std::vector<int64_t> key(b_cols.size());
     for (size_t r = 0; r < v_join.NumRows(); ++r) {
-      for (size_t i = 0; i < b_cols.size(); ++i) {
-        key[i] = v_join.GetCode(r, b_cols[i]);
-      }
-      auto [it, inserted] = interned.try_emplace(
-          key, static_cast<uint32_t>(plan.combo_table.size()));
+      for (size_t i = 0; i < b_codes.size(); ++i) key[i] = b_codes[i][r];
+      const auto [id, inserted] = interned.Intern(key.data());
       if (inserted) plan.combo_table.push_back(key);
-      plan.row_combo[r] = it->second;
+      plan.row_combo[r] = id;
     }
 
+    const PartitionLayout layout = LayoutPartitions(plan, is_invalid);
     std::vector<uint64_t> worklist_sizes;
-    ComputeWorklistSizes(plan, is_invalid, &worklist_sizes);
+    for (size_t p : layout.worklist) worklist_sizes.push_back(layout.sizes[p]);
     uint64_t total = 0;
     for (uint64_t s : worklist_sizes) total += s;
 
@@ -387,44 +404,27 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
 
   // Partitions over the valid rows, insertion order = first-row order —
   // identical to the monolithic partitioning pass, so the worklist (and
-  // therefore every per-partition RNG stream) is unchanged.
+  // therefore every per-partition RNG stream) is unchanged. Candidates are
+  // the partition combo's R2 keys (ascending; none for a combo phase 1
+  // synthesized).
+  CEXTEND_ASSIGN_OR_RETURN(prepared.combos, ComboIndex::Build(r2, names));
+  PartitionLayout layout = LayoutPartitions(plan, is_invalid);
+  prepared.partitions.resize(layout.sizes.size());
+  for (size_t p = 0; p < prepared.partitions.size(); ++p) {
+    PlanPartition& partition = prepared.partitions[p];
+    partition.combo = plan.combo_table[layout.combo_of_partition[p]];
+    partition.rows.reserve(layout.sizes[p]);
+    if (std::optional<size_t> id = prepared.combos.Find(partition.combo)) {
+      partition.candidates = prepared.combos.keys(*id);
+    }
+  }
   for (size_t r = 0; r < plan.num_rows; ++r) {
     if (is_invalid[r]) continue;
-    const std::vector<int64_t>& combo = plan.combo_table[plan.row_combo[r]];
-    auto [it, inserted] = prepared.partition_index.try_emplace(
-        combo, prepared.partitions.size());
-    if (inserted) prepared.partitions.push_back(PlanPartition{combo, {}, {}});
-    prepared.partitions[it->second].rows.push_back(static_cast<uint32_t>(r));
+    prepared.partitions[layout.partition_of_combo[plan.row_combo[r]]]
+        .rows.push_back(static_cast<uint32_t>(r));
   }
-  // Candidate keys per partition from R2 (combos absent from V_join skipped).
-  size_t k2_col = r2.schema().IndexOrDie(names.key2);
-  CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> b_cols_r2,
-                           FillState::ResolveBColumns(r2.schema(), names));
-  std::vector<int64_t> r2key(b_cols_r2.size());
-  for (size_t r = 0; r < r2.NumRows(); ++r) {
-    for (size_t i = 0; i < b_cols_r2.size(); ++i) {
-      r2key[i] = r2.GetCode(r, b_cols_r2[i]);
-    }
-    auto it = prepared.partition_index.find(r2key);
-    if (it != prepared.partition_index.end()) {
-      prepared.partitions[it->second].candidates.push_back(
-          r2.GetCode(r, k2_col));
-    }
-  }
-  for (PlanPartition& p : prepared.partitions) {
-    std::sort(p.candidates.begin(), p.candidates.end());
-  }
-
-  // Size-descending stable worklist (ties keep insertion order).
-  prepared.worklist.resize(prepared.partitions.size());
-  for (size_t i = 0; i < prepared.worklist.size(); ++i) {
-    prepared.worklist[i] = i;
-  }
-  std::stable_sort(prepared.worklist.begin(), prepared.worklist.end(),
-                   [&](size_t a, size_t b) {
-                     return prepared.partitions[a].rows.size() >
-                            prepared.partitions[b].rows.size();
-                   });
+  prepared.partition_of_combo = std::move(layout.partition_of_combo);
+  prepared.worklist = std::move(layout.worklist);
 
   if (plan.shard_begin.front() != 0 ||
       plan.shard_begin.back() != prepared.worklist.size()) {
@@ -442,25 +442,20 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
 
   // Repair grouping: invalid rows grouped by their planned combo, keyed by
   // ComboIndex id ascending (pass-1 selections always come from R2's combos).
-  if (!plan.invalid_rows.empty()) {
-    CEXTEND_ASSIGN_OR_RETURN(prepared.combos, ComboIndex::Build(r2, names));
-    prepared.has_combos = true;
-    for (uint32_t row : plan.invalid_rows) {
-      const std::vector<int64_t>& combo =
-          plan.combo_table[plan.row_combo[row]];
-      std::optional<size_t> id = prepared.combos.Find(combo);
-      if (!id.has_value()) {
-        return Status::InvalidArgument(
-            "SynthesisPlan repair combo not present in R2");
-      }
-      prepared.repair_groups[*id].push_back(row);
+  for (uint32_t row : plan.invalid_rows) {
+    std::optional<size_t> id =
+        prepared.combos.Find(plan.combo_table[plan.row_combo[row]]);
+    if (!id.has_value()) {
+      return Status::InvalidArgument(
+          "SynthesisPlan repair combo not present in R2");
     }
+    prepared.repair_groups[*id].push_back(row);
   }
 
   prepared.fresh_base = 0;
-  for (size_t r = 0; r < r2.NumRows(); ++r) {
-    prepared.fresh_base =
-        std::max(prepared.fresh_base, r2.GetCode(r, k2_col) + 1);
+  const size_t k2_col = r2.schema().IndexOrDie(names.key2);
+  for (int64_t key : r2.ColumnCodes(k2_col)) {
+    prepared.fresh_base = std::max(prepared.fresh_base, key + 1);
   }
   return prepared;
 }
@@ -468,9 +463,9 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
 std::vector<uint8_t> RepairPartitionFlags(const PreparedPlan& prepared) {
   std::vector<uint8_t> flags(prepared.partitions.size(), 0);
   for (const auto& [combo_id, group] : prepared.repair_groups) {
-    auto it =
-        prepared.partition_index.find(prepared.combos.combo_codes(combo_id));
-    if (it != prepared.partition_index.end()) flags[it->second] = 1;
+    const size_t partition =
+        prepared.partition_of_combo[prepared.plan->row_combo[group.front()]];
+    if (partition != PreparedPlan::kNoPartition) flags[partition] = 1;
   }
   return flags;
 }

@@ -20,14 +20,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
 #include "core/join_view.h"
 #include "relational/table.h"
-#include "util/hash.h"
 #include "util/statusor.h"
 
 namespace cextend {
@@ -114,14 +112,16 @@ struct PreparedPlan {
   const Table* v_join = nullptr;
   std::vector<BoundDenialConstraint> bound_dcs;
   std::vector<PlanPartition> partitions;  ///< insertion order (first row)
-  std::unordered_map<std::vector<int64_t>, size_t, CodeVectorHash>
-      partition_index;                    ///< combo codes → partition id
+  /// Plan combo id (SynthesisPlan::row_combo) → partition id, or
+  /// kNoPartition when no valid row carries the combo. A repair group's
+  /// partition is partition_of_combo[plan->row_combo[group.front()]].
+  std::vector<size_t> partition_of_combo;
+  static constexpr size_t kNoPartition = SIZE_MAX;
   std::vector<size_t> worklist;           ///< partition ids, size-descending
   /// Per-combo repair groups (solveInvalidTuples pass 2 input), keyed by
   /// ComboIndex id in ascending order; rows keep plan order within a group.
   std::map<size_t, std::vector<uint32_t>> repair_groups;
-  ComboIndex combos;                      ///< over R2; valid iff has_combos
-  bool has_combos = false;
+  ComboIndex combos;                      ///< over R2
   int64_t fresh_base = 0;                 ///< max R2 key + 1
   std::vector<uint64_t> shard_rows;       ///< row count per shard (estimates)
 

@@ -496,9 +496,10 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       // Colored partition rows first, then the group.
       std::vector<uint32_t> rows;
       std::vector<int64_t> colored_keys;
-      auto pit = prepared.partition_index.find(combo);
-      if (pit != prepared.partition_index.end()) {
-        rows = prepared.partitions[pit->second].rows;
+      const size_t partition =
+          prepared.partition_of_combo[prepared.plan->row_combo[group.front()]];
+      if (partition != PreparedPlan::kNoPartition) {
+        rows = prepared.partitions[partition].rows;
         colored_keys.reserve(rows.size());
         for (uint32_t row : rows) colored_keys.push_back(repair_colors.at(row));
       }

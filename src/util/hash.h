@@ -3,16 +3,14 @@
 #ifndef CEXTEND_UTIL_HASH_H_
 #define CEXTEND_UTIL_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/sanitize.h"
 
 namespace cextend {
 
 /// Folds `x` into the running hash `h` with the splitmix64 finalizer. Used
-/// for composite keys (B-combo vectors, cross-atom equality keys).
+/// for composite keys (cross-atom equality keys).
 /// Wraparound is the point of the mixer, hence the sanitizer suppression.
 CEXTEND_NO_SANITIZE_INTEGER
 inline uint64_t MixHash64(uint64_t h, uint64_t x) {
@@ -21,16 +19,6 @@ inline uint64_t MixHash64(uint64_t h, uint64_t x) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
-
-/// Hash functor for code vectors (e.g. B-combos) in unordered containers.
-struct CodeVectorHash {
-  CEXTEND_NO_SANITIZE_INTEGER
-  size_t operator()(const std::vector<int64_t>& v) const {
-    uint64_t h = 0x9E3779B97F4A7C15ULL ^ v.size();
-    for (int64_t x : v) h = MixHash64(h, static_cast<uint64_t>(x));
-    return static_cast<size_t>(h);
-  }
-};
 
 }  // namespace cextend
 

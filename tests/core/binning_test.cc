@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/interning_oracle.h"
 #include "core/join_view.h"
 #include "core/marginals.h"
+#include "datagen/census.h"
+#include "datagen/constraint_gen.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace cextend {
 namespace {
@@ -110,6 +114,126 @@ TEST(BinningTest, BinConditionReconstructs) {
     // The bin's own rows all match; rows of other bins do not.
     EXPECT_EQ(pred->CountMatches(v.value()), binning->count(b));
   }
+}
+
+// ---- Bins against the std::map reference loop (interning_oracle.h). ----
+
+TEST(BinningOracleTest, CensusGoodAndBadFamilies) {
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(0.1));
+  ASSERT_TRUE(data.ok());
+  auto v = MakeJoinView(data->persons, data->housing, data->names);
+  ASSERT_TRUE(v.ok());
+  for (bool intersecting : {false, true}) {
+    datagen::CcFamilyOptions cc_options;
+    cc_options.num_ccs = 201;
+    cc_options.intersecting = intersecting;
+    auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+    ASSERT_TRUE(ccs.ok());
+    auto binning = Binning::Create(v.value(), data->names.r1_attrs, *ccs);
+    ASSERT_TRUE(binning.ok()) << binning.status();
+    interning_oracle::ExpectBinningMatches(
+        *binning,
+        interning_oracle::BinRows(v.value(), data->names.r1_attrs, *ccs),
+        intersecting ? "bad family" : "good family");
+  }
+}
+
+/// A table whose int columns take NULLs and a chosen spread of values:
+/// X small (0..60), W exactly `w_span` wide, Y signed and ~6e9 wide, plus a
+/// string column and a never-cut int column.
+Table RandomTable(uint64_t seed, size_t rows, int64_t w_span) {
+  Schema schema{{"X", DataType::kInt64},
+                {"W", DataType::kInt64},
+                {"Y", DataType::kInt64},
+                {"S", DataType::kString},
+                {"Z", DataType::kInt64}};
+  Table t{schema};
+  Rng rng(seed);
+  const char* strings[] = {"a", "b", "c"};
+  auto maybe_null = [&](Value v) {
+    return rng.Bernoulli(0.1) ? Value::Null() : v;
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    // W hits both ends of its span often, so the observed range is exact.
+    int64_t w = rng.Bernoulli(0.2)   ? 0
+                : rng.Bernoulli(0.2) ? w_span - 1
+                                     : rng.UniformInt(0, w_span - 1);
+    CEXTEND_CHECK(
+        t.AppendRow({maybe_null(Value(rng.UniformInt(0, 60))),
+                     maybe_null(Value(w)),
+                     maybe_null(Value(rng.UniformInt(-3000000000LL,
+                                                     3000000000LL))),
+                     maybe_null(Value(strings[rng.UniformInt(0, 2)])),
+                     maybe_null(Value(rng.UniformInt(0, 3)))})
+            .ok());
+  }
+  return t;
+}
+
+std::vector<CardinalityConstraint> RandomCcs(uint64_t seed, int64_t w_span) {
+  Rng rng(seed);
+  std::vector<CardinalityConstraint> ccs;
+  for (int i = 0; i < 12; ++i) {
+    CardinalityConstraint cc;
+    cc.name = "cc" + std::to_string(i);
+    int64_t lo = rng.UniformInt(0, 50);
+    cc.r1_condition.Between("X", lo, lo + rng.UniformInt(0, 20));
+    if (i % 2 == 0) {
+      cc.r1_condition.Le("W", Value(rng.UniformInt(0, w_span - 1)));
+    }
+    if (i % 3 == 0) {
+      cc.r1_condition.Ge("Y", Value(rng.UniformInt(-3000000000LL,
+                                                   3000000000LL)));
+    }
+    if (i % 4 == 0) cc.r1_condition.Eq("S", Value("b"));
+    ccs.push_back(std::move(cc));
+  }
+  // Irregular: != on an int column becomes a match bit.
+  CardinalityConstraint ne;
+  ne.name = "ne";
+  ne.r1_condition.Ne("X", Value(int64_t{7}));
+  ccs.push_back(std::move(ne));
+  return ccs;
+}
+
+TEST(BinningOracleTest, RandomTablesWithNullsAndIrregularCc) {
+  // W spans exactly the lookup-table cap (2^20 codes, table path) and one
+  // past it (upper_bound fallback); Y always takes the fallback.
+  const std::vector<std::string> columns = {"X", "W", "Y", "S", "Z"};
+  for (int64_t w_span : {int64_t{1} << 20, (int64_t{1} << 20) + 1}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      Table t = RandomTable(seed, 3000, w_span);
+      std::vector<CardinalityConstraint> ccs = RandomCcs(seed, w_span);
+      auto binning = Binning::Create(t, columns, ccs);
+      ASSERT_TRUE(binning.ok()) << binning.status();
+      ASSERT_EQ(binning->cuts().count("W"), 1u);
+      ASSERT_EQ(binning->cuts().count("Y"), 1u);
+      const std::string what = "span " + std::to_string(w_span) + " seed " +
+                               std::to_string(seed);
+      interning_oracle::ExpectBinningMatches(
+          *binning, interning_oracle::BinRows(t, columns, ccs), what.c_str());
+    }
+  }
+}
+
+TEST(BinningOracleTest, ExtremeCodesTakeTheFallback) {
+  // Codes at both ends of int64 (the low one is kNullCode + 1) make the
+  // observed range ~2^64: binning must not overflow computing it.
+  Schema schema{{"X", DataType::kInt64}};
+  Table t{schema};
+  for (int64_t x : {std::numeric_limits<int64_t>::min() + 1, int64_t{-5},
+                    int64_t{0}, int64_t{5}, std::numeric_limits<int64_t>::max(),
+                    int64_t{5}}) {
+    CEXTEND_CHECK(t.AppendRow({Value(x)}).ok());
+  }
+  CEXTEND_CHECK(t.AppendRow({Value::Null()}).ok());
+  CardinalityConstraint cc;
+  cc.r1_condition.Between("X", -1, 4);
+  auto binning = Binning::Create(t, {"X"}, {cc});
+  ASSERT_TRUE(binning.ok()) << binning.status();
+  EXPECT_EQ(binning->num_bins(), 4u);  // below, inside, above, NULL
+  interning_oracle::ExpectBinningMatches(
+      *binning, interning_oracle::BinRows(t, {"X"}, {cc}), "extremes");
 }
 
 TEST(MarginalsTest, AllWayMarginalsMatchBinCounts) {

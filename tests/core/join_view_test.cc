@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/interning_oracle.h"
+#include "datagen/census.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace cextend {
 namespace {
@@ -112,6 +115,57 @@ TEST(ComboIndexTest, FindExactCombo) {
     EXPECT_EQ(combos->Find(combos->combo_codes(i)).value(), i);
   }
   EXPECT_FALSE(combos->Find({int64_t{12345}}).has_value());
+}
+
+// ---- Combos against the std::map reference loop (interning_oracle.h). ----
+
+TEST(ComboIndexOracleTest, CensusHousing) {
+  // 2 B columns (the perfbench shape) and 10 (Figure 12's widest R2).
+  for (size_t r2_columns : {size_t{2}, size_t{10}}) {
+    datagen::CensusOptions options = datagen::ScaledCensusOptions(0.1);
+    options.num_r2_columns = r2_columns;
+    auto data = datagen::GenerateCensus(options);
+    ASSERT_TRUE(data.ok());
+    auto combos = ComboIndex::Build(data->housing, data->names);
+    ASSERT_TRUE(combos.ok());
+    const std::string what = std::to_string(r2_columns) + " B columns";
+    interning_oracle::ExpectComboIndexMatches(
+        *combos, interning_oracle::IndexCombos(data->housing, data->names),
+        what.c_str());
+  }
+}
+
+TEST(ComboIndexOracleTest, RandomR2WithNullsAndExtremeCodes) {
+  Schema schema{{"k", DataType::kInt64},
+                {"B1", DataType::kInt64},
+                {"B2", DataType::kString},
+                {"B3", DataType::kInt64}};
+  const Value extremes[] = {Value(std::numeric_limits<int64_t>::max()),
+                            Value(std::numeric_limits<int64_t>::min() + 1),
+                            Value(int64_t{0}), Value::Null()};
+  for (uint64_t seed : {1, 2, 3}) {
+    Table r2{schema};
+    Rng rng(seed);
+    const char* strings[] = {"p", "q"};
+    for (int64_t key = 1; key <= 2000; ++key) {
+      Value b2 = rng.Bernoulli(0.1) ? Value::Null()
+                                    : Value(strings[rng.UniformInt(0, 1)]);
+      CEXTEND_CHECK(r2.AppendRow({Value(3 * key),
+                                  extremes[rng.UniformInt(0, 3)], b2,
+                                  rng.Bernoulli(0.1)
+                                      ? Value::Null()
+                                      : Value(rng.UniformInt(-20, 20))})
+                        .ok());
+    }
+    PairSchema names;
+    names.key2 = "k";
+    names.r2_attrs = {"B1", "B2", "B3"};
+    auto combos = ComboIndex::Build(r2, names);
+    ASSERT_TRUE(combos.ok());
+    ASSERT_GT(combos->num_combos(), 100u);
+    interning_oracle::ExpectComboIndexMatches(
+        *combos, interning_oracle::IndexCombos(r2, names), "random R2");
+  }
 }
 
 }  // namespace

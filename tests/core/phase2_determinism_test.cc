@@ -152,10 +152,10 @@ void ExpectRepairMatchesRebuiltOracle(const PreparedPlan& prepared,
   int64_t last_fresh = kNoColor;
   for (const auto& [combo_id, group] : prepared.repair_groups) {
     std::vector<uint32_t> rows;
-    auto pit =
-        prepared.partition_index.find(prepared.combos.combo_codes(combo_id));
-    if (pit != prepared.partition_index.end()) {
-      rows = prepared.partitions[pit->second].rows;
+    const size_t partition =
+        prepared.partition_of_combo[prepared.plan->row_combo[group.front()]];
+    if (partition != PreparedPlan::kNoPartition) {
+      rows = prepared.partitions[partition].rows;
     }
     const size_t num_colored = rows.size();
     rows.insert(rows.end(), group.begin(), group.end());
@@ -234,8 +234,8 @@ TEST(Phase2DeterminismTest, RepairMatchesRebuiltOracleReference) {
   // Both repair shapes must occur, else a comparison would be vacuous.
   size_t without_partition = 0;
   for (const auto& [combo_id, group] : prepared->repair_groups) {
-    if (!prepared->partition_index.contains(
-            prepared->combos.combo_codes(combo_id))) {
+    if (prepared->partition_of_combo[plan->row_combo[group.front()]] ==
+        PreparedPlan::kNoPartition) {
       ++without_partition;
     }
   }

@@ -19,10 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/interning_oracle.h"
 #include "core/phase2.h"
 #include "core/plan.h"
 #include "core/shard_executor.h"
 #include "core/solver.h"
+#include "datagen/census.h"
+#include "datagen/constraint_gen.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -196,6 +199,136 @@ TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
   AppendU32(&huge_combos, 0xFFFFFFFFu);  // num_combos
   auto combos = SynthesisPlan::Deserialize(huge_combos);
   EXPECT_EQ(combos.status().code(), StatusCode::kInvalidArgument);
+
+  // Two rows over a two-combo table: well-formed when the combos differ,
+  // rejected when they are equal (the partitions, keyed by combo id, would
+  // split one combo's rows over one candidate list).
+  auto two_combos = [](int64_t first, int64_t second) {
+    std::string out = PlanHeader(2, 2);
+    AppendU32(&out, 2);  // num_combos
+    for (int64_t code : {first, int64_t{-1}, second, int64_t{-1}}) {
+      AppendU64(&out, static_cast<uint64_t>(code));
+    }
+    AppendU32(&out, 0);  // row 0 -> combo 0
+    AppendU32(&out, 1);  // row 1 -> combo 1
+    AppendU32(&out, 0);  // num_invalid
+    AppendU32(&out, 1);  // num_shards
+    AppendU64(&out, 0);  // shard_begin
+    AppendU64(&out, 2);
+    AppendU64(&out, 5);  // shard seed
+    return out;
+  };
+  EXPECT_TRUE(SynthesisPlan::Deserialize(two_combos(4, 5)).ok());
+  auto duplicate = SynthesisPlan::Deserialize(two_combos(4, 4));
+  EXPECT_EQ(duplicate.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SynthesisPlanTest, PreparePlanMatchesReferenceOnBothRepairShapes) {
+  // Area A0 loses its valid rows to A1, and a CC steers only the owners'
+  // repair away from A0: the other repaired rows land on A0, whose combo no
+  // valid row carries (kNoPartition), the owners on a colored partition.
+  Instance instance = MakeInstance();
+  Table v_join = instance.v_join.Clone();
+  const size_t area_v = v_join.schema().IndexOrDie("Area");
+  const size_t area_r2 = instance.housing.schema().IndexOrDie("Area");
+  const int64_t a0 = instance.housing.GetCode(0, area_r2);
+  const int64_t a1 = instance.housing.GetCode(2, area_r2);
+  for (size_t r = 0; r < v_join.NumRows(); ++r) {
+    if (v_join.GetCode(r, area_v) == a0) v_join.SetCode(r, area_v, a1);
+  }
+  CardinalityConstraint owners_in_a0;
+  owners_in_a0.r1_condition.Eq("Rel", Value("Owner"));
+  owners_in_a0.r2_condition.Eq("Area", Value("A0"));
+  SynthesisPlanOptions options;
+  options.num_shards = 3;
+  auto built = BuildSynthesisPlan(v_join, instance.housing, instance.names,
+                                  {owners_in_a0}, instance.invalid, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const SynthesisPlan& plan = *built;
+  auto prepared = PreparePlan(plan, v_join, instance.housing, instance.names,
+                              instance.dcs);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  size_t without_partition = 0;
+  for (const auto& [combo_id, group] : prepared->repair_groups) {
+    if (prepared->partition_of_combo[plan.row_combo[group.front()]] ==
+        PreparedPlan::kNoPartition) {
+      ++without_partition;
+    }
+  }
+  EXPECT_GT(without_partition, 0u);
+  EXPECT_LT(without_partition, prepared->repair_groups.size());
+  interning_oracle::ExpectPreparedMatches(
+      *prepared,
+      interning_oracle::PrepareReference(plan, instance.housing,
+                                         instance.names),
+      "hand-built");
+}
+
+/// A census instance whose phase 1 leaves invalid rows: on top of the good
+/// CC family, `all_kids` caps the rows with Age <= 17 at 5 over every
+/// Tenure value, so the final fill can place no further such row on any
+/// combo (existing or synthesized) without newly satisfying it, and they go
+/// to the repair path.
+struct CensusRepairInstance {
+  datagen::CensusData data;
+  std::vector<CardinalityConstraint> ccs;
+  std::vector<DenialConstraint> dcs;
+};
+
+CensusRepairInstance MakeCensusRepairInstance() {
+  datagen::CensusOptions census;
+  census.num_persons = 3000;
+  census.num_households = 1200;
+  auto data = datagen::GenerateCensus(census);
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = 60;
+  auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+  CEXTEND_CHECK(ccs.ok());
+  CardinalityConstraint all_kids;
+  all_kids.name = "all_kids";
+  all_kids.r1_condition.Le("Age", Value(int64_t{17}));
+  all_kids.r2_condition.In("Tenure", {Value("Owned-mortgage"),
+                                      Value("Owned-free"), Value("Rented"),
+                                      Value("No-rent")});
+  all_kids.target = 5;
+  ccs->push_back(all_kids);
+  return {std::move(data).value(), std::move(ccs).value(),
+          datagen::MakeCensusDcs(false)};
+}
+
+TEST(SynthesisPlanTest, PreparePlanMatchesReferenceOnCensusRepair) {
+  CensusRepairInstance in = MakeCensusRepairInstance();
+  std::string bytes_1t;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SolverOptions options;
+    options.seed = 3;
+    options.phase1.ilp.num_threads = threads;
+    options.phase2.num_threads = threads;
+    options.phase2.num_shards = 6;
+    auto planned = PlanCExtension(in.data.persons, in.data.housing,
+                                  in.data.names, in.ccs, in.dcs, options);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    const SynthesisPlan& plan = planned->plan;
+    ASSERT_GT(plan.invalid_rows.size(), 0u);
+
+    // Plan bytes do not depend on the thread count.
+    if (threads == 1) {
+      bytes_1t = plan.Serialize();
+    } else {
+      EXPECT_EQ(plan.Serialize(), bytes_1t);
+    }
+
+    auto prepared = PreparePlan(plan, planned->v_join, in.data.housing,
+                                in.data.names, in.dcs);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    ASSERT_FALSE(prepared->repair_groups.empty());
+    interning_oracle::ExpectPreparedMatches(
+        *prepared,
+        interning_oracle::PrepareReference(plan, in.data.housing,
+                                           in.data.names),
+        threads == 1 ? "1 thread" : "4 threads");
+  }
 }
 
 TEST(ShardExecutorTest, ShardEmittedAloneFromDeserializedPlanIsByteIdentical) {
