@@ -27,8 +27,8 @@
 #include "ilp/dense_tableau_oracle.h"
 #include "ilp/simplex.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cextend {
@@ -255,12 +255,7 @@ void RunScale(const Scale& scale, uint64_t seed) {
     auto solve_one = [&](size_t i) {
       results[i] = ilp::SolveIlp(instance.components[i], BenchIlpOptions());
     };
-    if (threads > 1) {
-      ThreadPool pool(threads);
-      ParallelFor(&pool, instance.components.size(), solve_one);
-    } else {
-      for (size_t i = 0; i < instance.components.size(); ++i) solve_one(i);
-    }
+    ParallelFor(threads, instance.components.size(), solve_one);
     double seconds = watch.ElapsedSeconds();
     double slack = 0.0;
     for (const ilp::IlpResult& r : results) slack += r.objective;

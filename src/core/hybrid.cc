@@ -115,8 +115,8 @@ StatusOr<HybridResult> RunHybridPhase1(
     CcRelationMatrix s1_rel = sub.Restrict(s1_local);
     HasseDiagram s1_diagram = HasseDiagram::Build(s1_rel);
     ScopedTimer timer(&stats.recursion_seconds);
-    CEXTEND_RETURN_IF_ERROR(RunPhase1Hasse(state, combos, s1_ccs, s1_rel,
-                                           s1_diagram, &stats.hasse));
+    CEXTEND_RETURN_IF_ERROR(
+        RunPhase1Hasse(state, combos, s1_ccs, s1_diagram, &stats.hasse));
   }
 
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());

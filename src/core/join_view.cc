@@ -179,10 +179,6 @@ StatusOr<std::vector<size_t>> ComboIndex::MatchingCombos(
   return out;
 }
 
-bool ComboIndex::ComboMatches(size_t i, const BoundPredicate& pred) const {
-  return pred.Matches(*r2_, representative_[i]);
-}
-
 std::vector<size_t> ComboIndex::ExpandByKeyCount(
     const std::vector<size_t>& combos, size_t cap) const {
   std::vector<size_t> out;

@@ -76,9 +76,6 @@ class ComboIndex {
   StatusOr<std::vector<size_t>> MatchingCombos(
       const Predicate& r2_condition) const;
 
-  /// True when combo `i` satisfies the bound condition.
-  bool ComboMatches(size_t i, const BoundPredicate& pred) const;
-
   /// Repeats each combo id proportionally to its key count (capped at
   /// `cap`). Round-robin assignment over the expanded list spreads tuples
   /// according to R2's capacity, which keeps phase II from minting fresh

@@ -8,7 +8,6 @@
 
 #include "relational/attr_set.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace cextend {
 namespace {
@@ -165,10 +164,7 @@ StatusOr<std::vector<CcPlan>> BuildPlans(
 
 Status RunPhase1Hasse(FillState& state, const ComboIndex& combos,
                       const std::vector<CardinalityConstraint>& ccs,
-                      const CcRelationMatrix& relations,
                       const HasseDiagram& diagram, Phase1HasseStats* stats) {
-  ScopedTimer timer(&stats->recursion_seconds);
-  (void)relations;  // classification already encoded in `diagram`
   CEXTEND_ASSIGN_OR_RETURN(std::vector<CcPlan> plans,
                            BuildPlans(state, combos, ccs));
   HasseRecursion recursion(state, combos, ccs, diagram, std::move(plans),
@@ -198,7 +194,7 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
     }
   }
   HasseDiagram diagram = HasseDiagram::Build(relations);
-  return RunPhase1Hasse(state, combos, ccs, relations, diagram, stats);
+  return RunPhase1Hasse(state, combos, ccs, diagram, stats);
 }
 
 StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(

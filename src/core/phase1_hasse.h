@@ -20,7 +20,6 @@
 namespace cextend {
 
 struct Phase1HasseStats {
-  double recursion_seconds = 0.0;
   size_t rows_assigned = 0;
   /// Tuples a CC wanted but could not get (each unit is one CC count of
   /// error inherited by the output).
@@ -28,11 +27,10 @@ struct Phase1HasseStats {
 };
 
 /// Runs Algorithm 2 over `ccs` (which must be free of intersecting pairs;
-/// the hybrid guarantees this). `diagram`/`relations` are precomputed over
-/// exactly `ccs`. Assigns B cells in the fill state.
+/// the hybrid guarantees this). `diagram` is precomputed over exactly `ccs`.
+/// Assigns B cells in the fill state.
 Status RunPhase1Hasse(FillState& state, const ComboIndex& combos,
                       const std::vector<CardinalityConstraint>& ccs,
-                      const CcRelationMatrix& relations,
                       const HasseDiagram& diagram, Phase1HasseStats* stats);
 
 /// Convenience for standalone use/tests: classifies `ccs`, builds the Hasse

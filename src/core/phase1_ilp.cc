@@ -7,7 +7,7 @@
 
 #include "ilp/branch_and_bound.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 #include "util/timer.h"
 #include "util/union_find.h"
 
@@ -281,12 +281,7 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
           };
       results[idx] = ilp::SolveIlp(built.model, ilp_options);
     };
-    if (options.num_threads > 1 && models.size() > 1) {
-      ThreadPool pool(options.num_threads);
-      ParallelFor(&pool, models.size(), solve_component);
-    } else {
-      for (size_t i = 0; i < models.size(); ++i) solve_component(i);
-    }
+    ParallelFor(options.num_threads, models.size(), solve_component);
   }
 
   // Deterministic merge in component order.

@@ -44,7 +44,8 @@ struct Phase1IlpOptions {
   /// Include the per-bin marginal rows (Algorithm 1 lines 8-10). The plain
   /// baseline of Section 6.1 turns this off.
   bool include_marginals = true;
-  /// Worker threads for independent component solves (1 = serial). The
+  /// Worker threads for independent component solves, the calling thread
+  /// included and capped at the component count (0 or 1 = serial). The
   /// result is bit-identical regardless of this value.
   size_t num_threads = 1;
   ilp::IlpOptions ilp;

@@ -34,8 +34,8 @@ struct Phase2Options {
   /// Baseline behaviour: pick a uniformly random candidate key per tuple
   /// instead of coloring (ignores DCs entirely).
   bool random_assignment = false;
-  /// Maximum number of phase-2 threads: ExecutePlan's shard workers
-  /// (1 = sequential, on the calling thread).
+  /// Maximum number of phase-2 threads: ExecutePlan's shard workers, the
+  /// calling thread being one of them (1 = sequential).
   size_t num_threads = 1;
   uint64_t seed = 1;
   /// Deadline/cancellation, checked at every partition-coloring task start

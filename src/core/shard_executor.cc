@@ -4,13 +4,13 @@
 #include <condition_variable>
 #include <memory>
 #include <ostream>
-#include <thread>
 #include <unordered_map>
 
 #include "core/conflict.h"
 #include "graph/list_coloring.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
@@ -446,14 +446,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
         st.cv.notify_all();
       }
     };
-    if (workers == 1) {
-      worker();
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t i = 0; i < workers; ++i) threads.emplace_back(worker);
-      for (std::thread& t : threads) t.join();
-    }
+    RunWorkers(workers, worker);
   }
 
   // Single-threaded from here on (workers joined); drain the guarded state

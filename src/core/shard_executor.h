@@ -216,9 +216,9 @@ struct ExecuteResume {
 /// admission policy: at most max(1, options.max_resident_shards) shards in
 /// flight (0 = unbounded), retired strictly in shard order. Emission
 /// parallelism = min(threads, shards, window), and those shard workers are
-/// the only threads phase 2 runs on: a single worker is the calling thread,
-/// and the repair stage runs serially on the calling thread after the
-/// workers join. A shard whose emission fails is regenerated in place (up to
+/// the only threads phase 2 runs on: the calling thread is one of them
+/// (util/parallel.h), and the repair stage runs serially on it after the
+/// others join. A shard whose emission fails is regenerated in place (up to
 /// 2 retries; deadline/cancel excepted), counted in
 /// Phase2Stats::shard_regenerations. Timings, ladder counters, and memory
 /// high-water marks are returned in the stats. `resume` restarts the run at

@@ -50,22 +50,15 @@ struct ListColoringResult {
   std::vector<int> skipped;
 };
 
-struct ColoringOptions {
-  /// Serve forbidden-color queries from the oracle's layer decomposition
-  /// (ConflictStructure) when it publishes one. Off forces the generic
-  /// AppendForbiddenColors reference path; results are bit-identical either
-  /// way (equivalence-tested), so this is a perf/test knob, not semantics.
-  bool use_structure = true;
-};
-
 /// Runs ColoringLF(G, c, L). `initial` may be empty (all uncolored) or one
 /// entry per vertex. `candidates` is the ordered list L; "smallest available
 /// color" = first non-forbidden entry. Already-colored vertices are skipped,
-/// matching the resumable use in Algorithm 4.
+/// matching the resumable use in Algorithm 4. The structure fast path runs
+/// whenever `oracle.Structure()` is decomposed; results are identical either
+/// way.
 ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
                                       std::vector<int64_t> initial,
-                                      const std::vector<int64_t>& candidates,
-                                      const ColoringOptions& options = {});
+                                      const std::vector<int64_t>& candidates);
 
 }  // namespace cextend
 

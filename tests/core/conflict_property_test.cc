@@ -291,6 +291,23 @@ TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {
   EXPECT_EQ((*fallback)->CountEdges(), (*indexed)->CountEdges());
 }
 
+/// Forwards the generic queries of a wrapped oracle and keeps the default
+/// empty Structure(), so coloring through it takes the generic
+/// AppendForbiddenColors path.
+class GenericOnlyOracle : public ConflictOracle {
+ public:
+  explicit GenericOnlyOracle(const ConflictOracle& inner) : inner_(inner) {}
+  size_t NumVertices() const override { return inner_.NumVertices(); }
+  int64_t Degree(size_t v) const override { return inner_.Degree(v); }
+  void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
+                             std::vector<int64_t>* out) const override {
+    inner_.AppendForbiddenColors(v, colors, out);
+  }
+
+ private:
+  const ConflictOracle& inner_;
+};
+
 TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
   // The coloring's structure fast path (incremental group index + CSR
   // streaming + slot cache) must be byte-identical to the generic
@@ -312,11 +329,12 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
   std::vector<int64_t> candidates;
   int64_t num_candidates = rng.UniformInt(2, 10);
   for (int64_t c = 0; c < num_candidates; ++c) candidates.push_back(c * 3);
-  ColoringOptions scalar;
-  scalar.use_structure = false;
+  const GenericOnlyOracle generic(*oracle);
+  ASSERT_TRUE(oracle->Structure().Decomposed());
+  ASSERT_FALSE(generic.Structure().Decomposed());
 
   ListColoringResult fast = GreedyListColoring(*oracle, {}, candidates);
-  ListColoringResult ref = GreedyListColoring(*oracle, {}, candidates, scalar);
+  ListColoringResult ref = GreedyListColoring(generic, {}, candidates);
   EXPECT_EQ(fast.colors, ref.colors);
   EXPECT_EQ(fast.skipped, ref.skipped);
 
@@ -331,7 +349,7 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
     }
   }
   fast = GreedyListColoring(*oracle, initial, candidates);
-  ref = GreedyListColoring(*oracle, initial, candidates, scalar);
+  ref = GreedyListColoring(generic, initial, candidates);
   EXPECT_EQ(fast.colors, ref.colors);
   EXPECT_EQ(fast.skipped, ref.skipped);
 }

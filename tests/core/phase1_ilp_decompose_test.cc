@@ -149,7 +149,9 @@ TEST_P(DecomposeSeedTest, DecomposedMatchesMonolithicSlack) {
   // (all of them at zero slack) is exact on the written rows.
   auto report = EvaluateCcError(ccs, *decomposed.v_join);
   ASSERT_TRUE(report.ok());
-  if (dec_stats.slack_total == 0.0) EXPECT_EQ(report->num_exact, ccs.size());
+  if (dec_stats.slack_total == 0.0) {
+    EXPECT_EQ(report->num_exact, ccs.size());
+  }
 }
 
 TEST_P(DecomposeSeedTest, BitIdenticalAcrossThreadCounts) {

@@ -4,7 +4,10 @@
 #ifndef CEXTEND_TESTS_TEST_UTIL_H_
 #define CEXTEND_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -140,6 +143,18 @@ inline PaperExample MakePaperExample() {
     ex.dcs.push_back(std::move(dc));
   }
   return ex;
+}
+
+/// Threads alive in this process, counted from /proc/self/task; 0 where
+/// that directory cannot be read.
+inline size_t CountProcessThreads() {
+  std::error_code ec;
+  size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
 }
 
 /// Asserts two tables hold identical dictionary codes cell by cell.
