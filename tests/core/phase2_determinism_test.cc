@@ -26,105 +26,7 @@ using testing_fixtures::ExpectTablesEqual;
 using testing_fixtures::Phase2Tables;
 using testing_fixtures::PlanAndExecutePhase2;
 
-struct Instance {
-  Table persons;
-  Table housing;
-  PairSchema names;
-  std::vector<DenialConstraint> dcs;
-  std::vector<CardinalityConstraint> ccs;
-  Table v_join;
-  std::vector<uint32_t> invalid;
-};
-
-/// 400 persons across 8 areas with 2 houses each: crowded partitions (many
-/// fresh keys per partition), ~5% invalid rows (exercises the repair path),
-/// clique + ordering + arity-3 DCs (implicit, indexed and hypergraph layers).
-/// A ninth area "A8" has houses but no valid rows, and a CC steers invalid
-/// multilingual rows away from A0..A7, so repair targets both a colored
-/// partition (A0, one repaired row: probed by scans) and a combo with no
-/// partition (A8, a large group: probed through a per-combo oracle).
-Instance MakeInstance() {
-  Schema persons_schema{{"pid", DataType::kInt64},
-                        {"Age", DataType::kInt64},
-                        {"Rel", DataType::kString},
-                        {"ML", DataType::kInt64},
-                        {"hid", DataType::kInt64}};
-  Table persons{persons_schema};
-  Rng rng(123);
-  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
-  constexpr size_t kPersons = 400;
-  for (size_t i = 0; i < kPersons; ++i) {
-    CEXTEND_CHECK(persons
-                      .AppendRow({Value(static_cast<int64_t>(i + 1)),
-                                  Value(rng.UniformInt(0, 90)),
-                                  Value(rels[rng.UniformInt(0, 3)]),
-                                  Value(rng.UniformInt(0, 1)), Value::Null()})
-                      .ok());
-  }
-  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
-  Table housing{housing_schema};
-  constexpr size_t kAreas = 8;
-  for (size_t h = 0; h < 2 * (kAreas + 1); ++h) {
-    std::string area = "A" + std::to_string(h / 2);
-    CEXTEND_CHECK(
-        housing.AppendRow({Value(static_cast<int64_t>(h + 1)), Value(area)})
-            .ok());
-  }
-  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
-  CEXTEND_CHECK(names.ok());
-
-  std::vector<DenialConstraint> dcs;
-  {
-    DenialConstraint dc(2, "owner-owner");
-    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-    dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
-    dcs.push_back(std::move(dc));
-  }
-  {
-    DenialConstraint dc(2, "age-gap");
-    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-    dc.Unary(1, "Rel", CompareOp::kEq, Value("Spouse"));
-    dc.Binary(1, "Age", CompareOp::kLt, 0, "Age", -40);
-    dcs.push_back(std::move(dc));
-  }
-  {
-    DenialConstraint dc(3, "three-ml-children");
-    for (int var = 0; var < 3; ++var) {
-      dc.Unary(var, "Rel", CompareOp::kEq, Value("Child"));
-      dc.Unary(var, "ML", CompareOp::kEq, Value(int64_t{1}));
-    }
-    dcs.push_back(std::move(dc));
-  }
-  std::vector<CardinalityConstraint> ccs(1);
-  ccs[0].name = "multilingual-outside-A8";
-  ccs[0].r1_condition.Eq("ML", Value(int64_t{1}));
-  ccs[0].r2_condition.Ne("Area", Value("A8"));
-  ccs[0].target = 0;
-
-  auto v = MakeJoinView(persons, housing, names.value());
-  CEXTEND_CHECK(v.ok());
-  Table v_join = std::move(v).value();
-  size_t area_v = v_join.schema().IndexOrDie("Area");
-  size_t area_r2 = housing.schema().IndexOrDie("Area");
-  std::vector<uint32_t> invalid;
-  // Every tenth row is invalid if multilingual; one monolingual row is too.
-  const size_t ml_v = v_join.schema().IndexOrDie("ML");
-  bool monolingual_invalid = false;
-  for (size_t r = 0; r < kPersons; ++r) {
-    const bool multilingual = v_join.GetValue(r, ml_v).AsInt() == 1;
-    if (r % 10 == 0 && (multilingual || !monolingual_invalid)) {
-      monolingual_invalid |= !multilingual;
-      invalid.push_back(static_cast<uint32_t>(r));
-      continue;
-    }
-    // Round-robin areas; codes are shared with the housing dictionary.
-    v_join.SetCode(r, area_v, housing.GetCode(2 * (r % kAreas), area_r2));
-  }
-  return Instance{std::move(persons), std::move(housing),
-                  std::move(names).value(), std::move(dcs),
-                  std::move(ccs), std::move(v_join),
-                  std::move(invalid)};
-}
+using Instance = testing_fixtures::CrowdedInstance;
 
 Phase2Tables RunAt(const Instance& instance, size_t threads,
                    bool random_assignment = false) {
@@ -191,7 +93,7 @@ void ExpectRepairMatchesRebuiltOracle(const PreparedPlan& prepared,
 }
 
 TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
-  Instance instance = MakeInstance();
+  Instance instance = testing_fixtures::MakeCrowdedInstance();
   Phase2Tables t1 = RunAt(instance, 1);
   // Crowded partitions must actually exercise fresh-key allocation — without
   // skips this test would vacuously pass.
@@ -208,7 +110,7 @@ TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
 }
 
 TEST(Phase2DeterminismTest, RepeatedRunsAreStable) {
-  Instance instance = MakeInstance();
+  Instance instance = testing_fixtures::MakeCrowdedInstance();
   Phase2Tables first = RunAt(instance, 8);
   for (int trial = 0; trial < 3; ++trial) {
     Phase2Tables again = RunAt(instance, 8);
@@ -221,7 +123,7 @@ TEST(Phase2DeterminismTest, RepairMatchesRebuiltOracleReference) {
   // The repair stage probes keys against retained colors, by DC scans or a
   // per-combo oracle; an oracle rebuilt on the test side must agree on every
   // repaired row, at any thread count and in random-assignment mode.
-  Instance instance = MakeInstance();
+  Instance instance = testing_fixtures::MakeCrowdedInstance();
   Table v_join = instance.v_join.Clone();
   SynthesisPlanOptions plan_options;
   plan_options.seed = 9;
@@ -268,7 +170,7 @@ TEST(Phase2DeterminismTest, RepairMatchesRebuiltOracleReference) {
 TEST(Phase2DeterminismTest, RandomAssignmentMatchesAcrossThreadCounts) {
   // The baseline mode draws keys from the per-partition RNG streams; the
   // serial path must derive them exactly like the parallel path.
-  Instance instance = MakeInstance();
+  Instance instance = testing_fixtures::MakeCrowdedInstance();
   Phase2Tables t1 = RunAt(instance, 1, /*random_assignment=*/true);
   Phase2Tables t4 = RunAt(instance, 4, /*random_assignment=*/true);
   ExpectTablesEqual(t1.r1_hat, t4.r1_hat, "r1_hat");

@@ -70,7 +70,8 @@ Instance MakeInstance() {
   Table housing{housing_schema};
   constexpr size_t kAreas = 8;
   for (size_t h = 0; h < 2 * kAreas; ++h) {
-    std::string area = "A" + std::to_string(h / 2);
+    std::string area = "A";
+    area += std::to_string(h / 2);
     CEXTEND_CHECK(
         housing.AppendRow({Value(static_cast<int64_t>(h + 1)), Value(area)})
             .ok());
