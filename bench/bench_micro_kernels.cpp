@@ -38,8 +38,9 @@ namespace {
 // ---- Conflict-oracle construction + partition coloring. ----
 //
 // One census-shaped partition: Rel/Age/ML/G columns with the paper's DC
-// shapes — an owner-owner clique DC (no cross atoms), an age-gap ordering
-// DC, and an equality-bucketed group DC. This is the phase-2 hot path.
+// shapes — an owner-owner clique DC (no cross atoms: one self-adjacent
+// group), an age-gap ordering DC, and an equality-bucketed group DC. This is
+// the phase-2 hot path.
 
 struct PartitionFixture {
   Table table;
@@ -139,38 +140,6 @@ void BM_PartitionColoringNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionColoringNaive)->Arg(512)->Arg(2048)->Complexity();
 
-void BM_ConflictBuildImplicitClique(benchmark::State& state) {
-  // Single no-cross-atom DC over an all-matching partition: the implicit
-  // biclique representation keeps construction O(n) (no materialized pair
-  // list), where the CSR path would cost Θ(n²) memory and time.
-  size_t n = static_cast<size_t>(state.range(0));
-  Schema schema{{"Rel", DataType::kString}};
-  Table t{schema};
-  for (size_t i = 0; i < n; ++i) {
-    CEXTEND_CHECK(t.AppendRow({Value("Owner")}).ok());
-  }
-  std::vector<DenialConstraint> dcs;
-  {
-    DenialConstraint dc(2, "owner-owner");
-    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-    dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
-    dcs.push_back(std::move(dc));
-  }
-  auto bound = BindAll(dcs, t);
-  CEXTEND_CHECK(bound.ok());
-  std::vector<uint32_t> rows(n);
-  for (uint32_t i = 0; i < n; ++i) rows[i] = i;
-  for (auto _ : state) {
-    auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows);
-    CEXTEND_CHECK(oracle.ok());
-    CEXTEND_CHECK(oracle->num_materialized_pairs() == 0);
-    benchmark::DoNotOptimize(oracle->CountEdges());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ConflictBuildImplicitClique)
-    ->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
-
 // ---- CSR construction from a packed pair list. ----
 //
 // Shaped like the largest partition of a good_250k solve (13,333 vertices,
@@ -233,32 +202,69 @@ void BM_AdjacencyFromPackedPairsDuplicates(benchmark::State& state) {
 BENCHMARK(BM_AdjacencyFromPackedPairs)->Arg(13333);
 BENCHMARK(BM_AdjacencyFromPackedPairsDuplicates)->Arg(13333);
 
-// Whole indexed oracle build over a census partition with every census DC
-// (MakeCensusDcs(false)): the 16 ordered age-gap DCs materialize pairs, the
-// four product DCs stay implicit.
-void BM_ConflictBuildCensus(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
+// Census-shaped partitions: one census table of n persons (2n/5
+// households) taken whole as a partition, with every census DC
+// (MakeCensusDcs(false)). Its vertices fall into buckets by the codes the
+// DCs read: the 16 ordered age-gap DCs link buckets, the four product DCs
+// link groups. The coloring kernel uses 256 candidate keys.
+
+struct CensusPartition {
+  datagen::CensusData data;
+  std::vector<BoundDenialConstraint> dcs;
+  std::vector<uint32_t> rows;
+  std::vector<int64_t> candidates;
+};
+
+CensusPartition MakeCensusPartition(size_t n) {
   datagen::CensusOptions census;
   census.num_persons = n;
   census.num_households = n * 2 / 5;
   auto data = datagen::GenerateCensus(census);
   CEXTEND_CHECK(data.ok());
-  const Table& persons = data->persons;
-  auto bound = BindAll(datagen::MakeCensusDcs(false), persons);
+  auto bound = BindAll(datagen::MakeCensusDcs(false), data->persons);
   CEXTEND_CHECK(bound.ok());
-  std::vector<uint32_t> rows(persons.NumRows());
-  for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  CensusPartition p{std::move(data).value(), std::move(bound).value(), {}, {}};
+  p.rows.resize(p.data.persons.NumRows());
+  for (uint32_t i = 0; i < p.rows.size(); ++i) p.rows[i] = i;
+  for (int64_t c = 0; c < 256; ++c) p.candidates.push_back(c);
+  return p;
+}
+
+void BM_ConflictBuildCensus(benchmark::State& state) {
+  CensusPartition p = MakeCensusPartition(static_cast<size_t>(state.range(0)));
+  size_t buckets = 0;
   size_t pairs = 0;
   for (auto _ : state) {
-    auto oracle = PartitionConflictOracle::Build(persons, bound.value(), rows);
+    auto oracle =
+        PartitionConflictOracle::Build(p.data.persons, p.dcs, p.rows);
     CEXTEND_CHECK(oracle.ok());
+    buckets = oracle->num_buckets();
     pairs = oracle->num_materialized_pairs();
     benchmark::DoNotOptimize(oracle->CountEdges());
   }
+  state.counters["buckets"] = static_cast<double>(buckets);
   state.counters["pairs"] = static_cast<double>(pairs);
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_ConflictBuildCensus)->Arg(4096)->Arg(16384)->Complexity();
+BENCHMARK(BM_ConflictBuildCensus)
+    ->Arg(1024)->Arg(16384)->Arg(65536)->Complexity();
+
+void BM_PartitionColoringCensus(benchmark::State& state) {
+  CensusPartition p = MakeCensusPartition(static_cast<size_t>(state.range(0)));
+  auto oracle = PartitionConflictOracle::Build(p.data.persons, p.dcs, p.rows);
+  CEXTEND_CHECK(oracle.ok());
+  bool csr_rung = false;
+  for (auto _ : state) {
+    ListColoringResult r = GreedyListColoring(*oracle, {}, p.candidates);
+    csr_rung = r.csr_rung;
+    benchmark::DoNotOptimize(r.colors.data());
+  }
+  state.counters["buckets"] = static_cast<double>(oracle->num_buckets());
+  state.counters["csr_rung"] = csr_rung ? 1.0 : 0.0;
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_PartitionColoringCensus)
+    ->Arg(1024)->Arg(16384)->Arg(65536)->Complexity();
 
 // ---- Invalid-tuple repair kernels (solveInvalidTuples pass 2). ----
 //
@@ -299,14 +305,14 @@ RepairFixture MakeRepairFixture(size_t n) {
   }
   std::vector<DenialConstraint> dcs;
   {
-    // Clique over the owners (implicit biclique).
+    // Clique over the owners (one self-adjacent group).
     DenialConstraint dc(2, "owner-owner");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
     dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
     dcs.push_back(std::move(dc));
   }
   {
-    // Ordering DC between owners and the bucket population (indexed runs).
+    // Ordering DC between owners and the bucket population (sorted runs).
     DenialConstraint dc(2, "age-gap");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
     dc.Unary(1, "Rel", CompareOp::kEq, Value("Other"));

@@ -292,6 +292,14 @@ bool BoundDenialConstraint::CrossAtomsHold(
   return true;
 }
 
+void BoundDenialConstraint::AppendReadColumns(std::vector<size_t>* cols) const {
+  for (const BoundUnary& a : unary_) cols->push_back(a.col);
+  for (const CrossAtom& a : binary_) {
+    cols->push_back(a.lhs_col);
+    cols->push_back(a.rhs_col);
+  }
+}
+
 bool BoundDenialConstraint::MayHoldOnOneRow() const {
   // The codes an =/IN atom admits, sorted (Bind sorts rhs_set).
   auto admitted = [](const BoundUnary& a) {

@@ -127,6 +127,10 @@ class BoundDenialConstraint {
   void SideMatchesBatch(const Table& table, const std::vector<uint32_t>& rows,
                         int var, std::vector<uint8_t>* match) const;
 
+  /// Appends every column some atom (unary or binary) reads. The body's
+  /// truth on a row tuple depends on these columns' codes alone.
+  void AppendReadColumns(std::vector<size_t>* cols) const;
+
   /// Evaluates only the binary (cross-tuple) atoms for the ordered rows.
   bool CrossAtomsHold(const Table& table,
                       const std::vector<uint32_t>& rows) const;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "graph/list_coloring.h"
 #include "util/fault_injection.h"
+#include "util/code_interner.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -216,13 +218,6 @@ class ProbeStamp {
     for (size_t u : members) stamp_[u] = epoch_;
   }
 
-  /// Begins a new probe over vertices < n; marks the [begin, end) run
-  /// (e.g. a CSR neighbor row).
-  void StampRun(size_t n, const uint32_t* begin, const uint32_t* end) {
-    Begin(n);
-    for (const uint32_t* p = begin; p != end; ++p) stamp_[*p] = epoch_;
-  }
-
   bool Contains(size_t u) const { return stamp_[u] == epoch_; }
 
   static ProbeStamp& ThreadLocal() {
@@ -268,45 +263,30 @@ uint64_t PackPair(size_t u, size_t v) {
   return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);
 }
 
-/// True when the DC's conflict set is the plain side-0 x side-1 product
-/// (no cross-tuple atoms to test per pair) — representable as an implicit
-/// biclique instead of materialized pairs.
-bool IsProductDc(const BinaryDcPlan& plan) {
-  return plan.eq.empty() && plan.ord.empty() && plan.other.empty();
-}
-
 /// Pairs emitted before the next charge against the build's budget counter
 /// (and the next deadline/cancel check).
 constexpr size_t kBudgetChargeChunk = 1 << 16;
 
-/// Appends every conflicting (unordered) pair of one binary DC to `pairs`
-/// (packed (u << 32) | v, u < v; duplicates allowed — deduplicated when the
-/// CSR graph is built). Every ordered pair (u = var 0, v = var 1) with u in
-/// side 0 and v in side 1 is covered, so both orientations of each unordered
-/// pair are tested exactly as the brute-force oracle does. Emission is
-/// charged in chunks against `*build_emitted`, the pre-dedup pair count of
-/// every DC of one build, so the budget decision is on the total raw
-/// emission vs. max_materialized_pairs.
-Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
-                         const BinaryDcPlan& plan,
+/// Appends every conflicting (unordered) pair of one binary DC over `rows`
+/// to `pairs` (packed (u << 32) | v, u < v, as indices into `rows`;
+/// duplicates allowed — deduplicated when the CSR graph is built). `side0`
+/// and `side1` list the indices whose rows pass the DC's sides
+/// (BuildSideMask). Every ordered pair (u = var 0, v = var 1), u != v, with
+/// u in side 0 and v in side 1 is covered, so both orientations of each
+/// unordered pair are tested exactly as the brute-force oracle does.
+/// Emission is charged in chunks against `*build_emitted`, the pre-dedup
+/// pair count of every DC of one build, so the budget decision is on the
+/// total raw emission vs. max_materialized_pairs.
+Status EmitBinaryDcPairs(const Table& table, const BinaryDcPlan& plan,
                          const std::vector<uint32_t>& rows,
+                         std::span<const uint32_t> side0,
+                         std::span<const uint32_t> side1,
                          size_t max_materialized_pairs,
                          const RunControl& run_control,
                          size_t* build_emitted,
                          std::vector<uint64_t>* pairs) {
-  size_t n = rows.size();
-  if (n < 2) return Status::Ok();
-  CEXTEND_RETURN_IF_ERROR(run_control.Check());
-
-  std::vector<uint8_t> in0, in1;
-  BuildSideMask(table, dc, plan, rows, 0, &in0);
-  BuildSideMask(table, dc, plan, rows, 1, &in1);
-  std::vector<uint32_t> side0, side1;
-  for (size_t i = 0; i < n; ++i) {
-    if (in0[i]) side0.push_back(static_cast<uint32_t>(i));
-    if (in1[i]) side1.push_back(static_cast<uint32_t>(i));
-  }
   if (side0.empty() || side1.empty()) return Status::Ok();
+  CEXTEND_RETURN_IF_ERROR(run_control.Check());
 
   auto over_budget = [&]() -> Status {
     return Status::ResourceExhausted(
@@ -316,43 +296,13 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   size_t charged = pairs->size();  // pairs[0, charged) are paid for
   // Charges `count` more emitted pairs; true when the build-wide total
   // crosses the budget. The injected fault simulates a budget overrun at
-  // the first charge, driving the indexed→naive fallback.
+  // the first charge, driving the quotient→naive fallback.
   auto charge = [&](size_t count) {
     charged += count;
     if (CEXTEND_INJECT_FAULT("oracle.pair_budget")) return true;
     *build_emitted += count;
     return *build_emitted > max_materialized_pairs;
   };
-
-  // Fast path: no cross atoms at all (owner-owner style DCs) — the conflict
-  // set is the full side0 x side1 product; nothing to test per pair. Such
-  // DCs are normally held implicitly (ImplicitBicliqueFamily) and never
-  // reach this function; this path only serves kMaxBicliques overflow. The
-  // predicate is symmetric here, so the mirror orientation (v in side 0,
-  // u in side 1) would emit the identical packed pair; skip it up front
-  // instead of feeding duplicates to the dedup sort. The emission count is
-  // known in closed form, so an over-budget product bails out before
-  // reserving or pushing anything.
-  if (IsProductDc(plan)) {
-    uint64_t both = 0;  // vertices eligible on both sides
-    for (size_t i = 0; i < n; ++i) both += in0[i] && in1[i] ? 1 : 0;
-    // s0*s1 ordered pairs, minus the `both` diagonal hits, minus the
-    // C(both, 2) mirror duplicates the loop skips.
-    uint64_t emitted = static_cast<uint64_t>(side0.size()) *
-                           static_cast<uint64_t>(side1.size()) -
-                       both - both * (both - 1) / 2;
-    // Known in closed form, so the whole product is charged (and an
-    // over-budget one bails out) before reserving or pushing anything.
-    if (charge(static_cast<size_t>(emitted))) return over_budget();
-    pairs->reserve(pairs->size() + static_cast<size_t>(emitted));
-    for (uint32_t u : side0) {
-      for (uint32_t v : side1) {
-        if (v == u || (v < u && in0[v] && in1[u])) continue;
-        pairs->push_back(PackPair(u, v));
-      }
-    }
-    return Status::Ok();
-  }
 
   // Flat bucket index over side 1: one contiguous Entry pool sorted by
   // (hash of the equality-atom keys, first ordering atom's key). A bucket is
@@ -469,9 +419,187 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   return Status::Ok();
 }
 
+
+/// True when the plan's cross atoms hold with both tuple variables bound to
+/// `row`, i.e. on any two distinct rows carrying row's codes.
+bool CrossAtomsHoldOnOneRow(const Table& table, const BinaryDcPlan& plan,
+                            uint32_t row) {
+  for (const std::vector<OrientedAtom>* atoms :
+       {&plan.eq, &plan.ord, &plan.other}) {
+    for (const OrientedAtom& a : *atoms) {
+      if (!a.Holds(table, row, row)) return false;
+    }
+  }
+  return true;
+}
+
+/// True when the plan has no cross atoms: the DC's truth on a pair depends
+/// on side membership alone.
+bool IsProductDc(const BinaryDcPlan& plan) {
+  return plan.eq.empty() && plan.ord.empty() && plan.other.empty();
+}
+
+/// A partition's vertices in buckets of identical binary-DC neighborhoods,
+/// and the buckets in groups by the sides they pass of the product DCs.
+/// Both are numbered in first-vertex order. A class's signature holds bit
+/// 2d when its members pass side 0 of binary DC d and bit 2d + 1 for side 1.
+struct VertexClasses {
+  size_t sig_words = 0;
+  std::vector<uint32_t> bucket_of;    // per vertex
+  std::vector<uint32_t> bucket_reps;  // per bucket: its first vertex's row
+  std::vector<uint64_t> bucket_sigs;  // per bucket: sig_words words
+  std::vector<uint32_t> group_of;     // per bucket
+  std::vector<uint32_t> group_reps;   // per group: its first vertex's row
+  std::vector<uint64_t> group_sigs;   // per group: product-DC bits only
+};
+
+/// Vertices are keyed by the codes of every column the binary DCs read,
+/// and each DC's sides are evaluated once per key. Keys then merge into
+/// buckets by (signature, codes of the cross-atom columns the signature's
+/// sides read): two vertices of one bucket pass the same DC sides and feed
+/// every cross atom they take part in the same codes, so each DC holds on
+/// (u, w) exactly when it holds on (u', w) for any u' of u's bucket. A
+/// cross-read column is never NULL on a side that reads it
+/// (BuildSideMask), so kNullCode marks the columns a signature does not
+/// read. Groups key buckets by their product-DC bits alone.
+VertexClasses ClassifyVertices(
+    const Table& table, const std::vector<const BoundDenialConstraint*>& dcs,
+    const std::vector<BinaryDcPlan>& plans, const std::vector<uint32_t>& rows) {
+  const size_t n = rows.size();
+  std::vector<size_t> cols;
+  for (const BoundDenialConstraint* dc : dcs) dc->AppendReadColumns(&cols);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  std::vector<const int64_t*> col_codes;
+  for (size_t c : cols) col_codes.push_back(table.ColumnCodes(c).data());
+
+  CodeInterner keys(cols.size());
+  std::vector<uint32_t> key_of(n);
+  std::vector<uint32_t> key_reps;
+  std::vector<int64_t> tuple(cols.size());
+  for (size_t v = 0; v < n; ++v) {
+    for (size_t k = 0; k < cols.size(); ++k) tuple[k] = col_codes[k][rows[v]];
+    CodeInterner::Interned key = keys.Intern(tuple.data());
+    key_of[v] = key.id;
+    if (key.inserted) key_reps.push_back(rows[v]);
+  }
+
+  VertexClasses out;
+  const size_t words = out.sig_words = (2 * dcs.size() + 63) / 64;
+  std::vector<uint64_t> key_sigs(key_reps.size() * words, 0);
+  std::vector<uint64_t> product_bits(words, 0);
+  std::vector<uint8_t> mask;
+  for (size_t bit = 0; bit < 2 * dcs.size(); ++bit) {
+    const size_t d = bit / 2;
+    if (IsProductDc(plans[d])) product_bits[bit / 64] |= uint64_t{1} << (bit % 64);
+    BuildSideMask(table, *dcs[d], plans[d], key_reps, static_cast<int>(bit % 2),
+                  &mask);
+    for (size_t k = 0; k < key_reps.size(); ++k) {
+      if (mask[k]) key_sigs[k * words + bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+  }
+
+  // Cross-atom columns, and per signature bit the key positions it reads.
+  std::vector<size_t> cross;
+  for (const BinaryDcPlan& plan : plans) {
+    for (const std::vector<OrientedAtom>* atoms :
+         {&plan.eq, &plan.ord, &plan.other}) {
+      for (const OrientedAtom& a : *atoms) {
+        cross.push_back(a.u_col);
+        cross.push_back(a.v_col);
+      }
+    }
+  }
+  std::sort(cross.begin(), cross.end());
+  cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
+  auto position = [&](size_t col) {
+    return words + static_cast<size_t>(
+                       std::lower_bound(cross.begin(), cross.end(), col) -
+                       cross.begin());
+  };
+  std::vector<std::vector<size_t>> reads(2 * dcs.size());
+  for (size_t d = 0; d < dcs.size(); ++d) {
+    for (const std::vector<OrientedAtom>* atoms :
+         {&plans[d].eq, &plans[d].ord, &plans[d].other}) {
+      for (const OrientedAtom& a : *atoms) {
+        reads[2 * d].push_back(position(a.u_col));
+        reads[2 * d + 1].push_back(position(a.v_col));
+      }
+    }
+  }
+
+  CodeInterner buckets(words + cross.size());
+  CodeInterner groups(words);
+  std::vector<uint32_t> bucket_of_key(key_reps.size());
+  std::vector<int64_t> merged(words + cross.size());
+  for (size_t k = 0; k < key_reps.size(); ++k) {
+    const uint64_t* sig = key_sigs.data() + k * words;
+    const uint32_t row = key_reps[k];
+    std::fill(merged.begin() + static_cast<ptrdiff_t>(words), merged.end(),
+              kNullCode);
+    for (size_t w = 0; w < words; ++w) {
+      merged[w] = static_cast<int64_t>(sig[w]);
+      for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
+        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        for (size_t pos : reads[bit]) {
+          merged[pos] = table.GetCode(row, cross[pos - words]);
+        }
+      }
+    }
+    CodeInterner::Interned bucket = buckets.Intern(merged.data());
+    bucket_of_key[k] = bucket.id;
+    if (!bucket.inserted) continue;
+    out.bucket_reps.push_back(row);
+    out.bucket_sigs.insert(out.bucket_sigs.end(), sig, sig + words);
+    for (size_t w = 0; w < words; ++w) {
+      merged[w] = static_cast<int64_t>(sig[w] & product_bits[w]);
+    }
+    CodeInterner::Interned group = groups.Intern(merged.data());
+    out.group_of.push_back(group.id);
+    if (!group.inserted) continue;
+    out.group_reps.push_back(row);
+    out.group_sigs.insert(out.group_sigs.end(), merged.begin(),
+                          merged.begin() + static_cast<ptrdiff_t>(words));
+  }
+  out.bucket_of.resize(n);
+  for (size_t v = 0; v < n; ++v) out.bucket_of[v] = bucket_of_key[key_of[v]];
+  return out;
+}
+
+/// Classes listed by signature bit: the classes (of `sigs`, `words` words
+/// each) whose signature has bit i, ascending, are
+/// members[begin[i] .. begin[i + 1]). Two passes over the set bits.
+struct SideLists {
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> members;
+
+  SideLists(const std::vector<uint64_t>& sigs, size_t words) {
+    begin.assign(words * 64 + 1, 0);
+    auto for_each_bit = [&](auto fn) {
+      for (size_t i = 0; i < sigs.size(); ++i) {
+        for (uint64_t bits = sigs[i]; bits != 0; bits &= bits - 1) {
+          fn((i % words) * 64 + static_cast<size_t>(__builtin_ctzll(bits)),
+             static_cast<uint32_t>(i / words));
+        }
+      }
+    };
+    for_each_bit([&](size_t bit, uint32_t) { ++begin[bit + 1]; });
+    for (size_t bit = 0; bit + 1 < begin.size(); ++bit) {
+      begin[bit + 1] += begin[bit];
+    }
+    members.resize(begin.back());
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+    for_each_bit([&](size_t bit, uint32_t c) { members[cursor[bit]++] = c; });
+  }
+
+  std::span<const uint32_t> Of(size_t bit) const {
+    return {members.data() + begin[bit], begin[bit + 1] - begin[bit]};
+  }
+};
+
 }  // namespace
 
-// ---- PartitionConflictOracle (indexed). ----
+// ---- PartitionConflictOracle (quotient). ----
 
 StatusOr<PartitionConflictOracle> PartitionConflictOracle::Build(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
@@ -491,137 +619,75 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   PartitionConflictOracle oracle;
   oracle.rows_ = std::move(rows);
   oracle.higher_ = std::move(higher);
-  size_t n = oracle.rows_.size();
-  oracle.implicit_ = ImplicitBicliqueFamily(n);
-
-  // One pass over the binary DCs: product DCs become implicit bicliques,
-  // every other DC appends its pairs to one list, which becomes the CSR
-  // graph (sorted and deduplicated there). The pair budget is authoritative
-  // on the *pre-dedup* total. A deadline/cancel outranks a budget overrun:
-  // the overrun would trigger the naive fallback, which must not mask an
-  // expired deadline / cancel.
-  std::vector<uint64_t> pairs;
-  size_t emitted = 0;
-  std::vector<uint8_t> in0, in1;
+  std::vector<const BoundDenialConstraint*> binary;
+  std::vector<BinaryDcPlan> plans;
   for (const BoundDenialConstraint& dc : dcs) {
     if (dc.arity() != 2) continue;
-    BinaryDcPlan plan = PlanBinaryDc(dc);
-    if (IsProductDc(plan) && n >= 2) {
-      if (oracle.implicit_.num_bicliques() <
-          ImplicitBicliqueFamily::kMaxBicliques) {
-        // No cross atoms: the conflict set is the side0 x side1 product.
-        // Keep it implicit — O(n) bits instead of Θ(|side0|·|side1|) pairs,
-        // and it never touches the materialized-pair budget.
-        BuildSideMask(table, dc, plan, oracle.rows_, 0, &in0);
-        BuildSideMask(table, dc, plan, oracle.rows_, 1, &in1);
-        bool any0 = std::find(in0.begin(), in0.end(), uint8_t{1}) != in0.end();
-        bool any1 = std::find(in1.begin(), in1.end(), uint8_t{1}) != in1.end();
-        if (any0 && any1) oracle.implicit_.AddBiclique(in0, in1);
-        continue;
-      }
-      // Implicit→materialized rung: the family is full, so this product DC
-      // joins the indexed path and pays the pair budget like any other DC.
-      ++oracle.biclique_overflows_;
-    }
-    Status st = EmitBinaryDcPairs(table, dc, plan, oracle.rows_,
-                                  options.max_materialized_pairs,
-                                  options.run_control, &emitted, &pairs);
+    binary.push_back(&dc);
+    plans.push_back(PlanBinaryDc(dc));
+  }
+  VertexClasses classes = ClassifyVertices(table, binary, plans, oracle.rows_);
+  const size_t words = classes.sig_words;
+
+  // Product DCs emit group pairs over group representatives, the others
+  // bucket pairs over bucket representatives; each level's pairs become its
+  // CSR (deduplicated there). The pair budget is authoritative on the
+  // *pre-dedup* total. A deadline/cancel outranks a budget overrun: the
+  // overrun would trigger the naive fallback, which must not mask an
+  // expired deadline / cancel.
+  QuotientGraph::Parts parts;
+  parts.group_self.assign(classes.group_reps.size(), 0);
+  parts.bucket_self.assign(classes.bucket_reps.size(), 0);
+  size_t emitted = 0;
+  const SideLists group_sides(classes.group_sigs, words);
+  const SideLists bucket_sides(classes.bucket_sigs, words);
+  for (size_t d = 0; d < binary.size(); ++d) {
+    const bool product = IsProductDc(plans[d]);
+    const SideLists& sides = product ? group_sides : bucket_sides;
+    const std::vector<uint32_t>& reps =
+        product ? classes.group_reps : classes.bucket_reps;
+    std::span<const uint32_t> side0 = sides.Of(2 * d);
+    std::span<const uint32_t> side1 = sides.Of(2 * d + 1);
+    Status st = EmitBinaryDcPairs(
+        table, plans[d], reps, side0, side1, options.max_materialized_pairs,
+        options.run_control, &emitted,
+        product ? &parts.group_pairs : &parts.bucket_pairs);
     if (!st.ok()) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
       return st;
     }
+    // A class on both sides is self-adjacent when the DC holds on two of
+    // its members, i.e. on (rep, rep).
+    std::vector<uint8_t>& self = product ? parts.group_self : parts.bucket_self;
+    for (uint32_t c : side0) {
+      if (std::binary_search(side1.begin(), side1.end(), c) &&
+          (product || CrossAtomsHoldOnOneRow(table, plans[d], reps[c]))) {
+        self[c] = 1;
+      }
+    }
   }
-  oracle.implicit_.Finalize();
-  // The implicit layer normally stores O(K · n) bits, but pathologically
-  // overlapping product DCs can mint up to n distinct signature groups, each
-  // with an n-bit neighborhood. Charge its storage (one 64-bit word ≈ one
-  // materialized pair) against the pair budget so the naive fallback — O(n)
-  // memory, always — still guards the worst case.
-  if (oracle.implicit_.StorageWords() > options.max_materialized_pairs) {
-    return Status::ResourceExhausted(
-        StrFormat("implicit biclique bitsets exceed the pair budget (%zu)",
-                  options.max_materialized_pairs));
-  }
-  oracle.adjacency_ = AdjacencyGraph::FromPackedPairs(n, std::move(pairs));
-
-  // Union simple-graph degrees over (implicit ∪ CSR); hypergraph degrees
-  // stack on top, matching the brute-force oracle's accounting.
-  size_t pair_edges =
-      oracle.implicit_.UnionDegrees(oracle.adjacency_, &oracle.degrees_);
-  if (oracle.higher_ != nullptr) {
-    for (size_t v = 0; v < n; ++v)
-      oracle.degrees_[v] += oracle.higher_->Degree(v);
-  }
-  oracle.num_edges_ =
-      pair_edges +
-      (oracle.higher_ == nullptr ? 0 : oracle.higher_->num_edges());
+  parts.bucket_of = std::move(classes.bucket_of);
+  parts.group_of = std::move(classes.group_of);
+  oracle.quotient_ = QuotientGraph(std::move(parts));
   return oracle;
 }
 
 void PartitionConflictOracle::AppendForbiddenColors(
     size_t v, const std::vector<int64_t>& colors,
     std::vector<int64_t>* out) const {
-  constexpr int64_t kNone = INT64_MIN;
-  for (const uint32_t* p = adjacency_.NeighborsBegin(v),
-                     * end = adjacency_.NeighborsEnd(v);
-       p != end; ++p) {
-    int64_t c = colors[*p];
-    if (c != kNone) out->push_back(c);
-  }
-  // Implicit neighbors may overlap the CSR run; duplicate appends are legal
-  // per the ConflictOracle contract (the coloring epoch-marks them away).
-  implicit_.AppendForbiddenColors(v, colors, out);
+  quotient_.AppendForbiddenColors(v, colors, out);
   if (higher_ != nullptr) higher_->AppendForbiddenColors(v, colors, out);
 }
 
 bool PartitionConflictOracle::WouldViolate(
     size_t v, const std::vector<size_t>& same_color) const {
-  // Implicit layer: v's entire implicit adjacency is one group-neighborhood
-  // bitset, hoisted once — a member conflicts iff its bit is set, and
-  // vertices in no biclique (the common case for invalid-tuple probes) skip
-  // the layer outright instead of paying a per-member group lookup.
-  const uint32_t g = implicit_.group_of(v);
-  if (g != ImplicitBicliqueFamily::kNoGroup) {
-    const uint64_t* hood = implicit_.GroupNeighborhood(g);
-    for (size_t u : same_color) {
-      if (u != v && ImplicitBicliqueFamily::TestBit(hood, u)) return true;
-    }
+  for (size_t u : same_color) {
+    if (quotient_.HasEdge(v, u)) return true;
   }
-
-  // CSR layer, O(b + deg): stamp the smaller of (members, neighbor run) and
-  // stream the other, instead of b binary searches (O(b log deg)). Small
-  // probes keep the per-member search — b searches beat a stamp pass. A zero
-  // CSR degree skips the layer entirely. Every path computes the same OR, so
-  // the cutovers are purely perf.
-  const size_t b = same_color.size();
-  const size_t csr_deg = static_cast<size_t>(adjacency_.Degree(v));
-  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
-  bool members_stamped = false;
-  if (csr_deg != 0) {
-    if (b < 64) {
-      for (size_t u : same_color) {
-        if (u != v && adjacency_.HasEdge(v, u)) return true;
-      }
-    } else if (csr_deg <= b) {
-      stamp.StampRun(rows_.size(), adjacency_.NeighborsBegin(v),
-                     adjacency_.NeighborsEnd(v));
-      for (size_t u : same_color) {
-        if (stamp.Contains(u)) return true;  // neighbors never include v
-      }
-    } else {
-      stamp.Stamp(rows_.size(), same_color);
-      members_stamped = true;
-      for (const uint32_t* p = adjacency_.NeighborsBegin(v),
-                         *end = adjacency_.NeighborsEnd(v);
-           p != end; ++p) {
-        if (stamp.Contains(*p)) return true;
-      }
-    }
-  }
-
   // Hypergraph layer: edge-membership tests need the member set stamped.
   if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;
-  if (!members_stamped) stamp.Stamp(rows_.size(), same_color);
+  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
+  stamp.Stamp(rows_.size(), same_color);
   return HyperedgeWouldViolate(higher_.get(), v, stamp);
 }
 
@@ -727,29 +793,30 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     BuildOracleInfo* info) {
   // Hyperedges are enumerated once up front and shared: a cap failure here
   // is terminal (the naive oracle would hit the identical cap), and a
-  // later kResourceExhausted from the indexed build can only mean the pair
+  // later kResourceExhausted from the quotient build can only mean the pair
   // budget, which the naive fallback does not need.
   CEXTEND_ASSIGN_OR_RETURN(
       std::shared_ptr<const Hypergraph> higher,
       BuildHigherArity(table, dcs, rows, options.max_hyperedge_candidates,
                        options.run_control));
-  // The injected fault abandons the indexed build outright, exercising the
-  // same indexed→naive rung a real pair-budget overrun takes.
+  // The injected fault abandons the quotient build outright, exercising the
+  // same quotient→naive rung a real pair-budget overrun takes.
   if (!CEXTEND_INJECT_FAULT("oracle.build")) {
-    StatusOr<PartitionConflictOracle> indexed =
+    StatusOr<PartitionConflictOracle> quotient =
         PartitionConflictOracle::BuildWithHypergraph(table, dcs, rows,
                                                      options, higher);
-    if (indexed.ok()) {
+    if (quotient.ok()) {
       if (info != nullptr) {
-        info->biclique_overflows = indexed.value().num_biclique_overflows();
+        info->conflict_buckets = quotient.value().num_buckets();
+        info->materialized_pairs = quotient.value().num_materialized_pairs();
       }
       std::unique_ptr<PartitionOracle> oracle =
           std::make_unique<PartitionConflictOracle>(
-              std::move(indexed).value());
+              std::move(quotient).value());
       return oracle;
     }
-    if (indexed.status().code() != StatusCode::kResourceExhausted) {
-      return indexed.status();
+    if (quotient.status().code() != StatusCode::kResourceExhausted) {
+      return quotient.status();
     }
     // Pair budget exceeded: fall back to the O(n) memory brute-force oracle.
   }

@@ -4,29 +4,30 @@
 // FK list; a hyperedge connects every tuple set that would violate a DC body
 // if co-assigned. Two interchangeable oracles implement the pairwise layer:
 //
-//  * PartitionConflictOracle (default): an *indexed* builder. Binary DCs
-//    with no cross-tuple atoms (owner-owner style, whose conflict set is the
-//    full side-0 x side-1 product) are kept *implicit*: only the two
-//    membership bitsets are stored (ImplicitBicliqueFamily), so clique-style
-//    partitions cost O(n) memory instead of Θ(n²) materialized pairs. Every
-//    other binary DC is indexed: side-0/side-1 matching vertices are
-//    bucketed by the codes of the columns appearing in its cross-atom
-//    equality predicates (hash buckets), each bucket is sorted by the first
-//    ordering atom's key (sorted runs for < / <= / > / >=), and adjacency is
-//    materialized per bucket instead of per pair, deduplicated into a CSR
-//    AdjacencyGraph. Degrees, edge counts, forbidden colors and pair queries
-//    compose the (implicit ∪ CSR ∪ hypergraph) union with simple-graph
-//    semantics, identical to one deduplicated all-pairs scan. Construction
-//    is O(n) per implicit DC; O(n + s log s + E) per indexed DC, where the
-//    s log s is the entry sort and binary-search probes over its s side
-//    entries and E its emitted pairs; and O(n + E) for the CSR over the
-//    whole partition (two counting scatters, no comparison sort). The
-//    brute-force all-pairs CrossAtomsHold scan is O(n^2 * |DC|).
+//  * PartitionConflictOracle (default): a quotient builder. A binary DC's
+//    truth on a row pair depends only on the codes it reads, so vertices are
+//    first keyed by the codes of every column some binary DC reads
+//    (CodeInterner), and each DC's sides are evaluated once per key. Keys
+//    then merge into buckets by (side signature, codes of the cross-atom
+//    columns the signature's sides read); members of a bucket have identical
+//    neighborhoods. Bucket adjacency comes from the indexed pair emission
+//    run over one representative row per bucket: side-1 representatives are
+//    sorted by the hash of their equality-atom codes and the first ordering
+//    atom's key, and every side-0 representative probes its sorted run. A
+//    bucket is self-adjacent when it has two members and some DC holds on
+//    (rep, rep). Degrees, edge counts, forbidden colors and pair queries
+//    answer from the QuotientGraph with simple-graph semantics, identical to
+//    one deduplicated all-pairs scan. Construction is O(n) key interning
+//    plus O(K·|DC|) side evaluation over K keys plus O(B + s log s + E_B)
+//    emission over B buckets, where E_B is the emitted bucket pairs. A
+//    clique DC with no cross atoms (owner-owner) is one self-adjacent
+//    bucket. When keys are near unique (a cross atom on a near-unique
+//    column), B approaches n and the quotient is the per-vertex CSR graph.
 //
 //  * NaiveConflictOracle: the reference brute-force implementation (side
 //    masks + on-the-fly pair tests). Kept behind the same interface so tests
-//    and benchmarks can cross-check the indexed oracle bit-for-bit, and as a
-//    fallback when materialized adjacency would exceed the pair budget.
+//    and benchmarks can cross-check the quotient oracle bit-for-bit, and as a
+//    fallback when materialized bucket pairs would exceed the pair budget.
 //
 // DCs of arity >= 3 are expanded into an explicit hypergraph by both oracles.
 //
@@ -52,13 +53,11 @@ struct ConflictOracleOptions {
   /// Edge enumeration for arity >= 3 DCs is capped at this many candidate
   /// assignments (guard against pathological inputs); exceeding it fails.
   size_t max_hyperedge_candidates = 50'000'000;
-  /// The indexed oracle materializes at most this many (pre-dedup) pairwise
-  /// edges (8 bytes each). Exceeding it fails with kResourceExhausted;
-  /// BuildPartitionOracle then falls back to the naive oracle, which needs
-  /// O(n) memory at the price of O(n^2) queries. DCs held implicitly (no
-  /// cross atoms) never materialize pairs; their bitset storage is charged
-  /// against this budget word-for-word (normally a few n/64-word bitsets,
-  /// i.e. negligible), so adversarial signature blowups also fall back.
+  /// The quotient oracle materializes at most this many (pre-dedup) bucket
+  /// pairs (8 bytes each), its sort pools charged alongside. Exceeding it
+  /// fails with kResourceExhausted; BuildPartitionOracle then falls back to
+  /// the naive oracle, which needs O(n) memory at the price of O(n^2)
+  /// queries.
   size_t max_materialized_pairs = 32'000'000;
   /// Deadline/cancellation, checked per DC during hyperedge enumeration and
   /// pair emission, and at every pair-budget charge chunk.
@@ -68,12 +67,12 @@ struct ConflictOracleOptions {
 /// Degradation accounting for one BuildPartitionOracle call, reported
 /// through the optional out-param so phase II can aggregate ladder stats.
 struct BuildOracleInfo {
-  /// The indexed build was abandoned (pair budget / injected fault) and the
-  /// O(n)-memory naive oracle was built instead (indexed→naive rung).
+  /// The quotient build was abandoned (pair budget / injected fault) and the
+  /// O(n)-memory naive oracle was built instead (quotient→naive rung).
   bool naive_fallback = false;
-  /// Product DCs that overflowed ImplicitBicliqueFamily::kMaxBicliques and
-  /// were materialized as pairs instead (implicit→materialized rung).
-  size_t biclique_overflows = 0;
+  /// Buckets and deduplicated bucket pairs of the quotient (0 when naive).
+  size_t conflict_buckets = 0;
+  size_t materialized_pairs = 0;
 };
 
 /// ConflictOracle plus the pairwise and set queries phase II needs.
@@ -97,8 +96,8 @@ class PartitionOracle : public ConflictOracle {
   virtual size_t CountEdges() const = 0;
 };
 
-/// Indexed conflict oracle: materialized, deduplicated CSR adjacency for
-/// binary DCs + explicit hypergraph for arity >= 3.
+/// Quotient conflict oracle: bucket adjacency for binary DCs + explicit
+/// hypergraph for arity >= 3.
 class PartitionConflictOracle final : public PartitionOracle {
  public:
   /// `rows` are v_join/R1 row ids forming the partition. `dcs` must be bound
@@ -120,44 +119,44 @@ class PartitionConflictOracle final : public PartitionOracle {
 
   // ConflictOracle:
   size_t NumVertices() const override { return rows_.size(); }
-  int64_t Degree(size_t v) const override { return degrees_[v]; }
+  int64_t Degree(size_t v) const override {
+    return quotient_.Degree(v) + (higher_ == nullptr ? 0 : higher_->Degree(v));
+  }
   void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
                              std::vector<int64_t>* out) const override;
-  /// Publishes the (CSR, implicit, hypergraph) decomposition so the greedy
-  /// coloring can run its incremental fast path; forbidden semantics are
-  /// exactly the union of the three layers.
+  /// Publishes the (quotient, hypergraph) decomposition so the greedy
+  /// coloring can keep per-bucket forbidden sets; forbidden semantics are
+  /// exactly the union of the two layers.
   ConflictStructure Structure() const override {
-    return {&adjacency_, &implicit_, higher_.get()};
+    return {&quotient_, higher_.get()};
   }
 
   // PartitionOracle:
   bool PairConflicts(size_t u, size_t v) const override {
-    return adjacency_.HasEdge(u, v) || implicit_.PairConflicts(u, v);
+    return quotient_.HasEdge(u, v);
   }
   bool WouldViolate(size_t v,
                     const std::vector<size_t>& same_color) const override;
-  size_t CountEdges() const override { return num_edges_; }
+  size_t CountEdges() const override {
+    return quotient_.num_edges() +
+           (higher_ == nullptr ? 0 : higher_->num_edges());
+  }
 
-  const AdjacencyGraph& adjacency() const { return adjacency_; }
-
-  /// Binary DCs held as implicit bicliques (no materialized pairs).
-  size_t num_implicit_bicliques() const { return implicit_.num_bicliques(); }
-  /// Deduplicated pairs actually materialized in the CSR layer.
-  size_t num_materialized_pairs() const { return adjacency_.num_edges(); }
-  /// Product DCs materialized because the implicit family was full.
-  size_t num_biclique_overflows() const { return biclique_overflows_; }
+  const QuotientGraph& quotient() const { return quotient_; }
+  size_t num_buckets() const { return quotient_.buckets().size(); }
+  /// Deduplicated group and bucket pairs actually materialized.
+  size_t num_materialized_pairs() const {
+    return quotient_.groups().adjacency.num_edges() +
+           quotient_.buckets().adjacency.num_edges();
+  }
 
  private:
   PartitionConflictOracle() = default;
 
   std::vector<uint32_t> rows_;
-  AdjacencyGraph adjacency_;  // deduplicated binary-DC edges (indexed DCs)
-  ImplicitBicliqueFamily implicit_;  // no-cross-atom binary DCs, O(n) bits
+  QuotientGraph quotient_;  // binary-DC conflicts over vertex buckets
   // Arity >= 3 edges (local vertex ids); shareable with a fallback oracle.
   std::shared_ptr<const Hypergraph> higher_;
-  std::vector<int64_t> degrees_;  // (implicit ∪ CSR) + hypergraph degrees
-  size_t num_edges_ = 0;          // binary + hyper, cached
-  size_t biclique_overflows_ = 0; // product DCs forced onto the pair path
 };
 
 /// Reference brute-force oracle: per-vertex side masks, pairs tested on the

@@ -63,11 +63,15 @@ struct Phase2Stats {
   /// (AssignRepairKeys' size rule); the rest scanned the DCs directly.
   size_t oracle_repair_combos = 0;
   /// Degradation-ladder accounting (see src/core/README.md "Resilience"):
-  /// oracle builds (coloring or repair) that fell back to the naive oracle,
-  /// and product DCs materialized because the implicit-biclique family was
-  /// full. Every rung preserves bit-identical output.
+  /// oracle builds (coloring or repair) that fell back to the naive oracle.
+  /// The rung preserves bit-identical output.
   size_t naive_oracle_fallbacks = 0;
-  size_t biclique_overflows = 0;
+  /// Conflict-quotient accounting over the partition colorings: partitions
+  /// colored on the CSR rung (chosen from sizes, not a degradation), and the
+  /// summed buckets and deduplicated bucket pairs of their oracles.
+  size_t csr_partitions = 0;
+  size_t conflict_buckets = 0;
+  size_t materialized_pairs = 0;
   /// Shard-executor accounting: shards retired to the sink, failed emissions
   /// regenerated in place from the plan (no whole-run restart), and the
   /// bounded-memory high-water marks — most shards simultaneously in flight

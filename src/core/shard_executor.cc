@@ -290,6 +290,7 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
         BuildPartitionOracle(v_join, prepared.bound_dcs, p.rows,
                              oracle_options, &build_info));
     ListColoringResult coloring = GreedyListColoring(*oracle, {}, p.candidates);
+    if (coloring.csr_rung) ++out.csr_partitions;
     size_t skipped_here = coloring.skipped.size();
     // |s| fresh colors, then color the skipped vertices with them; iterate
     // in the (k-ary) corner case where skips remain.
@@ -310,7 +311,8 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
     }
     out.skipped_vertices += skipped_here;
     if (build_info.naive_fallback) ++out.naive_oracle_fallbacks;
-    out.biclique_overflows += build_info.biclique_overflows;
+    out.conflict_buckets += build_info.conflict_buckets;
+    out.materialized_pairs += build_info.materialized_pairs;
     out.blocks.push_back(std::move(block));
   }
   return out;
@@ -432,7 +434,9 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
           }
           st.stats.skipped_vertices += retire.skipped_vertices;
           st.stats.naive_oracle_fallbacks += retire.naive_oracle_fallbacks;
-          st.stats.biclique_overflows += retire.biclique_overflows;
+          st.stats.csr_partitions += retire.csr_partitions;
+          st.stats.conflict_buckets += retire.conflict_buckets;
+          st.stats.materialized_pairs += retire.materialized_pairs;
           ++st.stats.shards_emitted;
           Status consumed = sink->Consume(resolved);
           st.resident_bytes -= st.charged[st.next_retire];
@@ -504,7 +508,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
                            RepairProbe::kBySize, oracle_options));
       if (assigned.used_oracle) ++stats.oracle_repair_combos;
       if (assigned.build.naive_fallback) ++stats.naive_oracle_fallbacks;
-      stats.biclique_overflows += assigned.build.biclique_overflows;
       for (size_t g = 0; g < group.size(); ++g) {
         int64_t chosen = assigned.keys[g];
         if (chosen == kNoColor) {

@@ -56,7 +56,9 @@ struct ShardOutput {
   // Per-shard degradation/ladder accounting, merged at retirement.
   size_t skipped_vertices = 0;
   size_t naive_oracle_fallbacks = 0;
-  size_t biclique_overflows = 0;
+  size_t csr_partitions = 0;
+  size_t conflict_buckets = 0;
+  size_t materialized_pairs = 0;
 
   /// Estimated resident footprint, for the executor's memory accounting.
   size_t ApproxBytes() const;

@@ -36,14 +36,17 @@ std::string SolveStats::Summary() const {
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,
                    phase2.max_shards_in_flight);
+  out += StrFormat(" conflict(buckets=%zu pairs=%zu csr=%zu)",
+                   phase2.conflict_buckets, phase2.materialized_pairs,
+                   phase2.csr_partitions);
   if (phase2.resumed_shards > 0 || phase2.manifest_commits > 0) {
     out += StrFormat(" durable(resumed=%zu commits=%zu)",
                      phase2.resumed_shards, phase2.manifest_commits);
   }
   if (AnyDegradation()) {
     out += StrFormat(
-        " ladder(naive=%zu biclique_overflow=%zu cold=%zu shard_regen=%zu)",
-        phase2.naive_oracle_fallbacks, phase2.biclique_overflows,
+        " ladder(naive=%zu cold=%zu shard_regen=%zu)",
+        phase2.naive_oracle_fallbacks,
         static_cast<size_t>(phase1.ilp.cold_fallbacks),
         phase2.shard_regenerations);
   }
@@ -52,7 +55,7 @@ std::string SolveStats::Summary() const {
 
 bool SolveStats::AnyDegradation() const {
   return phase1.ilp.cold_fallbacks > 0 || phase2.naive_oracle_fallbacks > 0 ||
-         phase2.biclique_overflows > 0 || phase2.shard_regenerations > 0;
+         phase2.shard_regenerations > 0;
 }
 
 }  // namespace cextend

@@ -1,10 +1,8 @@
 #include "graph/hypergraph.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace cextend {
 
@@ -78,170 +76,100 @@ bool AdjacencyGraph::HasEdge(size_t u, size_t v) const {
                             static_cast<uint32_t>(v));
 }
 
-// ---- ImplicitBicliqueFamily. ----
+// ---- QuotientGraph. ----
 
-namespace {
-constexpr uint32_t kNoGroup = ImplicitBicliqueFamily::kNoGroup;
-constexpr int64_t kUncolored = INT64_MIN;
-}  // namespace
-
-ImplicitBicliqueFamily::ImplicitBicliqueFamily(size_t num_vertices)
-    : n_(num_vertices),
-      words_((num_vertices + 63) / 64),
-      padded_words_(simd::PadWords((num_vertices + 63) / 64)) {}
-
-void ImplicitBicliqueFamily::AddBiclique(const std::vector<uint8_t>& side0,
-                                         const std::vector<uint8_t>& side1) {
-  CEXTEND_CHECK(side0.size() == n_ && side1.size() == n_);
-  std::vector<uint64_t> w0(words_, 0), w1(words_, 0);
-  for (size_t i = 0; i < n_; ++i) {
-    if (side0[i]) w0[i >> 6] |= uint64_t{1} << (i & 63);
-    if (side1[i]) w1[i >> 6] |= uint64_t{1} << (i & 63);
+QuotientGraph::QuotientGraph(Parts parts)
+    : bucket_of_(std::move(parts.bucket_of)),
+      group_of_(std::move(parts.group_of)) {
+  const size_t num_buckets = group_of_.size();
+  const size_t num_groups = parts.group_self.size();
+  CEXTEND_CHECK(parts.bucket_self.size() == num_buckets);
+  groups_.adjacency =
+      AdjacencyGraph::FromPackedPairs(num_groups, std::move(parts.group_pairs));
+  groups_.self = std::move(parts.group_self);
+  // Keep the levels disjoint: bucket edges their groups already cover go.
+  std::vector<uint64_t>& pairs = parts.bucket_pairs;
+  pairs.erase(std::remove_if(pairs.begin(), pairs.end(),
+                             [&](uint64_t p) {
+                               return groups_.HasEdge(
+                                   group_of_[p >> 32],
+                                   group_of_[p & 0xFFFFFFFFULL]);
+                             }),
+              pairs.end());
+  for (size_t b = 0; b < num_buckets; ++b) {
+    if (groups_.self[group_of_[b]] != 0) parts.bucket_self[b] = 0;
   }
-  AddBicliqueWords(std::move(w0), std::move(w1));
-}
+  buckets_.adjacency =
+      AdjacencyGraph::FromPackedPairs(num_buckets, std::move(pairs));
+  buckets_.self = std::move(parts.bucket_self);
 
-void ImplicitBicliqueFamily::AddBicliqueWords(std::vector<uint64_t> side0,
-                                              std::vector<uint64_t> side1) {
-  CEXTEND_CHECK(!finalized_) << "AddBiclique after Finalize";
-  CEXTEND_CHECK(bicliques_.size() < kMaxBicliques);
-  CEXTEND_CHECK(side0.size() == words_ && side1.size() == words_);
-  bicliques_.push_back(Biclique{std::move(side0), std::move(side1)});
-}
-
-void ImplicitBicliqueFamily::Finalize() {
-  CEXTEND_CHECK(!finalized_);
-  finalized_ = true;
-  signature_.assign(n_, 0);
-  group_.assign(n_, kNoGroup);
-  if (bicliques_.empty()) return;
-  // Word-driven signature build: only set bits are visited, so sparse sides
-  // cost their popcount, not n, and the inner loop is branch-light.
-  for (size_t i = 0; i < bicliques_.size(); ++i) {
-    const Biclique& b = bicliques_[i];
-    for (size_t w = 0; w < words_; ++w) {
-      uint64_t bits = b.side0[w];
-      while (bits != 0) {
-        signature_[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))] |=
-            uint64_t{1} << (2 * i);
-        bits &= bits - 1;
-      }
-      bits = b.side1[w];
-      while (bits != 0) {
-        signature_[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))] |=
-            uint64_t{1} << (2 * i + 1);
-        bits &= bits - 1;
-      }
-    }
+  // Members by (group, bucket, id): bucket runs are laid out group by
+  // group, then one ascending scatter of the vertices fills them.
+  std::vector<uint32_t> bucket_size(num_buckets, 0);
+  for (uint32_t b : bucket_of_) {
+    CEXTEND_DCHECK(b < num_buckets);
+    ++bucket_size[b];
   }
-  // One union-neighborhood bitset per distinct signature: a vertex on side 0
-  // of biclique i conflicts with all of side 1 and vice versa, so vertices
-  // with equal signatures share their implicit neighborhood verbatim. Rows
-  // live in one flat pool at a cache-line-padded stride (so line prefetch
-  // works during sweeps and neighboring groups never share a line).
-  std::unordered_map<uint64_t, uint32_t> group_of_signature;
-  // Vertices with equal signatures arrive in long runs (typically one
-  // signature per biclique side), so a one-entry cache turns the per-vertex
-  // hash lookup into a register compare on the hot path.
-  uint64_t cached_sig = 0;
-  uint32_t cached_group = kNoGroup;
-  for (size_t v = 0; v < n_; ++v) {
-    uint64_t sig = signature_[v];
-    if (sig == 0) continue;
-    if (sig == cached_sig) {
-      group_[v] = cached_group;
-      continue;
-    }
-    auto [it, inserted] = group_of_signature.emplace(
-        sig, static_cast<uint32_t>(group_popcount_.size()));
-    if (inserted) {
-      group_signature_.push_back(sig);
-      group_neighborhoods_.resize(group_neighborhoods_.size() + padded_words_,
-                                  0);
-      uint64_t* hood =
-          group_neighborhoods_.data() + group_neighborhoods_.size() -
-          padded_words_;
-      for (size_t i = 0; i < bicliques_.size(); ++i) {
-        if (sig & (uint64_t{1} << (2 * i))) {
-          simd::OrInto(hood, bicliques_[i].side1.data(), words_);
-        }
-        if (sig & (uint64_t{1} << (2 * i + 1))) {
-          simd::OrInto(hood, bicliques_[i].side0.data(), words_);
-        }
-      }
-      group_popcount_.push_back(simd::Popcount(hood, words_));
-    }
-    group_[v] = it->second;
-    cached_sig = sig;
-    cached_group = it->second;
+  group_begin_.assign(num_groups + 1, 0);
+  for (size_t b = 0; b < num_buckets; ++b) {
+    group_begin_[group_of_[b] + 1] += bucket_size[b];
   }
-}
-
-bool ImplicitBicliqueFamily::PairConflicts(size_t u, size_t v) const {
-  CEXTEND_DCHECK(finalized_);
-  if (u == v || bicliques_.empty()) return false;
-  uint32_t g = group_[u];
-  if (g == kNoGroup) return false;
-  return TestBit(GroupNeighborhood(g), v);
-}
-
-int64_t ImplicitBicliqueFamily::Degree(size_t v) const {
-  CEXTEND_DCHECK(finalized_);
-  if (bicliques_.empty()) return 0;
-  uint32_t g = group_[v];
-  if (g == kNoGroup) return 0;
-  return static_cast<int64_t>(group_popcount_[g]) -
-         (TestBit(GroupNeighborhood(g), v) ? 1 : 0);
-}
-
-void ImplicitBicliqueFamily::AppendForbiddenColors(
-    size_t v, const std::vector<int64_t>& colors,
-    std::vector<int64_t>* out) const {
-  CEXTEND_DCHECK(finalized_);
-  if (bicliques_.empty()) return;
-  uint32_t g = group_[v];
-  if (g == kNoGroup) return;
-  const uint64_t* hood = GroupNeighborhood(g);
-  for (size_t w = 0; w < words_; ++w) {
-    uint64_t bits = hood[w];
-    while (bits != 0) {
-      size_t u = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      if (u == v) continue;
-      int64_t c = colors[u];
-      if (c != kUncolored) out->push_back(c);
-    }
+  for (size_t g = 0; g < num_groups; ++g) {
+    group_begin_[g + 1] += group_begin_[g];
   }
-}
+  std::vector<uint32_t> group_cursor(group_begin_.begin(),
+                                     group_begin_.end() - 1);
+  bucket_begin_.resize(num_buckets);
+  bucket_end_.resize(num_buckets);
+  for (size_t b = 0; b < num_buckets; ++b) {
+    uint32_t& cursor = group_cursor[group_of_[b]];
+    bucket_begin_[b] = cursor;
+    cursor += bucket_size[b];
+    bucket_end_[b] = bucket_begin_[b];
+  }
+  members_.resize(bucket_of_.size());
+  for (size_t v = 0; v < bucket_of_.size(); ++v) {
+    members_[bucket_end_[bucket_of_[v]]++] = static_cast<uint32_t>(v);
+  }
 
-size_t ImplicitBicliqueFamily::UnionDegrees(const AdjacencyGraph& csr,
-                                            std::vector<int64_t>* degrees) const {
-  CEXTEND_DCHECK(finalized_);
-  degrees->assign(n_, 0);
+  std::vector<int64_t> group_weight(num_groups, 0);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    groups_.ForEachAdjacent(g, [&](uint32_t h) {
+      group_weight[g] += group_begin_[h + 1] - group_begin_[h];
+    });
+  }
+  bucket_degree_.assign(num_buckets, 0);
   size_t degree_sum = 0;
-  const bool no_csr = csr.num_edges() == 0;
-  for (size_t v = 0; v < n_; ++v) {
-    uint32_t g = bicliques_.empty() ? kNoGroup : group_[v];
-    size_t deg;
-    if (g == kNoGroup) {
-      deg = static_cast<size_t>(csr.Degree(v));
-    } else {
-      const uint64_t* hood = GroupNeighborhood(g);
-      deg = group_popcount_[g] - (TestBit(hood, v) ? 1 : 0);
-      if (!no_csr) {
-        // CSR neighbors already covered by the implicit neighborhood would
-        // be double-counted; membership is an O(1) bit test.
-        for (const uint32_t* p = csr.NeighborsBegin(v),
-                           *end = csr.NeighborsEnd(v);
-             p != end; ++p) {
-          if (!TestBit(hood, *p)) ++deg;
-        }
-      }
-    }
-    (*degrees)[v] = static_cast<int64_t>(deg);
-    degree_sum += deg;
+  for (uint32_t b = 0; b < num_buckets; ++b) {
+    const uint32_t g = group_of_[b];
+    int64_t deg = group_weight[g];
+    buckets_.ForEachAdjacent(b, [&](uint32_t c) { deg += bucket_size[c]; });
+    // v itself sits in its own group's or bucket's run when that class is
+    // self-adjacent (never both: the levels are disjoint).
+    if (groups_.self[g] != 0 || buckets_.self[b] != 0) --deg;
+    bucket_degree_[b] = deg;
+    degree_sum += static_cast<size_t>(deg) * bucket_size[b];
   }
-  return degree_sum / 2;
+  num_edges_ = degree_sum / 2;
+}
+
+bool QuotientGraph::HasEdge(size_t u, size_t v) const {
+  if (u == v) return false;
+  const uint32_t bu = bucket_of_[u];
+  const uint32_t bv = bucket_of_[v];
+  return groups_.HasEdge(group_of_[bu], group_of_[bv]) ||
+         buckets_.HasEdge(bu, bv);
+}
+
+void QuotientGraph::AppendForbiddenColors(size_t v,
+                                          const std::vector<int64_t>& colors,
+                                          std::vector<int64_t>* out) const {
+  constexpr int64_t kNoColor = INT64_MIN;
+  ForEachNeighborRun(v, [&](std::span<const uint32_t> run) {
+    for (uint32_t u : run) {
+      if (u != v && colors[u] != kNoColor) out->push_back(colors[u]);
+    }
+  });
 }
 
 Hypergraph::Hypergraph(size_t num_vertices) : incident_(num_vertices) {}

@@ -2,40 +2,39 @@
 // interface consumed by the greedy list-coloring algorithm.
 //
 // The paper materializes every hyperedge (NetworkX). Owner-owner style DCs
-// make partitions near-cliques with Θ(n²) edges, so this layer also provides
-// an implicit biclique representation (membership bitsets, no per-edge
-// storage) that composes with the CSR graph under union simple-graph
-// semantics; all conflict structures implement `ConflictOracle` and the
-// coloring semantics are identical regardless of representation.
+// make partitions near-cliques with Θ(n²) edges, and the census age-gap DCs
+// pair every owner with a band of members. A binary DC's truth on a row pair
+// depends only on the codes it reads, so this layer stores pairwise
+// conflicts as a quotient graph over buckets of vertices with identical
+// neighborhoods (QuotientGraph): a clique is one self-adjacent bucket, and
+// no per-pair storage is needed. All conflict structures implement
+// `ConflictOracle`, and the coloring is identical regardless of
+// representation.
 
 #ifndef CEXTEND_GRAPH_HYPERGRAPH_H_
 #define CEXTEND_GRAPH_HYPERGRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cextend {
 
-class AdjacencyGraph;
-class ImplicitBicliqueFamily;
 class Hypergraph;
+class QuotientGraph;
 
-/// Optional decomposition of a conflict oracle into its three layers. When
-/// an oracle publishes this (all-null members mean "opaque"), its forbidden
-/// rule is guaranteed to be exactly the union of: colors of colored CSR
-/// neighbors, colors of colored implicit-biclique neighbors, and the
+/// Optional decomposition of a conflict oracle into its two layers. When an
+/// oracle publishes a quotient, its forbidden rule is guaranteed to be
+/// exactly the union of: colors of colored quotient neighbors, and the
 /// hypergraph all-other-vertices-same-color rule. The greedy coloring uses
-/// the decomposition to run an incremental word-wise fast path instead of
+/// the decomposition to keep one forbidden set per bucket instead of
 /// calling AppendForbiddenColors per vertex; results are identical.
 struct ConflictStructure {
-  const AdjacencyGraph* csr = nullptr;
-  const ImplicitBicliqueFamily* implicit = nullptr;
+  const QuotientGraph* quotient = nullptr;
   const Hypergraph* higher = nullptr;
 
-  bool Decomposed() const {
-    return csr != nullptr || implicit != nullptr || higher != nullptr;
-  }
+  bool Decomposed() const { return quotient != nullptr; }
 };
 
 /// Interface the list-coloring algorithm needs from a conflict structure.
@@ -56,7 +55,7 @@ class ConflictOracle {
                                      std::vector<int64_t>* out) const = 0;
 
   /// Layer decomposition for the coloring fast path; default is opaque
-  /// (all-null), which forces the generic AppendForbiddenColors path.
+  /// (no quotient), which forces the generic AppendForbiddenColors path.
   virtual ConflictStructure Structure() const { return {}; }
 };
 
@@ -103,147 +102,117 @@ class AdjacencyGraph {
   std::vector<uint32_t> neighbors_; // 2 * num_edges entries, sorted per row
 };
 
-/// A family of implicit bicliques over vertices 0..n-1. Biclique i is given
-/// by two membership bitsets (side 0 / side 1) and contributes every
-/// unordered pair {u, v}, u != v, with u on one side and v on the other
-/// (symmetric closure; side0 == side1 yields a clique). No per-edge storage:
-/// a clique-style conflict set costs O(n) bits instead of Θ(n²) pairs.
+/// A simple conflict graph stored as a two-level quotient. Vertices fall
+/// into buckets, and buckets into groups; the members of one bucket have
+/// identical neighborhoods apart from themselves. Edges are stored between
+/// classes only, at two levels:
 ///
-/// Degrees and edge counts follow union-simple-graph semantics: vertices are
-/// grouped by their membership signature (vertices with identical signatures
-/// share one implicit neighborhood), one union-neighborhood bitset is built
-/// per distinct signature, and `UnionDegrees` composes the family with a CSR
-/// AdjacencyGraph so overlapping edges (several bicliques, or a biclique and
-/// a materialized pair) count once — exactly what a deduplicated pair list
-/// would produce.
-class ImplicitBicliqueFamily {
+///  * group level: two distinct vertices conflict when their groups are
+///    adjacent, or when they share a self-adjacent group (a clique, such as
+///    the owner-owner DC's). DCs without cross atoms live here: their truth
+///    depends on side membership alone.
+///  * bucket level: the same rule over buckets, for the remaining edges.
+///
+/// The levels are kept disjoint (a bucket pair already covered by its
+/// groups is dropped), so degrees add up. Degrees and edge counts follow
+/// simple-graph semantics: a vertex's degree is the summed size of its
+/// adjacent groups and buckets, minus one for itself when its own group or
+/// bucket is self-adjacent. A quotient whose buckets each hold one vertex is
+/// a per-vertex CSR graph. Storage is O(n + B + class pairs).
+class QuotientGraph {
  public:
-  /// At most this many bicliques per family (signatures pack two bits per
-  /// biclique into a uint64_t); callers route further conflict sets through
-  /// an explicit representation.
-  static constexpr size_t kMaxBicliques = 32;
+  /// One level of classes: adjacency among distinct classes (sorted runs)
+  /// and per-class self-adjacency.
+  struct Level {
+    AdjacencyGraph adjacency;
+    std::vector<uint8_t> self;
 
-  /// group_of() value for vertices in no biclique.
-  static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
+    size_t size() const { return self.size(); }
+    bool HasEdge(uint32_t a, uint32_t b) const {
+      return a == b ? self[a] != 0 : adjacency.HasEdge(a, b);
+    }
+    /// Calls fn(d) for every class d adjacent to class c: c itself when it
+    /// is self-adjacent, then c's neighbor run.
+    template <typename Fn>
+    void ForEachAdjacent(uint32_t c, Fn fn) const {
+      if (self[c] != 0) fn(c);
+      for (const uint32_t* p = adjacency.NeighborsBegin(c),
+                         *end = adjacency.NeighborsEnd(c);
+           p != end; ++p) {
+        fn(*p);
+      }
+    }
+  };
 
-  ImplicitBicliqueFamily() = default;
-  explicit ImplicitBicliqueFamily(size_t num_vertices);
+  /// Construction input. Pairs are packed as AdjacencyGraph::FromPackedPairs
+  /// takes them (a < b, any order, repeats allowed); a nonzero self flag
+  /// makes the members of that class conflict with each other.
+  struct Parts {
+    std::vector<uint32_t> bucket_of;  ///< per vertex, < number of buckets
+    std::vector<uint32_t> group_of;   ///< per bucket, < number of groups
+    std::vector<uint64_t> group_pairs;
+    std::vector<uint8_t> group_self;  ///< per group
+    std::vector<uint64_t> bucket_pairs;
+    std::vector<uint8_t> bucket_self;  ///< per bucket
+  };
 
-  /// Adds a biclique from n-length 0/1 membership masks. Must be called
-  /// before Finalize; requires num_bicliques() < kMaxBicliques.
-  void AddBiclique(const std::vector<uint8_t>& side0,
-                   const std::vector<uint8_t>& side1);
+  QuotientGraph() = default;
+  explicit QuotientGraph(Parts parts);
 
-  /// As AddBiclique but from already-packed word bitsets ((n + 63) / 64
-  /// words each) — the builder's hot path packs membership bits directly
-  /// instead of round-tripping through byte masks.
-  void AddBicliqueWords(std::vector<uint64_t> side0,
-                        std::vector<uint64_t> side1);
+  size_t num_vertices() const { return bucket_of_.size(); }
+  size_t num_edges() const { return num_edges_; }
+  const Level& groups() const { return groups_; }
+  const Level& buckets() const { return buckets_; }
 
-  /// Builds the signature groups and union-neighborhood bitsets. Queries and
-  /// UnionDegrees require a finalized family; AddBiclique is rejected after.
-  void Finalize();
+  uint32_t bucket_of(size_t v) const { return bucket_of_[v]; }
+  uint32_t group_of_bucket(uint32_t b) const { return group_of_[b]; }
 
-  size_t num_bicliques() const { return bicliques_.size(); }
-  bool empty() const { return bicliques_.empty(); }
+  /// Members of bucket b / group g, ascending within a bucket. A group's
+  /// members are its buckets' runs, back to back.
+  std::span<const uint32_t> BucketMembers(uint32_t b) const {
+    return {members_.data() + bucket_begin_[b],
+            bucket_end_[b] - bucket_begin_[b]};
+  }
+  std::span<const uint32_t> GroupMembers(uint32_t g) const {
+    return {members_.data() + group_begin_[g],
+            group_begin_[g + 1] - group_begin_[g]};
+  }
 
-  /// O(1): true when some biclique covers the unordered pair {u, v}.
-  bool PairConflicts(size_t u, size_t v) const;
+  int64_t Degree(size_t v) const { return bucket_degree_[bucket_of_[v]]; }
 
-  /// Number of implicit neighbors of `v` (union over bicliques, v excluded).
-  int64_t Degree(size_t v) const;
+  /// O(log deg) over class adjacency.
+  bool HasEdge(size_t u, size_t v) const;
 
-  /// Appends colors[u] for every colored implicit neighbor u of `v`
-  /// (duplicates allowed, matching ConflictOracle::AppendForbiddenColors).
+  /// Calls fn(members) for member runs that together hold v's neighbors,
+  /// each once; the run of v's own class is included when that class is
+  /// self-adjacent, so callers skip v.
+  template <typename Fn>
+  void ForEachNeighborRun(size_t v, Fn fn) const {
+    const uint32_t b = bucket_of_[v];
+    groups_.ForEachAdjacent(group_of_[b],
+                            [&](uint32_t g) { fn(GroupMembers(g)); });
+    buckets_.ForEachAdjacent(b, [&](uint32_t c) { fn(BucketMembers(c)); });
+  }
+
+  /// Appends colors[u] for every colored neighbor u of `v` (duplicates
+  /// allowed, matching ConflictOracle::AppendForbiddenColors).
   void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
                              std::vector<int64_t>* out) const;
 
-  /// Exact union-graph degrees composed with `csr`:
-  /// degrees[v] = |N_csr(v) ∪ N_implicit(v)|. Returns the number of unique
-  /// union edges. Cost: O(#signatures · K · n/64 + Σ deg_csr + n).
-  size_t UnionDegrees(const AdjacencyGraph& csr,
-                      std::vector<int64_t>* degrees) const;
-
-  /// 64-bit words held by the membership and group-neighborhood bitsets
-  /// (valid after Finalize). Normally O(K · n/64); adversarially overlapping
-  /// bicliques can push the group count toward n, so callers should charge
-  /// this against their edge-memory budget and fall back when it blows up.
-  /// Group rows count at their padded (cache-line) stride — what is actually
-  /// allocated.
-  size_t StorageWords() const {
-    return 2 * bicliques_.size() * words_ + num_groups() * padded_words_;
-  }
-
-  // ---- Flat layout accessors (valid after Finalize), consumed by the
-  // coloring fast path's incremental group-color index. ----
-
-  size_t num_groups() const { return group_popcount_.size(); }
-  size_t words() const { return words_; }
-
-  /// Dense group id of `v`, or kNoGroup when v is in no biclique. Vertices
-  /// with equal membership signatures share a group (and a neighborhood).
-  uint32_t group_of(size_t v) const {
-    return bicliques_.empty() ? kNoGroup : group_[v];
-  }
-
-  /// Group g's union-neighborhood bitset: words() valid words, starting at
-  /// a cache-line-aligned offset in one contiguous pool (rows are padded to
-  /// simd::kCacheLineWords so bulk sweeps never split lines across groups).
-  const uint64_t* GroupNeighborhood(uint32_t g) const {
-    return group_neighborhoods_.data() + static_cast<size_t>(g) * padded_words_;
-  }
-
-  /// Membership signature of `v` (0 = in no biclique) and the shared
-  /// signature of group `g`.
-  uint64_t signature_of(size_t v) const {
-    return bicliques_.empty() ? 0 : signature_[v];
-  }
-  uint64_t group_signature(uint32_t g) const { return group_signature_[g]; }
-
-  /// True iff a vertex with signature `vertex_sig` lies in the neighborhood
-  /// of a group with signature `group_sig`: some biclique has the group on
-  /// one side and the vertex on the other. Pure register math — the coloring
-  /// fast path uses it to update its per-group color counts without reading
-  /// any neighborhood bitset.
-  static bool SignatureAdjacent(uint64_t group_sig, uint64_t vertex_sig) {
-    constexpr uint64_t kSide0 = 0x5555555555555555ull;  // bits 2i
-    constexpr uint64_t kSide1 = 0xAAAAAAAAAAAAAAAAull;  // bits 2i+1
-    return ((group_sig & (vertex_sig >> 1) & kSide0) |
-            (group_sig & (vertex_sig << 1) & kSide1)) != 0;
-  }
-
-  /// Bit test on a packed bitset (e.g. a hoisted GroupNeighborhood row):
-  /// callers probing one vertex against many members fetch the row once and
-  /// test per member, instead of re-resolving the group per pair.
-  static bool TestBit(const uint64_t* bits, size_t i) {
-    return (bits[i >> 6] >> (i & 63)) & 1;
-  }
-
  private:
-  static bool TestBit(const std::vector<uint64_t>& bits, size_t i) {
-    return TestBit(bits.data(), i);
-  }
-
-  struct Biclique {
-    std::vector<uint64_t> side0;
-    std::vector<uint64_t> side1;
-  };
-
-  size_t n_ = 0;
-  size_t words_ = 0;
-  size_t padded_words_ = 0;  // words_ rounded up to a cache-line multiple
-  bool finalized_ = false;
-  std::vector<Biclique> bicliques_;
-  /// Per-vertex membership signature: bit 2i = in side 0 of biclique i,
-  /// bit 2i+1 = in side 1. Signature 0 means "in no biclique".
-  std::vector<uint64_t> signature_;
-  /// Per-vertex dense group id (kNoGroup for signature 0); one
-  /// union-neighborhood bitset (with cached popcount) per group, flattened
-  /// into a single pool at padded_words_ stride.
-  std::vector<uint32_t> group_;
-  std::vector<uint64_t> group_neighborhoods_;
-  std::vector<size_t> group_popcount_;
-  std::vector<uint64_t> group_signature_;  // per-group shared signature
+  std::vector<uint32_t> bucket_of_;
+  std::vector<uint32_t> group_of_;
+  // Vertices ordered by (group, bucket, id): bucket b's run is
+  // [bucket_begin_[b], bucket_end_[b]), group g's is
+  // [group_begin_[g], group_begin_[g + 1]).
+  std::vector<uint32_t> members_;
+  std::vector<uint32_t> bucket_begin_;
+  std::vector<uint32_t> bucket_end_;
+  std::vector<uint32_t> group_begin_;
+  Level groups_;
+  Level buckets_;
+  std::vector<int64_t> bucket_degree_;  // any member's degree
+  size_t num_edges_ = 0;
 };
 
 /// Explicitly stored hypergraph (vertices 0..n-1; edges of arity >= 2).

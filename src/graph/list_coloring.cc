@@ -1,6 +1,7 @@
 #include "graph/list_coloring.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/logging.h"
@@ -10,10 +11,12 @@ namespace {
 
 constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-/// Adversarial implicit families can mint many signature groups; past this
-/// the O(G) per-assignment update would dominate, so the coloring falls
-/// back to the generic path (identical results, original complexity).
-constexpr size_t kMaxIndexedGroups = 256;
+constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+/// The quotient path keeps one ⌈C/64⌉-word forbidden row per group and per
+/// bucket; it is taken while those rows fit in this many words per vertex,
+/// so its memory stays O(n) like the per-vertex path's.
+constexpr size_t kRowWordsPerVertex = 2;
 
 /// Candidate values -> dense mark slots via one sorted flat array (cache
 /// friendly; no hash table on the hot path). Duplicate values share the
@@ -74,16 +77,30 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
   }
 
   // l <- uncolored vertices, non-increasing degree; ties by index for
-  // determinism.
+  // determinism. An LSD radix sort on (max degree - degree), one byte per
+  // pass: each pass is stable, so ties keep index order.
+  std::vector<int64_t> degree(n);
   std::vector<int> order;
   order.reserve(n);
+  int64_t max_degree = 0;
   for (size_t v = 0; v < n; ++v) {
-    if (result.colors[v] == kNoColor) order.push_back(static_cast<int>(v));
+    if (result.colors[v] != kNoColor) continue;
+    degree[v] = oracle.Degree(v);
+    max_degree = std::max(max_degree, degree[v]);
+    order.push_back(static_cast<int>(v));
   }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return oracle.Degree(static_cast<size_t>(a)) >
-           oracle.Degree(static_cast<size_t>(b));
-  });
+  std::vector<int> sorted(order.size());
+  for (int shift = 0; shift < 64 && (max_degree >> shift) != 0; shift += 8) {
+    size_t count[257] = {};
+    auto digit = [&](int v) {
+      return static_cast<size_t>(
+          ((max_degree - degree[static_cast<size_t>(v)]) >> shift) & 255);
+    };
+    for (int v : order) ++count[digit(v) + 1];
+    for (size_t d = 0; d < 256; ++d) count[d + 1] += count[d];
+    for (int v : order) sorted[count[digit(v)]++] = v;
+    order.swap(sorted);
+  }
 
   const size_t num_candidates = candidates.size();
   CandidateIndex cidx(candidates);
@@ -92,14 +109,34 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
   // scan-to-first-free) with zero allocations on the hot path.
   std::vector<uint32_t> forbidden_mark(num_candidates, 0);
   uint32_t epoch = 0;
+  // Marks the colors in `colors` that are candidates as forbidden for the
+  // current epoch; other colors (e.g. assigned by an earlier pass over a
+  // different list) cannot be chosen anyway.
+  auto mark_colors = [&](const std::vector<int64_t>& colors) {
+    for (int64_t c : colors) {
+      size_t slot = cidx.Lookup(c);
+      if (slot != kNotFound) forbidden_mark[slot] = epoch;
+    }
+  };
+  // Colors v with the first candidate at or after `from` that `forbidden`
+  // does not reject (or skips v), and returns the chosen slot.
+  auto assign = [&](int v, size_t from, auto forbidden) {
+    for (size_t i = from; i < num_candidates; ++i) {
+      size_t slot = cidx.rep(i);
+      if (!forbidden(slot)) {
+        result.colors[static_cast<size_t>(v)] = candidates[i];
+        return slot;
+      }
+    }
+    result.skipped.push_back(v);
+    return kNotFound;
+  };
+  auto marked = [&](size_t slot) { return forbidden_mark[slot] == epoch; };
 
-  ConflictStructure layers = oracle.Structure();
-  const ImplicitBicliqueFamily* implicit = layers.implicit;
-  if (implicit != nullptr && implicit->num_bicliques() == 0) implicit = nullptr;
-  size_t num_groups = implicit == nullptr ? 0 : implicit->num_groups();
-  bool fast = layers.Decomposed() && num_groups <= kMaxIndexedGroups;
-
-  if (!fast) {
+  const ConflictStructure layers = oracle.Structure();
+  const QuotientGraph* q = layers.quotient;
+  CEXTEND_CHECK(q == nullptr || q->num_vertices() == n);
+  if (q == nullptr) {
     // Generic reference path: one oracle query per vertex.
     std::vector<int64_t> forbidden_list;
     for (int v : order) {
@@ -107,110 +144,116 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
       oracle.AppendForbiddenColors(static_cast<size_t>(v), result.colors,
                                    &forbidden_list);
       ++epoch;
-      for (int64_t c : forbidden_list) {
-        size_t slot = cidx.Lookup(c);
-        // Colors outside the candidate list (e.g. assigned by an earlier
-        // pass over a different list) cannot be chosen anyway.
-        if (slot != kNotFound) forbidden_mark[slot] = epoch;
-      }
-      int64_t chosen = kNoColor;
-      for (size_t i = 0; i < num_candidates; ++i) {
-        if (forbidden_mark[cidx.rep(i)] != epoch) {
-          chosen = candidates[i];
-          break;
-        }
-      }
-      if (chosen == kNoColor) {
-        result.skipped.push_back(v);
-      } else {
-        result.colors[static_cast<size_t>(v)] = chosen;
-      }
+      mark_colors(forbidden_list);
+      assign(v, 0, marked);
     }
     return result;
   }
 
-  // Structure fast path. The implicit-biclique layer is served by an
-  // incremental index: group_count[g * C + slot] counts colored vertices
-  // inside group g's neighborhood holding candidate `slot`. Queries read one
-  // contiguous C-entry row; assignments update each adjacent group via a
-  // pure-register signature test (no neighborhood bitset is ever read).
-  std::vector<uint32_t> group_count(num_groups * num_candidates, 0);
-  std::vector<uint64_t> group_sig(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    group_sig[g] = implicit->group_signature(static_cast<uint32_t>(g));
-  }
-  auto record_assignment = [&](size_t v, size_t slot) {
-    if (implicit == nullptr) return;
-    uint64_t sv = implicit->signature_of(v);
-    if (sv == 0) return;  // in no biclique -> in no group's neighborhood
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (ImplicitBicliqueFamily::SignatureAdjacent(group_sig[g], sv)) {
-        ++group_count[g * num_candidates + slot];
-      }
+  // Hyperedges forbid per vertex: their marks never touch shared state.
+  std::vector<int64_t> hyper_forbidden;
+  // Marks v's hyperedge-forbidden colors in the current epoch; false when
+  // v is in no hyperedge.
+  auto mark_hyperedges = [&](size_t v) {
+    if (layers.higher == nullptr || layers.higher->incident_edges(v).empty()) {
+      return false;
+    }
+    hyper_forbidden.clear();
+    layers.higher->AppendForbiddenColors(v, result.colors, &hyper_forbidden);
+    mark_colors(hyper_forbidden);
+    return true;
+  };
+  // Every uncolored vertex of a bucket sees the same forbidden set — the
+  // slots held by colored vertices of adjacent groups and buckets — and
+  // that set only grows. So each group and each bucket keeps a bitset row
+  // over candidate slots, an assignment sets one bit in each adjacent
+  // class's row, and a bucket's cursor over the candidate list only ever
+  // moves past candidates its two rows forbid.
+  //
+  // CSR rung: when the rows of both levels would outgrow O(n) words (many
+  // buckets and a long candidate list), buckets keep no rows; each vertex
+  // streams the colored members of its adjacent buckets through a
+  // per-vertex slot cache instead, as a per-vertex CSR graph would. Group
+  // rows, and a cursor per group, stay unless they alone are too large.
+  const size_t num_groups = q->groups().size();
+  const size_t num_buckets = q->buckets().size();
+  const size_t words = (num_candidates + 63) / 64;
+  const size_t row_budget = kRowWordsPerVertex * n;
+  const bool group_rows = num_groups * words <= row_budget;
+  const bool bucket_rows =
+      group_rows && (num_groups + num_buckets) * words <= row_budget;
+  result.csr_rung = !bucket_rows;
+  std::vector<uint64_t> rows(
+      ((group_rows ? num_groups : 0) + (bucket_rows ? num_buckets : 0)) *
+          words,
+      0);
+  const std::vector<uint64_t> no_row(words, 0);
+  // Shared cursors: per bucket with bucket rows, else per group (a lower
+  // bound for every member, whose forbidden set contains its group row).
+  std::vector<size_t> cursor(bucket_rows ? num_buckets : num_groups, 0);
+  std::vector<uint32_t> slot_of(bucket_rows ? 0 : n, kNoSlot);
+  auto record = [&](size_t v, size_t slot) {
+    const size_t word = slot >> 6;
+    const uint64_t bit = uint64_t{1} << (slot & 63);
+    const uint32_t b = q->bucket_of(v);
+    if (group_rows) {
+      q->groups().ForEachAdjacent(q->group_of_bucket(b), [&](uint32_t g) {
+        rows[g * words + word] |= bit;
+      });
+    }
+    if (bucket_rows) {
+      q->buckets().ForEachAdjacent(b, [&](uint32_t c) {
+        rows[(num_groups + c) * words + word] |= bit;
+      });
+    } else {
+      slot_of[v] = static_cast<uint32_t>(slot);
     }
   };
-  // Per-vertex candidate slot of the vertex's color (kNoSlot when uncolored
-  // or colored outside the list — such colors can never be chosen, so they
-  // never need marking). Lets the CSR stream mark one slot per neighbor with
-  // a single load instead of a color lookup.
-  constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
-  std::vector<uint32_t> slot_of(n, kNoSlot);
-  // Seed the index with colors carried in via `initial`.
+  auto mark_run = [&](std::span<const uint32_t> run) {
+    for (uint32_t u : run) {
+      if (slot_of[u] != kNoSlot) forbidden_mark[slot_of[u]] = epoch;
+    }
+  };
   for (size_t v = 0; v < n; ++v) {
     if (result.colors[v] == kNoColor) continue;
     size_t slot = cidx.Lookup(result.colors[v]);
-    if (slot != kNotFound) {
-      slot_of[v] = static_cast<uint32_t>(slot);
-      record_assignment(v, slot);
-    }
+    if (slot != kNotFound) record(v, slot);
   }
-
-  std::vector<int64_t> hyper_forbidden;
   for (int v : order) {
     size_t vv = static_cast<size_t>(v);
+    const uint32_t b = q->bucket_of(vv);
+    const uint32_t g = q->group_of_bucket(b);
+    const uint64_t* group_row =
+        group_rows ? rows.data() + g * words : no_row.data();
+    const uint64_t* bucket_row =
+        bucket_rows ? rows.data() + (num_groups + b) * words : no_row.data();
+    auto in_rows = [=](size_t slot) {
+      return ((group_row[slot >> 6] | bucket_row[slot >> 6]) >> (slot & 63)) &
+             1;
+    };
     ++epoch;
-    if (implicit != nullptr) {
-      uint32_t g = implicit->group_of(vv);
-      if (g != ImplicitBicliqueFamily::kNoGroup) {
-        const uint32_t* row = group_count.data() + g * num_candidates;
-        for (size_t slot = 0; slot < num_candidates; ++slot) {
-          if (row[slot] != 0) forbidden_mark[slot] = epoch;
-        }
+    bool marks = mark_hyperedges(vv);
+    size_t from = 0;
+    if (group_rows) {
+      size_t& shared = cursor[bucket_rows ? b : g];
+      while (shared < num_candidates && in_rows(cidx.rep(shared))) ++shared;
+      from = shared;
+    }
+    if (!bucket_rows) {
+      marks = true;
+      if (!group_rows) {
+        q->groups().ForEachAdjacent(
+            g, [&](uint32_t h) { mark_run(q->GroupMembers(h)); });
       }
+      q->buckets().ForEachAdjacent(
+          b, [&](uint32_t c) { mark_run(q->BucketMembers(c)); });
     }
-    if (layers.csr != nullptr) {
-      for (const uint32_t* p = layers.csr->NeighborsBegin(vv),
-                         *end = layers.csr->NeighborsEnd(vv);
-           p != end; ++p) {
-        uint32_t slot = slot_of[*p];
-        if (slot != kNoSlot) forbidden_mark[slot] = epoch;
-      }
-    }
-    if (layers.higher != nullptr) {
-      hyper_forbidden.clear();
-      layers.higher->AppendForbiddenColors(vv, result.colors, &hyper_forbidden);
-      for (int64_t c : hyper_forbidden) {
-        size_t slot = cidx.Lookup(c);
-        if (slot != kNotFound) forbidden_mark[slot] = epoch;
-      }
-    }
-    int64_t chosen = kNoColor;
-    size_t chosen_slot = kNotFound;
-    for (size_t i = 0; i < num_candidates; ++i) {
-      size_t slot = cidx.rep(i);
-      if (forbidden_mark[slot] != epoch) {
-        chosen = candidates[i];
-        chosen_slot = slot;
-        break;
-      }
-    }
-    if (chosen == kNoColor) {
-      result.skipped.push_back(v);
-    } else {
-      result.colors[vv] = chosen;
-      slot_of[vv] = static_cast<uint32_t>(chosen_slot);
-      record_assignment(vv, chosen_slot);
-    }
+    size_t slot = marks ? assign(v, from,
+                                 [&](size_t s) {
+                                   return in_rows(s) || marked(s);
+                                 })
+                        : assign(v, from, in_rows);
+    if (slot != kNotFound) record(vv, slot);
   }
   return result;
 }

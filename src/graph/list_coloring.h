@@ -6,28 +6,33 @@
 // skipped and returned to the caller (Algorithm 4 colors them with fresh
 // colors, which corresponds to inserting new tuples into R2).
 //
-// Forbidden colors are tracked with an epoch-stamped mark vector keyed by
-// candidate index (no per-vertex set rebuild). Two paths produce identical
-// colorings:
+// Forbidden colors are tracked per candidate slot. Three paths produce
+// identical colorings:
 //
 //  * Generic (reference): one AppendForbiddenColors call per vertex —
-//    O(sum of degrees) color pushes plus candidate lookups.
-//  * Structure fast path: when the oracle publishes its layer decomposition
-//    (ConflictStructure), the implicit-biclique layer is served by an
-//    incremental group-color index — count[group][candidate] of colored
-//    vertices inside each group's neighborhood, updated in O(#groups)
-//    signature tests per assignment (no bitset reads) and queried in
-//    O(#candidates) per vertex. A dense implicit partition (owner-owner
-//    cliques) thus costs O(n · (G + C)) instead of O(n² ) color pushes. The
-//    CSR layer streams each vertex's materialized neighbor run; the
-//    hypergraph layer keeps its all-others-same-color rule.
+//    O(sum of degrees) color pushes plus candidate lookups, epoch-stamped
+//    into a mark vector.
+//  * Quotient: when the oracle publishes a QuotientGraph
+//    (ConflictStructure), every uncolored vertex of a bucket sees the same
+//    forbidden set, and that set only grows. Each bucket keeps a forbidden
+//    bitset over candidate slots, updated in O(adjacent buckets) per
+//    assignment, and a cursor over the candidate list that only moves past
+//    candidates its bitset forbids. An owner clique of n vertices thus costs
+//    O(n + C) instead of Θ(n²) color pushes and O(C) scans per vertex.
+//  * CSR rung: when B buckets · ⌈C/64⌉ words of bitsets would outgrow O(n)
+//    words (many buckets, long candidate lists), each vertex streams the
+//    colored members of its adjacent buckets instead, as a per-vertex CSR
+//    graph would.
 //
-// Candidate values map to dense mark slots through a sorted flat array
-// (binary search) instead of a hash table; duplicate candidate values share
-// the slot of their first occurrence. Oracles may report the same forbidden
-// color several times — the epoch marks absorb duplicates, and the degree
-// order only relies on the oracle's union simple-graph degrees, so colorings
-// are identical across conflict representations, paths, and thread counts.
+// Hyperedges forbid per vertex in every path (all-other-vertices-same-color
+// rule); on the quotient path their marks never move the shared cursor.
+//
+// Candidate values map to dense slots through a sorted flat array (binary
+// search) instead of a hash table; duplicate candidate values share the slot
+// of their first occurrence. Oracles may report the same forbidden color
+// several times — the marks absorb duplicates, and the degree order only
+// relies on the oracle's union simple-graph degrees, so colorings are
+// identical across conflict representations, paths, and thread counts.
 
 #ifndef CEXTEND_GRAPH_LIST_COLORING_H_
 #define CEXTEND_GRAPH_LIST_COLORING_H_
@@ -48,14 +53,17 @@ struct ListColoringResult {
   std::vector<int64_t> colors;
   /// Vertices left uncolored because every candidate was forbidden.
   std::vector<int> skipped;
+  /// The quotient was colored on the CSR rung (per-vertex neighbor streams),
+  /// chosen because per-bucket bitsets would not have been smaller.
+  bool csr_rung = false;
 };
 
 /// Runs ColoringLF(G, c, L). `initial` may be empty (all uncolored) or one
 /// entry per vertex. `candidates` is the ordered list L; "smallest available
 /// color" = first non-forbidden entry. Already-colored vertices are skipped,
-/// matching the resumable use in Algorithm 4. The structure fast path runs
-/// whenever `oracle.Structure()` is decomposed; results are identical either
-/// way.
+/// matching the resumable use in Algorithm 4. The quotient paths run
+/// whenever `oracle.Structure()` publishes a quotient; results are identical
+/// either way.
 ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
                                       std::vector<int64_t> initial,
                                       const std::vector<int64_t>& candidates);

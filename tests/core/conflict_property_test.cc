@@ -1,8 +1,10 @@
-// Randomized cross-check of the indexed PartitionConflictOracle against the
+// Randomized cross-check of the quotient PartitionConflictOracle against the
 // brute-force NaiveConflictOracle: adjacency, degrees, edge counts, forbidden
 // colors, WouldViolate and full greedy colorings must match exactly across
 // seeds, DC shapes (equality / ordering / != / no cross atoms / same-tuple
-// atoms / arity 3) and NULL-bearing columns.
+// atoms / arity 3), self-adjacent buckets, near-unique cross columns and
+// NULL-bearing columns. The quotient coloring paths are checked against the
+// generic AppendForbiddenColors path.
 
 #include <algorithm>
 #include <set>
@@ -101,8 +103,8 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // A second no-cross-atom DC whose sides overlap the owner-owner clique:
-  // two implicit bicliques whose union must stay simple-graph (and overlap
-  // materialized pairs from the DCs above).
+  // owners get a self-adjacent bucket per Age-free signature, and the union
+  // with the pairs of the DCs above must stay simple-graph.
   if (rng.Bernoulli(0.7)) {
     DenialConstraint dc(2, "owner-spouse-product");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
@@ -110,7 +112,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // No-cross-atom DC with a same-tuple binary atom as a side filter: the
-  // implicit side masks must honor same-tuple atoms, not just the unary atoms.
+  // bucket signatures must honor same-tuple atoms, not just the unary atoms.
   if (rng.Bernoulli(0.5)) {
     DenialConstraint dc(2, "filtered-product");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Child"));
@@ -149,11 +151,11 @@ std::multiset<int64_t> ForbiddenSet(const PartitionOracle& oracle, size_t v,
   return std::multiset<int64_t>(out.begin(), out.end());
 }
 
-/// Cross-checks the indexed oracle against the naive one: degrees, edge
+/// Cross-checks the quotient oracle against the naive one: degrees, edge
 /// count, every pair, forbidden colors and WouldViolate under random partial
 /// colorings, and the full greedy coloring.
-void ExpectIndexedMatchesNaive(const PartitionConflictOracle& indexed,
-                               const NaiveConflictOracle& naive, Rng& rng) {
+void ExpectQuotientMatchesNaive(const PartitionConflictOracle& indexed,
+                                const NaiveConflictOracle& naive, Rng& rng) {
   ASSERT_EQ(indexed.NumVertices(), naive.NumVertices());
   size_t m = indexed.NumVertices();
   EXPECT_EQ(indexed.CountEdges(), naive.CountEdges());
@@ -205,7 +207,7 @@ void ExpectIndexedMatchesNaive(const PartitionConflictOracle& indexed,
 
 class ConflictPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
+TEST_P(ConflictPropertyTest, QuotientMatchesNaive) {
   Rng rng(GetParam());
   size_t n = 30 + static_cast<size_t>(rng.UniformInt(0, 50));
   Table t = RandomTable(rng, n);
@@ -221,25 +223,24 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(naive.ok()) << naive.status();
-  ExpectIndexedMatchesNaive(indexed.value(), naive.value(), rng);
+  ExpectQuotientMatchesNaive(indexed.value(), naive.value(), rng);
 }
 
-TEST_P(ConflictPropertyTest, BicliqueOverflowMatchesNaive) {
-  // More overlapping product DCs than ImplicitBicliqueFamily holds: DCs past
-  // kMaxBicliques take the materialized path (closed-form count, mirror
-  // orientation skipped) and their pairs dedup against each other and
-  // against the indexed DCs in the CSR.
+TEST_P(ConflictPropertyTest, ManyProductDcsMatchNaive) {
+  // Forty overlapping product DCs (no cross atoms) on top of the random
+  // ones: buckets are keyed by forty-bit-plus side signatures, spanning more
+  // than one signature word, and their pairs dedup against each other and
+  // against the cross-atom DCs' pairs.
   Rng rng(GetParam() * 389 + 3);
   size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 40));
   Table t = RandomTable(rng, n);
   std::vector<DenialConstraint> dcs;
-  constexpr int kProducts =
-      static_cast<int>(ImplicitBicliqueFamily::kMaxBicliques) + 8;
+  constexpr int kProducts = 40;
   for (int k = 0; k < kProducts; ++k) {
     DenialConstraint dc(2, "product-" + std::to_string(k));
     dc.Unary(0, "Age", CompareOp::kGe, Value(int64_t{2 * k}));
     if (k % 2 == 0) {
-      // Both sides alike: a clique, whose mirror pairs the emitter skips.
+      // Both sides alike: a clique, so its buckets are self-adjacent.
       dc.Unary(1, "Age", CompareOp::kGe, Value(int64_t{2 * k}));
     } else {
       dc.Unary(1, "G", CompareOp::kEq, Value(int64_t{k % 5}));
@@ -256,13 +257,10 @@ TEST_P(ConflictPropertyTest, BicliqueOverflowMatchesNaive) {
 
   auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
-  EXPECT_EQ(indexed->num_implicit_bicliques(),
-            ImplicitBicliqueFamily::kMaxBicliques);
-  EXPECT_GT(indexed->num_biclique_overflows(), 0u);
   EXPECT_GT(indexed->num_materialized_pairs(), 0u);
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(naive.ok()) << naive.status();
-  ExpectIndexedMatchesNaive(indexed.value(), naive.value(), rng);
+  ExpectQuotientMatchesNaive(indexed.value(), naive.value(), rng);
 }
 
 TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {
@@ -308,12 +306,39 @@ class GenericOnlyOracle : public ConflictOracle {
   const ConflictOracle& inner_;
 };
 
-TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
-  // The coloring's structure fast path (incremental group index + CSR
-  // streaming + slot cache) must be byte-identical to the generic
-  // AppendForbiddenColors reference path — from scratch and when resuming a
-  // partial coloring, where the fast path has to seed its index from
-  // `initial`.
+/// Colors through the quotient and through the generic path, from scratch
+/// and resuming `initial`, then runs the fresh-color pass over the skipped
+/// vertices on both; every result must be identical. Returns whether the
+/// quotient run took the CSR rung.
+bool ExpectQuotientColoringMatchesGeneric(const PartitionConflictOracle& oracle,
+                                          const std::vector<int64_t>& initial,
+                                          const std::vector<int64_t>& candidates) {
+  const GenericOnlyOracle generic(oracle);
+  EXPECT_TRUE(oracle.Structure().Decomposed());
+  EXPECT_FALSE(generic.Structure().Decomposed());
+  ListColoringResult fast = GreedyListColoring(oracle, initial, candidates);
+  ListColoringResult ref = GreedyListColoring(generic, initial, candidates);
+  EXPECT_EQ(fast.colors, ref.colors);
+  EXPECT_EQ(fast.skipped, ref.skipped);
+  EXPECT_FALSE(ref.csr_rung);
+  // Algorithm 4's fresh pass: as many fresh colors as skipped vertices.
+  std::vector<int64_t> fresh;
+  for (size_t i = 0; i < fast.skipped.size(); ++i) {
+    fresh.push_back(1'000'000 + static_cast<int64_t>(i));
+  }
+  ListColoringResult fast2 = GreedyListColoring(oracle, fast.colors, fresh);
+  ListColoringResult ref2 = GreedyListColoring(generic, ref.colors, fresh);
+  EXPECT_EQ(fast2.colors, ref2.colors);
+  EXPECT_EQ(fast2.skipped, ref2.skipped);
+  return fast.csr_rung;
+}
+
+TEST_P(ConflictPropertyTest, QuotientColoringMatchesGeneric) {
+  // The quotient coloring (per-bucket forbidden rows and cursors, or the
+  // CSR rung's per-vertex streams) must be byte-identical to the generic
+  // AppendForbiddenColors reference path: from scratch, resuming a partial
+  // coloring (colors outside the list included), over candidate lists with
+  // duplicate values, and through the fresh-color pass.
   Rng rng(GetParam() * 613 + 11);
   size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 60));
   Table t = RandomTable(rng, n);
@@ -326,20 +351,15 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
   auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
 
+  // Short lists, with duplicate values: the bucket rows.
   std::vector<int64_t> candidates;
   int64_t num_candidates = rng.UniformInt(2, 10);
-  for (int64_t c = 0; c < num_candidates; ++c) candidates.push_back(c * 3);
-  const GenericOnlyOracle generic(*oracle);
-  ASSERT_TRUE(oracle->Structure().Decomposed());
-  ASSERT_FALSE(generic.Structure().Decomposed());
+  for (int64_t c = 0; c < num_candidates; ++c) {
+    candidates.push_back(rng.Bernoulli(0.2) && c > 0 ? candidates.back()
+                                                     : c * 3);
+  }
+  EXPECT_FALSE(ExpectQuotientColoringMatchesGeneric(*oracle, {}, candidates));
 
-  ListColoringResult fast = GreedyListColoring(*oracle, {}, candidates);
-  ListColoringResult ref = GreedyListColoring(generic, {}, candidates);
-  EXPECT_EQ(fast.colors, ref.colors);
-  EXPECT_EQ(fast.skipped, ref.skipped);
-
-  // Resume: pre-color a random subset (including colors outside the
-  // candidate list, which neither path may ever mark).
   std::vector<int64_t> initial(rows.size(), kNoColor);
   for (size_t v = 0; v < rows.size(); ++v) {
     if (rng.Bernoulli(0.4)) {
@@ -348,18 +368,77 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
                                       : int64_t{1000};
     }
   }
-  fast = GreedyListColoring(*oracle, initial, candidates);
-  ref = GreedyListColoring(generic, initial, candidates);
-  EXPECT_EQ(fast.colors, ref.colors);
-  EXPECT_EQ(fast.skipped, ref.skipped);
+  ExpectQuotientColoringMatchesGeneric(*oracle, initial, candidates);
+
+  // A list of 64·n candidates: a row per bucket would take n words, so any
+  // quotient with three or more buckets is colored on the CSR rung.
+  std::vector<int64_t> long_list;
+  for (size_t c = 0; c < 64 * rows.size(); ++c) {
+    long_list.push_back(static_cast<int64_t>(c % 97 == 5 ? 0 : c));
+  }
+  ASSERT_GE(oracle->num_buckets(), 3u);
+  EXPECT_TRUE(ExpectQuotientColoringMatchesGeneric(*oracle, {}, long_list));
+  EXPECT_TRUE(
+      ExpectQuotientColoringMatchesGeneric(*oracle, initial, long_list));
+}
+
+TEST_P(ConflictPropertyTest, NearUniqueCrossColumnMatchesNaive) {
+  // A cross atom on a near-unique column (U) splits almost every vertex into
+  // its own bucket: the quotient is the per-vertex CSR graph, and a
+  // candidate list longer than 128 entries puts its coloring on the CSR
+  // rung, from the sizes alone.
+  Rng rng(GetParam() * 733 + 17);
+  size_t n = 60 + static_cast<size_t>(rng.UniformInt(0, 40));
+  Schema schema{{"U", DataType::kInt64}, {"Rel", DataType::kString}};
+  Table t{schema};
+  for (size_t i = 0; i < n; ++i) {
+    Value u = rng.Bernoulli(0.03)
+                  ? Value::Null()
+                  : Value(rng.UniformInt(0, static_cast<int64_t>(20 * n)));
+    ASSERT_TRUE(
+        t.AppendRow({u, Value(rng.Bernoulli(0.3) ? "Owner" : "Child")}).ok());
+  }
+  std::vector<DenialConstraint> dcs;
+  {
+    DenialConstraint dc(2, "close-ids");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Binary(0, "U", CompareOp::kGt, 1, "U", -static_cast<int64_t>(4 * n));
+    dc.Binary(0, "U", CompareOp::kLe, 1, "U");
+    dcs.push_back(std::move(dc));
+  }
+  {
+    DenialConstraint dc(2, "owner-owner");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+    dcs.push_back(std::move(dc));
+  }
+  auto bound = BindAll(dcs, t);
+  ASSERT_TRUE(bound.ok());
+  std::vector<uint32_t> rows(n);
+  for (uint32_t i = 0; i < n; ++i) rows[i] = i;
+  auto quotient = PartitionConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(quotient.ok()) << quotient.status();
+  EXPECT_GT(quotient->num_buckets(), n * 3 / 4);
+  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(naive.ok());
+  ExpectQuotientMatchesNaive(quotient.value(), naive.value(), rng);
+
+  std::vector<int64_t> candidates;
+  for (int64_t c = 0; c < 200; ++c) candidates.push_back(c);
+  ListColoringResult csr = GreedyListColoring(*quotient, {}, candidates);
+  EXPECT_TRUE(csr.csr_rung);
+  ListColoringResult ref = GreedyListColoring(*naive, {}, candidates);
+  EXPECT_EQ(csr.colors, ref.colors);
+  EXPECT_EQ(csr.skipped, ref.skipped);
+  EXPECT_TRUE(ExpectQuotientColoringMatchesGeneric(*quotient, {}, candidates));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictPropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
-  // The flattened indexed build materializes one contiguous Entry pool (3
-  // words per side-1 vertex) before emitting any pair. That pool must be
+  // The quotient build materializes one contiguous Entry pool (3 words per
+  // side-1 bucket) before emitting any pair. That pool must be
   // charged against max_materialized_pairs: this DC's ordering atom never
   // holds (Age0 < Age1 - 1000 with ages in [0, 90]), so it emits ZERO pairs —
   // a budget below the pool size but above the pair count only trips if the
@@ -381,8 +460,9 @@ TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
   ASSERT_NE(indexed, nullptr);
   EXPECT_EQ(indexed->num_materialized_pairs(), 0u);
 
+  // The pool holds one entry per side-1 bucket (one per distinct Age here).
   ConflictOracleOptions tiny;
-  tiny.max_materialized_pairs = n;  // < 3n pool words, > 0 emitted pairs
+  tiny.max_materialized_pairs = indexed->num_buckets();  // < pool, > 0 pairs
   auto fallback = BuildPartitionOracle(t, bound.value(), rows, tiny);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
   EXPECT_EQ(dynamic_cast<PartitionConflictOracle*>(fallback->get()), nullptr)
@@ -399,11 +479,11 @@ TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
   EXPECT_EQ(a.skipped, b.skipped);
 }
 
-TEST(ImplicitCliqueTest, CliquePartitionBuildsWithoutMaterializedPairs) {
+TEST(QuotientCliqueTest, CliquePartitionIsOneBucket) {
   // Acceptance: a clique-style partition (single no-cross-atom DC, n = 4096)
-  // builds its oracle in O(n) memory — no materialized pair list and no
-  // naive fallback — even with a pair budget far below the ~8.4M clique
-  // edges.
+  // is one self-adjacent bucket — no materialized pair and no naive
+  // fallback — even with a pair budget far below the ~8.4M clique edges,
+  // and its coloring walks the candidate list once.
   constexpr size_t n = 4096;
   Schema schema{{"Rel", DataType::kString}};
   Table t{schema};
@@ -420,11 +500,15 @@ TEST(ImplicitCliqueTest, CliquePartitionBuildsWithoutMaterializedPairs) {
 
   ConflictOracleOptions tiny;
   tiny.max_materialized_pairs = 1000;  // << n(n-1)/2
-  auto oracle = BuildPartitionOracle(t, bound.value(), rows, tiny);
+  BuildOracleInfo info;
+  auto oracle = BuildPartitionOracle(t, bound.value(), rows, tiny, &info);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   auto* indexed = dynamic_cast<PartitionConflictOracle*>(oracle->get());
   ASSERT_NE(indexed, nullptr) << "clique DC fell back to the naive oracle";
-  EXPECT_EQ(indexed->num_implicit_bicliques(), 1u);
+  EXPECT_FALSE(info.naive_fallback);
+  EXPECT_EQ(info.conflict_buckets, 1u);
+  EXPECT_EQ(info.materialized_pairs, 0u);
+  EXPECT_EQ(indexed->num_buckets(), 1u);
   EXPECT_EQ(indexed->num_materialized_pairs(), 0u);
   EXPECT_EQ(indexed->CountEdges(), n * (n - 1) / 2);
   for (size_t v : {size_t{0}, size_t{17}, n - 1}) {
@@ -440,15 +524,16 @@ TEST(ImplicitCliqueTest, CliquePartitionBuildsWithoutMaterializedPairs) {
   for (int64_t c = 0; c < static_cast<int64_t>(n); ++c)
     candidates.push_back(c);
   ListColoringResult coloring = GreedyListColoring(*indexed, {}, candidates);
+  EXPECT_FALSE(coloring.csr_rung);
   EXPECT_TRUE(coloring.skipped.empty());
   std::set<int64_t> distinct(coloring.colors.begin(), coloring.colors.end());
   EXPECT_EQ(distinct.size(), n);
 }
 
-TEST(ImplicitCliqueTest, MixedImplicitAndIndexedDegreesStaySimpleGraph) {
-  // Two overlapping product DCs plus an equality-indexed DC: union degrees
-  // must match a brute-force dedup pair scan (no double counting between the
-  // implicit bicliques or against the CSR layer).
+TEST(QuotientCliqueTest, MixedProductAndCrossDcsStaySimpleGraph) {
+  // Two overlapping product DCs plus an equality DC: union degrees must
+  // match a brute-force dedup pair scan (no double counting between
+  // overlapping DCs or between a bucket's self-adjacency and its pairs).
   Rng rng(71);
   Table t = RandomTable(rng, 64);
   std::vector<DenialConstraint> dcs;
@@ -478,7 +563,9 @@ TEST(ImplicitCliqueTest, MixedImplicitAndIndexedDegreesStaySimpleGraph) {
   for (uint32_t i = 0; i < 64; ++i) rows[i] = i;
   auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
-  EXPECT_EQ(indexed->num_implicit_bicliques(), 2u);
+  // Buckets: (signature, G when same-group's sides hold), at most
+  // 4 Rel classes x 2 ML values x 6 G codes (NULL included).
+  EXPECT_LE(indexed->num_buckets(), 48u);
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(indexed->CountEdges(), naive->CountEdges());

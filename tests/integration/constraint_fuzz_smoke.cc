@@ -38,11 +38,11 @@ const char* const kStringPool[] = {
 std::string RandomValue(Rng& rng, bool is_string) {
   if (is_string) {
     size_t n = sizeof(kStringPool) / sizeof(kStringPool[0]);
-    return "\"" +
-           std::string(
-               kStringPool[static_cast<size_t>(rng.UniformInt(
-                   0, static_cast<int64_t>(n) - 1))]) +
-           "\"";
+    std::string quoted = "\"";
+    quoted += kStringPool[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(n) - 1))];
+    quoted += '"';
+    return quoted;
   }
   if (rng.Bernoulli(0.1)) return std::to_string(rng.UniformInt(-1000000, 1000000));
   return std::to_string(rng.UniformInt(-5, 100));
@@ -96,7 +96,8 @@ std::string RandomDcLine(Rng& rng, const std::vector<FuzzColumn>& columns,
                                         static_cast<int64_t>(columns.size()) -
                                             1))];
       int rhs_tuple = static_cast<int>(rng.UniformInt(0, max_tuple));
-      out += "t" + std::to_string(lhs) + "." + col.name + " " +
+      out += 't';
+      out += std::to_string(lhs) + "." + col.name + " " +
              RandomOp(rng, col.is_string || rhs.is_string) + " t" +
              std::to_string(rhs_tuple) + "." + rhs.name;
       if (!col.is_string && !rhs.is_string && rng.Bernoulli(0.3)) {
@@ -105,7 +106,8 @@ std::string RandomDcLine(Rng& rng, const std::vector<FuzzColumn>& columns,
         out += std::to_string(off);
       }
     } else {
-      out += "t" + std::to_string(lhs) + "." + col.name + " " +
+      out += 't';
+      out += std::to_string(lhs) + "." + col.name + " " +
              RandomOp(rng, col.is_string) + " " +
              RandomValue(rng, col.is_string);
     }
