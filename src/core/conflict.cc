@@ -681,8 +681,12 @@ void PartitionConflictOracle::AppendForbiddenColors(
 
 bool PartitionConflictOracle::WouldViolate(
     size_t v, const std::vector<size_t>& same_color) const {
-  for (size_t u : same_color) {
-    if (quotient_.HasEdge(v, u)) return true;
+  // A vertex without binary neighbors (the common case for invalid-tuple
+  // probes) skips the member loop outright.
+  if (quotient_.Degree(v) != 0) {
+    for (size_t u : same_color) {
+      if (quotient_.HasEdge(v, u)) return true;
+    }
   }
   // Hypergraph layer: edge-membership tests need the member set stamped.
   if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;

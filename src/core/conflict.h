@@ -9,25 +9,27 @@
 //    first keyed by the codes of every column some binary DC reads
 //    (CodeInterner), and each DC's sides are evaluated once per key. Keys
 //    then merge into buckets by (side signature, codes of the cross-atom
-//    columns the signature's sides read); members of a bucket have identical
-//    neighborhoods. Bucket adjacency comes from the indexed pair emission
-//    run over one representative row per bucket: side-1 representatives are
-//    sorted by the hash of their equality-atom codes and the first ordering
-//    atom's key, and every side-0 representative probes its sorted run. A
-//    bucket is self-adjacent when it has two members and some DC holds on
-//    (rep, rep). Degrees, edge counts, forbidden colors and pair queries
-//    answer from the QuotientGraph with simple-graph semantics, identical to
-//    one deduplicated all-pairs scan. Construction is O(n) key interning
-//    plus O(K·|DC|) side evaluation over K keys plus O(B + s log s + E_B)
-//    emission over B buckets, where E_B is the emitted bucket pairs. A
-//    clique DC with no cross atoms (owner-owner) is one self-adjacent
-//    bucket. When keys are near unique (a cross atom on a near-unique
-//    column), B approaches n and the quotient is the per-vertex CSR graph.
+//    columns the signature's sides read), whose members have identical
+//    neighborhoods, and buckets into groups by the sides they pass of the
+//    product DCs (no cross atoms, e.g. owner-owner). Product DCs link
+//    groups, the others link buckets; each DC's class pairs come from the
+//    indexed emission run over one representative row per class: side-1
+//    representatives are sorted by the hash of their equality-atom codes
+//    and the first ordering atom's key, and every side-0 representative
+//    probes its sorted run. A class is self-adjacent when some DC holds on
+//    (rep, rep): a clique DC is one self-adjacent group. Degrees, edge
+//    counts, forbidden colors and pair queries answer from the
+//    QuotientGraph with simple-graph semantics, identical to one
+//    deduplicated all-pairs scan. Construction is O(n) key interning plus
+//    O(K·|DC|) side evaluation over K keys plus O(B + s log s + E_B)
+//    emission over B classes, where E_B is the emitted class pairs. When
+//    keys are near unique (a cross atom on a near-unique column), B
+//    approaches n and the bucket level is the per-vertex CSR graph.
 //
 //  * NaiveConflictOracle: the reference brute-force implementation (side
 //    masks + on-the-fly pair tests). Kept behind the same interface so tests
 //    and benchmarks can cross-check the quotient oracle bit-for-bit, and as a
-//    fallback when materialized bucket pairs would exceed the pair budget.
+//    fallback when materialized class pairs would exceed the pair budget.
 //
 // DCs of arity >= 3 are expanded into an explicit hypergraph by both oracles.
 //
@@ -70,7 +72,8 @@ struct BuildOracleInfo {
   /// The quotient build was abandoned (pair budget / injected fault) and the
   /// O(n)-memory naive oracle was built instead (quotient→naive rung).
   bool naive_fallback = false;
-  /// Buckets and deduplicated bucket pairs of the quotient (0 when naive).
+  /// Buckets and deduplicated group and bucket pairs of the quotient (0
+  /// when naive).
   size_t conflict_buckets = 0;
   size_t materialized_pairs = 0;
 };

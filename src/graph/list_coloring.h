@@ -14,18 +14,20 @@
 //    into a mark vector.
 //  * Quotient: when the oracle publishes a QuotientGraph
 //    (ConflictStructure), every uncolored vertex of a bucket sees the same
-//    forbidden set, and that set only grows. Each bucket keeps a forbidden
-//    bitset over candidate slots, updated in O(adjacent buckets) per
-//    assignment, and a cursor over the candidate list that only moves past
-//    candidates its bitset forbids. An owner clique of n vertices thus costs
-//    O(n + C) instead of Θ(n²) color pushes and O(C) scans per vertex.
-//  * CSR rung: when B buckets · ⌈C/64⌉ words of bitsets would outgrow O(n)
-//    words (many buckets, long candidate lists), each vertex streams the
-//    colored members of its adjacent buckets instead, as a per-vertex CSR
-//    graph would.
+//    forbidden set, and that set only grows. Each group and each bucket
+//    keeps a forbidden bitset over candidate slots, updated in O(adjacent
+//    classes) per assignment, and each bucket a cursor over the candidate
+//    list that only moves past candidates its rows forbid. An owner clique
+//    of n vertices thus costs O(n + C) instead of Θ(n²) color pushes and
+//    O(C) scans per vertex.
+//  * CSR rung: when (groups + buckets) · ⌈C/64⌉ words of rows would
+//    outgrow 2n words (many buckets, long candidate lists), buckets keep no
+//    rows and each vertex streams the colored members of its adjacent
+//    buckets instead, as a per-vertex CSR graph would.
 //
 // Hyperedges forbid per vertex in every path (all-other-vertices-same-color
-// rule); on the quotient path their marks never move the shared cursor.
+// rule); their marks never move a shared cursor. The largest-first order is
+// an LSD radix sort over the oracle's degrees.
 //
 // Candidate values map to dense slots through a sorted flat array (binary
 // search) instead of a hash table; duplicate candidate values share the slot

@@ -574,6 +574,37 @@ TEST(QuotientCliqueTest, MixedProductAndCrossDcsStaySimpleGraph) {
   }
 }
 
+TEST(QuotientCliqueTest, SelfAdjacentBucketsMatchNaive) {
+  // Rows with equal G and Age share a bucket, and the band DC holds on two
+  // such rows (|Age - Age| <= 5 with equal G): those buckets are
+  // self-adjacent, next to bucket pairs for the rows with nearby ages.
+  Rng rng(97);
+  Schema schema{{"G", DataType::kInt64}, {"Age", DataType::kInt64}};
+  Table t{schema};
+  for (size_t i = 0; i < 120; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(rng.UniformInt(0, 2)),
+                             Value(rng.UniformInt(20, 40))})
+                    .ok());
+  }
+  DenialConstraint dc(2, "band");
+  dc.Binary(0, "G", CompareOp::kEq, 1, "G");
+  dc.Binary(0, "Age", CompareOp::kGe, 1, "Age", -5);
+  dc.Binary(0, "Age", CompareOp::kLe, 1, "Age", 5);
+  auto bound = BindAll({dc}, t);
+  ASSERT_TRUE(bound.ok());
+  std::vector<uint32_t> rows(120);
+  for (uint32_t i = 0; i < 120; ++i) rows[i] = i;
+  auto quotient = PartitionConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(quotient.ok()) << quotient.status();
+  const QuotientGraph::Level& buckets = quotient->quotient().buckets();
+  EXPECT_LE(buckets.size(), 63u);  // 3 G values x 21 ages
+  EXPECT_GT(std::count(buckets.self.begin(), buckets.self.end(), 1), 0);
+  EXPECT_GT(buckets.adjacency.num_edges(), 0u);
+  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(naive.ok());
+  ExpectQuotientMatchesNaive(quotient.value(), naive.value(), rng);
+}
+
 // The paper-example partition (Figure 7) through both oracles: a directed
 // sanity anchor on top of the randomized sweep.
 TEST(ConflictPropertyFixtureTest, PaperExampleChicagoPartitionMatches) {
