@@ -146,6 +146,15 @@ struct BinaryDcPlan {
     // never holds) stay residual per-pair filters, matching CrossAtomsHold.
     return other;
   }
+
+  bool IsProduct() const { return eq.empty() && ord.empty() && other.empty(); }
+
+  template <typename Fn>
+  void ForEachCrossAtom(Fn fn) const {
+    for (const std::vector<OrientedAtom>* atoms : {&eq, &ord, &other}) {
+      for (const OrientedAtom& a : *atoms) fn(a);
+    }
+  }
 };
 
 BinaryDcPlan PlanBinaryDc(const BoundDenialConstraint& dc) {
@@ -424,19 +433,10 @@ Status EmitBinaryDcPairs(const Table& table, const BinaryDcPlan& plan,
 /// `row`, i.e. on any two distinct rows carrying row's codes.
 bool CrossAtomsHoldOnOneRow(const Table& table, const BinaryDcPlan& plan,
                             uint32_t row) {
-  for (const std::vector<OrientedAtom>* atoms :
-       {&plan.eq, &plan.ord, &plan.other}) {
-    for (const OrientedAtom& a : *atoms) {
-      if (!a.Holds(table, row, row)) return false;
-    }
-  }
-  return true;
-}
-
-/// True when the plan has no cross atoms: the DC's truth on a pair depends
-/// on side membership alone.
-bool IsProductDc(const BinaryDcPlan& plan) {
-  return plan.eq.empty() && plan.ord.empty() && plan.other.empty();
+  bool holds = true;
+  plan.ForEachCrossAtom(
+      [&](const OrientedAtom& a) { holds = holds && a.Holds(table, row, row); });
+  return holds;
 }
 
 /// A partition's vertices in buckets of identical binary-DC neighborhoods,
@@ -467,6 +467,7 @@ VertexClasses ClassifyVertices(
     const std::vector<BinaryDcPlan>& plans, const std::vector<uint32_t>& rows) {
   const size_t n = rows.size();
   std::vector<size_t> cols;
+  cols.reserve(4 * dcs.size());
   for (const BoundDenialConstraint* dc : dcs) dc->AppendReadColumns(&cols);
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
@@ -491,46 +492,33 @@ VertexClasses ClassifyVertices(
   std::vector<uint8_t> mask;
   for (size_t bit = 0; bit < 2 * dcs.size(); ++bit) {
     const size_t d = bit / 2;
-    if (IsProductDc(plans[d])) product_bits[bit / 64] |= uint64_t{1} << (bit % 64);
-    BuildSideMask(table, *dcs[d], plans[d], key_reps, static_cast<int>(bit % 2),
-                  &mask);
+    const uint64_t flag = uint64_t{1} << (bit % 64);
+    if (plans[d].IsProduct()) product_bits[bit / 64] |= flag;
+    BuildSideMask(table, *dcs[d], plans[d], key_reps,
+                  static_cast<int>(bit % 2), &mask);
     for (size_t k = 0; k < key_reps.size(); ++k) {
-      if (mask[k]) key_sigs[k * words + bit / 64] |= uint64_t{1} << (bit % 64);
+      if (mask[k]) key_sigs[k * words + bit / 64] |= flag;
     }
   }
 
-  // Cross-atom columns, and per signature bit the key positions it reads.
+  // Cross-atom columns; a bucket key holds their codes after the
+  // signature words.
   std::vector<size_t> cross;
   for (const BinaryDcPlan& plan : plans) {
-    for (const std::vector<OrientedAtom>* atoms :
-         {&plan.eq, &plan.ord, &plan.other}) {
-      for (const OrientedAtom& a : *atoms) {
-        cross.push_back(a.u_col);
-        cross.push_back(a.v_col);
-      }
-    }
+    plan.ForEachCrossAtom([&](const OrientedAtom& a) {
+      cross.push_back(a.u_col);
+      cross.push_back(a.v_col);
+    });
   }
   std::sort(cross.begin(), cross.end());
   cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
-  auto position = [&](size_t col) {
-    return words + static_cast<size_t>(
-                       std::lower_bound(cross.begin(), cross.end(), col) -
-                       cross.begin());
-  };
-  std::vector<std::vector<size_t>> reads(2 * dcs.size());
-  for (size_t d = 0; d < dcs.size(); ++d) {
-    for (const std::vector<OrientedAtom>* atoms :
-         {&plans[d].eq, &plans[d].ord, &plans[d].other}) {
-      for (const OrientedAtom& a : *atoms) {
-        reads[2 * d].push_back(position(a.u_col));
-        reads[2 * d + 1].push_back(position(a.v_col));
-      }
-    }
-  }
 
   CodeInterner buckets(words + cross.size());
   CodeInterner groups(words);
   std::vector<uint32_t> bucket_of_key(key_reps.size());
+  out.bucket_reps.reserve(key_reps.size());
+  out.bucket_sigs.reserve(key_reps.size() * words);
+  out.group_of.reserve(key_reps.size());
   std::vector<int64_t> merged(words + cross.size());
   for (size_t k = 0; k < key_reps.size(); ++k) {
     const uint64_t* sig = key_sigs.data() + k * words;
@@ -541,9 +529,12 @@ VertexClasses ClassifyVertices(
       merged[w] = static_cast<int64_t>(sig[w]);
       for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
         const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        for (size_t pos : reads[bit]) {
-          merged[pos] = table.GetCode(row, cross[pos - words]);
-        }
+        plans[bit / 2].ForEachCrossAtom([&](const OrientedAtom& a) {
+          const size_t col = bit % 2 == 0 ? a.u_col : a.v_col;
+          merged[words + static_cast<size_t>(
+                             std::lower_bound(cross.begin(), cross.end(), col) -
+                             cross.begin())] = table.GetCode(row, col);
+        });
       }
     }
     CodeInterner::Interned bucket = buckets.Intern(merged.data());
@@ -621,6 +612,8 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   oracle.higher_ = std::move(higher);
   std::vector<const BoundDenialConstraint*> binary;
   std::vector<BinaryDcPlan> plans;
+  binary.reserve(dcs.size());
+  plans.reserve(dcs.size());
   for (const BoundDenialConstraint& dc : dcs) {
     if (dc.arity() != 2) continue;
     binary.push_back(&dc);
@@ -642,7 +635,7 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   const SideLists group_sides(classes.group_sigs, words);
   const SideLists bucket_sides(classes.bucket_sigs, words);
   for (size_t d = 0; d < binary.size(); ++d) {
-    const bool product = IsProductDc(plans[d]);
+    const bool product = plans[d].IsProduct();
     const SideLists& sides = product ? group_sides : bucket_sides;
     const std::vector<uint32_t>& reps =
         product ? classes.group_reps : classes.bucket_reps;

@@ -310,9 +310,9 @@ class GenericOnlyOracle : public ConflictOracle {
 /// and resuming `initial`, then runs the fresh-color pass over the skipped
 /// vertices on both; every result must be identical. Returns whether the
 /// quotient run took the CSR rung.
-bool ExpectQuotientColoringMatchesGeneric(const PartitionConflictOracle& oracle,
-                                          const std::vector<int64_t>& initial,
-                                          const std::vector<int64_t>& candidates) {
+bool ExpectQuotientColoringMatchesGeneric(
+    const PartitionConflictOracle& oracle, const std::vector<int64_t>& initial,
+    const std::vector<int64_t>& candidates) {
   const GenericOnlyOracle generic(oracle);
   EXPECT_TRUE(oracle.Structure().Decomposed());
   EXPECT_FALSE(generic.Structure().Decomposed());
@@ -363,9 +363,9 @@ TEST_P(ConflictPropertyTest, QuotientColoringMatchesGeneric) {
   std::vector<int64_t> initial(rows.size(), kNoColor);
   for (size_t v = 0; v < rows.size(); ++v) {
     if (rng.Bernoulli(0.4)) {
-      initial[v] = rng.Bernoulli(0.8) ? candidates[static_cast<size_t>(
-                                            rng.UniformInt(0, num_candidates - 1))]
-                                      : int64_t{1000};
+      const size_t pick =
+          static_cast<size_t>(rng.UniformInt(0, num_candidates - 1));
+      initial[v] = rng.Bernoulli(0.8) ? candidates[pick] : int64_t{1000};
     }
   }
   ExpectQuotientColoringMatchesGeneric(*oracle, initial, candidates);

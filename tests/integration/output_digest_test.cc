@@ -66,7 +66,8 @@ void ExpectDigests(const Digests& actual, const Digests& expected,
 /// The crowded hand-built instance of phase2_determinism_test: skipped
 /// vertices, fresh keys and invalid-row repair all occur.
 Digests SolveCrowded(size_t threads) {
-  testing_fixtures::CrowdedInstance in = testing_fixtures::MakeCrowdedInstance();
+  testing_fixtures::CrowdedInstance in =
+      testing_fixtures::MakeCrowdedInstance();
   Phase2Options options;
   options.num_threads = threads;
   options.seed = 9;
