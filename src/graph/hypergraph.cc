@@ -165,11 +165,17 @@ void QuotientGraph::AppendForbiddenColors(size_t v,
                                           const std::vector<int64_t>& colors,
                                           std::vector<int64_t>* out) const {
   constexpr int64_t kNoColor = INT64_MIN;
-  ForEachNeighborRun(v, [&](std::span<const uint32_t> run) {
+  // v's own class is adjacent only when self-adjacent; v itself is skipped.
+  auto append_run = [&](std::span<const uint32_t> run) {
     for (uint32_t u : run) {
       if (u != v && colors[u] != kNoColor) out->push_back(colors[u]);
     }
-  });
+  };
+  const uint32_t b = bucket_of_[v];
+  groups_.ForEachAdjacent(group_of_[b],
+                          [&](uint32_t g) { append_run(GroupMembers(g)); });
+  buckets_.ForEachAdjacent(b,
+                           [&](uint32_t c) { append_run(BucketMembers(c)); });
 }
 
 Hypergraph::Hypergraph(size_t num_vertices) : incident_(num_vertices) {}

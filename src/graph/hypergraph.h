@@ -183,17 +183,6 @@ class QuotientGraph {
   /// O(log deg) over class adjacency.
   bool HasEdge(size_t u, size_t v) const;
 
-  /// Calls fn(members) for member runs that together hold v's neighbors,
-  /// each once; the run of v's own class is included when that class is
-  /// self-adjacent, so callers skip v.
-  template <typename Fn>
-  void ForEachNeighborRun(size_t v, Fn fn) const {
-    const uint32_t b = bucket_of_[v];
-    groups_.ForEachAdjacent(group_of_[b],
-                            [&](uint32_t g) { fn(GroupMembers(g)); });
-    buckets_.ForEachAdjacent(b, [&](uint32_t c) { fn(BucketMembers(c)); });
-  }
-
   /// Appends colors[u] for every colored neighbor u of `v` (duplicates
   /// allowed, matching ConflictOracle::AppendForbiddenColors).
   void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,

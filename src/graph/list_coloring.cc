@@ -150,10 +150,9 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
     return result;
   }
 
-  // Hyperedges forbid per vertex: their marks never touch shared state.
+  // Marks v's hyperedge-forbidden colors in the current epoch (per-vertex
+  // marks, never shared state); false when v is in no hyperedge.
   std::vector<int64_t> hyper_forbidden;
-  // Marks v's hyperedge-forbidden colors in the current epoch; false when
-  // v is in no hyperedge.
   auto mark_hyperedges = [&](size_t v) {
     if (layers.higher == nullptr || layers.higher->incident_edges(v).empty()) {
       return false;
@@ -190,7 +189,8 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
   const std::vector<uint64_t> no_row(words, 0);
   // Shared cursors: per bucket with bucket rows, else per group (a lower
   // bound for every member, whose forbidden set contains its group row).
-  std::vector<size_t> cursor(bucket_rows ? num_buckets : num_groups, 0);
+  std::vector<size_t> cursor(
+      bucket_rows ? num_buckets : (group_rows ? num_groups : 0), 0);
   std::vector<uint32_t> slot_of(bucket_rows ? 0 : n, kNoSlot);
   auto record = [&](size_t v, size_t slot) {
     const size_t word = slot >> 6;
