@@ -5,8 +5,8 @@
 // make partitions near-cliques with Θ(n²) edges, and the census age-gap DCs
 // pair every owner with a band of members. A binary DC's truth on a row pair
 // depends only on the codes it reads, so this layer stores pairwise
-// conflicts as a quotient graph over buckets of vertices with identical
-// neighborhoods (QuotientGraph): a clique is one self-adjacent bucket, and
+// conflicts as a quotient graph over classes of vertices with identical
+// neighborhoods (QuotientGraph): a clique is one self-adjacent class, and
 // no per-pair storage is needed. All conflict structures implement
 // `ConflictOracle`, and the coloring is identical regardless of
 // representation.
@@ -28,7 +28,7 @@ class QuotientGraph;
 /// oracle publishes a quotient, its forbidden rule is guaranteed to be
 /// exactly the union of: colors of colored quotient neighbors, and the
 /// hypergraph all-other-vertices-same-color rule. The greedy coloring uses
-/// the decomposition to keep one forbidden set per bucket instead of
+/// the decomposition to keep one forbidden set per class instead of
 /// calling AppendForbiddenColors per vertex; results are identical.
 struct ConflictStructure {
   const QuotientGraph* quotient = nullptr;
