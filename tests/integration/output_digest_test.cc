@@ -1,9 +1,9 @@
-// Pins the synthesized bytes. Two instances are solved at 1 and 4 threads
+// Pins the synthesized bytes. Three instances are solved at 1 and 4 threads
 // and the FNV-1a digests of R̂1, R̂2 (cell text, row-major) and of the text
 // stream are compared against constants recorded from a known-good build.
-// A change to the conflict oracle's or the coloring's representation must
-// leave all of them unchanged; a change that is meant to alter the output
-// has to re-record them and say why.
+// A change to phase 1's CC matching, the conflict oracle's or the
+// coloring's representation must leave all of them unchanged; a change that
+// is meant to alter the output has to re-record them and say why.
 
 #include <cstdint>
 #include <sstream>
@@ -84,9 +84,10 @@ Digests SolveCrowded(size_t threads) {
           Fnv(kFnvBasis, text.str())};
 }
 
-/// 5,000 census persons, the good CC family and S_all_DC (owner clique,
-/// spouse clique, the 16 age-gap DCs and DC10/DC11).
-Digests SolveCensus(size_t threads) {
+/// 5,000 census persons and S_all_DC (owner clique, spouse clique, the 16
+/// age-gap DCs and DC10/DC11), with 201 CCs of the good family or, with
+/// `intersecting`, of the bad family, whose intersecting CCs go to the ILP.
+Digests SolveCensus(size_t threads, bool intersecting) {
   datagen::CensusOptions census;
   census.num_persons = 5000;
   census.num_households = 2000;
@@ -94,6 +95,7 @@ Digests SolveCensus(size_t threads) {
   CEXTEND_CHECK(data.ok());
   datagen::CcFamilyOptions cc_options;
   cc_options.num_ccs = 201;
+  cc_options.intersecting = intersecting;
   auto ccs = datagen::GenerateCcs(data.value(), cc_options);
   CEXTEND_CHECK(ccs.ok());
   const std::vector<DenialConstraint> dcs = datagen::MakeCensusDcs(false);
@@ -104,6 +106,10 @@ Digests SolveCensus(size_t threads) {
   auto planned = PlanCExtension(data->persons, data->housing, data->names,
                                 ccs.value(), dcs, options);
   CEXTEND_CHECK(planned.ok()) << planned.status().ToString();
+  if (intersecting) {
+    EXPECT_GT(planned->stats.phase1.ccs_to_hasse, 0u);
+    EXPECT_GT(planned->stats.phase1.ccs_to_ilp, 0u);
+  }
   std::ostringstream text;
   TextStreamSink stream(text);
   auto solution =
@@ -124,8 +130,15 @@ TEST(OutputDigestTest, CrowdedInstanceBytesArePinned) {
 TEST(OutputDigestTest, CensusAllDcBytesArePinned) {
   constexpr Digests kExpected = {0x288c73f0785c5734ULL, 0xd4606f27a5e32c82ULL,
                                  0x5422e50c72f9779cULL};
-  ExpectDigests(SolveCensus(1), kExpected, "1 thread");
-  ExpectDigests(SolveCensus(4), kExpected, "4 threads");
+  ExpectDigests(SolveCensus(1, false), kExpected, "1 thread");
+  ExpectDigests(SolveCensus(4, false), kExpected, "4 threads");
+}
+
+TEST(OutputDigestTest, CensusIntersectingCcBytesArePinned) {
+  constexpr Digests kExpected = {0x8e7e3e941a8d5cd2ULL, 0xf27209018b7b0cb7ULL,
+                                 0x01c3e34c58f16a8fULL};
+  ExpectDigests(SolveCensus(1, true), kExpected, "1 thread");
+  ExpectDigests(SolveCensus(4, true), kExpected, "4 threads");
 }
 
 }  // namespace
