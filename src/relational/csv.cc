@@ -103,7 +103,7 @@ StatusOr<Table> ParseCsv(const std::string& text, const Schema& schema) {
               "CSV line %zu column %s: '%s' is not an integer", line,
               schema.column(i).name.c_str(), f.c_str()));
         }
-        row.push_back(Value(*v));
+        row.emplace_back(*v);
       } else {
         row.push_back(Value(f));
       }

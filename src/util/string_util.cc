@@ -81,7 +81,7 @@ std::optional<double> ParseDouble(std::string_view s) {
 }
 
 std::string FormatDuration(double seconds) {
-  if (seconds < 0) return "-" + FormatDuration(-seconds);
+  if (seconds < 0) return FormatDuration(-seconds).insert(0, 1, '-');
   if (seconds < 1e-3) return StrFormat("%.0fus", seconds * 1e6);
   if (seconds < 1.0) return StrFormat("%.0fms", seconds * 1e3);
   if (seconds < 120.0) return StrFormat("%.2fs", seconds);

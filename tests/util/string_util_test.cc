@@ -68,5 +68,11 @@ TEST(FormatDurationTest, Ranges) {
   EXPECT_EQ(FormatDuration(7200.0), "2.00h");
 }
 
+TEST(FormatDurationTest, NegativeTakesTheMagnitudesUnit) {
+  EXPECT_EQ(FormatDuration(-0.25), "-250ms");
+  EXPECT_EQ(FormatDuration(-1.5), "-1.50s");
+  EXPECT_EQ(FormatDuration(-7200.0), "-2.00h");
+}
+
 }  // namespace
 }  // namespace cextend
