@@ -6,7 +6,6 @@
 #include "core/fill_state.h"
 #include "util/code_interner.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 #include "util/timer.h"
 
 namespace cextend {
@@ -73,15 +72,7 @@ class Reader {
 };
 
 constexpr char kMagic[4] = {'C', 'X', 'P', 'L'};
-constexpr uint32_t kVersion = 1;
-
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+constexpr uint32_t kVersion = 2;
 
 /// The valid rows grouped by plan combo id: partitions numbered in
 /// first-row order, and the size-descending stable worklist over them. The
@@ -143,7 +134,6 @@ std::string SynthesisPlan::Serialize() const {
   for (uint32_t row : invalid_rows) PutU32(&out, row);
   PutU32(&out, static_cast<uint32_t>(num_shards()));
   for (uint64_t b : shard_begin) PutU64(&out, b);
-  for (uint64_t s : shard_seeds) PutU64(&out, s);
   return out;
 }
 
@@ -214,8 +204,8 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
   if (!in.U32(&num_shards) || num_shards == 0) {
     return Status::InvalidArgument("SynthesisPlan must have >= 1 shard");
   }
-  // shard_begin holds num_shards + 1 offsets, shard_seeds num_shards seeds.
-  if (2 * static_cast<size_t>(num_shards) + 1 > in.Remaining() / 8) {
+  // shard_begin holds num_shards + 1 offsets.
+  if (static_cast<size_t>(num_shards) + 1 > in.Remaining() / 8) {
     return Status::InvalidArgument("truncated SynthesisPlan shard map");
   }
   plan.shard_begin.resize(static_cast<size_t>(num_shards) + 1);
@@ -223,12 +213,6 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
     if (!in.U64(&plan.shard_begin[i]) ||
         (i > 0 && plan.shard_begin[i] < plan.shard_begin[i - 1])) {
       return Status::InvalidArgument("bad SynthesisPlan shard map");
-    }
-  }
-  plan.shard_seeds.resize(num_shards);
-  for (uint64_t& s : plan.shard_seeds) {
-    if (!in.U64(&s)) {
-      return Status::InvalidArgument("truncated SynthesisPlan shard seeds");
     }
   }
   if (!in.AtEnd()) {
@@ -349,11 +333,6 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
       }
     }
     for (; s <= num_shards; ++s) plan.shard_begin[s] = worklist_sizes.size();
-
-    plan.shard_seeds.resize(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      plan.shard_seeds[i] = plan.seed ^ SplitMix64(0xC3A5C85C97CB3127ULL + i);
-    }
   }
   return plan;
 }

@@ -55,11 +55,6 @@ struct SynthesisPlan {
   /// Worklist-index boundaries, size num_shards()+1; shard s covers
   /// worklist indices [shard_begin[s], shard_begin[s+1]).
   std::vector<uint64_t> shard_begin;
-  /// Per-shard RNG roots, derived from `seed`. Recorded for distributed
-  /// executors; the in-process executor derives per-partition streams from
-  /// `seed` and the *global* worklist index so that the shard map can never
-  /// change the emitted bytes.
-  std::vector<uint64_t> shard_seeds;
 
   size_t num_shards() const {
     return shard_begin.empty() ? 0 : shard_begin.size() - 1;

@@ -147,12 +147,11 @@ TEST(SynthesisPlanTest, SerializeRoundTripIsByteStable) {
   EXPECT_EQ(restored.value().row_combo, plan.row_combo);
   EXPECT_EQ(restored.value().invalid_rows, plan.invalid_rows);
   EXPECT_EQ(restored.value().shard_begin, plan.shard_begin);
-  EXPECT_EQ(restored.value().shard_seeds, plan.shard_seeds);
   // Byte stability: re-serializing the deserialized plan is the identity.
   EXPECT_EQ(restored.value().Serialize(), bytes);
 }
 
-/// Little-endian CXPL v1 fields, for hand-built corrupt plans.
+/// Little-endian CXPL v2 fields, for hand-built corrupt plans.
 void AppendU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -161,7 +160,7 @@ void AppendU64(std::string* out, uint64_t v) {
 }
 std::string PlanHeader(uint64_t num_rows, uint32_t q) {
   std::string out = "CXPL";
-  AppendU32(&out, 1);  // version
+  AppendU32(&out, 2);  // version
   AppendU64(&out, 7);  // seed
   AppendU64(&out, num_rows);
   AppendU32(&out, q);
@@ -180,6 +179,15 @@ TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(
       SynthesisPlan::Deserialize(bytes.substr(0, bytes.size() / 2)).ok());
   EXPECT_FALSE(SynthesisPlan::Deserialize(bytes + "x").ok());
+
+  // A v1 plan (it carried per-shard seeds) is refused by its version field.
+  std::string v1 = bytes;
+  v1[4] = 1;
+  auto old_version = SynthesisPlan::Deserialize(v1);
+  EXPECT_EQ(old_version.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old_version.status().ToString().find(
+                "unsupported SynthesisPlan version"),
+            std::string::npos);
 
   // Each count claims more entries than the remaining bytes can encode; the
   // decoder must say so instead of sizing a vector from it.
@@ -216,7 +224,6 @@ TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
     AppendU32(&out, 1);  // num_shards
     AppendU64(&out, 0);  // shard_begin
     AppendU64(&out, 2);
-    AppendU64(&out, 5);  // shard seed
     return out;
   };
   EXPECT_TRUE(SynthesisPlan::Deserialize(two_combos(4, 5)).ok());
