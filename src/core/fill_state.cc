@@ -4,6 +4,19 @@
 
 namespace cextend {
 
+StatusOr<std::vector<CcMatch>> MatchCcs(
+    const Binning& binning, const ComboIndex& combos,
+    const std::vector<CardinalityConstraint>& ccs) {
+  std::vector<CcMatch> matches(ccs.size());
+  for (size_t c = 0; c < ccs.size(); ++c) {
+    CEXTEND_ASSIGN_OR_RETURN(matches[c].bins,
+                             binning.MatchingBins(ccs[c].r1_condition));
+    CEXTEND_ASSIGN_OR_RETURN(matches[c].combos,
+                             combos.MatchingCombos(ccs[c].r2_condition));
+  }
+  return matches;
+}
+
 StatusOr<FillState> FillState::Create(Table* v_join, const PairSchema& names,
                                       const Binning* binning) {
   FillState state;

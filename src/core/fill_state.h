@@ -4,7 +4,7 @@
 // pools as they assign B values; the hybrid runs them back-to-back over the
 // same state. Rows assigned only a subset of the B columns are tracked in
 // `partial_rows` and completed by the shared final fill (Algorithm 2 lines
-// 14-17).
+// 14-17). All three stages read one CcMatch per CC, built once per solve.
 
 #ifndef CEXTEND_CORE_FILL_STATE_H_
 #define CEXTEND_CORE_FILL_STATE_H_
@@ -18,6 +18,19 @@
 #include "util/statusor.h"
 
 namespace cextend {
+
+/// What phase I asks of one CC: the bins its R1 condition covers and the R2
+/// combos its R2 condition covers, both ascending.
+struct CcMatch {
+  std::vector<size_t> bins;
+  std::vector<size_t> combos;
+};
+
+/// One CcMatch per CC of `ccs`, in order. Fails when a condition does not
+/// bind against the binned table or R2.
+StatusOr<std::vector<CcMatch>> MatchCcs(
+    const Binning& binning, const ComboIndex& combos,
+    const std::vector<CardinalityConstraint>& ccs);
 
 class FillState {
  public:

@@ -92,15 +92,18 @@ StatusOr<HybridResult> RunHybridPhase1(
 
   // Binning over the full active CC set: shared by both algorithms and the
   // final fill; bin counts restricted to unassigned rows are the paper's
-  // "modified marginals" for the ILP.
+  // "modified marginals" for the ILP. Each active CC is matched against the
+  // bins and combos here, once; every stage below reads its entries.
   Binning binning;
   ComboIndex& combos = result.combos;  // plan-scoped: outlives phase 1
+  std::vector<CcMatch> matches;
   FillState state;
   {
     ScopedTimer timer(&stats.binning_seconds);
     CEXTEND_ASSIGN_OR_RETURN(
         binning, Binning::Create(v_join, names.r1_attrs, active_ccs));
     CEXTEND_ASSIGN_OR_RETURN(combos, ComboIndex::Build(r2, names));
+    CEXTEND_ASSIGN_OR_RETURN(matches, MatchCcs(binning, combos, active_ccs));
     CEXTEND_ASSIGN_OR_RETURN(state,
                              FillState::Create(&v_join, names, &binning));
   }
@@ -110,13 +113,16 @@ StatusOr<HybridResult> RunHybridPhase1(
   // --- Algorithm 2 over S1. ---
   if (!s1_local.empty()) {
     std::vector<CardinalityConstraint> s1_ccs;
-    for (int a : s1_local)
+    std::vector<CcMatch> s1_matches;
+    for (int a : s1_local) {
       s1_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
+      s1_matches.push_back(matches[static_cast<size_t>(a)]);
+    }
     CcRelationMatrix s1_rel = sub.Restrict(s1_local);
     HasseDiagram s1_diagram = HasseDiagram::Build(s1_rel);
     ScopedTimer timer(&stats.recursion_seconds);
-    CEXTEND_RETURN_IF_ERROR(
-        RunPhase1Hasse(state, combos, s1_ccs, s1_diagram, &stats.hasse));
+    RunPhase1Hasse(state, combos, s1_ccs, s1_matches, s1_diagram,
+                   &stats.hasse);
   }
 
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
@@ -124,15 +130,19 @@ StatusOr<HybridResult> RunHybridPhase1(
   // --- Algorithm 1 over S2. ---
   if (!s2_local.empty()) {
     std::vector<CardinalityConstraint> s2_ccs;
-    for (int a : s2_local)
+    std::vector<CcMatch> s2_matches;
+    for (int a : s2_local) {
       s2_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
+      s2_matches.push_back(matches[static_cast<size_t>(a)]);
+    }
     Phase1IlpOptions ilp_options = options.ilp;
-    if (!ilp_options.run_control.CanInterrupt()) {
-      ilp_options.run_control = options.run_control;
+    if (!ilp_options.ilp.run_control.CanInterrupt()) {
+      ilp_options.ilp.run_control = options.run_control;
     }
     ScopedTimer timer(&stats.ilp_seconds);
     CEXTEND_RETURN_IF_ERROR(
-        RunPhase1Ilp(state, combos, s2_ccs, ilp_options, &stats.ilp));
+        RunPhase1Ilp(state, combos, s2_ccs, s2_matches, ilp_options,
+                     &stats.ilp));
   }
 
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
@@ -142,7 +152,7 @@ StatusOr<HybridResult> RunHybridPhase1(
     ScopedTimer timer(&stats.final_fill_seconds);
     CEXTEND_ASSIGN_OR_RETURN(
         result.invalid_rows,
-        CompleteLeftoverRows(state, combos, active_ccs, dcs,
+        CompleteLeftoverRows(state, combos, active_ccs, matches, dcs,
                              options.leftover_mode, rng, &stats.fill));
   }
   return result;

@@ -1,6 +1,9 @@
 // Phase I hybrid approach (Section 4.3): split S_CC into the diagrams free of
 // intersections (handled exactly by Algorithm 2) and the rest (handled by the
 // ILP of Algorithm 1 with modified marginals), then complete leftovers.
+// Every active CC is matched against the bins and R2 combos once, right
+// after binning (the CcMatch table of core/fill_state.h); both algorithms
+// and the final fill read their CCs' entries from that table.
 
 #ifndef CEXTEND_CORE_HYBRID_H_
 #define CEXTEND_CORE_HYBRID_H_
@@ -29,13 +32,13 @@ struct HybridOptions {
   /// Leftover completion behaviour (the baseline uses kRandom).
   LeftoverMode leftover_mode = LeftoverMode::kAvoidCcs;
   /// Deadline/cancellation, checked between phase-1 stages and forwarded
-  /// into the ILP (unless `ilp.run_control` carries its own).
+  /// into the ILP (unless `ilp.ilp.run_control` carries its own).
   RunControl run_control;
 };
 
 struct HybridStats {
   double pairwise_seconds = 0.0;  ///< CC relationship classification
-  double binning_seconds = 0.0;
+  double binning_seconds = 0.0;   ///< binning, combo index, CC matching
   double recursion_seconds = 0.0; ///< Algorithm 2 (Hasse recursion)
   double ilp_seconds = 0.0;       ///< Algorithm 1 (model + solve + fill)
   double final_fill_seconds = 0.0;

@@ -12,12 +12,6 @@
 namespace cextend {
 namespace {
 
-/// Per-CC precomputation for Algorithm 2.
-struct CcPlan {
-  std::vector<size_t> matching_bins;    // bins satisfying the R1 condition
-  std::vector<size_t> matching_combos;  // combos satisfying the R2 condition
-};
-
 /// Recursive node processing (Algorithm 2 lines 7-13, with the base case of
 /// lines 2-6 as the childless specialization). Shared children in a DAG are
 /// processed once; every parent still subtracts their targets.
@@ -25,16 +19,15 @@ class HasseRecursion {
  public:
   HasseRecursion(FillState& state, const ComboIndex& combos,
                  const std::vector<CardinalityConstraint>& ccs,
-                 const HasseDiagram& diagram, std::vector<CcPlan> plans,
-                 Phase1HasseStats* stats)
+                 const std::vector<CcMatch>& matches,
+                 const HasseDiagram& diagram, Phase1HasseStats* stats)
       : state_(state),
         combos_(combos),
         ccs_(ccs),
+        matches_(matches),
         diagram_(diagram),
-        plans_(std::move(plans)),
         stats_(stats),
-        processed_(ccs.size(), false),
-        round_robin_(ccs.size(), 0) {}
+        processed_(ccs.size(), false) {}
 
   void ProcessNode(int node) {
     size_t n = static_cast<size_t>(node);
@@ -57,26 +50,29 @@ class HasseRecursion {
     // Bins satisfying sigma_m but no child's sigma_c (paper line 12).
     std::unordered_set<size_t> excluded;
     for (int child : diagram_.children(node)) {
-      const CcPlan& cp = plans_[static_cast<size_t>(child)];
-      excluded.insert(cp.matching_bins.begin(), cp.matching_bins.end());
+      const CcMatch& cm = matches_[static_cast<size_t>(child)];
+      excluded.insert(cm.bins.begin(), cm.bins.end());
     }
 
-    const CcPlan& plan = plans_[n];
-    if (plan.matching_combos.empty()) {
+    const CcMatch& match = matches_[n];
+    if (match.combos.empty()) {
       // No R2 combination realizes the R2-side condition; nothing joinable.
       stats_->shortfall += needed;
       return;
     }
+    // Key-count-weighted rotation: spread assignments according to how many
+    // R2 tuples realize each combo, so phase II rarely runs out of colors.
+    const std::vector<size_t> rotation =
+        combos_.ExpandByKeyCount(match.combos);
+    size_t next = 0;
     int64_t remaining = needed;
-    for (size_t bin : plan.matching_bins) {
+    for (size_t bin : match.bins) {
       if (remaining == 0) break;
       if (excluded.contains(bin)) continue;
       std::vector<uint32_t> rows =
           state_.PopRows(bin, static_cast<size_t>(remaining));
       for (uint32_t row : rows) {
-        size_t combo = plan.matching_combos[round_robin_[n] %
-                                            plan.matching_combos.size()];
-        ++round_robin_[n];
+        size_t combo = rotation[next++ % rotation.size()];
         state_.AssignFullCombo(row, combos_.combo_codes(combo));
       }
       remaining -= static_cast<int64_t>(rows.size());
@@ -89,11 +85,10 @@ class HasseRecursion {
   FillState& state_;
   const ComboIndex& combos_;
   const std::vector<CardinalityConstraint>& ccs_;
+  const std::vector<CcMatch>& matches_;
   const HasseDiagram& diagram_;
-  std::vector<CcPlan> plans_;
   Phase1HasseStats* stats_;
   std::vector<bool> processed_;
-  std::vector<size_t> round_robin_;
 };
 
 /// Clique classes of a row list in CSR form: the classes of rows[i] are
@@ -143,38 +138,18 @@ CliqueClasses SweepCliqueClasses(const Table& table,
   return classes;
 }
 
-StatusOr<std::vector<CcPlan>> BuildPlans(
-    const FillState& state, const ComboIndex& combos,
-    const std::vector<CardinalityConstraint>& ccs) {
-  std::vector<CcPlan> plans(ccs.size());
-  for (size_t i = 0; i < ccs.size(); ++i) {
-    CEXTEND_ASSIGN_OR_RETURN(plans[i].matching_bins,
-                             state.binning().MatchingBins(ccs[i].r1_condition));
-    CEXTEND_ASSIGN_OR_RETURN(plans[i].matching_combos,
-                             combos.MatchingCombos(ccs[i].r2_condition));
-    // Key-count-weighted rotation: spread assignments according to how many
-    // R2 tuples realize each combo, so phase II rarely runs out of colors.
-    plans[i].matching_combos =
-        combos.ExpandByKeyCount(plans[i].matching_combos);
-  }
-  return plans;
-}
-
 }  // namespace
 
-Status RunPhase1Hasse(FillState& state, const ComboIndex& combos,
-                      const std::vector<CardinalityConstraint>& ccs,
-                      const HasseDiagram& diagram, Phase1HasseStats* stats) {
-  CEXTEND_ASSIGN_OR_RETURN(std::vector<CcPlan> plans,
-                           BuildPlans(state, combos, ccs));
-  HasseRecursion recursion(state, combos, ccs, diagram, std::move(plans),
-                           stats);
+void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
+                    const std::vector<CardinalityConstraint>& ccs,
+                    const std::vector<CcMatch>& matches,
+                    const HasseDiagram& diagram, Phase1HasseStats* stats) {
+  HasseRecursion recursion(state, combos, ccs, matches, diagram, stats);
   for (size_t comp = 0; comp < diagram.num_components(); ++comp) {
     for (int m : diagram.maximal_elements(static_cast<int>(comp))) {
       recursion.ProcessNode(m);
     }
   }
-  return Status::Ok();
 }
 
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
@@ -193,13 +168,17 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
       }
     }
   }
+  CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
+                           MatchCcs(state.binning(), combos, ccs));
   HasseDiagram diagram = HasseDiagram::Build(relations);
-  return RunPhase1Hasse(state, combos, ccs, diagram, stats);
+  RunPhase1Hasse(state, combos, ccs, matches, diagram, stats);
+  return Status::Ok();
 }
 
 StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     FillState& state, const ComboIndex& combos,
     const std::vector<CardinalityConstraint>& avoid_ccs,
+    const std::vector<CcMatch>& avoid_matches,
     const std::vector<DenialConstraint>& dcs, LeftoverMode mode, Rng& rng,
     FinalFillStats* stats) {
   std::vector<uint32_t> invalid;
@@ -239,14 +218,9 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
   std::vector<uint64_t> bin_match(num_ccs * bin_words, 0);
   std::vector<uint64_t> combo_match(num_ccs * combo_words, 0);
   for (size_t c = 0; c < num_ccs; ++c) {
-    CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> bins,
-                             binning.MatchingBins(avoid_ccs[c].r1_condition));
-    for (size_t b : bins)
+    for (size_t b : avoid_matches[c].bins)
       bin_match[c * bin_words + (b >> 6)] |= uint64_t{1} << (b & 63);
-    CEXTEND_ASSIGN_OR_RETURN(
-        std::vector<size_t> cs,
-        combos.MatchingCombos(avoid_ccs[c].r2_condition));
-    for (size_t i : cs)
+    for (size_t i : avoid_matches[c].combos)
       combo_match[c * combo_words + (i >> 6)] |= uint64_t{1} << (i & 63);
   }
   auto bin_matches_cc = [&](size_t c, size_t bin) {

@@ -2,6 +2,8 @@
 // V_join when the CC set has no intersecting constraints, by recursing on the
 // Hasse diagram of CC containment, plus the shared final fill (lines 14-17)
 // that completes leftover rows with combinations that add no CC counts.
+// Neither matches a CC itself: both read the bins and combos of each CC from
+// the solve's CcMatch table (core/fill_state.h), aligned with their CC list.
 
 #ifndef CEXTEND_CORE_PHASE1_HASSE_H_
 #define CEXTEND_CORE_PHASE1_HASSE_H_
@@ -27,15 +29,17 @@ struct Phase1HasseStats {
 };
 
 /// Runs Algorithm 2 over `ccs` (which must be free of intersecting pairs;
-/// the hybrid guarantees this). `diagram` is precomputed over exactly `ccs`.
-/// Assigns B cells in the fill state.
-Status RunPhase1Hasse(FillState& state, const ComboIndex& combos,
-                      const std::vector<CardinalityConstraint>& ccs,
-                      const HasseDiagram& diagram, Phase1HasseStats* stats);
+/// the hybrid guarantees this). `matches[i]` is `ccs[i]`'s entry and
+/// `diagram` is precomputed over exactly `ccs`. Assigns B cells in the fill
+/// state.
+void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
+                    const std::vector<CardinalityConstraint>& ccs,
+                    const std::vector<CcMatch>& matches,
+                    const HasseDiagram& diagram, Phase1HasseStats* stats);
 
-/// Convenience for standalone use/tests: classifies `ccs`, builds the Hasse
-/// diagram and runs the algorithm. Fails when `ccs` contains an intersecting
-/// pair.
+/// Convenience for standalone use/tests: classifies and matches `ccs`,
+/// builds the Hasse diagram and runs the algorithm. Fails when `ccs`
+/// contains an intersecting pair.
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
                                 const std::vector<CardinalityConstraint>& ccs,
                                 const Schema& r1_schema,
@@ -58,6 +62,7 @@ enum class LeftoverMode {
 
 /// Algorithm 2 lines 14-17, shared by the hybrid and the baselines: completes
 /// every row still missing B values. Returns the rows left invalid.
+/// `avoid_matches[i]` is `avoid_ccs[i]`'s entry (read in kAvoidCcs mode).
 ///
 /// `dcs` (may be empty) enables the DC-aware capacity refinement: for every
 /// binary DC that forms cliques among equal-FK tuples (owner-owner style —
@@ -67,6 +72,7 @@ enum class LeftoverMode {
 StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     FillState& state, const ComboIndex& combos,
     const std::vector<CardinalityConstraint>& avoid_ccs,
+    const std::vector<CcMatch>& avoid_matches,
     const std::vector<DenialConstraint>& dcs, LeftoverMode mode, Rng& rng,
     FinalFillStats* stats);
 

@@ -42,11 +42,10 @@ struct BuiltModel {
 /// Builds the sub-model for `comp` in the encoding documented in
 /// phase1_ilp.h: CC-major structural variables, then per-bin unused
 /// variables (bins ascending), then bin rows, then CC rows with slack.
-BuiltModel BuildComponentModel(
-    FillState& state, const Component& comp,
-    const std::vector<CardinalityConstraint>& ccs,
-    const std::vector<std::vector<size_t>>& cc_bins,
-    const std::vector<std::vector<size_t>>& cc_combos, bool marginals) {
+BuiltModel BuildComponentModel(FillState& state, const Component& comp,
+                               const std::vector<CardinalityConstraint>& ccs,
+                               const std::vector<CcMatch>& matches,
+                               bool marginals) {
   BuiltModel built;
   built.num_ccs = comp.ccs.size();
   built.bin_ids = comp.bins;
@@ -57,11 +56,11 @@ BuiltModel BuildComponentModel(
 
   std::unordered_map<size_t, std::map<size_t, int>> bin_combo_var;
   for (size_t c : comp.ccs) {
-    for (size_t bin : cc_bins[c]) {
+    for (size_t bin : matches[c].bins) {
       if (state.pool(bin).empty()) continue;  // nothing left to assign here
       auto slot_it = bin_slot.find(bin);
       if (slot_it == bin_slot.end()) continue;
-      for (size_t combo : cc_combos[c]) {
+      for (size_t combo : matches[c].combos) {
         auto [it, inserted] = bin_combo_var[bin].emplace(combo, -1);
         if (inserted) {
           int var = built.model.AddVariable(/*objective=*/0.0,
@@ -100,10 +99,10 @@ BuiltModel BuildComponentModel(
   // CC rows with slack:  sum x + u - v = target,  minimize sum(u+v).
   for (size_t c : comp.ccs) {
     std::vector<ilp::LinearTerm> terms;
-    for (size_t bin : cc_bins[c]) {
+    for (size_t bin : matches[c].bins) {
       auto bc = bin_combo_var.find(bin);
       if (bc == bin_combo_var.end()) continue;
-      for (size_t combo : cc_combos[c]) {
+      for (size_t combo : matches[c].combos) {
         auto it = bc->second.find(combo);
         if (it != bc->second.end()) terms.push_back({it->second, 1.0});
       }
@@ -193,24 +192,14 @@ bool Solved(ilp::IlpStatus s) {
 
 Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
                     const std::vector<CardinalityConstraint>& ccs,
+                    const std::vector<CcMatch>& matches,
                     const Phase1IlpOptions& options, Phase1IlpStats* stats) {
   if (ccs.empty()) return Status::Ok();
-  const Binning& binning = state.binning();
 
   std::vector<Component> components;
   std::vector<BuiltModel> models;
   {
     ScopedTimer timer(&stats->model_build_seconds);
-
-    // Per CC: matching bins and combos.
-    std::vector<std::vector<size_t>> cc_bins(ccs.size());
-    std::vector<std::vector<size_t>> cc_combos(ccs.size());
-    for (size_t c = 0; c < ccs.size(); ++c) {
-      CEXTEND_ASSIGN_OR_RETURN(cc_bins[c],
-                               binning.MatchingBins(ccs[c].r1_condition));
-      CEXTEND_ASSIGN_OR_RETURN(cc_combos[c],
-                               combos.MatchingCombos(ccs[c].r2_condition));
-    }
 
     // Two CCs share model structure only through a bin (a common variable
     // requires a common bin, and bin rows couple every CC touching the
@@ -219,8 +208,8 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
     UnionFind uf(ccs.size());
     std::unordered_map<size_t, size_t> bin_owner;  // bin -> first CC
     for (size_t c = 0; c < ccs.size(); ++c) {
-      if (cc_combos[c].empty()) continue;
-      for (size_t bin : cc_bins[c]) {
+      if (matches[c].combos.empty()) continue;
+      for (size_t bin : matches[c].bins) {
         if (state.pool(bin).empty()) continue;
         auto [it, inserted] = bin_owner.emplace(bin, c);
         if (!inserted) uf.Union(c, it->second);
@@ -242,8 +231,7 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
 
     models.reserve(components.size());
     for (const Component& comp : components) {
-      models.push_back(BuildComponentModel(state, comp, ccs, cc_bins,
-                                           cc_combos,
+      models.push_back(BuildComponentModel(state, comp, ccs, matches,
                                            options.include_marginals));
       stats->num_variables += models.back().model.num_variables();
       stats->num_rows += models.back().model.num_constraints();
@@ -264,16 +252,13 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
       // Deadline/cancel check at task start: remaining components are
       // skipped (their results stay kNoSolution) and the trip is reported
       // after the deterministic merge.
-      Status rc = options.run_control.Check();
+      Status rc = options.ilp.run_control.Check();
       if (!rc.ok()) {
         results[idx].interrupt = std::move(rc);
         return;
       }
       const BuiltModel& built = models[idx];
       ilp::IlpOptions ilp_options = options.ilp;
-      if (!ilp_options.run_control.CanInterrupt()) {
-        ilp_options.run_control = options.run_control;
-      }
       ilp_options.objective_target = 0.0;  // zero slack == all CCs satisfied
       ilp_options.rounding_heuristic =
           [&built, &state, marginals](const std::vector<double>& lp) {

@@ -7,7 +7,8 @@
 // the bin, plus one aggregated "unused" variable per bin standing for every
 // other combination (those are interchangeable w.r.t. every CC, so a single
 // variable loses nothing — this is the paper's combo_unused lifted into the
-// ILP).
+// ILP). Which bins and combos a CC covers is read from the solve's CcMatch
+// table, built once before either phase-1 algorithm runs.
 // Rows:
 //   * per bin (optional — the all-way marginals of Section 4.1):
 //       sum over the bin's variables = bin pool size           (hard)
@@ -18,7 +19,7 @@
 // components of the (bins, CCs) incidence graph: two CCs couple only when
 // they share a bin (hence possibly a variable or a bin row). RunPhase1Ilp
 // partitions the system with a union-find, builds one sub-ILP per component,
-// and solves them independently — optionally in parallel on a thread pool.
+// and solves them independently — optionally in parallel on worker threads.
 // Sub-solves are single-threaded and deterministic and are merged in
 // component order, so results are bit-identical at any thread count. The
 // model is block-diagonal, so the summed component optima equal the optimum
@@ -35,7 +36,6 @@
 #include "core/fill_state.h"
 #include "core/join_view.h"
 #include "ilp/branch_and_bound.h"
-#include "util/deadline.h"
 #include "util/statusor.h"
 
 namespace cextend {
@@ -48,10 +48,8 @@ struct Phase1IlpOptions {
   /// included and capped at the component count (0 or 1 = serial). The
   /// result is bit-identical regardless of this value.
   size_t num_threads = 1;
+  /// `ilp.run_control` is also checked before each component solve.
   ilp::IlpOptions ilp;
-  /// Deadline/cancellation, checked before each component solve and
-  /// forwarded into the ILP (unless `ilp.run_control` carries its own).
-  RunControl run_control;
 };
 
 struct Phase1IlpStats {
@@ -71,11 +69,14 @@ struct Phase1IlpStats {
   int64_t cold_fallbacks = 0;
 };
 
-/// Runs Algorithm 1 for `ccs` over the unassigned rows in `state`. Rows
-/// selected by the solution get full combos written into V_join; leftovers
-/// stay in the pools for the shared final fill.
+/// Runs Algorithm 1 for `ccs` over the unassigned rows in `state`.
+/// `matches[i]` is `ccs[i]`'s entry of the solve's CcMatch table
+/// (core/fill_state.h); the model is built from it without matching any CC
+/// again. Rows selected by the solution get full combos written into
+/// V_join; leftovers stay in the pools for the shared final fill.
 Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
                     const std::vector<CardinalityConstraint>& ccs,
+                    const std::vector<CcMatch>& matches,
                     const Phase1IlpOptions& options, Phase1IlpStats* stats);
 
 }  // namespace cextend

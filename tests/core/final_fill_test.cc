@@ -254,8 +254,11 @@ Table ExpectFillMatchesReference(const Table& r1, const Table& r2,
   Rng rng(1);
   FinalFillStats fast_stats;
   FinalFillStats ref_stats;
-  auto got = CompleteLeftoverRows(*fast.state, *fast.combos, ccs, dcs,
-                                  LeftoverMode::kAvoidCcs, rng, &fast_stats);
+  auto matches = MatchCcs(*fast.binning, *fast.combos, ccs);
+  CEXTEND_CHECK(matches.ok()) << matches.status().ToString();
+  auto got = CompleteLeftoverRows(*fast.state, *fast.combos, ccs, *matches,
+                                  dcs, LeftoverMode::kAvoidCcs, rng,
+                                  &fast_stats);
   auto want = ReferenceCompleteLeftoverRows(*ref.state, *ref.combos, ccs, dcs,
                                             &ref_stats);
   EXPECT_TRUE(got.ok()) << got.status().ToString();

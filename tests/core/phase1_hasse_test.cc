@@ -47,7 +47,9 @@ class HasseFixture {
   }
 
   StatusOr<std::vector<uint32_t>> Finish(Rng& rng, FinalFillStats* stats) {
-    return CompleteLeftoverRows(*state_, *combos_, ccs_, /*dcs=*/{},
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
+                             MatchCcs(*binning_, *combos_, ccs_));
+    return CompleteLeftoverRows(*state_, *combos_, ccs_, matches, /*dcs=*/{},
                                 LeftoverMode::kAvoidCcs, rng, stats);
   }
 
@@ -183,7 +185,7 @@ TEST(FinalFillTest, RandomModeFillsEverything) {
   auto combos = ComboIndex::Build(ex.housing, ex.names);
   ASSERT_TRUE(combos.ok());
   auto invalid =
-      CompleteLeftoverRows(fx.state(), combos.value(), {}, {},
+      CompleteLeftoverRows(fx.state(), combos.value(), {}, {}, {},
                            LeftoverMode::kRandom, rng, &fill);
   ASSERT_TRUE(invalid.ok());
   EXPECT_TRUE(invalid->empty());

@@ -135,8 +135,10 @@ TEST_P(DecomposeSeedTest, DecomposedMatchesMonolithicSlack) {
 
   Phase1Instance decomposed = MakeInstance(data, ccs);
   Phase1IlpStats dec_stats;
+  auto matches = MatchCcs(*decomposed.binning, *decomposed.combos, ccs);
+  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   ASSERT_TRUE(RunPhase1Ilp(*decomposed.state, *decomposed.combos, ccs,
-                           Phase1IlpOptions{}, &dec_stats).ok());
+                           *matches, Phase1IlpOptions{}, &dec_stats).ok());
 
   EXPECT_GE(dec_stats.num_components, 2u)
       << "seed produced a single component; decomposition untested";
@@ -165,8 +167,10 @@ TEST_P(DecomposeSeedTest, BitIdenticalAcrossThreadCounts) {
     Phase1IlpOptions options;
     options.num_threads = threads;
     Phase1IlpStats stats;
-    ASSERT_TRUE(RunPhase1Ilp(*inst.state, *inst.combos, ccs, options,
-                             &stats).ok());
+    auto matches = MatchCcs(*inst.binning, *inst.combos, ccs);
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    ASSERT_TRUE(RunPhase1Ilp(*inst.state, *inst.combos, ccs, *matches,
+                             options, &stats).ok());
     std::vector<int64_t> codes = BColumnCodes(inst);
     if (threads == 1) {
       reference = std::move(codes);

@@ -31,7 +31,9 @@ class IlpFixture {
   }
 
   Status Run(const Phase1IlpOptions& options, Phase1IlpStats* stats) {
-    return RunPhase1Ilp(*state_, *combos_, ccs_, options, stats);
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
+                             MatchCcs(*binning_, *combos_, ccs_));
+    return RunPhase1Ilp(*state_, *combos_, ccs_, matches, options, stats);
   }
 
   Table& v_join() { return *v_join_; }
