@@ -4,7 +4,8 @@
 // pools as they assign B values; the hybrid runs them back-to-back over the
 // same state. Rows assigned only a subset of the B columns are tracked in
 // `partial_rows` and completed by the shared final fill (Algorithm 2 lines
-// 14-17). All three stages read one CcMatch per CC, built once per solve.
+// 14-17). Both algorithms and the final fill read one CcMatch per CC,
+// built once per solve.
 
 #ifndef CEXTEND_CORE_FILL_STATE_H_
 #define CEXTEND_CORE_FILL_STATE_H_
