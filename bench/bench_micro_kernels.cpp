@@ -608,11 +608,11 @@ void BM_FinalFill(benchmark::State& state) {
     Phase1HasseStats hasse;
     CEXTEND_CHECK(RunPhase1HasseStandalone(
                       *fill, *combos, *ccs, v_join.schema(),
-                      data->housing.schema(), &hasse)
+                      data->housing, &hasse)
                       .ok());
     FinalFillStats stats;
     state.ResumeTiming();
-    auto matches = MatchCcs(*binning, *combos, *ccs);
+    auto matches = MatchCcs(*binning, *combos, data->housing, *ccs);
     CEXTEND_CHECK(matches.ok());
     auto invalid = CompleteLeftoverRows(*fill, *combos, *ccs, *matches, dcs,
                                         LeftoverMode::kAvoidCcs, rng, &stats);

@@ -148,17 +148,6 @@ StatusOr<Binning> Binning::Create(
   return b;
 }
 
-StatusOr<std::vector<size_t>> Binning::MatchingBins(
-    const Predicate& r1_condition) const {
-  CEXTEND_ASSIGN_OR_RETURN(BoundPredicate pred,
-                           BoundPredicate::Bind(r1_condition, *table_));
-  std::vector<size_t> out;
-  for (size_t bin = 0; bin < rows_.size(); ++bin) {
-    if (BinMatches(bin, pred)) out.push_back(bin);
-  }
-  return out;
-}
-
 StatusOr<Predicate> Binning::BinCondition(size_t bin) const {
   if (bin >= rows_.size())
     return Status::InvalidArgument("bin out of range");

@@ -38,19 +38,11 @@ class Binning {
   uint32_t bin_of_row(size_t row) const { return bin_of_row_[row]; }
   const std::vector<uint32_t>& rows(size_t bin) const { return rows_[bin]; }
   size_t count(size_t bin) const { return rows_[bin].size(); }
-  /// Any row of the bin; all rows of a bin agree on every CC's R1 condition.
+  /// Any row of the bin; all rows of a bin agree on every CC's R1 condition
+  /// drawn from the CC set used at creation (each is a union of bins), so a
+  /// CC covers a bin exactly when it holds on this row (MatchCcs in
+  /// core/fill_state.h).
   uint32_t representative(size_t bin) const { return rows_[bin][0]; }
-
-  /// True when the bin's rows satisfy `pred` (bound against the table this
-  /// binning was created from). Exact for conditions drawn from the CC set
-  /// used at creation (they are unions of bins).
-  bool BinMatches(size_t bin, const BoundPredicate& pred) const {
-    return pred.Matches(*table_, representative(bin));
-  }
-
-  /// Ids of bins matching `r1_condition`.
-  StatusOr<std::vector<size_t>> MatchingBins(
-      const Predicate& r1_condition) const;
 
   /// Interval cut points per intervalized column (for tests/inspection).
   /// Cuts c0 < c1 < ... define intervals (-inf,c0-1], [c0,c1-1], ..., [ck,inf).

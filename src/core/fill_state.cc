@@ -1,18 +1,85 @@
 #include "core/fill_state.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace cextend {
 
+FootprintMatcher::FootprintMatcher(const Table& table,
+                                   std::vector<uint32_t> rows)
+    : table_(&table), rows_(std::move(rows)), words_((rows_.size() + 63) / 64) {}
+
+FootprintMatcher FootprintMatcher::ForBins(const Binning& binning) {
+  std::vector<uint32_t> rows(binning.num_bins());
+  for (size_t bin = 0; bin < rows.size(); ++bin) {
+    rows[bin] = binning.representative(bin);
+  }
+  return FootprintMatcher(binning.table(), std::move(rows));
+}
+
+FootprintMatcher FootprintMatcher::ForCombos(const ComboIndex& combos,
+                                             const Table& r2) {
+  std::vector<uint32_t> rows(combos.num_combos());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = combos.representative(i);
+  return FootprintMatcher(r2, std::move(rows));
+}
+
+const std::vector<uint64_t>& FootprintMatcher::AtomBits(
+    const BoundPredicate::BoundAtom& atom) {
+  auto [it, inserted] = atom_bits_.try_emplace(
+      AtomKey{atom.col, atom.op, atom.rhs, atom.rhs_set});
+  if (!inserted) return it->second;
+  auto [col_it, col_inserted] = codes_.try_emplace(atom.col);
+  std::vector<int64_t>& codes = col_it->second;
+  if (col_inserted) {
+    const int64_t* column = table_->ColumnCodes(atom.col).data();
+    codes.reserve(rows_.size());
+    for (uint32_t row : rows_) codes.push_back(column[row]);
+  }
+  std::vector<uint64_t>& bits = it->second;
+  bits.assign(words_, 0);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    if (BoundPredicate::AtomHolds(atom, codes[i])) {
+      bits[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  return bits;
+}
+
+StatusOr<std::vector<size_t>> FootprintMatcher::Match(
+    const Predicate& condition) {
+  CEXTEND_ASSIGN_OR_RETURN(BoundPredicate pred,
+                           BoundPredicate::Bind(condition, *table_));
+  std::vector<size_t> out;
+  if (pred.always_false() || words_ == 0) return out;
+  std::vector<uint64_t> acc(words_, ~uint64_t{0});
+  if (rows_.size() % 64 != 0) {
+    acc.back() = (uint64_t{1} << (rows_.size() % 64)) - 1;
+  }
+  for (const BoundPredicate::BoundAtom& atom : pred.atoms()) {
+    const std::vector<uint64_t>& bits = AtomBits(atom);
+    for (size_t w = 0; w < words_; ++w) acc[w] &= bits[w];
+  }
+  for (size_t w = 0; w < words_; ++w) {
+    for (uint64_t word = acc[w]; word != 0; word &= word - 1) {
+      out.push_back(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
+  return out;
+}
+
 StatusOr<std::vector<CcMatch>> MatchCcs(
-    const Binning& binning, const ComboIndex& combos,
+    const Binning& binning, const ComboIndex& combos, const Table& r2,
     const std::vector<CardinalityConstraint>& ccs) {
+  FootprintMatcher bin_matcher = FootprintMatcher::ForBins(binning);
+  FootprintMatcher combo_matcher = FootprintMatcher::ForCombos(combos, r2);
   std::vector<CcMatch> matches(ccs.size());
   for (size_t c = 0; c < ccs.size(); ++c) {
     CEXTEND_ASSIGN_OR_RETURN(matches[c].bins,
-                             binning.MatchingBins(ccs[c].r1_condition));
+                             bin_matcher.Match(ccs[c].r1_condition));
     CEXTEND_ASSIGN_OR_RETURN(matches[c].combos,
-                             combos.MatchingCombos(ccs[c].r2_condition));
+                             combo_matcher.Match(ccs[c].r2_condition));
   }
   return matches;
 }

@@ -5,16 +5,19 @@
 // same state. Rows assigned only a subset of the B columns are tracked in
 // `partial_rows` and completed by the shared final fill (Algorithm 2 lines
 // 14-17). Both algorithms and the final fill read one CcMatch per CC,
-// built once per solve.
+// built once per solve by MatchCcs from cached per-atom bitsets.
 
 #ifndef CEXTEND_CORE_FILL_STATE_H_
 #define CEXTEND_CORE_FILL_STATE_H_
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "core/binning.h"
 #include "core/join_view.h"
+#include "relational/predicate.h"
 #include "relational/table.h"
 #include "util/statusor.h"
 
@@ -27,10 +30,41 @@ struct CcMatch {
   std::vector<size_t> combos;
 };
 
+/// Matches conditions against one representative row per class: the bins
+/// of a Binning or the combos of a ComboIndex. A condition is bound with
+/// BoundPredicate::Bind, so an unknown column or a bad constant fails as it
+/// does everywhere else. Each distinct bound atom (column, op, code, IN
+/// codes) is then swept once over the representatives' codes into a cached
+/// bitset, and a condition's classes are the AND of its atoms' bitsets.
+/// BoundPredicate::AtomHolds decides every cell, so the result equals
+/// BoundPredicate::Matches on each representative.
+class FootprintMatcher {
+ public:
+  static FootprintMatcher ForBins(const Binning& binning);
+  /// `r2` is the table `combos` was built from.
+  static FootprintMatcher ForCombos(const ComboIndex& combos, const Table& r2);
+
+  /// Ids of the classes whose representative satisfies `condition`,
+  /// ascending.
+  StatusOr<std::vector<size_t>> Match(const Predicate& condition);
+
+ private:
+  using AtomKey = std::tuple<size_t, CompareOp, int64_t, std::vector<int64_t>>;
+
+  FootprintMatcher(const Table& table, std::vector<uint32_t> rows);
+  const std::vector<uint64_t>& AtomBits(const BoundPredicate::BoundAtom& atom);
+
+  const Table* table_;
+  std::vector<uint32_t> rows_;  // representative row per class id
+  size_t words_;
+  std::map<size_t, std::vector<int64_t>> codes_;  // column -> codes at rows_
+  std::map<AtomKey, std::vector<uint64_t>> atom_bits_;
+};
+
 /// One CcMatch per CC of `ccs`, in order. Fails when a condition does not
-/// bind against the binned table or R2.
+/// bind against the binned table or `r2` (the table `combos` indexes).
 StatusOr<std::vector<CcMatch>> MatchCcs(
-    const Binning& binning, const ComboIndex& combos,
+    const Binning& binning, const ComboIndex& combos, const Table& r2,
     const std::vector<CardinalityConstraint>& ccs);
 
 class FillState {

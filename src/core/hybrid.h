@@ -37,7 +37,9 @@ struct HybridOptions {
 };
 
 struct HybridStats {
-  double pairwise_seconds = 0.0;  ///< CC relationship classification
+  /// CC pair classification plus routing: duplicate and taint scan, the
+  /// Hasse diagrams that split S1 from S2, and the per-stage CC lists.
+  double pairwise_seconds = 0.0;
   double binning_seconds = 0.0;   ///< binning, combo index, CC matching
   double recursion_seconds = 0.0; ///< Algorithm 2 (Hasse recursion)
   double ilp_seconds = 0.0;       ///< Algorithm 1 (model + solve + fill)

@@ -136,7 +136,6 @@ StatusOr<Table> MaterializeJoin(const Table& r1, const Table& r2,
 StatusOr<ComboIndex> ComboIndex::Build(const Table& r2,
                                        const PairSchema& names) {
   ComboIndex index;
-  index.r2_ = &r2;
   index.key_col_ = r2.schema().IndexOrDie(names.key2);
   for (const std::string& b : names.r2_attrs) {
     index.b_cols_.push_back(r2.schema().IndexOrDie(b));
@@ -166,17 +165,6 @@ std::optional<size_t> ComboIndex::Find(
     const std::vector<int64_t>& codes) const {
   if (codes.size() != lookup_.arity()) return std::nullopt;
   return lookup_.Find(codes.data());
-}
-
-StatusOr<std::vector<size_t>> ComboIndex::MatchingCombos(
-    const Predicate& r2_condition) const {
-  CEXTEND_ASSIGN_OR_RETURN(BoundPredicate pred,
-                           BoundPredicate::Bind(r2_condition, *r2_));
-  std::vector<size_t> out;
-  for (size_t i = 0; i < combos_.size(); ++i) {
-    if (pred.Matches(*r2_, representative_[i])) out.push_back(i);
-  }
-  return out;
 }
 
 std::vector<size_t> ComboIndex::ExpandByKeyCount(

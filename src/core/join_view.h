@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "relational/predicate.h"
 #include "relational/table.h"
 #include "util/code_interner.h"
 #include "util/statusor.h"
@@ -50,9 +49,10 @@ StatusOr<Table> MaterializeJoin(const Table& r1, const Table& r2,
                                 const PairSchema& names);
 
 /// Index over the distinct (B1..Bq) combinations present in R2: which keys
-/// realize each combination, and which combinations satisfy a given R2-side
-/// CC condition. Phase I uses it for variable construction and leftover
-/// filling; phase II uses it for candidate color lists.
+/// realize each combination, and one R2 row per combination (which R2-side
+/// CC conditions a combination satisfies is read at that row; see MatchCcs
+/// in core/fill_state.h). Phase I uses it for variable construction and
+/// leftover filling; phase II uses it for candidate color lists.
 class ComboIndex {
  public:
   static StatusOr<ComboIndex> Build(const Table& r2, const PairSchema& names);
@@ -71,10 +71,8 @@ class ComboIndex {
   /// the wrong arity). Ids are in first-appearance order over R2's rows.
   std::optional<size_t> Find(const std::vector<int64_t>& codes) const;
 
-  /// Ids of combos whose values satisfy `r2_condition` (bound against R2).
-  /// Exact: the condition only references B columns.
-  StatusOr<std::vector<size_t>> MatchingCombos(
-      const Predicate& r2_condition) const;
+  /// The first R2 row carrying combo `i` (an R2 row index, not a key).
+  uint32_t representative(size_t i) const { return representative_[i]; }
 
   /// Repeats each combo id proportionally to its key count (capped at
   /// `cap`). Round-robin assignment over the expanded list spreads tuples
@@ -85,7 +83,6 @@ class ComboIndex {
                                        size_t cap = 8) const;
 
  private:
-  const Table* r2_ = nullptr;
   std::vector<size_t> b_cols_;              // column indices in R2
   size_t key_col_ = 0;
   std::vector<std::vector<int64_t>> combos_;

@@ -154,11 +154,10 @@ void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
 
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
                                 const std::vector<CardinalityConstraint>& ccs,
-                                const Schema& r1_schema,
-                                const Schema& r2_schema,
+                                const Schema& r1_schema, const Table& r2,
                                 Phase1HasseStats* stats) {
   CEXTEND_ASSIGN_OR_RETURN(CcRelationMatrix relations,
-                           ClassifyAll(ccs, r1_schema, r2_schema));
+                           ClassifyAll(ccs, r1_schema, r2.schema()));
   for (size_t i = 0; i < relations.size(); ++i) {
     for (size_t j = i + 1; j < relations.size(); ++j) {
       if (relations.At(i, j) == CcRelation::kIntersecting) {
@@ -169,7 +168,7 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
     }
   }
   CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
-                           MatchCcs(state.binning(), combos, ccs));
+                           MatchCcs(state.binning(), combos, r2, ccs));
   HasseDiagram diagram = HasseDiagram::Build(relations);
   RunPhase1Hasse(state, combos, ccs, matches, diagram, stats);
   return Status::Ok();

@@ -38,12 +38,11 @@ void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
                     const HasseDiagram& diagram, Phase1HasseStats* stats);
 
 /// Convenience for standalone use/tests: classifies and matches `ccs`,
-/// builds the Hasse diagram and runs the algorithm. Fails when `ccs`
-/// contains an intersecting pair.
+/// builds the Hasse diagram and runs the algorithm. `r2` is the table
+/// `combos` was built from. Fails when `ccs` contains an intersecting pair.
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
                                 const std::vector<CardinalityConstraint>& ccs,
-                                const Schema& r1_schema,
-                                const Schema& r2_schema,
+                                const Schema& r1_schema, const Table& r2,
                                 Phase1HasseStats* stats);
 
 struct FinalFillStats {

@@ -255,6 +255,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
         r2_combos = &built;
       }
       const ComboIndex& combos = *r2_combos;
+      FootprintMatcher combo_matcher = FootprintMatcher::ForCombos(combos, r2);
       std::vector<BoundPredicate> cc_r1;
       std::vector<std::vector<char>> cc_combo(ccs.size());
       for (size_t c = 0; c < ccs.size(); ++c) {
@@ -264,7 +265,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
         cc_r1.push_back(std::move(p1));
         cc_combo[c].assign(combos.num_combos(), 0);
         CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> match,
-                                 combos.MatchingCombos(ccs[c].r2_condition));
+                                 combo_matcher.Match(ccs[c].r2_condition));
         for (size_t i : match) cc_combo[c][i] = 1;
       }
       for (uint32_t row : invalid_rows) {
@@ -361,7 +362,8 @@ Status ApplyPlanToJoinView(const SynthesisPlan& plan, Table& v_join,
 StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
                                    const Table& v_join, const Table& r2,
                                    const PairSchema& names,
-                                   const std::vector<DenialConstraint>& dcs) {
+                                   const std::vector<DenialConstraint>& dcs,
+                                   const ComboIndex* r2_combos) {
   if (plan.num_rows != v_join.NumRows()) {
     return Status::InvalidArgument(
         "SynthesisPlan row count does not match the join view");
@@ -386,15 +388,20 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   // therefore every per-partition RNG stream) is unchanged. Candidates are
   // the partition combo's R2 keys (ascending; none for a combo phase 1
   // synthesized).
-  CEXTEND_ASSIGN_OR_RETURN(prepared.combos, ComboIndex::Build(r2, names));
+  if (r2_combos == nullptr) {
+    CEXTEND_ASSIGN_OR_RETURN(ComboIndex built, ComboIndex::Build(r2, names));
+    prepared.owned_combos = std::make_unique<const ComboIndex>(std::move(built));
+    r2_combos = prepared.owned_combos.get();
+  }
+  prepared.combos = r2_combos;
   PartitionLayout layout = LayoutPartitions(plan, is_invalid);
   prepared.partitions.resize(layout.sizes.size());
   for (size_t p = 0; p < prepared.partitions.size(); ++p) {
     PlanPartition& partition = prepared.partitions[p];
     partition.combo = plan.combo_table[layout.combo_of_partition[p]];
     partition.rows.reserve(layout.sizes[p]);
-    if (std::optional<size_t> id = prepared.combos.Find(partition.combo)) {
-      partition.candidates = prepared.combos.keys(*id);
+    if (std::optional<size_t> id = prepared.combos->Find(partition.combo)) {
+      partition.candidates = prepared.combos->keys(*id);
     }
   }
   for (size_t r = 0; r < plan.num_rows; ++r) {
@@ -423,7 +430,7 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   // ComboIndex id ascending (pass-1 selections always come from R2's combos).
   for (uint32_t row : plan.invalid_rows) {
     std::optional<size_t> id =
-        prepared.combos.Find(plan.combo_table[plan.row_combo[row]]);
+        prepared.combos->Find(plan.combo_table[plan.row_combo[row]]);
     if (!id.has_value()) {
       return Status::InvalidArgument(
           "SynthesisPlan repair combo not present in R2");

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,10 @@ struct PreparedPlan {
   /// Per-combo repair groups (solveInvalidTuples pass 2 input), keyed by
   /// ComboIndex id in ascending order; rows keep plan order within a group.
   std::map<size_t, std::vector<uint32_t>> repair_groups;
-  ComboIndex combos;                      ///< over R2
+  /// R2's combo index: PreparePlan's `r2_combos`, or `owned_combos` when
+  /// none was passed.
+  const ComboIndex* combos = nullptr;
+  std::unique_ptr<const ComboIndex> owned_combos;
   int64_t fresh_base = 0;                 ///< max R2 key + 1
   std::vector<uint64_t> shard_rows;       ///< row count per shard (estimates)
 
@@ -126,10 +130,13 @@ struct PreparedPlan {
 /// Validates `plan` against the tables and builds the runtime context. The
 /// join view must already carry every row's combo (either phase 1 + plan
 /// build in this process, or ApplyPlanToJoinView in a fresh one).
+/// `r2_combos` may pass the ComboIndex phase 1 built over `r2` (it must
+/// outlive the result); nullptr builds one.
 StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
                                    const Table& v_join, const Table& r2,
                                    const PairSchema& names,
-                                   const std::vector<DenialConstraint>& dcs);
+                                   const std::vector<DenialConstraint>& dcs,
+                                   const ComboIndex* r2_combos = nullptr);
 
 /// Per-partition flag: 1 iff the partition's combo is a repair target, i.e.
 /// the repair stage will probe against this partition's resolved colors.

@@ -83,7 +83,8 @@ StatusOr<PlannedCExtension> PlanCExtension(
   stats.total_seconds = total_watch.ElapsedSeconds();
 
   return PlannedCExtension{std::move(plan), std::move(v_join), stats,
-                           plan_watch.ElapsedSeconds()};
+                           plan_watch.ElapsedSeconds(),
+                           std::move(phase1.combos)};
 }
 
 StatusOr<Solution> ExecuteCExtensionPlan(
@@ -97,7 +98,8 @@ StatusOr<Solution> ExecuteCExtensionPlan(
   Stopwatch phase2_watch;
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
-      PreparePlan(planned.plan, planned.v_join, r2, names, dcs));
+      PreparePlan(planned.plan, planned.v_join, r2, names, dcs,
+                  planned.combos ? &*planned.combos : nullptr));
   TableSink table_sink(r1, r2, names);
   TeeSink tee_sink(&table_sink, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&tee_sink)
@@ -121,7 +123,8 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
   Stopwatch phase2_watch;
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
-      PreparePlan(planned.plan, planned.v_join, r2, names, dcs));
+      PreparePlan(planned.plan, planned.v_join, r2, names, dcs,
+                  planned.combos ? &*planned.combos : nullptr));
   TableSink table_sink(r1, r2, names);
   CEXTEND_ASSIGN_OR_RETURN(
       Phase2Stats phase2_stats,

@@ -6,6 +6,7 @@
 #ifndef CEXTEND_CORE_SOLVER_H_
 #define CEXTEND_CORE_SOLVER_H_
 
+#include <optional>
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
@@ -53,6 +54,9 @@ struct PlannedCExtension {
   Table v_join;
   SolveStats stats;            ///< phase-1 + planning portion
   double plan_build_seconds;   ///< folded into phase2_seconds at execution
+  /// Phase 1's combo index over R2, handed to PreparePlan so one solve
+  /// builds it once; empty for a plan loaded in a fresh process.
+  std::optional<ComboIndex> combos = std::nullopt;
 };
 
 /// Stage 1 of the plan-then-stream split (see src/core/README.md "Streaming

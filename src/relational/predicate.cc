@@ -150,38 +150,33 @@ StatusOr<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
   return bound;
 }
 
+bool BoundPredicate::AtomHolds(const BoundAtom& atom, int64_t cell) {
+  // NULL fails every atom, the synthetic "!= NULL" included.
+  if (cell == kNullCode) return false;
+  switch (atom.op) {
+    case CompareOp::kEq:
+      return cell == atom.rhs;
+    case CompareOp::kNe:
+      return cell != atom.rhs;
+    case CompareOp::kLt:
+      return cell < atom.rhs;
+    case CompareOp::kLe:
+      return cell <= atom.rhs;
+    case CompareOp::kGt:
+      return cell > atom.rhs;
+    case CompareOp::kGe:
+      return cell >= atom.rhs;
+    case CompareOp::kIn:
+      return std::binary_search(atom.rhs_set.begin(), atom.rhs_set.end(),
+                                cell);
+  }
+  return false;
+}
+
 bool BoundPredicate::Matches(const Table& table, size_t row) const {
   if (always_false_) return false;
   for (const BoundAtom& a : atoms_) {
-    int64_t cell = table.GetCode(row, a.col);
-    if (cell == kNullCode) {
-      // NULL fails every atom except the synthetic "!= NULL" which also fails.
-      return false;
-    }
-    switch (a.op) {
-      case CompareOp::kEq:
-        if (cell != a.rhs) return false;
-        break;
-      case CompareOp::kNe:
-        if (a.rhs != kNullCode && cell == a.rhs) return false;
-        break;
-      case CompareOp::kLt:
-        if (!(cell < a.rhs)) return false;
-        break;
-      case CompareOp::kLe:
-        if (!(cell <= a.rhs)) return false;
-        break;
-      case CompareOp::kGt:
-        if (!(cell > a.rhs)) return false;
-        break;
-      case CompareOp::kGe:
-        if (!(cell >= a.rhs)) return false;
-        break;
-      case CompareOp::kIn:
-        if (!std::binary_search(a.rhs_set.begin(), a.rhs_set.end(), cell))
-          return false;
-        break;
-    }
+    if (!AtomHolds(a, table.GetCode(row, a.col))) return false;
   }
   return true;
 }

@@ -87,7 +87,8 @@ class BoundPredicate {
   /// Indices of matching rows.
   std::vector<uint32_t> Filter(const Table& table) const;
 
- private:
+  /// One conjunct compiled to codes. An absent `!=` constant binds as
+  /// `!= kNullCode` ("any non-NULL cell").
   struct BoundAtom {
     size_t col = 0;
     CompareOp op = CompareOp::kEq;
@@ -95,6 +96,16 @@ class BoundPredicate {
     std::vector<int64_t> rhs_set;  // sorted, for kIn
   };
 
+  /// True when `atom` holds for a cell holding `cell`. Matches() is the AND
+  /// of this over atoms(), so column sweeps over atoms agree with it.
+  static bool AtomHolds(const BoundAtom& atom, int64_t cell);
+
+  /// True when binding found a conjunct no cell can satisfy (an absent `=`
+  /// constant, an IN list with no present value); atoms() is then partial.
+  bool always_false() const { return always_false_; }
+  const std::vector<BoundAtom>& atoms() const { return atoms_; }
+
+ private:
   bool always_false_ = false;
   std::vector<BoundAtom> atoms_;
 };

@@ -5,6 +5,7 @@
 #include "core/interning_oracle.h"
 #include "core/join_view.h"
 #include "core/marginals.h"
+#include "core/match_oracle.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "test_util.h"
@@ -44,7 +45,7 @@ TEST(BinningTest, MatchingBinsExactForCcConditions) {
   auto binning = Binning::Create(v.value(), ex.names.r1_attrs, ex.ccs);
   ASSERT_TRUE(binning.ok());
   // CC3's R1 condition Age <= 24 matches the spouse bin and the child bin.
-  auto bins = binning->MatchingBins(ex.ccs[2].r1_condition);
+  auto bins = match_oracle::MatchingBins(*binning, ex.ccs[2].r1_condition);
   ASSERT_TRUE(bins.ok());
   size_t rows = 0;
   for (size_t b : *bins) rows += binning->count(b);
@@ -53,7 +54,7 @@ TEST(BinningTest, MatchingBinsExactForCcConditions) {
   auto pred = BoundPredicate::Bind(ex.ccs[2].r1_condition, v.value());
   ASSERT_TRUE(pred.ok());
   for (size_t b = 0; b < binning->num_bins(); ++b) {
-    bool bin_match = binning->BinMatches(b, pred.value());
+    bool bin_match = match_oracle::BinMatches(*binning, b, pred.value());
     for (uint32_t r : binning->rows(b)) {
       EXPECT_EQ(pred->Matches(v.value(), r), bin_match);
     }
@@ -93,7 +94,7 @@ TEST(BinningTest, IrregularCcGetsMatchBit) {
   auto pred = BoundPredicate::Bind(odd.r1_condition, v.value());
   ASSERT_TRUE(pred.ok());
   for (size_t b = 0; b < binning->num_bins(); ++b) {
-    bool bin_match = binning->BinMatches(b, pred.value());
+    bool bin_match = match_oracle::BinMatches(*binning, b, pred.value());
     for (uint32_t r : binning->rows(b)) {
       EXPECT_EQ(pred->Matches(v.value(), r), bin_match);
     }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/denial_constraint.h"
+#include "core/match_oracle.h"
 #include "core/phase1_hasse.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
@@ -33,7 +34,7 @@ using testing_fixtures::ExpectTablesEqual;
 /// binary DC on its own, and every per-bin lookup goes through a hash map.
 /// Kept deliberately naive; the production fill must match it exactly.
 StatusOr<std::vector<uint32_t>> ReferenceCompleteLeftoverRows(
-    FillState& state, const ComboIndex& combos,
+    FillState& state, const ComboIndex& combos, const Table& r2,
     const std::vector<CardinalityConstraint>& avoid_ccs,
     const std::vector<DenialConstraint>& dcs, FinalFillStats* stats) {
   std::vector<uint32_t> invalid;
@@ -50,11 +51,12 @@ StatusOr<std::vector<uint32_t>> ReferenceCompleteLeftoverRows(
       num_ccs, std::vector<uint8_t>(combos.num_combos(), 0));
   for (size_t c = 0; c < num_ccs; ++c) {
     CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> bins,
-                             binning.MatchingBins(avoid_ccs[c].r1_condition));
+                             match_oracle::MatchingBins(
+                                 binning, avoid_ccs[c].r1_condition));
     for (size_t b : bins) bin_match[c][b] = 1;
     CEXTEND_ASSIGN_OR_RETURN(
         std::vector<size_t> cs,
-        combos.MatchingCombos(avoid_ccs[c].r2_condition));
+        match_oracle::MatchingCombos(combos, r2, avoid_ccs[c].r2_condition));
     for (size_t i : cs) combo_match[c][i] = 1;
   }
 
@@ -233,7 +235,7 @@ FillInstance MakeInstance(const Table& r1, const Table& r2,
   if (run_hasse) {
     Phase1HasseStats stats;
     CEXTEND_CHECK(RunPhase1HasseStandalone(*in.state, *in.combos, ccs,
-                                           in.v_join->schema(), r2.schema(),
+                                           in.v_join->schema(), r2,
                                            &stats)
                       .ok());
   }
@@ -254,13 +256,13 @@ Table ExpectFillMatchesReference(const Table& r1, const Table& r2,
   Rng rng(1);
   FinalFillStats fast_stats;
   FinalFillStats ref_stats;
-  auto matches = MatchCcs(*fast.binning, *fast.combos, ccs);
+  auto matches = MatchCcs(*fast.binning, *fast.combos, r2, ccs);
   CEXTEND_CHECK(matches.ok()) << matches.status().ToString();
   auto got = CompleteLeftoverRows(*fast.state, *fast.combos, ccs, *matches,
                                   dcs, LeftoverMode::kAvoidCcs, rng,
                                   &fast_stats);
-  auto want = ReferenceCompleteLeftoverRows(*ref.state, *ref.combos, ccs, dcs,
-                                            &ref_stats);
+  auto want = ReferenceCompleteLeftoverRows(*ref.state, *ref.combos, r2, ccs,
+                                            dcs, &ref_stats);
   EXPECT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(want.ok()) << want.status().ToString();
   if (got.ok() && want.ok()) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/interning_oracle.h"
+#include "core/match_oracle.h"
 #include "datagen/census.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -94,15 +95,16 @@ TEST(ComboIndexTest, MatchingCombos) {
   ASSERT_TRUE(combos.ok());
   Predicate chicago;
   chicago.Eq("Area", Value("Chicago"));
-  auto match = combos->MatchingCombos(chicago);
+  auto match = match_oracle::MatchingCombos(*combos, ex.housing, chicago);
   ASSERT_TRUE(match.ok());
   EXPECT_EQ(match->size(), 1u);
-  auto all = combos->MatchingCombos(Predicate::True());
+  auto all =
+      match_oracle::MatchingCombos(*combos, ex.housing, Predicate::True());
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 2u);
   Predicate none;
   none.Eq("Area", Value("LA"));
-  auto empty = combos->MatchingCombos(none);
+  auto empty = match_oracle::MatchingCombos(*combos, ex.housing, none);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
 }

@@ -43,12 +43,12 @@ class HasseFixture {
 
   Status Run(Phase1HasseStats* stats) {
     return RunPhase1HasseStandalone(*state_, *combos_, ccs_,
-                                    v_join_->schema(), r2_.schema(), stats);
+                                    v_join_->schema(), r2_, stats);
   }
 
   StatusOr<std::vector<uint32_t>> Finish(Rng& rng, FinalFillStats* stats) {
     CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
-                             MatchCcs(*binning_, *combos_, ccs_));
+                             MatchCcs(*binning_, *combos_, r2_, ccs_));
     return CompleteLeftoverRows(*state_, *combos_, ccs_, matches, /*dcs=*/{},
                                 LeftoverMode::kAvoidCcs, rng, stats);
   }

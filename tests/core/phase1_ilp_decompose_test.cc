@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/match_oracle.h"
 #include "core/phase1_ilp.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
@@ -24,6 +25,7 @@ namespace {
 /// A seeded census-backed phase-1 instance (fresh join view + fill state per
 /// call so repeated runs start from identical state).
 struct Phase1Instance {
+  const Table* r2 = nullptr;
   std::unique_ptr<Table> v_join;
   std::unique_ptr<Binning> binning;
   std::unique_ptr<ComboIndex> combos;
@@ -33,6 +35,7 @@ struct Phase1Instance {
 Phase1Instance MakeInstance(const datagen::CensusData& data,
                             const std::vector<CardinalityConstraint>& ccs) {
   Phase1Instance inst;
+  inst.r2 = &data.housing;
   auto v = MakeJoinView(data.persons, data.housing, data.names);
   CEXTEND_CHECK(v.ok());
   inst.v_join = std::make_unique<Table>(std::move(v).value());
@@ -91,8 +94,9 @@ ilp::IlpResult SolveMonolithic(const Phase1Instance& inst,
   std::vector<std::map<size_t, int>> var_of(state.num_bins());  // combo->var
   std::vector<std::vector<ilp::LinearTerm>> cc_terms(ccs.size());
   for (size_t c = 0; c < ccs.size(); ++c) {
-    auto bins = inst.binning->MatchingBins(ccs[c].r1_condition);
-    auto combos = inst.combos->MatchingCombos(ccs[c].r2_condition);
+    auto bins = match_oracle::MatchingBins(*inst.binning, ccs[c].r1_condition);
+    auto combos = match_oracle::MatchingCombos(*inst.combos, *inst.r2,
+                                               ccs[c].r2_condition);
     CEXTEND_CHECK(bins.ok() && combos.ok());
     for (size_t bin : *bins) {
       if (state.pool(bin).empty()) continue;
@@ -135,7 +139,8 @@ TEST_P(DecomposeSeedTest, DecomposedMatchesMonolithicSlack) {
 
   Phase1Instance decomposed = MakeInstance(data, ccs);
   Phase1IlpStats dec_stats;
-  auto matches = MatchCcs(*decomposed.binning, *decomposed.combos, ccs);
+  auto matches = MatchCcs(*decomposed.binning, *decomposed.combos,
+                          *decomposed.r2, ccs);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   ASSERT_TRUE(RunPhase1Ilp(*decomposed.state, *decomposed.combos, ccs,
                            *matches, Phase1IlpOptions{}, &dec_stats).ok());
@@ -167,7 +172,7 @@ TEST_P(DecomposeSeedTest, BitIdenticalAcrossThreadCounts) {
     Phase1IlpOptions options;
     options.num_threads = threads;
     Phase1IlpStats stats;
-    auto matches = MatchCcs(*inst.binning, *inst.combos, ccs);
+    auto matches = MatchCcs(*inst.binning, *inst.combos, *inst.r2, ccs);
     ASSERT_TRUE(matches.ok()) << matches.status().ToString();
     ASSERT_TRUE(RunPhase1Ilp(*inst.state, *inst.combos, ccs, *matches,
                              options, &stats).ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/match_oracle.h"
 #include "test_util.h"
 
 namespace cextend {
@@ -15,7 +16,7 @@ class IlpFixture {
  public:
   IlpFixture(const Table& r1, const Table& r2, const PairSchema& names,
              const std::vector<CardinalityConstraint>& ccs)
-      : names_(names), ccs_(ccs) {
+      : r2_(r2), names_(names), ccs_(ccs) {
     auto v = MakeJoinView(r1, r2, names);
     CEXTEND_CHECK(v.ok());
     v_join_ = std::make_unique<Table>(std::move(v).value());
@@ -32,7 +33,7 @@ class IlpFixture {
 
   Status Run(const Phase1IlpOptions& options, Phase1IlpStats* stats) {
     CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
-                             MatchCcs(*binning_, *combos_, ccs_));
+                             MatchCcs(*binning_, *combos_, r2_, ccs_));
     return RunPhase1Ilp(*state_, *combos_, ccs_, matches, options, stats);
   }
 
@@ -41,6 +42,7 @@ class IlpFixture {
   const ComboIndex& combos() { return *combos_; }
 
  private:
+  const Table& r2_;
   PairSchema names_;
   std::vector<CardinalityConstraint> ccs_;
   std::unique_ptr<Table> v_join_;
@@ -144,7 +146,8 @@ TEST(Phase1IlpTest, RespectsExistingAssignments) {
   ASSERT_TRUE(combos.ok());
   Predicate chicago;
   chicago.Eq("Area", Value("Chicago"));
-  auto chicago_ids = combos->MatchingCombos(chicago);
+  auto chicago_ids =
+      match_oracle::MatchingCombos(*combos, ex.housing, chicago);
   ASSERT_TRUE(chicago_ids.ok());
   size_t popped = 0;
   for (size_t bin = 0; bin < fx.state().num_bins() && popped < 2; ++bin) {

@@ -72,7 +72,7 @@ void ExpectRepairMatchesRebuiltOracle(const PreparedPlan& prepared,
       const size_t local = num_colored + g;
       const int64_t actual = r1_hat.GetCode(group[g], fk_col);
       int64_t expected = kNoColor;
-      for (int64_t key : prepared.combos.keys(combo_id)) {
+      for (int64_t key : prepared.combos->keys(combo_id)) {
         auto it = bucket.find(key);
         if (it == bucket.end() ||
             !oracle.value()->WouldViolate(local, it->second)) {
