@@ -14,12 +14,13 @@
 namespace cextend {
 namespace {
 
-/// One structural variable of a phase-I (sub-)model.
+/// One structural variable of a phase-I (sub-)model: a (bin class, combo
+/// class) pair, or a bin class's aggregated leftover variable.
 struct VarInfo {
-  size_t bin = 0;
-  /// Combo id, or kUnused for the bin's aggregated leftover variable.
+  size_t bin_class = 0;
+  /// Combo class id, or kUnused for the bin class's leftover variable.
   static constexpr size_t kUnused = static_cast<size_t>(-1);
-  size_t combo = kUnused;
+  size_t combo_class = kUnused;
 };
 
 /// One connected component of the (bins, CCs) incidence structure. CC and
@@ -31,64 +32,119 @@ struct Component {
 
 struct BuiltModel {
   ilp::Model model;
-  std::vector<VarInfo> vars;              // structural variables only
-  std::vector<std::vector<int>> bin_vars; // var ids per component bin slot
-  std::vector<size_t> bin_ids;            // global bin id per slot
-  std::vector<int> slack_vars;            // u,v interleaved per CC (2 per CC)
+  std::vector<VarInfo> vars;                    // structural variables only
+  std::vector<std::vector<size_t>> bin_classes;    // member bins, ascending
+  std::vector<std::vector<size_t>> combo_classes;  // member combos, ascending
+  std::vector<std::vector<int>> class_vars;  // var ids per bin class
+  std::vector<size_t> class_rows;            // remaining rows per bin class
+  std::vector<int> slack_vars;               // u,v interleaved per CC
   size_t num_structural = 0;
   size_t num_ccs = 0;
 };
 
+/// Numbers the distinct keys of `keys` (one per item, items ascending) in
+/// first-item order; returns each class's items, ascending.
+std::vector<std::vector<size_t>> ClassesByKey(
+    const std::vector<std::pair<size_t, std::vector<uint32_t>>>& keys,
+    std::vector<const std::vector<uint32_t>*>* class_keys) {
+  std::vector<std::vector<size_t>> classes;
+  std::map<std::vector<uint32_t>, size_t> class_of_key;
+  for (const auto& [item, key] : keys) {
+    auto [it, inserted] = class_of_key.try_emplace(key, classes.size());
+    if (inserted) {
+      classes.emplace_back();
+      class_keys->push_back(&key);
+    }
+    classes[it->second].push_back(item);
+  }
+  return classes;
+}
+
 /// Builds the sub-model for `comp` in the encoding documented in
-/// phase1_ilp.h: CC-major structural variables, then per-bin unused
-/// variables (bins ascending), then bin rows, then CC rows with slack.
+/// phase1_ilp.h: (bin class, combo class) pair variables in ascending
+/// (bin class, combo class) order, then one unused variable per bin class,
+/// then bin-class rows, then CC rows with slack.
 BuiltModel BuildComponentModel(FillState& state, const Component& comp,
                                const std::vector<CardinalityConstraint>& ccs,
                                const std::vector<CcMatch>& matches,
                                bool marginals) {
   BuiltModel built;
-  built.num_ccs = comp.ccs.size();
-  built.bin_ids = comp.bins;
-  built.bin_vars.resize(comp.bins.size());
-  std::unordered_map<size_t, size_t> bin_slot;  // global bin -> local slot
-  bin_slot.reserve(comp.bins.size());
-  for (size_t s = 0; s < comp.bins.size(); ++s) bin_slot.emplace(comp.bins[s], s);
+  const size_t num_local = comp.ccs.size();
+  built.num_ccs = num_local;
 
-  std::unordered_map<size_t, std::map<size_t, int>> bin_combo_var;
-  for (size_t c : comp.ccs) {
-    for (size_t bin : matches[c].bins) {
+  // Covering component CCs (local ids, ascending) per bin with rows left
+  // and per combo. A CC whose R2 condition matches no combo covers no pair.
+  std::vector<std::pair<size_t, std::vector<uint32_t>>> bin_keys;
+  bin_keys.reserve(comp.bins.size());
+  for (size_t bin : comp.bins) bin_keys.push_back({bin, {}});
+  std::map<size_t, std::vector<uint32_t>> combo_key;
+  for (uint32_t k = 0; k < num_local; ++k) {
+    const CcMatch& match = matches[comp.ccs[k]];
+    if (match.combos.empty()) continue;
+    for (size_t bin : match.bins) {
       if (state.pool(bin).empty()) continue;  // nothing left to assign here
-      auto slot_it = bin_slot.find(bin);
-      if (slot_it == bin_slot.end()) continue;
-      for (size_t combo : matches[c].combos) {
-        auto [it, inserted] = bin_combo_var[bin].emplace(combo, -1);
-        if (inserted) {
-          int var = built.model.AddVariable(/*objective=*/0.0,
-                                            /*is_integer=*/true);
-          it->second = var;
-          built.vars.push_back({bin, combo});
-          built.bin_vars[slot_it->second].push_back(var);
-        }
+      auto it = std::lower_bound(comp.bins.begin(), comp.bins.end(), bin);
+      bin_keys[static_cast<size_t>(it - comp.bins.begin())].second.push_back(k);
+    }
+    for (size_t combo : match.combos) combo_key[combo].push_back(k);
+  }
+  std::vector<std::pair<size_t, std::vector<uint32_t>>> combo_keys(
+      combo_key.begin(), combo_key.end());
+  std::vector<const std::vector<uint32_t>*> bin_class_keys, combo_class_keys;
+  built.bin_classes = ClassesByKey(bin_keys, &bin_class_keys);
+  built.combo_classes = ClassesByKey(combo_keys, &combo_class_keys);
+  const size_t num_bin_classes = built.bin_classes.size();
+  const size_t num_combo_classes = built.combo_classes.size();
+
+  // The classes each CC covers, ascending.
+  std::vector<std::vector<size_t>> cc_bin_classes(num_local);
+  std::vector<std::vector<size_t>> cc_combo_classes(num_local);
+  for (size_t b = 0; b < num_bin_classes; ++b) {
+    for (uint32_t k : *bin_class_keys[b]) cc_bin_classes[k].push_back(b);
+  }
+  for (size_t c = 0; c < num_combo_classes; ++c) {
+    for (uint32_t k : *combo_class_keys[c]) cc_combo_classes[k].push_back(c);
+  }
+
+  // One variable per (bin class, combo class) pair sharing a covering CC,
+  // keyed b * num_combo_classes + c; variable i is pairs[i].
+  std::vector<uint64_t> pairs;
+  for (size_t k = 0; k < num_local; ++k) {
+    for (size_t b : cc_bin_classes[k]) {
+      for (size_t c : cc_combo_classes[k]) {
+        pairs.push_back(static_cast<uint64_t>(b) * num_combo_classes + c);
       }
     }
   }
-  // Aggregated unused variable per component bin.
-  for (size_t s = 0; s < comp.bins.size(); ++s) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  built.class_vars.resize(num_bin_classes);
+  for (uint64_t pair : pairs) {
+    const size_t b = static_cast<size_t>(pair / num_combo_classes);
+    int var = built.model.AddVariable(/*objective=*/0.0, /*is_integer=*/true);
+    built.vars.push_back({b, static_cast<size_t>(pair % num_combo_classes)});
+    built.class_vars[b].push_back(var);
+  }
+  // Aggregated unused variable per bin class.
+  built.class_rows.assign(num_bin_classes, 0);
+  for (size_t b = 0; b < num_bin_classes; ++b) {
     int var = built.model.AddVariable(0.0, /*is_integer=*/true);
-    built.vars.push_back({comp.bins[s], VarInfo::kUnused});
-    built.bin_vars[s].push_back(var);
+    built.vars.push_back({b, VarInfo::kUnused});
+    built.class_vars[b].push_back(var);
+    for (size_t bin : built.bin_classes[b]) {
+      built.class_rows[b] += state.pool(bin).size();
+    }
   }
   built.num_structural = built.model.num_variables();
 
-  // Bin marginal rows (hard equalities).
+  // Bin-class marginal rows (hard equalities): the class's pool sizes.
   if (marginals) {
-    for (size_t s = 0; s < comp.bins.size(); ++s) {
+    for (size_t b = 0; b < num_bin_classes; ++b) {
       std::vector<ilp::LinearTerm> terms;
-      terms.reserve(built.bin_vars[s].size());
-      for (int var : built.bin_vars[s]) terms.push_back({var, 1.0});
-      built.model.AddConstraint(
-          std::move(terms), ilp::Sense::kEq,
-          static_cast<double>(state.pool(comp.bins[s]).size()));
+      terms.reserve(built.class_vars[b].size());
+      for (int var : built.class_vars[b]) terms.push_back({var, 1.0});
+      built.model.AddConstraint(std::move(terms), ilp::Sense::kEq,
+                                static_cast<double>(built.class_rows[b]));
     }
   }
   // Without marginals there are *no* bin rows (the plain baseline of
@@ -97,16 +153,17 @@ BuiltModel BuildComponentModel(FillState& state, const Component& comp,
   // exactly the CC-error mechanism the paper attributes to the baseline.
 
   // CC rows with slack:  sum x + u - v = target,  minimize sum(u+v).
-  for (size_t c : comp.ccs) {
+  for (size_t k = 0; k < num_local; ++k) {
     std::vector<ilp::LinearTerm> terms;
-    for (size_t bin : matches[c].bins) {
-      auto bc = bin_combo_var.find(bin);
-      if (bc == bin_combo_var.end()) continue;
-      for (size_t combo : matches[c].combos) {
-        auto it = bc->second.find(combo);
-        if (it != bc->second.end()) terms.push_back({it->second, 1.0});
+    terms.reserve(cc_bin_classes[k].size() * cc_combo_classes[k].size() + 2);
+    for (size_t b : cc_bin_classes[k]) {
+      for (size_t c : cc_combo_classes[k]) {
+        const uint64_t pair = static_cast<uint64_t>(b) * num_combo_classes + c;
+        const auto it = std::lower_bound(pairs.begin(), pairs.end(), pair);
+        terms.push_back({static_cast<int>(it - pairs.begin()), 1.0});
       }
     }
+    const CardinalityConstraint& cc = ccs[comp.ccs[k]];
     int u = built.model.AddVariable(1.0, /*is_integer=*/false);
     int v = built.model.AddVariable(1.0, /*is_integer=*/false);
     built.slack_vars.push_back(u);
@@ -114,8 +171,7 @@ BuiltModel BuildComponentModel(FillState& state, const Component& comp,
     terms.push_back({u, 1.0});
     terms.push_back({v, -1.0});
     built.model.AddConstraint(std::move(terms), ilp::Sense::kEq,
-                              static_cast<double>(ccs[c].target),
-                              ccs[c].name);
+                              static_cast<double>(cc.target), cc.name);
   }
   return built;
 }
@@ -125,21 +181,20 @@ BuiltModel BuildComponentModel(FillState& state, const Component& comp,
 /// exactly. Always produces a feasible point, so branch & bound starts with
 /// an incumbent.
 std::optional<std::vector<double>> RoundLpPoint(const BuiltModel& built,
-                                                FillState& state,
                                                 bool marginals,
                                                 const std::vector<double>& lp) {
   std::vector<double> x = lp;
   for (size_t i = 0; i < built.num_structural; ++i)
     x[i] = std::max(0.0, std::round(x[i]));
-  for (size_t s = 0; marginals && s < built.bin_vars.size(); ++s) {
-    const std::vector<int>& vars = built.bin_vars[s];
+  for (size_t b = 0; marginals && b < built.class_vars.size(); ++b) {
+    const std::vector<int>& vars = built.class_vars[b];
     if (vars.empty()) continue;
-    double cap = static_cast<double>(state.pool(built.bin_ids[s]).size());
+    double cap = static_cast<double>(built.class_rows[b]);
     double total = 0.0;
     int unused = -1;
     for (int var : vars) {
       total += x[static_cast<size_t>(var)];
-      if (built.vars[static_cast<size_t>(var)].combo == VarInfo::kUnused)
+      if (built.vars[static_cast<size_t>(var)].combo_class == VarInfo::kUnused)
         unused = var;
     }
     double excess = total - cap;
@@ -189,6 +244,27 @@ bool Solved(ilp::IlpStatus s) {
 }
 
 }  // namespace
+
+std::vector<std::vector<ClassTake>> SplitClassValues(
+    const std::vector<int64_t>& values, const std::vector<size_t>& pool_sizes) {
+  std::vector<std::vector<ClassTake>> takes(values.size());
+  size_t member = 0;
+  size_t left = pool_sizes.empty() ? 0 : pool_sizes[0];
+  for (size_t j = 0; j < values.size(); ++j) {
+    size_t want = values[j] > 0 ? static_cast<size_t>(values[j]) : 0;
+    while (want > 0 && member < pool_sizes.size()) {
+      if (left == 0) {
+        if (++member < pool_sizes.size()) left = pool_sizes[member];
+        continue;
+      }
+      const size_t rows = std::min(want, left);
+      takes[j].push_back({member, rows});
+      want -= rows;
+      left -= rows;
+    }
+  }
+  return takes;
+}
 
 Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
                     const std::vector<CardinalityConstraint>& ccs,
@@ -261,8 +337,8 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
       ilp::IlpOptions ilp_options = options.ilp;
       ilp_options.objective_target = 0.0;  // zero slack == all CCs satisfied
       ilp_options.rounding_heuristic =
-          [&built, &state, marginals](const std::vector<double>& lp) {
-            return RoundLpPoint(built, state, marginals, lp);
+          [&built, marginals](const std::vector<double>& lp) {
+            return RoundLpPoint(built, marginals, lp);
           };
       results[idx] = ilp::SolveIlp(built.model, ilp_options);
     };
@@ -302,24 +378,45 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
   stats->status = num_optimal == results.size() ? ilp::IlpStatus::kOptimal
                                                 : ilp::IlpStatus::kFeasible;
 
-  // Greedy fill (Algorithm 1 lines 15-17): for each variable of each solved
-  // component, pop up to its value in rows from the bin and write the combo.
-  // Components own disjoint bins, so each pool is popped by one component.
+  // Greedy fill (Algorithm 1 lines 15-17) over the classes: each bin
+  // class's values are split onto its member bins by SplitClassValues, and
+  // the rows a pair variable takes get its combo class's members round
+  // robin over ExpandByKeyCount (one cursor per combo class). Components
+  // own disjoint bins, so each pool is popped by one component.
   {
     ScopedTimer timer(&stats->fill_seconds);
     for (size_t idx = 0; idx < models.size(); ++idx) {
       if (!Solved(results[idx].status)) continue;  // leave this component pooled
       const BuiltModel& built = models[idx];
-      for (size_t i = 0; i < built.num_structural; ++i) {
-        const VarInfo& info = built.vars[i];
-        if (info.combo == VarInfo::kUnused) continue;
-        int64_t count =
-            static_cast<int64_t>(std::llround(results[idx].values[i]));
-        if (count <= 0) continue;
-        std::vector<uint32_t> rows =
-            state.PopRows(info.bin, static_cast<size_t>(count));
-        for (uint32_t row : rows) {
-          state.AssignFullCombo(row, combos.combo_codes(info.combo));
+      std::vector<std::vector<size_t>> rotations(built.combo_classes.size());
+      std::vector<size_t> cursors(built.combo_classes.size(), 0);
+      for (size_t b = 0; b < built.class_vars.size(); ++b) {
+        const std::vector<int>& vars = built.class_vars[b];
+        const std::vector<size_t>& members = built.bin_classes[b];
+        std::vector<int64_t> values;
+        values.reserve(vars.size());
+        for (int var : vars) {
+          values.push_back(std::llround(results[idx].values[static_cast<size_t>(var)]));
+        }
+        std::vector<size_t> pool_sizes;
+        pool_sizes.reserve(members.size());
+        for (size_t bin : members) pool_sizes.push_back(state.pool(bin).size());
+        const std::vector<std::vector<ClassTake>> takes =
+            SplitClassValues(values, pool_sizes);
+        for (size_t j = 0; j < vars.size(); ++j) {
+          const size_t c =
+              built.vars[static_cast<size_t>(vars[j])].combo_class;
+          if (c == VarInfo::kUnused) continue;  // stays pooled
+          std::vector<size_t>& rotation = rotations[c];
+          if (rotation.empty()) {
+            rotation = combos.ExpandByKeyCount(built.combo_classes[c]);
+          }
+          for (const ClassTake& take : takes[j]) {
+            for (uint32_t row : state.PopRows(members[take.member], take.rows)) {
+              const size_t combo = rotation[cursors[c]++ % rotation.size()];
+              state.AssignFullCombo(row, combos.combo_codes(combo));
+            }
+          }
         }
       }
     }

@@ -2,18 +2,29 @@
 // integer program over binned tuple-type variables and greedily fill B values
 // from its solution.
 //
-// Encoding. One integer variable per (bin, combo) pair where `combo` is a
-// distinct (B1..Bq) combination of R2 referenced by at least one CC covering
-// the bin, plus one aggregated "unused" variable per bin standing for every
-// other combination (those are interchangeable w.r.t. every CC, so a single
-// variable loses nothing — this is the paper's combo_unused lifted into the
-// ILP). Which bins and combos a CC covers is read from the solve's CcMatch
+// Encoding (over classes). Within a component, bins with rows left are
+// grouped into bin classes, and the R2 combos its CCs cover into combo
+// classes, each keyed by the ascending list of the component's CCs that
+// cover it. Members of a class are interchangeable with respect to every
+// CC: a CC covers a (bin, combo) pair exactly when it covers both classes.
+// This is the argument that merges every combo no CC covers into the
+// paper's combo_unused (§4.1, Ex. 4.6), applied to all columns. Variables:
+//   * one integer variable per (bin class, combo class) pair that shares a
+//     covering CC, in ascending (bin class, combo class) order;
+//   * one aggregated "unused" integer variable per bin class.
+// Which bins and combos a CC covers is read from the solve's CcMatch
 // table, built once before either phase-1 algorithm runs.
 // Rows:
-//   * per bin (optional — the all-way marginals of Section 4.1):
-//       sum over the bin's variables = bin pool size           (hard)
-//   * per CC:  sum of covered variables + u - v = target,  u,v >= 0 (soft)
+//   * per bin class (optional — the all-way marginals of Section 4.1):
+//       sum over the class's variables = the class's pool sizes  (hard)
+//   * per CC:  sum of covered pair variables + u - v = target,
+//              u,v >= 0 (soft)
 // Objective: minimize sum(u + v). A zero objective ⇔ all CCs satisfied.
+// The merged model is equivalent to one variable per (bin, combo) pair:
+// a class value splits back onto member bins by a northwest-corner walk
+// (SplitClassValues; the bin rows fix only per-bin totals), and onto member
+// combos round robin over ComboIndex::ExpandByKeyCount. The per-pair
+// encoding survives as the oracle in tests/core/phase1_ilp_decompose_test.cc.
 //
 // Decomposition. The constraint matrix is block-diagonal across connected
 // components of the (bins, CCs) incidence graph: two CCs couple only when
@@ -24,7 +35,8 @@
 // component order, so results are bit-identical at any thread count. The
 // model is block-diagonal, so the summed component optima equal the optimum
 // of the one model over every bin with remaining rows
-// (tests/core/phase1_ilp_decompose_test.cc builds that model as its oracle).
+// (tests/core/phase1_ilp_decompose_test.cc builds that model, per pair, as
+// its oracle).
 
 #ifndef CEXTEND_CORE_PHASE1_ILP_H_
 #define CEXTEND_CORE_PHASE1_ILP_H_
@@ -68,6 +80,21 @@ struct Phase1IlpStats {
   /// Warm starts that fell back to a cold solve (degradation-ladder rung).
   int64_t cold_fallbacks = 0;
 };
+
+/// Rows one merged variable takes from one member bin of its bin class.
+struct ClassTake {
+  size_t member = 0;  ///< index into the class's ascending member bins
+  size_t rows = 0;
+};
+
+/// The greedy fill's split of one bin class: `values` (the class's
+/// variables, in variable order; negatives count as 0) are taken from
+/// member bins holding `pool_sizes` rows, walking the members in ascending
+/// id order (northwest corner). takes[j] lists value j's takes. Each value
+/// lands exactly while the pools last: with the bin rows, sum(values) ==
+/// sum(pool_sizes); without them the walk stops when the pools run dry.
+std::vector<std::vector<ClassTake>> SplitClassValues(
+    const std::vector<int64_t>& values, const std::vector<size_t>& pool_sizes);
 
 /// Runs Algorithm 1 for `ccs` over the unassigned rows in `state`.
 /// `matches[i]` is `ccs[i]`'s entry of the solve's CcMatch table

@@ -6,6 +6,7 @@
 // model is built here from the encoding documented in core/phase1_ilp.h, so
 // a bug in the production model builder cannot hide on both sides.
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "datagen/constraint_gen.h"
 #include "ilp/branch_and_bound.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace cextend {
 namespace {
@@ -194,6 +196,106 @@ TEST_P(DecomposeSeedTest, BitIdenticalAcrossThreadCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecomposeSeedTest,
                          ::testing::Range<uint64_t>(1, 5));
+
+// SplitClassValues, the greedy fill's split of one bin class: each value
+// lands exactly while the pools last, no member gives more rows than its
+// pool holds, and the takes walk the members in ascending order.
+TEST(ClassSplitTest, ValuesLandExactlyWithinPools) {
+  Rng rng(17);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<size_t> pools(static_cast<size_t>(rng.UniformInt(1, 6)));
+    size_t total = 0;
+    for (size_t& p : pools) {
+      p = static_cast<size_t>(rng.UniformInt(0, 20));
+      total += p;
+    }
+    std::vector<int64_t> values(static_cast<size_t>(rng.UniformInt(1, 8)));
+    for (int64_t& v : values) v = rng.UniformInt(-2, 15);
+    const bool exact_total = trial % 2 == 0;  // as under the bin rows
+    if (exact_total) {
+      size_t left = total;
+      for (int64_t& v : values) {
+        v = std::min<int64_t>(std::max<int64_t>(v, 0),
+                              static_cast<int64_t>(left));
+        left -= static_cast<size_t>(v);
+      }
+      values.back() += static_cast<int64_t>(left);
+    }
+
+    const auto takes = SplitClassValues(values, pools);
+    ASSERT_EQ(takes.size(), values.size());
+    std::vector<size_t> taken(pools.size(), 0);
+    size_t left = total;
+    size_t last_member = 0;
+    for (size_t j = 0; j < values.size(); ++j) {
+      const size_t want =
+          std::min(static_cast<size_t>(std::max<int64_t>(values[j], 0)), left);
+      size_t got = 0;
+      for (const ClassTake& take : takes[j]) {
+        ASSERT_LT(take.member, pools.size());
+        EXPECT_GT(take.rows, 0u);
+        EXPECT_GE(take.member, last_member) << "takes must walk forward";
+        last_member = take.member;
+        taken[take.member] += take.rows;
+        got += take.rows;
+      }
+      EXPECT_EQ(got, want) << "trial " << trial << " value " << j;
+      left -= got;
+    }
+    for (size_t i = 0; i < pools.size(); ++i) {
+      EXPECT_LE(taken[i], pools[i]);
+      if (exact_total) {
+        EXPECT_EQ(taken[i], pools[i]);
+      }
+    }
+  }
+}
+
+// The merged model on the intersecting census family: the fill realizes a
+// zero-slack solution exactly, rows stay in their bins, and the written
+// bytes are identical at 1 and 4 threads.
+TEST(ClassSplitTest, IntersectingFamilyExactAndBitIdentical) {
+  datagen::CensusData data = MakeData(11);
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = 201;
+  cc_options.intersecting = true;
+  auto generated = datagen::GenerateCcs(data, cc_options);
+  ASSERT_TRUE(generated.ok());
+  const std::vector<CardinalityConstraint>& ccs = *generated;
+
+  std::vector<int64_t> reference;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    Phase1Instance inst = MakeInstance(data, ccs);
+    Phase1IlpOptions options;
+    options.num_threads = threads;
+    Phase1IlpStats stats;
+    auto matches = MatchCcs(*inst.binning, *inst.combos, *inst.r2, ccs);
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    ASSERT_TRUE(RunPhase1Ilp(*inst.state, *inst.combos, ccs, *matches,
+                             options, &stats).ok());
+    EXPECT_EQ(stats.status, ilp::IlpStatus::kOptimal);
+    ASSERT_EQ(stats.slack_total, 0.0);
+    auto report = EvaluateCcError(ccs, *inst.v_join);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->num_exact, ccs.size());
+    // A bin's rows are either still pooled or carry a combo.
+    const size_t b_col = inst.state->b_cols()[0];
+    for (size_t bin = 0; bin < inst.binning->num_bins(); ++bin) {
+      size_t assigned = 0;
+      for (uint32_t row : inst.binning->rows(bin)) {
+        if (!inst.v_join->IsNull(row, b_col)) ++assigned;
+      }
+      EXPECT_EQ(assigned + inst.state->pool(bin).size(),
+                inst.binning->count(bin));
+    }
+    std::vector<int64_t> codes = BColumnCodes(inst);
+    if (threads == 1) {
+      reference = std::move(codes);
+    } else {
+      EXPECT_EQ(codes, reference) << "thread count " << threads;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cextend
