@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: simplex
 // LP solves, conflict-oracle construction, greedy list coloring, CC pairwise
-// classification, binning, and the phase-1 final fill.
+// classification, phase-1 CC matching and the census ILP, binning, and the
+// phase-1 final fill.
 //
 // Every per-size run additionally appends one JSON-lines record
 //   {"kernel": "<name>", "n": <arg>, "seconds": <time per iteration>}
@@ -23,6 +24,7 @@
 #include "core/conflict.h"
 #include "core/join_view.h"
 #include "core/phase1_hasse.h"
+#include "core/phase1_ilp.h"
 #include "core/plan.h"
 #include "core/solver.h"
 #include "datagen/census.h"
@@ -512,6 +514,80 @@ void BM_ClassifyAllBad(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyAllGood)->Arg(201)->Arg(1001);
 BENCHMARK(BM_ClassifyAllBad)->Arg(201)->Arg(1001);
+
+// ---- Phase-I CC matching (MatchCcs) and the class-merged ILP. ----
+//
+// The same census and CC families as the classification kernels. MatchCcs
+// times the footprint table a solve builds once after binning: every CC's
+// bins and combos, from per-atom bitsets. Phase1IlpCensusBad times
+// Algorithm 1 (model build, component solves on one thread, greedy fill)
+// with all 1001 intersecting CCs, as under HybridOptions::force_ilp, from a
+// fresh fill state per iteration; counters give the model's variables and
+// its largest component.
+void BM_MatchCcs(benchmark::State& state, bool intersecting) {
+  size_t num_ccs = static_cast<size_t>(state.range(0));
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(1.0));
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = num_ccs;
+  cc_options.intersecting = intersecting;
+  auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+  CEXTEND_CHECK(ccs.ok());
+  auto v = MakeJoinView(data->persons, data->housing, data->names);
+  CEXTEND_CHECK(v.ok());
+  auto binning = Binning::Create(v.value(), data->names.r1_attrs, *ccs);
+  CEXTEND_CHECK(binning.ok());
+  auto combos = ComboIndex::Build(data->housing, data->names);
+  CEXTEND_CHECK(combos.ok());
+  for (auto _ : state) {
+    auto matches = MatchCcs(*binning, *combos, data->housing, *ccs);
+    CEXTEND_CHECK(matches.ok());
+    benchmark::DoNotOptimize(matches->data());
+  }
+}
+void BM_MatchCcsGood(benchmark::State& state) {
+  BM_MatchCcs(state, /*intersecting=*/false);
+}
+void BM_MatchCcsBad(benchmark::State& state) {
+  BM_MatchCcs(state, /*intersecting=*/true);
+}
+BENCHMARK(BM_MatchCcsGood)->Arg(201)->Arg(1001);
+BENCHMARK(BM_MatchCcsBad)->Arg(201)->Arg(1001);
+
+void BM_Phase1IlpCensusBad(benchmark::State& state) {
+  size_t num_ccs = static_cast<size_t>(state.range(0));
+  auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(1.0));
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = num_ccs;
+  cc_options.intersecting = true;
+  auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+  CEXTEND_CHECK(ccs.ok());
+  auto v = MakeJoinView(data->persons, data->housing, data->names);
+  CEXTEND_CHECK(v.ok());
+  auto binning = Binning::Create(v.value(), data->names.r1_attrs, *ccs);
+  CEXTEND_CHECK(binning.ok());
+  auto combos = ComboIndex::Build(data->housing, data->names);
+  CEXTEND_CHECK(combos.ok());
+  auto matches = MatchCcs(*binning, *combos, data->housing, *ccs);
+  CEXTEND_CHECK(matches.ok());
+  Phase1IlpStats stats;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Table v_join = v->Clone();
+    auto fill = FillState::Create(&v_join, data->names, &binning.value());
+    CEXTEND_CHECK(fill.ok());
+    stats = Phase1IlpStats{};
+    state.ResumeTiming();
+    CEXTEND_CHECK(RunPhase1Ilp(*fill, *combos, *ccs, *matches,
+                               Phase1IlpOptions{}, &stats)
+                      .ok());
+    benchmark::DoNotOptimize(stats.slack_total);
+  }
+  state.counters["variables"] = static_cast<double>(stats.num_variables);
+  state.counters["largest"] = static_cast<double>(stats.largest_component);
+}
+BENCHMARK(BM_Phase1IlpCensusBad)->Arg(1001)->Unit(benchmark::kMillisecond);
 
 // ---- Binning (intervalization + assignment). ----
 void BM_Binning(benchmark::State& state) {

@@ -14,14 +14,8 @@
 namespace cextend {
 namespace {
 
-/// One structural variable of a phase-I (sub-)model: a (bin class, combo
-/// class) pair, or a bin class's aggregated leftover variable.
-struct VarInfo {
-  size_t bin_class = 0;
-  /// Combo class id, or kUnused for the bin class's leftover variable.
-  static constexpr size_t kUnused = static_cast<size_t>(-1);
-  size_t combo_class = kUnused;
-};
+/// Combo class of a bin class's aggregated leftover variable.
+constexpr size_t kUnused = static_cast<size_t>(-1);
 
 /// One connected component of the (bins, CCs) incidence structure. CC and
 /// bin ids are global; both lists are ascending.
@@ -32,7 +26,8 @@ struct Component {
 
 struct BuiltModel {
   ilp::Model model;
-  std::vector<VarInfo> vars;                    // structural variables only
+  /// Combo class per structural variable (kUnused: leftover variable).
+  std::vector<size_t> combo_class;
   std::vector<std::vector<size_t>> bin_classes;    // member bins, ascending
   std::vector<std::vector<size_t>> combo_classes;  // member combos, ascending
   std::vector<std::vector<int>> class_vars;  // var ids per bin class
@@ -42,18 +37,20 @@ struct BuiltModel {
   size_t num_ccs = 0;
 };
 
-/// Numbers the distinct keys of `keys` (one per item, items ascending) in
-/// first-item order; returns each class's items, ascending.
-std::vector<std::vector<size_t>> ClassesByKey(
-    const std::vector<std::pair<size_t, std::vector<uint32_t>>>& keys,
-    std::vector<const std::vector<uint32_t>*>* class_keys) {
+/// Groups `items` (ascending, each with the ascending local ids of the CCs
+/// covering it) into classes of equal CC lists, numbered in first-item
+/// order. Returns each class's items; `cc_classes[k]` gets the classes CC
+/// k covers, ascending.
+std::vector<std::vector<size_t>> GroupByCoveringCcs(
+    const std::vector<std::pair<size_t, std::vector<uint32_t>>>& items,
+    std::vector<std::vector<size_t>>* cc_classes) {
   std::vector<std::vector<size_t>> classes;
   std::map<std::vector<uint32_t>, size_t> class_of_key;
-  for (const auto& [item, key] : keys) {
+  for (const auto& [item, key] : items) {
     auto [it, inserted] = class_of_key.try_emplace(key, classes.size());
     if (inserted) {
+      for (uint32_t k : key) (*cc_classes)[k].push_back(classes.size());
       classes.emplace_back();
-      class_keys->push_back(&key);
     }
     classes[it->second].push_back(item);
   }
@@ -90,21 +87,12 @@ BuiltModel BuildComponentModel(FillState& state, const Component& comp,
   }
   std::vector<std::pair<size_t, std::vector<uint32_t>>> combo_keys(
       combo_key.begin(), combo_key.end());
-  std::vector<const std::vector<uint32_t>*> bin_class_keys, combo_class_keys;
-  built.bin_classes = ClassesByKey(bin_keys, &bin_class_keys);
-  built.combo_classes = ClassesByKey(combo_keys, &combo_class_keys);
-  const size_t num_bin_classes = built.bin_classes.size();
-  const size_t num_combo_classes = built.combo_classes.size();
-
-  // The classes each CC covers, ascending.
   std::vector<std::vector<size_t>> cc_bin_classes(num_local);
   std::vector<std::vector<size_t>> cc_combo_classes(num_local);
-  for (size_t b = 0; b < num_bin_classes; ++b) {
-    for (uint32_t k : *bin_class_keys[b]) cc_bin_classes[k].push_back(b);
-  }
-  for (size_t c = 0; c < num_combo_classes; ++c) {
-    for (uint32_t k : *combo_class_keys[c]) cc_combo_classes[k].push_back(c);
-  }
+  built.bin_classes = GroupByCoveringCcs(bin_keys, &cc_bin_classes);
+  built.combo_classes = GroupByCoveringCcs(combo_keys, &cc_combo_classes);
+  const size_t num_bin_classes = built.bin_classes.size();
+  const size_t num_combo_classes = built.combo_classes.size();
 
   // One variable per (bin class, combo class) pair sharing a covering CC,
   // keyed b * num_combo_classes + c; variable i is pairs[i].
@@ -122,14 +110,14 @@ BuiltModel BuildComponentModel(FillState& state, const Component& comp,
   for (uint64_t pair : pairs) {
     const size_t b = static_cast<size_t>(pair / num_combo_classes);
     int var = built.model.AddVariable(/*objective=*/0.0, /*is_integer=*/true);
-    built.vars.push_back({b, static_cast<size_t>(pair % num_combo_classes)});
+    built.combo_class.push_back(static_cast<size_t>(pair % num_combo_classes));
     built.class_vars[b].push_back(var);
   }
   // Aggregated unused variable per bin class.
   built.class_rows.assign(num_bin_classes, 0);
   for (size_t b = 0; b < num_bin_classes; ++b) {
     int var = built.model.AddVariable(0.0, /*is_integer=*/true);
-    built.vars.push_back({b, VarInfo::kUnused});
+    built.combo_class.push_back(kUnused);
     built.class_vars[b].push_back(var);
     for (size_t bin : built.bin_classes[b]) {
       built.class_rows[b] += state.pool(bin).size();
@@ -194,7 +182,7 @@ std::optional<std::vector<double>> RoundLpPoint(const BuiltModel& built,
     int unused = -1;
     for (int var : vars) {
       total += x[static_cast<size_t>(var)];
-      if (built.vars[static_cast<size_t>(var)].combo_class == VarInfo::kUnused)
+      if (built.combo_class[static_cast<size_t>(var)] == kUnused)
         unused = var;
     }
     double excess = total - cap;
@@ -404,9 +392,8 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
         const std::vector<std::vector<ClassTake>> takes =
             SplitClassValues(values, pool_sizes);
         for (size_t j = 0; j < vars.size(); ++j) {
-          const size_t c =
-              built.vars[static_cast<size_t>(vars[j])].combo_class;
-          if (c == VarInfo::kUnused) continue;  // stays pooled
+          const size_t c = built.combo_class[static_cast<size_t>(vars[j])];
+          if (c == kUnused) continue;  // stays pooled
           std::vector<size_t>& rotation = rotations[c];
           if (rotation.empty()) {
             rotation = combos.ExpandByKeyCount(built.combo_classes[c]);

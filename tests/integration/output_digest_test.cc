@@ -134,9 +134,6 @@ TEST(OutputDigestTest, CensusAllDcBytesArePinned) {
   ExpectDigests(SolveCensus(4, false), kExpected, "4 threads");
 }
 
-// Re-recorded when the phase-1 ILP moved to bin and combo classes: the
-// merged model stops at another optimal vertex (the same zero slack), so
-// R̂1's ILP rows carry other combos.
 TEST(OutputDigestTest, CensusIntersectingCcBytesArePinned) {
   constexpr Digests kExpected = {0xe1c4df72e9187113ULL, 0xa210960bf36f694bULL,
                                  0x45460442e74c71f4ULL};
