@@ -150,29 +150,6 @@ StatusOr<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
   return bound;
 }
 
-bool BoundPredicate::AtomHolds(const BoundAtom& atom, int64_t cell) {
-  // NULL fails every atom, the synthetic "!= NULL" included.
-  if (cell == kNullCode) return false;
-  switch (atom.op) {
-    case CompareOp::kEq:
-      return cell == atom.rhs;
-    case CompareOp::kNe:
-      return cell != atom.rhs;
-    case CompareOp::kLt:
-      return cell < atom.rhs;
-    case CompareOp::kLe:
-      return cell <= atom.rhs;
-    case CompareOp::kGt:
-      return cell > atom.rhs;
-    case CompareOp::kGe:
-      return cell >= atom.rhs;
-    case CompareOp::kIn:
-      return std::binary_search(atom.rhs_set.begin(), atom.rhs_set.end(),
-                                cell);
-  }
-  return false;
-}
-
 bool BoundPredicate::Matches(const Table& table, size_t row) const {
   if (always_false_) return false;
   for (const BoundAtom& a : atoms_) {

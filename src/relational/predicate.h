@@ -10,6 +10,7 @@
 #ifndef CEXTEND_RELATIONAL_PREDICATE_H_
 #define CEXTEND_RELATIONAL_PREDICATE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -98,7 +99,28 @@ class BoundPredicate {
 
   /// True when `atom` holds for a cell holding `cell`. Matches() is the AND
   /// of this over atoms(), so column sweeps over atoms agree with it.
-  static bool AtomHolds(const BoundAtom& atom, int64_t cell);
+  static bool AtomHolds(const BoundAtom& atom, int64_t cell) {
+    // NULL fails every atom, the synthetic "!= NULL" included.
+    if (cell == kNullCode) return false;
+    switch (atom.op) {
+      case CompareOp::kEq:
+        return cell == atom.rhs;
+      case CompareOp::kNe:
+        return cell != atom.rhs;
+      case CompareOp::kLt:
+        return cell < atom.rhs;
+      case CompareOp::kLe:
+        return cell <= atom.rhs;
+      case CompareOp::kGt:
+        return cell > atom.rhs;
+      case CompareOp::kGe:
+        return cell >= atom.rhs;
+      case CompareOp::kIn:
+        return std::binary_search(atom.rhs_set.begin(), atom.rhs_set.end(),
+                                  cell);
+    }
+    return false;
+  }
 
   /// True when binding found a conjunct no cell can satisfy (an absent `=`
   /// constant, an IN list with no present value); atoms() is then partial.
