@@ -8,7 +8,9 @@ namespace cextend {
 
 FootprintMatcher::FootprintMatcher(const Table& table,
                                    std::vector<uint32_t> rows)
-    : table_(&table), rows_(std::move(rows)), words_((rows_.size() + 63) / 64) {}
+    : table_(&table),
+      rows_(std::move(rows)),
+      words_((rows_.size() + 63) / 64) {}
 
 FootprintMatcher FootprintMatcher::ForBins(const Binning& binning) {
   std::vector<uint32_t> rows(binning.num_bins());

@@ -120,7 +120,9 @@ StatusOr<HybridResult> RunHybridPhase1(
   if (!s1_local.empty()) {
     ScopedTimer timer(&stats.recursion_seconds);
     std::vector<CcMatch> s1_matches;
-    for (int a : s1_local) s1_matches.push_back(matches[static_cast<size_t>(a)]);
+    for (int a : s1_local) {
+      s1_matches.push_back(matches[static_cast<size_t>(a)]);
+    }
     RunPhase1Hasse(state, combos, s1_ccs, s1_matches, s1_diagram,
                    &stats.hasse);
   }
@@ -131,7 +133,9 @@ StatusOr<HybridResult> RunHybridPhase1(
   if (!s2_local.empty()) {
     ScopedTimer timer(&stats.ilp_seconds);
     std::vector<CcMatch> s2_matches;
-    for (int a : s2_local) s2_matches.push_back(matches[static_cast<size_t>(a)]);
+    for (int a : s2_local) {
+      s2_matches.push_back(matches[static_cast<size_t>(a)]);
+    }
     Phase1IlpOptions ilp_options = options.ilp;
     if (!ilp_options.ilp.run_control.CanInterrupt()) {
       ilp_options.ilp.run_control = options.run_control;

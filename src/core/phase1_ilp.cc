@@ -381,10 +381,11 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
       for (size_t b = 0; b < built.class_vars.size(); ++b) {
         const std::vector<int>& vars = built.class_vars[b];
         const std::vector<size_t>& members = built.bin_classes[b];
+        const std::vector<double>& solution = results[idx].values;
         std::vector<int64_t> values;
         values.reserve(vars.size());
         for (int var : vars) {
-          values.push_back(std::llround(results[idx].values[static_cast<size_t>(var)]));
+          values.push_back(std::llround(solution[static_cast<size_t>(var)]));
         }
         std::vector<size_t> pool_sizes;
         pool_sizes.reserve(members.size());
@@ -399,7 +400,8 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
             rotation = combos.ExpandByKeyCount(built.combo_classes[c]);
           }
           for (const ClassTake& take : takes[j]) {
-            for (uint32_t row : state.PopRows(members[take.member], take.rows)) {
+            const size_t bin = members[take.member];
+            for (uint32_t row : state.PopRows(bin, take.rows)) {
               const size_t combo = rotation[cursors[c]++ % rotation.size()];
               state.AssignFullCombo(row, combos.combo_codes(combo));
             }

@@ -390,7 +390,8 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   // synthesized).
   if (r2_combos == nullptr) {
     CEXTEND_ASSIGN_OR_RETURN(ComboIndex built, ComboIndex::Build(r2, names));
-    prepared.owned_combos = std::make_unique<const ComboIndex>(std::move(built));
+    prepared.owned_combos =
+        std::make_unique<const ComboIndex>(std::move(built));
     r2_combos = prepared.owned_combos.get();
   }
   prepared.combos = r2_combos;

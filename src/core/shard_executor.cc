@@ -489,7 +489,8 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
     oracle_options.run_control = options.run_control;
     for (const auto& [combo_id, group] : prepared.repair_groups) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
-      const std::vector<int64_t>& combo = prepared.combos->combo_codes(combo_id);
+      const std::vector<int64_t>& combo =
+          prepared.combos->combo_codes(combo_id);
       // Colored partition rows first, then the group.
       std::vector<uint32_t> rows;
       std::vector<int64_t> colored_keys;

@@ -26,8 +26,8 @@ StatusOr<CcMatch> OracleMatch(const Binning& binning, const ComboIndex& combos,
                               const Table& r2,
                               const CardinalityConstraint& cc) {
   CcMatch match;
-  CEXTEND_ASSIGN_OR_RETURN(match.bins,
-                           match_oracle::MatchingBins(binning, cc.r1_condition));
+  CEXTEND_ASSIGN_OR_RETURN(
+      match.bins, match_oracle::MatchingBins(binning, cc.r1_condition));
   CEXTEND_ASSIGN_OR_RETURN(
       match.combos,
       match_oracle::MatchingCombos(combos, r2, cc.r2_condition));
