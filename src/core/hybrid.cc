@@ -6,8 +6,69 @@
 #include "constraints/relationship.h"
 #include "util/logging.h"
 #include "util/timer.h"
+#include "util/union_find.h"
 
 namespace cextend {
+
+CcRouting RouteCcs(const CcRelationMatrix& relations,
+                   const std::vector<CardinalityConstraint>& ccs,
+                   bool force_ilp) {
+  // One pass over the pairs (i, j), i < j, in j-major order, so every
+  // earlier CC's fate is settled when j is decided. j is dropped at its
+  // first active duplicate with an equal target, and pairs after that are
+  // not looked at; a duplicate with a conflicting target is tainted (the
+  // contradiction goes to the ILP, whose slack absorbs it). Intersecting
+  // and containment pairs count only once j is known to survive.
+  CcRouting routing;
+  const size_t n = ccs.size();
+  std::vector<char> active(n, 1);
+  std::vector<char> tainted(n, 0);
+  UnionFind components(n);
+  std::vector<size_t> intersecting, contained;  // active i < j
+  for (size_t j = 1; j < n; ++j) {
+    intersecting.clear();
+    contained.clear();
+    for (size_t i = 0; i < j && active[j]; ++i) {
+      if (!active[i]) continue;
+      switch (relations.At(i, j)) {
+        case CcRelation::kEqual:
+          if (ccs[i].target == ccs[j].target) {
+            active[j] = 0;
+            ++routing.duplicates_dropped;
+          } else {
+            tainted[i] = tainted[j] = 1;
+          }
+          break;
+        case CcRelation::kIntersecting:
+          intersecting.push_back(i);
+          break;
+        case CcRelation::kFirstInSecond:
+        case CcRelation::kSecondInFirst:
+          contained.push_back(i);
+          break;
+        case CcRelation::kDisjoint:
+          break;
+      }
+    }
+    if (!active[j]) continue;
+    if (!intersecting.empty()) tainted[j] = 1;
+    for (size_t i : intersecting) tainted[i] = 1;
+    for (size_t i : contained) components.Union(i, j);
+  }
+
+  std::vector<char> component_tainted(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!active[i]) continue;
+    routing.active.push_back(static_cast<int>(i));
+    if (force_ilp || tainted[i]) component_tainted[components.Find(i)] = 1;
+  }
+  for (size_t a = 0; a < routing.active.size(); ++a) {
+    const size_t id = static_cast<size_t>(routing.active[a]);
+    (component_tainted[components.Find(id)] ? routing.s2 : routing.s1)
+        .push_back(static_cast<int>(a));
+  }
+  return routing;
+}
 
 StatusOr<HybridResult> RunHybridPhase1(
     Table& v_join, const Table& r2, const PairSchema& names,
@@ -18,82 +79,36 @@ StatusOr<HybridResult> RunHybridPhase1(
   Rng rng(options.seed);
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
 
-  // Routing: classify every pair, drop duplicates, taint CCs the Hasse
-  // recursion cannot take, and split the active CCs into S1 (Algorithm 2)
-  // and S2 (Algorithm 1). R1-side conditions are classified against the
-  // join view's schema (it carries all A columns); R2-side against R2.
-  std::vector<CardinalityConstraint> active_ccs;
-  std::vector<int> s1_local, s2_local;  // indices into active_ccs
-  std::vector<CardinalityConstraint> s1_ccs, s2_ccs;
+  // Routing: classify every pair, then RouteCcs splits the active CCs into
+  // S1 (Algorithm 2) and S2 (Algorithm 1). R1-side conditions are
+  // classified against the join view's schema (it carries all A columns);
+  // R2-side against R2.
+  CcRouting routing;
+  std::vector<CardinalityConstraint> active_ccs, s1_ccs, s2_ccs;
   HasseDiagram s1_diagram;
   {
     ScopedTimer timer(&stats.pairwise_seconds);
     CEXTEND_ASSIGN_OR_RETURN(CcRelationMatrix relations,
                              ClassifyAll(ccs, v_join.schema(), r2.schema()));
-
-    // One pass over the pairs (i, j), i < j, in j-major order, so every
-    // earlier CC's fate is settled when j is decided. Exact duplicates
-    // (identical conditions) with equal targets are redundant: j is dropped
-    // at its first active duplicate, and pairs after that are not looked
-    // at. Duplicates with conflicting targets are both tainted (their
-    // contradiction goes to the ILP, whose slack absorbs it), and so are
-    // intersecting pairs whose later CC survives.
-    size_t n = ccs.size();
-    std::vector<char> active(n, 1);
-    std::vector<char> tainted(n, 0);
-    std::vector<size_t> intersecting;  // active i < j intersecting j
-    for (size_t j = 1; j < n; ++j) {
-      intersecting.clear();
-      for (size_t i = 0; i < j && active[j]; ++i) {
-        if (!active[i]) continue;
-        const CcRelation rel = relations.At(i, j);
-        if (rel == CcRelation::kEqual) {
-          if (ccs[i].target == ccs[j].target) {
-            active[j] = 0;
-            ++stats.duplicate_ccs_dropped;
-          } else {
-            tainted[i] = tainted[j] = 1;
-          }
-        } else if (rel == CcRelation::kIntersecting) {
-          intersecting.push_back(i);
-        }
-      }
-      if (!active[j] || intersecting.empty()) continue;
-      tainted[j] = 1;
-      for (size_t i : intersecting) tainted[i] = 1;
+    routing = RouteCcs(relations, ccs, options.force_ilp);
+    for (int id : routing.active) {
+      active_ccs.push_back(ccs[static_cast<size_t>(id)]);
     }
-
-    std::vector<int> active_ids;
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      active_ids.push_back(static_cast<int>(i));
-      active_ccs.push_back(ccs[i]);
+    std::vector<int> s1_ids;  // CC ids of S1, for its diagram
+    for (int a : routing.s1) {
+      s1_ids.push_back(routing.active[static_cast<size_t>(a)]);
+      s1_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
     }
-
-    // Sub-matrix over the active CCs, then the Hasse diagram; components
-    // containing a tainted CC are routed to the ILP (paper: discard
-    // diagrams with intersecting CCs).
-    CcRelationMatrix sub = relations.Restrict(active_ids);
-    HasseDiagram diagram = HasseDiagram::Build(sub);
-    std::vector<char> comp_tainted(diagram.num_components(), 0);
-    for (size_t a = 0; a < active_ids.size(); ++a) {
-      if (options.force_ilp || tainted[static_cast<size_t>(active_ids[a])]) {
-        comp_tainted[static_cast<size_t>(
-            diagram.component(static_cast<int>(a)))] = 1;
-      }
+    for (int a : routing.s2) {
+      s2_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
     }
-    for (size_t a = 0; a < active_ids.size(); ++a) {
-      const bool to_ilp = comp_tainted[static_cast<size_t>(
-          diagram.component(static_cast<int>(a)))];
-      (to_ilp ? s2_local : s1_local).push_back(static_cast<int>(a));
-      (to_ilp ? s2_ccs : s1_ccs).push_back(active_ccs[a]);
-    }
-    if (!s1_local.empty()) {
-      s1_diagram = HasseDiagram::Build(sub.Restrict(s1_local));
+    if (!s1_ids.empty()) {
+      s1_diagram = HasseDiagram::Build(relations.Restrict(s1_ids));
     }
   }
-  stats.ccs_to_hasse = s1_local.size();
-  stats.ccs_to_ilp = s2_local.size();
+  stats.duplicate_ccs_dropped = routing.duplicates_dropped;
+  stats.ccs_to_hasse = routing.s1.size();
+  stats.ccs_to_ilp = routing.s2.size();
 
   // Binning over the full active CC set: shared by both algorithms and the
   // final fill; bin counts restricted to unassigned rows are the paper's
@@ -117,10 +132,10 @@ StatusOr<HybridResult> RunHybridPhase1(
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
 
   // --- Algorithm 2 over S1. ---
-  if (!s1_local.empty()) {
+  if (!routing.s1.empty()) {
     ScopedTimer timer(&stats.recursion_seconds);
     std::vector<CcMatch> s1_matches;
-    for (int a : s1_local) {
+    for (int a : routing.s1) {
       s1_matches.push_back(matches[static_cast<size_t>(a)]);
     }
     RunPhase1Hasse(state, combos, s1_ccs, s1_matches, s1_diagram,
@@ -130,10 +145,10 @@ StatusOr<HybridResult> RunHybridPhase1(
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
 
   // --- Algorithm 1 over S2. ---
-  if (!s2_local.empty()) {
+  if (!routing.s2.empty()) {
     ScopedTimer timer(&stats.ilp_seconds);
     std::vector<CcMatch> s2_matches;
-    for (int a : s2_local) {
+    for (int a : routing.s2) {
       s2_matches.push_back(matches[static_cast<size_t>(a)]);
     }
     Phase1IlpOptions ilp_options = options.ilp;

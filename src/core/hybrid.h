@@ -13,6 +13,7 @@
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
+#include "constraints/relationship.h"
 #include "core/binning.h"
 #include "core/join_view.h"
 #include "core/phase1_hasse.h"
@@ -37,8 +38,8 @@ struct HybridOptions {
 };
 
 struct HybridStats {
-  /// CC pair classification plus routing: duplicate and taint scan, the
-  /// Hasse diagrams that split S1 from S2, and the per-stage CC lists.
+  /// CC pair classification plus routing (RouteCcs, S1's Hasse diagram
+  /// and the per-stage CC lists).
   double pairwise_seconds = 0.0;
   double binning_seconds = 0.0;   ///< binning, combo index, CC matching
   double recursion_seconds = 0.0; ///< Algorithm 2 (Hasse recursion)
@@ -60,6 +61,25 @@ struct HybridResult {
   ComboIndex combos;
   HybridStats stats;
 };
+
+/// Which CCs each phase-I algorithm gets (Section 4.3).
+struct CcRouting {
+  std::vector<int> active;  ///< CCs kept after dropping duplicates, ascending
+  std::vector<int> s1;      ///< indices into `active`: Algorithm 2
+  std::vector<int> s2;      ///< indices into `active`: Algorithm 1
+  size_t duplicates_dropped = 0;
+};
+
+/// Routes `ccs`, whose pairwise relations are `relations`. An exact
+/// duplicate (kEqual) with an equal target is dropped; duplicates with
+/// conflicting targets and intersecting active pairs are tainted. Active
+/// CCs joined by containment pairs form the components of their Hasse
+/// diagram (every containment pair is linked by a chain of covering
+/// edges); a component with a tainted CC, or every CC under `force_ilp`,
+/// goes to S2, the rest to S1.
+CcRouting RouteCcs(const CcRelationMatrix& relations,
+                   const std::vector<CardinalityConstraint>& ccs,
+                   bool force_ilp);
 
 /// Runs phase I over `v_join` (mutated in place). `dcs` only informs the
 /// DC-aware leftover completion (see CompleteLeftoverRows); it may be empty.
