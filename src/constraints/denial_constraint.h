@@ -6,6 +6,9 @@
 //              census age-gap conditions like t2.Age < t1.Age − 50).
 // The final "all tuples share the FK" conjunct is implicit: phase II only
 // ever evaluates DCs on candidate sets that would share a foreign key.
+// A unary atom has the form of a CC selection condition, so the unary atoms
+// of each tuple variable bind as one BoundPredicate (relational/predicate.h)
+// — the DC's "side" for that variable — and evaluate as one.
 
 #ifndef CEXTEND_CONSTRAINTS_DENIAL_CONSTRAINT_H_
 #define CEXTEND_CONSTRAINTS_DENIAL_CONSTRAINT_H_
@@ -100,11 +103,6 @@ class BoundDenialConstraint {
   static bool CrossAtomHolds(const CrossAtom& a, int64_t lhs_cell,
                              int64_t rhs_cell);
 
-  /// Raw code comparison under `op` (kIn never holds — it is unary-only).
-  /// The single source of operator semantics for DC evaluation; the indexed
-  /// conflict builder shares it for residual atom checks.
-  static bool CompareCodes(int64_t lhs, CompareOp op, int64_t rhs);
-
   /// True when the DC body φ holds for the *ordered* assignment rows[i] →
   /// tuple variable i (i.e. giving these rows one FK value would violate
   /// the DC). `rows.size()` must equal arity().
@@ -115,20 +113,28 @@ class BoundDenialConstraint {
   bool BodyHoldsUnordered(const Table& table,
                           std::vector<uint32_t> rows) const;
 
+  /// The unary atoms of tuple variable `var`, bound as one predicate.
+  const BoundPredicate& side(int var) const {
+    return sides_[static_cast<size_t>(var)];
+  }
+
   /// True when row satisfies all unary atoms of tuple variable `var` —
   /// used to pre-filter candidates in the streaming conflict builder.
-  bool SideMatches(const Table& table, uint32_t row, int var) const;
+  bool SideMatches(const Table& table, uint32_t row, int var) const {
+    return side(var).Matches(table, row);
+  }
 
-  /// Column-sweep batch form of SideMatches: match[i] =
-  /// SideMatches(table, rows[i], var) for every i. One pass per unary atom
-  /// over the raw column codes (the dominant equality op is branch-free)
-  /// instead of a per-row atom loop — the conflict builder's side-mask hot
-  /// path.
+  /// match[i] = SideMatches(table, rows[i], var) for every i, by
+  /// BoundPredicate::MatchesBatch's column sweep — the conflict builder's
+  /// side-mask and the final fill's clique-class hot path.
   void SideMatchesBatch(const Table& table, const std::vector<uint32_t>& rows,
-                        int var, std::vector<uint8_t>* match) const;
+                        int var, std::vector<uint8_t>* match) const {
+    side(var).MatchesBatch(table, rows, match);
+  }
 
-  /// Appends every column some atom (unary or binary) reads. The body's
-  /// truth on a row tuple depends on these columns' codes alone.
+  /// Appends every column some atom (unary or binary) reads, the atoms of
+  /// an always-false side included. The body's truth on a row tuple depends
+  /// on these columns' codes alone.
   void AppendReadColumns(std::vector<size_t>* cols) const;
 
   /// Evaluates only the binary (cross-tuple) atoms for the ordered rows.
@@ -138,7 +144,7 @@ class BoundDenialConstraint {
   /// Sound static test of whether the body can hold with one row bound to
   /// every tuple variable. False means no row of any table can; true is
   /// only "maybe". It is false when
-  ///   * some unary atom never matches;
+  ///   * some side never matches;
   ///   * two variables carry =/IN atoms on one column with disjoint codes
   ///     (t0.Rel = Owner, t1.Rel = Spouse);
   ///   * a binary atom compares a column with itself and x ∘ x + offset
@@ -147,19 +153,8 @@ class BoundDenialConstraint {
   bool MayHoldOnOneRow() const;
 
  private:
-  struct BoundUnary {
-    int tuple = 0;
-    size_t col = 0;
-    CompareOp op = CompareOp::kEq;
-    int64_t rhs = kNullCode;
-    std::vector<int64_t> rhs_set;
-    bool never_matches = false;  // e.g. equality against a string absent
-                                 // from the dictionary
-  };
-  static bool EvalUnary(const BoundUnary& a, int64_t cell);
-
   int arity_ = 2;
-  std::vector<BoundUnary> unary_;
+  std::vector<BoundPredicate> sides_;  // one per tuple variable
   std::vector<CrossAtom> binary_;
 };
 

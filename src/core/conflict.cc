@@ -121,8 +121,7 @@ struct OrientedAtom {
     return table.GetCode(row, v_col) + v_adj;
   }
   bool Holds(const Table& table, uint32_t u_row, uint32_t v_row) const {
-    return BoundDenialConstraint::CompareCodes(UKey(table, u_row), op,
-                                               VKey(table, v_row));
+    return CompareCodes(UKey(table, u_row), op, VKey(table, v_row));
   }
 };
 

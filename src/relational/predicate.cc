@@ -120,32 +120,20 @@ StatusOr<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
         if (code.has_value() && *code != kNullCode) ba.rhs_set.push_back(*code);
       }
       std::sort(ba.rhs_set.begin(), ba.rhs_set.end());
-      if (ba.rhs_set.empty()) {
-        bound.always_false_ = true;
-        return bound;
-      }
-    } else {
-      auto code = table.FindCode(*col, atom.value);
-      if (!code.has_value()) {
-        // Constant absent from dictionary: Eq can never match; Ne always
-        // matches non-null cells, which we approximate by dropping the atom
-        // (NULL cells are excluded by a synthetic Ne-null atom).
-        if (atom.op == CompareOp::kEq) {
-          bound.always_false_ = true;
-          return bound;
-        }
-        if (atom.op == CompareOp::kNe) {
-          ba.op = CompareOp::kNe;
-          ba.rhs = kNullCode;  // "cell != NULL" — matches all non-null cells
-          bound.atoms_.push_back(ba);
-          continue;
-        }
-        return Status::InvalidArgument(
-            "type mismatch for constant in atom " + atom.ToString());
-      }
+      if (ba.rhs_set.empty()) bound.always_false_ = true;
+    } else if (auto code = table.FindCode(*col, atom.value)) {
       ba.rhs = *code;
+    } else if (atom.op == CompareOp::kEq || atom.op == CompareOp::kNe) {
+      // Constant absent from the dictionary: `=` never matches, `!=`
+      // matches every non-NULL cell. Both bind against kNullCode, which no
+      // cell passes AtomHolds' NULL test with.
+      ba.rhs = kNullCode;
+      if (atom.op == CompareOp::kEq) bound.always_false_ = true;
+    } else {
+      return Status::InvalidArgument(
+          "type mismatch for constant in atom " + atom.ToString());
     }
-    bound.atoms_.push_back(ba);
+    bound.atoms_.push_back(std::move(ba));
   }
   return bound;
 }
@@ -156,6 +144,30 @@ bool BoundPredicate::Matches(const Table& table, size_t row) const {
     if (!AtomHolds(a, table.GetCode(row, a.col))) return false;
   }
   return true;
+}
+
+void BoundPredicate::MatchesBatch(const Table& table,
+                                  const std::vector<uint32_t>& rows,
+                                  std::vector<uint8_t>* match) const {
+  const size_t n = rows.size();
+  match->assign(n, always_false_ ? 0 : 1);
+  if (always_false_) return;
+  uint8_t* m = match->data();
+  for (const BoundAtom& a : atoms_) {
+    const std::vector<int64_t>& col = table.ColumnCodes(a.col);
+    if (a.op == CompareOp::kEq && a.rhs != kNullCode) {
+      // rhs is a real dictionary code, so cell == rhs already excludes
+      // NULLs; the sweep stays branch-free.
+      const int64_t rhs = a.rhs;
+      for (size_t i = 0; i < n; ++i) {
+        m[i] &= static_cast<uint8_t>(col[rows[i]] == rhs);
+      }
+      continue;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (m[i] != 0 && !AtomHolds(a, col[rows[i]])) m[i] = 0;
+    }
+  }
 }
 
 size_t BoundPredicate::CountMatches(const Table& table) const {

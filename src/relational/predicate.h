@@ -5,7 +5,11 @@
 //     A IN {c1..ck}
 // matching the linear-CC selection conditions of Definition 2.4 in the paper.
 // Predicates are symbolic (column names + typed constants); `BoundPredicate`
-// compiles one against a concrete table for fast code-level evaluation.
+// compiles one against a concrete table for fast code-level evaluation. The
+// same atom form is a DC's unary atom `t_i.A ∘ c` (Definition 2.2), so a
+// BoundDenialConstraint binds each tuple variable's unary atoms as one
+// BoundPredicate, and CompareCodes below is the one operator switch over
+// codes.
 
 #ifndef CEXTEND_RELATIONAL_PREDICATE_H_
 #define CEXTEND_RELATIONAL_PREDICATE_H_
@@ -24,6 +28,28 @@ namespace cextend {
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe, kIn };
 
 const char* CompareOpToString(CompareOp op);
+
+/// `lhs op rhs` on raw codes. kIn never holds: membership is decided by
+/// BoundPredicate::AtomHolds. NULL handling is the caller's.
+inline bool CompareCodes(int64_t lhs, CompareOp op, int64_t rhs) {
+  switch (op) {
+    case CompareOp::kEq:
+      return lhs == rhs;
+    case CompareOp::kNe:
+      return lhs != rhs;
+    case CompareOp::kLt:
+      return lhs < rhs;
+    case CompareOp::kLe:
+      return lhs <= rhs;
+    case CompareOp::kGt:
+      return lhs > rhs;
+    case CompareOp::kGe:
+      return lhs >= rhs;
+    case CompareOp::kIn:
+      return false;
+  }
+  return false;
+}
 
 /// One conjunct of a predicate.
 struct Atom {
@@ -75,12 +101,19 @@ class BoundPredicate {
  public:
   /// Binds `pred` to `table`'s schema/dictionaries. Fails when a column is
   /// missing, a constant has the wrong type, or an ordering comparison is
-  /// applied to a string column.
+  /// applied to a string column, whichever atom it is in: every atom is
+  /// bound and checked, also after one that can never hold.
   static StatusOr<BoundPredicate> Bind(const Predicate& pred,
                                        const Table& table);
 
   /// True when every atom holds for `table` row `row`.
   bool Matches(const Table& table, size_t row) const;
+
+  /// Column-sweep batch form of Matches: match[i] = Matches(table, rows[i])
+  /// for every i. One pass per atom over the raw column codes (the dominant
+  /// equality op is branch-free) instead of a per-row atom loop.
+  void MatchesBatch(const Table& table, const std::vector<uint32_t>& rows,
+                    std::vector<uint8_t>* match) const;
 
   /// Number of matching rows.
   size_t CountMatches(const Table& table) const;
@@ -89,7 +122,8 @@ class BoundPredicate {
   std::vector<uint32_t> Filter(const Table& table) const;
 
   /// One conjunct compiled to codes. An absent `!=` constant binds as
-  /// `!= kNullCode` ("any non-NULL cell").
+  /// `!= kNullCode` ("any non-NULL cell"), an absent `=` constant as
+  /// `= kNullCode` (no cell).
   struct BoundAtom {
     size_t col = 0;
     CompareOp op = CompareOp::kEq;
@@ -102,28 +136,16 @@ class BoundPredicate {
   static bool AtomHolds(const BoundAtom& atom, int64_t cell) {
     // NULL fails every atom, the synthetic "!= NULL" included.
     if (cell == kNullCode) return false;
-    switch (atom.op) {
-      case CompareOp::kEq:
-        return cell == atom.rhs;
-      case CompareOp::kNe:
-        return cell != atom.rhs;
-      case CompareOp::kLt:
-        return cell < atom.rhs;
-      case CompareOp::kLe:
-        return cell <= atom.rhs;
-      case CompareOp::kGt:
-        return cell > atom.rhs;
-      case CompareOp::kGe:
-        return cell >= atom.rhs;
-      case CompareOp::kIn:
-        return std::binary_search(atom.rhs_set.begin(), atom.rhs_set.end(),
-                                  cell);
+    if (atom.op == CompareOp::kIn) {
+      return std::binary_search(atom.rhs_set.begin(), atom.rhs_set.end(),
+                                cell);
     }
-    return false;
+    return CompareCodes(cell, atom.op, atom.rhs);
   }
 
   /// True when binding found a conjunct no cell can satisfy (an absent `=`
-  /// constant, an IN list with no present value); atoms() is then partial.
+  /// constant, an IN list with no present value). atoms() still holds every
+  /// conjunct, that one included, so the columns read stay the same.
   bool always_false() const { return always_false_; }
   const std::vector<BoundAtom>& atoms() const { return atoms_; }
 

@@ -107,6 +107,71 @@ TEST(PredicateTest, BindErrors) {
       BoundPredicate::Bind(Predicate().Lt("age", Value("young")), t).ok());
 }
 
+// An atom that can never hold does not hide a bad atom after it: binding
+// fails the same in either order.
+TEST(PredicateTest, BindErrorsInAnyAtomOrder) {
+  Table t = MakeTable();
+  const Predicate bad_constant = Predicate().Lt("age", Value("x"));
+  const Predicate unknown_column = Predicate().Eq("missing", Value(1));
+  const Predicate string_ordering = Predicate().Lt("rel", Value("x"));
+  for (const Predicate& bad : {bad_constant, unknown_column, string_ordering}) {
+    Predicate absent_first = Predicate().Eq("rel", Value("Nobody"));
+    Predicate absent_last = bad;
+    absent_last.Eq("rel", Value("Nobody"));
+    auto first = BoundPredicate::Bind(absent_first.AndWith(bad), t);
+    auto last = BoundPredicate::Bind(absent_last, t);
+    EXPECT_EQ(first.status().code(), StatusCode::kInvalidArgument)
+        << absent_first.AndWith(bad).ToString();
+    EXPECT_EQ(last.status().code(), StatusCode::kInvalidArgument)
+        << absent_last.ToString();
+  }
+  // So does an empty IN list.
+  Predicate empty_in = Predicate().In("rel", {Value("Nobody")});
+  EXPECT_FALSE(BoundPredicate::Bind(empty_in.AndWith(bad_constant), t).ok());
+}
+
+// An always-false predicate keeps every atom, so the columns it reads are
+// those of its whole condition.
+TEST(PredicateTest, AlwaysFalseKeepsEveryAtom) {
+  Table t = MakeTable();
+  auto bound = BoundPredicate::Bind(Predicate()
+                                        .Eq("rel", Value("Nobody"))
+                                        .Ge("age", Value(3))
+                                        .In("ml", {Value(7)}),
+                                    t);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_TRUE(bound->always_false());
+  ASSERT_EQ(bound->atoms().size(), 3u);
+  EXPECT_EQ(bound->atoms()[0].col, 1u);
+  EXPECT_EQ(bound->atoms()[1].col, 0u);
+  EXPECT_EQ(bound->atoms()[2].col, 2u);
+  EXPECT_EQ(bound->CountMatches(t), 0u);
+  std::vector<uint8_t> match;
+  bound->MatchesBatch(t, {0, 1, 2, 3, 0}, &match);
+  EXPECT_EQ(match, (std::vector<uint8_t>(5, 0)));
+}
+
+TEST(PredicateTest, MatchesBatchAgreesWithMatches) {
+  Table t = MakeTable();
+  const std::vector<uint32_t> rows = {3, 0, 2, 1, 2, 3};
+  for (const Predicate& p :
+       {Predicate::True(), Predicate().Eq("rel", Value("Child")),
+        Predicate().Ne("rel", Value("Nobody")), Predicate().Eq("age", Value()),
+        Predicate().In("rel", {Value("Owner"), Value("Child")}).Lt(
+            "age", Value(50)),
+        Predicate().Ge("age", Value(10)).Eq("ml", Value(0))}) {
+    auto bound = BoundPredicate::Bind(p, t);
+    ASSERT_TRUE(bound.ok()) << p.ToString();
+    std::vector<uint8_t> match;
+    bound->MatchesBatch(t, rows, &match);
+    ASSERT_EQ(match.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(match[i] != 0, bound->Matches(t, rows[i]))
+          << p.ToString() << " row " << rows[i];
+    }
+  }
+}
+
 TEST(PredicateTest, FilterReturnsIndices) {
   Table t = MakeTable();
   auto bound = BoundPredicate::Bind(Predicate().Eq("ml", Value(1)), t);
