@@ -133,14 +133,6 @@ void FillState::AssignFullCombo(uint32_t row,
   }
 }
 
-void FillState::AssignPartial(
-    uint32_t row, const std::vector<std::pair<size_t, int64_t>>& cells) {
-  for (const auto& [col, code] : cells) {
-    v_join_->SetCode(row, col, code);
-  }
-  partial_rows_.push_back(row);
-}
-
 std::vector<uint32_t> FillState::DrainPools() {
   std::vector<uint32_t> out;
   for (auto& pool : pools_) {

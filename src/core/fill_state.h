@@ -2,10 +2,10 @@
 //
 // Both phase-I algorithms (Hasse recursion and ILP) pull rows out of per-bin
 // pools as they assign B values; the hybrid runs them back-to-back over the
-// same state. Rows assigned only a subset of the B columns are tracked in
-// `partial_rows` and completed by the shared final fill (Algorithm 2 lines
-// 14-17). Both algorithms and the final fill read one CcMatch per CC,
-// built once per solve by MatchCcs from cached per-atom bitsets.
+// same state. Rows still pooled at the end are completed by the shared final
+// fill (Algorithm 2 lines 14-17). Both algorithms and the final fill read
+// one CcMatch per CC, built once per solve by MatchCcs from cached per-atom
+// bitsets.
 
 #ifndef CEXTEND_CORE_FILL_STATE_H_
 #define CEXTEND_CORE_FILL_STATE_H_
@@ -95,13 +95,6 @@ class FillState {
   /// Writes full combo `codes` (one per B column) into `row`.
   void AssignFullCombo(uint32_t row, const std::vector<int64_t>& codes);
 
-  /// Writes a partial assignment: `cells` = (v_join column index, code).
-  /// The row is recorded in partial_rows() for the final fill.
-  void AssignPartial(uint32_t row,
-                     const std::vector<std::pair<size_t, int64_t>>& cells);
-
-  const std::vector<uint32_t>& partial_rows() const { return partial_rows_; }
-
   /// Rows never assigned (still in pools), drained into one list.
   std::vector<uint32_t> DrainPools();
 
@@ -112,7 +105,6 @@ class FillState {
   const Binning* binning_ = nullptr;
   std::vector<size_t> b_cols_;
   std::vector<std::vector<uint32_t>> pools_;
-  std::vector<uint32_t> partial_rows_;
 };
 
 }  // namespace cextend

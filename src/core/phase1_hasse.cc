@@ -182,10 +182,6 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     FinalFillStats* stats) {
   std::vector<uint32_t> invalid;
   std::vector<uint32_t> leftovers = state.DrainPools();
-  // Rows given partial assignments also need completion; none of the shipped
-  // algorithms produce them today, but the API allows it.
-  for (uint32_t row : state.partial_rows()) leftovers.push_back(row);
-
   if (leftovers.empty()) return invalid;
 
   if (mode == LeftoverMode::kRandom) {
@@ -407,17 +403,6 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
   CliqueClasses classes = SweepCliqueClasses(v_join, clique_dcs, leftovers);
   for (size_t i = 0; i < leftovers.size(); ++i) {
     uint32_t row = leftovers[i];
-    // Skip rows that already have every B value (defensive; partial rows
-    // filled elsewhere would land here).
-    bool complete = true;
-    for (size_t col : state.b_cols()) {
-      if (v_join.IsNull(row, col)) {
-        complete = false;
-        break;
-      }
-    }
-    if (complete) continue;
-
     size_t bin = binning.bin_of_row(row);
     const std::vector<size_t>& free = free_combos_for_bin(bin);
     if (!free.empty()) {

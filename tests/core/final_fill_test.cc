@@ -1,11 +1,10 @@
 // The shared final fill (CompleteLeftoverRows) against a per-row reference:
 // same B codes in every join-view row, same invalid rows, same counters, on
 // inputs that exercise the DC-aware clique-capacity ledger — census S_all_DC,
-// a DC whose cross atom lets a row conflict with itself, partial rows, and
-// combos with so few keys that every candidate saturates.
+// a DC whose cross atom lets a row conflict with itself, and combos with so
+// few keys that every candidate saturates.
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,7 +38,6 @@ StatusOr<std::vector<uint32_t>> ReferenceCompleteLeftoverRows(
     const std::vector<DenialConstraint>& dcs, FinalFillStats* stats) {
   std::vector<uint32_t> invalid;
   std::vector<uint32_t> leftovers = state.DrainPools();
-  for (uint32_t row : state.partial_rows()) leftovers.push_back(row);
   if (leftovers.empty()) return invalid;
 
   const Binning& binning = state.binning();
@@ -161,9 +159,6 @@ StatusOr<std::vector<uint32_t>> ReferenceCompleteLeftoverRows(
   }
 
   for (uint32_t row : leftovers) {
-    bool complete = true;
-    for (size_t col : state.b_cols()) complete &= !v_join.IsNull(row, col);
-    if (complete) continue;
     size_t bin = binning.bin_of_row(row);
     const std::vector<size_t>& free = free_combos_for_bin(bin);
     if (free.empty()) {
@@ -212,13 +207,10 @@ struct FillInstance {
   std::unique_ptr<FillState> state;
 };
 
-/// Optional set-up between phase I and the fill (e.g. partial rows).
-using Prepare = std::function<void(FillState&, const ComboIndex&)>;
-
 FillInstance MakeInstance(const Table& r1, const Table& r2,
                           const PairSchema& names,
                           const std::vector<CardinalityConstraint>& ccs,
-                          bool run_hasse, const Prepare& prepare) {
+                          bool run_hasse) {
   FillInstance in;
   auto v = MakeJoinView(r1, r2, names);
   CEXTEND_CHECK(v.ok());
@@ -239,7 +231,6 @@ FillInstance MakeInstance(const Table& r1, const Table& r2,
                                            &stats)
                       .ok());
   }
-  if (prepare) prepare(*in.state, *in.combos);
   return in;
 }
 
@@ -249,10 +240,9 @@ Table ExpectFillMatchesReference(const Table& r1, const Table& r2,
                                  const PairSchema& names,
                                  const std::vector<CardinalityConstraint>& ccs,
                                  const std::vector<DenialConstraint>& dcs,
-                                 bool run_hasse,
-                                 const Prepare& prepare = nullptr) {
-  FillInstance fast = MakeInstance(r1, r2, names, ccs, run_hasse, prepare);
-  FillInstance ref = MakeInstance(r1, r2, names, ccs, run_hasse, prepare);
+                                 bool run_hasse) {
+  FillInstance fast = MakeInstance(r1, r2, names, ccs, run_hasse);
+  FillInstance ref = MakeInstance(r1, r2, names, ccs, run_hasse);
   Rng rng(1);
   FinalFillStats fast_stats;
   FinalFillStats ref_stats;
@@ -357,43 +347,6 @@ TEST_P(FinalFillReferenceTest, SelfConflictingCrossAtoms) {
   }
   ExpectFillMatchesReference(in.data.persons, in.data.housing, in.data.names,
                              in.ccs, dcs, /*run_hasse=*/true);
-}
-
-TEST_P(FinalFillReferenceTest, PartialRows) {
-  // Four B columns, so a row can hold some of them.
-  CensusInstance in = MakeCensus(GetParam(), 1500, 600, 4);
-  Prepare prepare = [](FillState& state, const ComboIndex& combos) {
-    const std::vector<size_t>& b = state.b_cols();
-    size_t partial = 0;
-    for (size_t bin = 0; bin < state.num_bins() && partial < 40; ++bin) {
-      for (uint32_t row : state.PopRows(bin, 2)) {
-        const std::vector<int64_t>& codes =
-            combos.combo_codes(partial % combos.num_combos());
-        if (partial % 7 == 6) {
-          // Every B column set: the fill must skip it.
-          std::vector<std::pair<size_t, int64_t>> cells;
-          for (size_t i = 0; i < b.size(); ++i)
-            cells.push_back({b[i], codes[i]});
-          state.AssignPartial(row, cells);
-        } else {
-          state.AssignPartial(row, {{b[partial % b.size()],
-                                     codes[partial % b.size()]}});
-        }
-        ++partial;
-      }
-    }
-    // A row still in its pool that is also partial: filled on its first
-    // visit, skipped on its second.
-    for (size_t bin = 0; bin < state.num_bins(); ++bin) {
-      if (state.pool(bin).empty()) continue;
-      state.AssignPartial(state.pool(bin).front(),
-                          {{b[0], combos.combo_codes(0)[0]}});
-      break;
-    }
-  };
-  ExpectFillMatchesReference(in.data.persons, in.data.housing, in.data.names,
-                             in.ccs, datagen::MakeCensusDcs(false),
-                             /*run_hasse=*/true, prepare);
 }
 
 TEST_P(FinalFillReferenceTest, SaturatedCombos) {
