@@ -72,12 +72,10 @@ struct Phase2Stats {
   size_t csr_partitions = 0;
   size_t conflict_buckets = 0;
   size_t materialized_pairs = 0;
-  /// Shard-executor accounting: shards retired to the sink, failed emissions
-  /// regenerated in place from the plan (no whole-run restart), and the
+  /// Shard-executor accounting: shards retired to the sink, and the
   /// bounded-memory high-water marks — most shards simultaneously in flight
   /// and peak resident bytes of emitted-but-unretired shard output.
   size_t shards_emitted = 0;
-  size_t shard_regenerations = 0;
   size_t max_shards_in_flight = 0;
   size_t peak_resident_bytes = 0;
   /// Durable-streaming accounting (core/stream_checkpoint.h): shards whose

@@ -6,8 +6,9 @@
 // values and CC conditions, independent of coloring), and freezes the result
 // into a serializable SynthesisPlan. The *shard executor*
 // (core/shard_executor.h) then emits phase-2 shards from the plan; a shard is
-// a pure function of (plan, shard id), so shards can be regenerated after a
-// loss or emitted in a different process than the one that planned.
+// a pure function of (plan, shard id), so a resumed run re-emits shards
+// byte-identically, and shards can be emitted in a different process than
+// the one that planned.
 //
 // The plan stores dictionary codes, not values. Codes are deterministic for
 // identical input tables (dictionaries grow in insertion order), so a plan is

@@ -8,7 +8,6 @@
 
 #include "core/conflict.h"
 #include "graph/list_coloring.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -239,10 +238,6 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
   if (shard_id >= plan.num_shards()) {
     return Status::InvalidArgument("shard id out of range");
   }
-  if (CEXTEND_INJECT_FAULT("shard.emit")) {
-    return Status::Internal("injected fault: shard " +
-                            std::to_string(shard_id) + " emission failed");
-  }
   const Table& v_join = *prepared.v_join;
 
   ConflictOracleOptions oracle_options;
@@ -390,19 +385,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
               st.stats.max_shards_in_flight, st.next_admit - st.next_retire);
         }
         StatusOr<ShardOutput> out = EmitShard(prepared, s, options);
-        // A lost shard is regenerated in place from the plan — emission is a
-        // pure function of (plan, shard id), so the retry is byte-identical.
-        for (int attempt = 1;
-             !out.ok() && attempt < 3 &&
-             out.status().code() != StatusCode::kDeadlineExceeded &&
-             out.status().code() != StatusCode::kCancelled;
-             ++attempt) {
-          {
-            MutexLock lock(st.mu);
-            ++st.stats.shard_regenerations;
-          }
-          out = EmitShard(prepared, s, options);
-        }
         MutexLock lock(st.mu);
         if (!out.ok()) {
           if (st.first_error.ok()) st.first_error = out.status();

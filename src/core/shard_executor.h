@@ -188,9 +188,9 @@ class TeeSink : public RowSink {
 
 /// Emits one shard: colors every partition in the shard's worklist range
 /// (or random-assigns when options.random_assignment). Keys >= fresh_base in
-/// the result are provisional. Fault site "shard.emit" fires at entry
-/// (simulated shard loss; ExecutePlan regenerates). Runs entirely on the
-/// calling thread; options.num_threads is not read here.
+/// the result are provisional. A pure function of (plan, shard id), so a
+/// failure repeats on a re-emission. Runs entirely on the calling thread;
+/// options.num_threads is not read here.
 StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
                                 const Phase2Options& options);
 
@@ -220,10 +220,8 @@ struct ExecuteResume {
 /// parallelism = min(threads, shards, window), and those shard workers are
 /// the only threads phase 2 runs on: the calling thread is one of them
 /// (util/parallel.h), and the repair stage runs serially on it after the
-/// others join. A shard whose emission fails is regenerated in place (up to
-/// 2 retries; deadline/cancel excepted), counted in
-/// Phase2Stats::shard_regenerations. Timings, ladder counters, and memory
-/// high-water marks are returned in the stats. `resume` restarts the run at
+/// others join. The first shard whose emission fails fails the run.
+/// Timings, ladder counters, and memory high-water marks are returned in the stats. `resume` restarts the run at
 /// resume.first_shard with the checkpointed fresh-key counter and repair
 /// colors; stats then cover only the work actually redone (except
 /// new_r2_tuples, which stays the whole-run total).

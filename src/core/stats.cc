@@ -45,17 +45,14 @@ std::string SolveStats::Summary() const {
   }
   if (AnyDegradation()) {
     out += StrFormat(
-        " ladder(naive=%zu cold=%zu shard_regen=%zu)",
-        phase2.naive_oracle_fallbacks,
-        static_cast<size_t>(phase1.ilp.cold_fallbacks),
-        phase2.shard_regenerations);
+        " ladder(naive=%zu cold=%zu)", phase2.naive_oracle_fallbacks,
+        static_cast<size_t>(phase1.ilp.cold_fallbacks));
   }
   return out;
 }
 
 bool SolveStats::AnyDegradation() const {
-  return phase1.ilp.cold_fallbacks > 0 || phase2.naive_oracle_fallbacks > 0 ||
-         phase2.shard_regenerations > 0;
+  return phase1.ilp.cold_fallbacks > 0 || phase2.naive_oracle_fallbacks > 0;
 }
 
 }  // namespace cextend

@@ -40,8 +40,7 @@ struct SolveStats {
   /// bit-identical output for a fixed seed or the solve returns a non-OK
   /// Status. The rungs are counted where they happen:
   ///   phase1.ilp.cold_fallbacks       warm B&B node re-solved cold;
-  ///   phase2.naive_oracle_fallbacks   quotient conflict oracle → naive;
-  ///   phase2.shard_regenerations      lost shard re-emitted from the plan.
+  ///   phase2.naive_oracle_fallbacks   quotient conflict oracle → naive.
   bool AnyDegradation() const;
 };
 

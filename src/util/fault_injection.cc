@@ -136,7 +136,6 @@ const std::vector<std::string>& FaultInjection::KnownSites() {
       "oracle.build",
       "oracle.pair_budget",
       "pool.alloc",
-      "shard.emit",
       "simplex.iteration_cap",
       "simplex.refactor",
       "sink.flush",

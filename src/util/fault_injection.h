@@ -26,7 +26,6 @@
 //   simplex.iteration_cap primal/dual pivot-count cap
 //   dual.warm_start       warm dual-simplex solve in B&B
 //   pool.alloc            conflict-entry pool charge
-//   shard.emit            shard emission (executor regenerates from plan)
 //   sink.write            durable stream append (fails before any byte lands)
 //   sink.torn_write       durable stream append torn mid-record (half the
 //                         payload reaches the file, then the write fails)

@@ -94,7 +94,6 @@ void ExpectVerifierClean(const Instance& instance, const Solution& solution,
 const char* const kFaultSites[] = {
     "oracle.build",          "oracle.pair_budget", "simplex.refactor",
     "simplex.iteration_cap", "dual.warm_start",    "pool.alloc",
-    "shard.emit",
 };
 
 class ChaosSweepTest
@@ -251,68 +250,6 @@ TEST(ChaosLadderTest, OracleBuildFaultFallsBackToNaiveBitIdentical) {
               indexed->r1_hat.GetCode(r, hid_col))
         << "indexed/naive divergence at row " << r;
   }
-}
-
-// The lost-shard rung: a shard.emit fault kills individual shard emissions,
-// and the executor regenerates each lost shard from the plan in place — no
-// whole-run restart, and the synthesized database is bit-identical to the
-// fault-free run. Fractional p with a single-threaded executor keeps the hit
-// sequence deterministic; we sweep fault seeds until a run both regenerates
-// at least one shard and completes (a seed that exhausts the retry budget on
-// some shard is a legitimate clean failure, not an interesting cell).
-TEST(ChaosLadderTest, ShardEmitFaultRegeneratesLostShardsBitIdentical) {
-  if (!FaultInjection::CompiledIn()) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
-  const Instance& instance = SweepInstance();
-  SolverOptions options;
-  options.seed = 11;
-  options.phase2.num_threads = 1;
-  options.phase2.num_shards = 6;
-  options.phase2.max_resident_shards = 2;
-  auto baseline =
-      SolveCExtension(instance.data.persons, instance.data.housing,
-                      instance.data.names, instance.ccs, instance.dcs,
-                      options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_EQ(baseline->stats.phase2.shard_regenerations, 0u);
-
-  int exercised = 0;
-  for (uint64_t fault_seed = 1; fault_seed < 64 && exercised < 3;
-       ++fault_seed) {
-    ScopedFaults faults("shard.emit=0.5", fault_seed);
-    auto faulted =
-        SolveCExtension(instance.data.persons, instance.data.housing,
-                        instance.data.names, instance.ccs, instance.dcs,
-                        options);
-    if (!faulted.ok()) {
-      // Retry budget exhausted on some shard: must be a clean error.
-      EXPECT_FALSE(faulted.status().message().empty());
-      continue;
-    }
-    if (faulted->stats.phase2.shard_regenerations == 0) continue;
-    EXPECT_GT(FaultInjection::Global().FiredCount("shard.emit"), 0u);
-    EXPECT_TRUE(faulted->stats.AnyDegradation());
-    size_t hid_col = baseline->r1_hat.schema().IndexOrDie("hid");
-    ASSERT_EQ(faulted->r1_hat.NumRows(), baseline->r1_hat.NumRows());
-    for (size_t r = 0; r < baseline->r1_hat.NumRows(); ++r) {
-      ASSERT_EQ(faulted->r1_hat.GetCode(r, hid_col),
-                baseline->r1_hat.GetCode(r, hid_col))
-          << "regenerated-shard divergence at row " << r << ", fault seed "
-          << fault_seed;
-    }
-    ASSERT_EQ(faulted->r2_hat.NumRows(), baseline->r2_hat.NumRows());
-    for (size_t r = 0; r < baseline->r2_hat.NumRows(); ++r) {
-      for (size_t c = 0; c < baseline->r2_hat.NumColumns(); ++c) {
-        ASSERT_EQ(faulted->r2_hat.GetCode(r, c),
-                  baseline->r2_hat.GetCode(r, c))
-            << "r2_hat divergence at row " << r << ", fault seed "
-            << fault_seed;
-      }
-    }
-    ++exercised;
-  }
-  EXPECT_GE(exercised, 1) << "no fault seed produced a regenerated shard";
 }
 
 // The crash/resume rung at the solver level: interrupt a durable streaming

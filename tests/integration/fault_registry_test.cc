@@ -225,7 +225,7 @@ TEST(FaultRegistryTest, EverySiteFiresUnderSomeChaosScenario) {
   std::map<std::string, uint64_t> fired;
   for (const std::string& site :
        {std::string("oracle.build"), std::string("oracle.pair_budget"),
-        std::string("pool.alloc"), std::string("shard.emit")}) {
+        std::string("pool.alloc")}) {
     fired[site] = FireInCensusSolve(site);
   }
   for (const std::string& site :

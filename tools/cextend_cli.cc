@@ -13,12 +13,11 @@
 //               [--method=hybrid|baseline|baseline-marginals]
 //
 // --timeout-ms bounds each solve attempt with a monotonic deadline (expiry
-// returns DEADLINE_EXCEEDED). A transient failure (INTERNAL: shard emission,
-// sink or manifest I/O) is retried with the same options, up to
-// --max-attempts attempts; RESOURCE_EXHAUSTED (the deterministic hyperedge
-// cap) is not retried. The solver already degrades in place (naive-oracle
-// fallback, warm→cold solves, shard regeneration), so a retry never switches
-// paths. The plan is built once and cached in serialized form, so retries
+// returns DEADLINE_EXCEEDED). A transient failure (INTERNAL: sink or
+// manifest I/O) is retried with the same options, up to --max-attempts
+// attempts; RESOURCE_EXHAUSTED (the deterministic hyperedge cap) is not
+// retried. The solver already degrades in place (naive-oracle fallback,
+// warm→cold solves), so a retry never switches paths. The plan is built once and cached in serialized form, so retries
 // only re-execute shards, never phase 1 or planning (unless planning itself
 // failed).
 //
@@ -93,8 +92,8 @@ SolverOptions OptionsForAttempt(const CliArgs& args) {
   return options;
 }
 
-// A retry only helps with transient failures: kInternal from shard emission
-// and sink/manifest I/O. Everything else fails the run immediately — bad
+// A retry only helps with transient failures: kInternal from sink/manifest
+// I/O. Everything else fails the run immediately — bad
 // input (kInvalidArgument, kNotFound), an expired deadline, and
 // kResourceExhausted, whose only source that reaches here is the
 // deterministic hyperedge cap, which a rerun would hit identically.
