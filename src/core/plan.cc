@@ -4,72 +4,13 @@
 #include <cstring>
 
 #include "core/fill_state.h"
+#include "util/bytes.h"
 #include "util/code_interner.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace cextend {
 namespace {
-
-// ---- Fixed-width little-endian encoding (byte-stable on every host). ----
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : data_(bytes) {}
-
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-
-  bool Bytes(size_t n, std::string* out) {
-    if (pos_ + n > data_.size()) return false;
-    out->assign(data_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-  size_t Remaining() const { return data_.size() - pos_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
 
 constexpr char kMagic[4] = {'C', 'X', 'P', 'L'};
 constexpr uint32_t kVersion = 2;
@@ -138,7 +79,7 @@ std::string SynthesisPlan::Serialize() const {
 }
 
 StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes);
   std::string magic;
   uint32_t version;
   if (!in.Bytes(sizeof(kMagic), &magic) ||

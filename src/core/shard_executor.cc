@@ -8,6 +8,7 @@
 
 #include "core/conflict.h"
 #include "graph/list_coloring.h"
+#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -16,12 +17,6 @@
 
 namespace cextend {
 namespace {
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
 
 /// Shared state of the bounded-memory emission loop. One mutex guards the
 /// admission window (next_admit/next_retire and the derived in-flight HWM),

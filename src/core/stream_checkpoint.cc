@@ -12,9 +12,10 @@
 #include <iterator>
 #include <streambuf>
 
+#include "util/bytes.h"
 #include "util/fault_injection.h"
+#include "util/hash.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 
 namespace cextend {
 namespace {
@@ -32,62 +33,16 @@ constexpr size_t kBufferSpill = size_t{1} << 16;
 /// Replay hands the sink synthetic shards of at most this many records.
 constexpr size_t kReplayChunkRecords = size_t{1} << 16;
 
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-// SplitMix64 finalizer; wraparound is intentional (util/sanitize.h).
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The FNV-1a hash of `n` bytes at `data`, xor `salt`, mixed.
+uint64_t Checksum(const char* data, size_t n, uint64_t salt) {
+  return MixHash64(0, Fnv1a(kFnv1aBasis, data, n) ^ salt);
 }
-
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t FnvAccumulate(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-int64_t GetI64(const char* p) { return static_cast<int64_t>(GetU64(p)); }
 
 }  // namespace
 
 uint64_t PlanDigest(const SynthesisPlan& plan) {
   const std::string bytes = plan.Serialize();
-  return Mix64(FnvAccumulate(kFnvBasis, bytes.data(), bytes.size()) ^
-               static_cast<uint64_t>(bytes.size()));
+  return Checksum(bytes.data(), bytes.size(), bytes.size());
 }
 
 // ---- DurableFile ----
@@ -118,7 +73,7 @@ DurableFile::DurableFile(int fd, std::string path, uint64_t offset)
     : fd_(fd),
       path_(std::move(path)),
       offset_(offset),
-      range_fnv_(kFnvBasis),
+      range_fnv_(kFnv1aBasis),
       buf_(new Buf(this)),
       stream_(buf_.get()) {
   buffer_.reserve(kBufferSpill);
@@ -203,7 +158,7 @@ Status DurableFile::Append(const char* data, size_t n) {
   }
   buffer_.append(data, n);
   offset_ += n;
-  range_fnv_ = FnvAccumulate(range_fnv_, data, n);
+  range_fnv_ = Fnv1a(range_fnv_, data, n);
   if (buffer_.size() >= kBufferSpill) return FlushBuffer();
   return Status::Ok();
 }
@@ -225,7 +180,7 @@ Status DurableFile::Sync() {
 
 uint64_t DurableFile::TakeRangeChecksum() {
   uint64_t h = range_fnv_;
-  range_fnv_ = kFnvBasis;
+  range_fnv_ = kFnv1aBasis;
   return h;
 }
 
@@ -275,8 +230,8 @@ Status DurableStreamSink::CommitRecord(
     PutU32(&body, c.first);
     PutI64(&body, c.second);
   }
-  PutU64(&body, Mix64(FnvAccumulate(kFnvBasis, body.data(), body.size()) ^
-                      plan_digest_ ^ record_index_));
+  PutU64(&body,
+         Checksum(body.data(), body.size(), plan_digest_ ^ record_index_));
   CEXTEND_RETURN_IF_ERROR(manifest_->Append(body.data(), body.size()));
   CEXTEND_RETURN_IF_ERROR(manifest_->Sync());
   ++record_index_;
@@ -380,8 +335,7 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
         kRecordFixedBytes + static_cast<size_t>(num_colors) * kColorBytes + 8;
     if (bytes.size() - pos < total) break;
     if (GetU64(p + total - 8) !=
-        Mix64(FnvAccumulate(kFnvBasis, p, total - 8) ^ digest ^
-              record_index)) {
+        Checksum(p, total - 8, digest ^ record_index)) {
       break;
     }
     if (end_offset < prev_end) break;
@@ -438,7 +392,7 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
   std::vector<char> chunk(kBufferSpill);
   for (const Range& r : ranges) {
     stream.seekg(static_cast<std::streamoff>(r.begin));
-    uint64_t h = kFnvBasis;
+    uint64_t h = kFnv1aBasis;
     uint64_t left = r.end - r.begin;
     while (left > 0) {
       const size_t take =
@@ -448,7 +402,7 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
         return Status::Internal("failed reading " + stream_path +
                                 " while validating committed ranges");
       }
-      h = FnvAccumulate(h, chunk.data(), take);
+      h = Fnv1a(h, chunk.data(), take);
       left -= take;
     }
     if (h != r.checksum) {

@@ -3,6 +3,7 @@
 #ifndef CEXTEND_UTIL_HASH_H_
 #define CEXTEND_UTIL_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/sanitize.h"
@@ -10,7 +11,8 @@
 namespace cextend {
 
 /// Folds `x` into the running hash `h` with the splitmix64 finalizer. Used
-/// for composite keys (cross-atom equality keys).
+/// for composite keys (cross-atom equality keys); MixHash64(0, x) is the
+/// plain finalizer of `x`.
 /// Wraparound is the point of the mixer, hence the sanitizer suppression.
 CEXTEND_NO_SANITIZE_INTEGER
 inline uint64_t MixHash64(uint64_t h, uint64_t x) {
@@ -18,6 +20,18 @@ inline uint64_t MixHash64(uint64_t h, uint64_t x) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// Folds `n` bytes into the running FNV-1a hash `h` (start at kFnv1aBasis).
+CEXTEND_NO_SANITIZE_INTEGER
+inline uint64_t Fnv1a(uint64_t h, const char* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 }  // namespace cextend
