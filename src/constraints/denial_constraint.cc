@@ -135,9 +135,12 @@ StatusOr<BoundDenialConstraint> BoundDenialConstraint::Bind(
                                       atom.rhs_tuple, *rhs_col, atom.offset});
   }
   for (const Predicate& side : sides) {
-    CEXTEND_ASSIGN_OR_RETURN(BoundPredicate b,
-                             BoundPredicate::Bind(side, table));
-    bound.sides_.push_back(std::move(b));
+    StatusOr<BoundPredicate> b = BoundPredicate::Bind(side, table);
+    if (!b.ok()) {
+      return Status::InvalidArgument("DC " + dc.name() + ": " +
+                                     b.status().message());
+    }
+    bound.sides_.push_back(std::move(b).value());
   }
   return bound;
 }
