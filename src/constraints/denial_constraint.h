@@ -113,15 +113,10 @@ class BoundDenialConstraint {
   bool BodyHoldsUnordered(const Table& table,
                           std::vector<uint32_t> rows) const;
 
-  /// The unary atoms of tuple variable `var`, bound as one predicate.
-  const BoundPredicate& side(int var) const {
-    return sides_[static_cast<size_t>(var)];
-  }
-
   /// True when row satisfies all unary atoms of tuple variable `var` —
   /// used to pre-filter candidates in the streaming conflict builder.
   bool SideMatches(const Table& table, uint32_t row, int var) const {
-    return side(var).Matches(table, row);
+    return sides_[static_cast<size_t>(var)].Matches(table, row);
   }
 
   /// match[i] = SideMatches(table, rows[i], var) for every i, by
@@ -129,7 +124,7 @@ class BoundDenialConstraint {
   /// side-mask and the final fill's clique-class hot path.
   void SideMatchesBatch(const Table& table, const std::vector<uint32_t>& rows,
                         int var, std::vector<uint8_t>* match) const {
-    side(var).MatchesBatch(table, rows, match);
+    sides_[static_cast<size_t>(var)].MatchesBatch(table, rows, match);
   }
 
   /// Appends every column some atom (unary or binary) reads, the atoms of

@@ -171,7 +171,7 @@ TEST(DcSideOracleTest, SeededRandomDcs) {
   Rng rng(29);
   Table t = RandomTable(rng);
   size_t failed = 0;
-  size_t always_false_sides = 0;
+  size_t never_matching_atoms = 0;
   for (int trial = 0; trial < 1500; ++trial) {
     const int arity = rng.Bernoulli(0.8) ? 2 : 3;
     DenialConstraint dc(arity, "random" + std::to_string(trial));
@@ -180,20 +180,20 @@ TEST(DcSideOracleTest, SeededRandomDcs) {
     }
     ExpectMatchesOracle(dc, t, rng);
     if (HasFatalFailure()) return;
-    auto bound = BoundDenialConstraint::Bind(dc, t);
-    if (!bound.ok()) {
+    auto oracle = dc_side_oracle::Bind(dc, t);
+    if (!oracle.ok()) {
       ++failed;
       continue;
     }
-    for (int var = 0; var < arity; ++var) {
-      always_false_sides += bound->side(var).always_false() ? 1 : 0;
+    for (const dc_side_oracle::BoundUnary& a : oracle->unary) {
+      never_matching_atoms += a.never_matches ? 1 : 0;
     }
   }
-  // Both binding outcomes and always-false sides occur, so the comparison
-  // is not vacuous.
+  // Both binding outcomes and never-matching atoms (always-false sides)
+  // occur, so the comparison is not vacuous.
   EXPECT_GT(failed, 100u);
   EXPECT_LT(failed, 1000u);
-  EXPECT_GT(always_false_sides, 50u);
+  EXPECT_GT(never_matching_atoms, 50u);
 }
 
 }  // namespace
