@@ -270,12 +270,10 @@ struct CensusInstance {
   std::vector<CardinalityConstraint> ccs;
 };
 
-CensusInstance MakeCensus(uint64_t seed, size_t persons, size_t households,
-                          size_t r2_columns) {
+CensusInstance MakeCensus(uint64_t seed, size_t persons, size_t households) {
   datagen::CensusOptions options;
   options.num_persons = persons;
   options.num_households = households;
-  options.num_r2_columns = r2_columns;
   options.seed = seed;
   auto data = datagen::GenerateCensus(options);
   CEXTEND_CHECK(data.ok());
@@ -289,7 +287,7 @@ CensusInstance MakeCensus(uint64_t seed, size_t persons, size_t households,
 class FinalFillReferenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FinalFillReferenceTest, CensusAllDcs) {
-  CensusInstance in = MakeCensus(GetParam(), 3000, 1200, 2);
+  CensusInstance in = MakeCensus(GetParam(), 3000, 1200);
   std::vector<DenialConstraint> dcs = datagen::MakeCensusDcs(false);
   Table with_dcs = ExpectFillMatchesReference(
       in.data.persons, in.data.housing, in.data.names, in.ccs, dcs,
@@ -306,7 +304,7 @@ TEST_P(FinalFillReferenceTest, CensusAllDcs) {
 }
 
 TEST_P(FinalFillReferenceTest, SelfConflictingCrossAtoms) {
-  CensusInstance in = MakeCensus(GetParam(), 2000, 800, 2);
+  CensusInstance in = MakeCensus(GetParam(), 2000, 800);
   std::vector<DenialConstraint> dcs;
   {
     // x >= x - 5 holds on every row: each child with a known age is in
