@@ -125,8 +125,8 @@ StatusOr<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
       ba.rhs = *code;
     } else if (atom.op == CompareOp::kEq || atom.op == CompareOp::kNe) {
       // Constant absent from the dictionary: `=` never matches, `!=`
-      // matches every non-NULL cell. Both bind against kNullCode, which no
-      // cell passes AtomHolds' NULL test with.
+      // matches every non-NULL cell. Binding both against kNullCode gives
+      // exactly that, since AtomHolds rejects NULL cells first.
       ba.rhs = kNullCode;
       if (atom.op == CompareOp::kEq) bound.always_false_ = true;
     } else {
