@@ -173,7 +173,6 @@ ilp::IlpOptions BenchIlpOptions() {
   ilp::IlpOptions options;
   options.objective_target = 0.0;
   options.max_nodes = kMaxNodes;
-  options.time_limit_seconds = 300.0;
   return options;
 }
 

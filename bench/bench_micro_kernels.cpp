@@ -95,10 +95,14 @@ PartitionFixture MakePartitionFixture(size_t n) {
   return fixture;
 }
 
+// The quotient build kernels time the DC classification with the build: a
+// solve classifies the join view once, but the build classified each
+// partition itself before, so the two together keep measuring that work.
 void BM_ConflictBuildIndexed(benchmark::State& state) {
   PartitionFixture f = MakePartitionFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto oracle = PartitionConflictOracle::Build(f.table, f.dcs, f.rows);
+    const DcRowClasses classes = DcRowClasses::Build(f.table, f.dcs);
+    auto oracle = PartitionConflictOracle::Build(f.table, classes, f.rows);
     CEXTEND_CHECK(oracle.ok());
     benchmark::DoNotOptimize(oracle->CountEdges());
   }
@@ -119,7 +123,8 @@ BENCHMARK(BM_ConflictBuildNaive)->Arg(512)->Arg(2048)->Complexity();
 
 void BM_PartitionColoringIndexed(benchmark::State& state) {
   PartitionFixture f = MakePartitionFixture(static_cast<size_t>(state.range(0)));
-  auto oracle = PartitionConflictOracle::Build(f.table, f.dcs, f.rows);
+  const DcRowClasses classes = DcRowClasses::Build(f.table, f.dcs);
+  auto oracle = PartitionConflictOracle::Build(f.table, classes, f.rows);
   CEXTEND_CHECK(oracle.ok());
   for (auto _ : state) {
     ListColoringResult r = GreedyListColoring(*oracle, {}, f.candidates);
@@ -237,8 +242,9 @@ void BM_ConflictBuildCensus(benchmark::State& state) {
   size_t buckets = 0;
   size_t pairs = 0;
   for (auto _ : state) {
+    const DcRowClasses classes = DcRowClasses::Build(p.data.persons, p.dcs);
     auto oracle =
-        PartitionConflictOracle::Build(p.data.persons, p.dcs, p.rows);
+        PartitionConflictOracle::Build(p.data.persons, classes, p.rows);
     CEXTEND_CHECK(oracle.ok());
     buckets = oracle->num_buckets();
     pairs = oracle->num_materialized_pairs();
@@ -253,7 +259,8 @@ BENCHMARK(BM_ConflictBuildCensus)
 
 void BM_PartitionColoringCensus(benchmark::State& state) {
   CensusPartition p = MakeCensusPartition(static_cast<size_t>(state.range(0)));
-  auto oracle = PartitionConflictOracle::Build(p.data.persons, p.dcs, p.rows);
+  const DcRowClasses classes = DcRowClasses::Build(p.data.persons, p.dcs);
+  auto oracle = PartitionConflictOracle::Build(p.data.persons, classes, p.rows);
   CEXTEND_CHECK(oracle.ok());
   bool csr_rung = false;
   for (auto _ : state) {
@@ -284,7 +291,7 @@ BENCHMARK(BM_PartitionColoringCensus)
 
 struct RepairFixture {
   Table table;
-  std::vector<BoundDenialConstraint> dcs;
+  DcRowClasses classes;
   std::vector<uint32_t> rows;
   std::vector<size_t> others;  // local ids eligible for the probe bucket
 };
@@ -335,7 +342,8 @@ RepairFixture MakeRepairFixture(size_t n) {
   }
   auto bound = BindAll(dcs, t);
   CEXTEND_CHECK(bound.ok());
-  RepairFixture f{std::move(t), std::move(bound).value(), {}, {}};
+  DcRowClasses classes = DcRowClasses::Build(t, std::move(bound).value());
+  RepairFixture f{std::move(t), std::move(classes), {}, {}};
   for (uint32_t i = 0; i < n; ++i) {
     f.rows.push_back(i);
     if (i >= n / 4) f.others.push_back(i);
@@ -347,7 +355,7 @@ void BM_InvalidRepairOracleProbe(benchmark::State& state) {
   size_t bucket_size = static_cast<size_t>(state.range(0));
   RepairFixture f = MakeRepairFixture(8192);
   CEXTEND_CHECK(bucket_size + 1 <= f.others.size());
-  auto oracle = BuildPartitionOracle(f.table, f.dcs, f.rows);
+  auto oracle = BuildPartitionOracle(f.table, f.classes, f.rows);
   CEXTEND_CHECK(oracle.ok());
   std::vector<size_t> bucket(f.others.begin(),
                              f.others.begin() + bucket_size);
@@ -371,7 +379,7 @@ void BM_InvalidRepairScanProbe(benchmark::State& state) {
   const uint32_t probe_row = 8160;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ScanWouldViolate(f.table, f.dcs, probe_row, bucket, f.rows));
+        ScanWouldViolate(f.table, f.classes.dcs, probe_row, bucket, f.rows));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -398,12 +406,13 @@ void RunRepairCombo(benchmark::State& state, size_t colored, size_t group,
   for (int64_t k = 0; k < num_keys; ++k) keys.push_back(k);
   for (auto _ : state) {
     auto assigned =
-        AssignRepairKeys(f.table, f.dcs, rows, colored_keys, keys, probe);
+        AssignRepairKeys(f.table, f.classes, rows, colored_keys, keys, probe);
     CEXTEND_CHECK(assigned.ok());
     benchmark::DoNotOptimize(assigned->keys.data());
   }
   // Which side the production size rule takes on this combo.
-  auto by_size = AssignRepairKeys(f.table, f.dcs, rows, colored_keys, keys);
+  auto by_size =
+      AssignRepairKeys(f.table, f.classes, rows, colored_keys, keys);
   CEXTEND_CHECK(by_size.ok());
   state.counters["size_rule_oracle"] = by_size->used_oracle ? 1 : 0;
 }
@@ -615,7 +624,8 @@ BENCHMARK(BM_Binning)->Arg(2500)->Arg(10000)->Arg(250990);
 //
 // The scale-10 census (250,990 persons, 98,200 households), as in
 // perfbench's good_250k: ComboIndex::Build over R2, and PreparePlan over
-// the plan a full phase 1 with the 201 good CCs and S_all_DC freezes.
+// the plan a full phase 1 with the 201 good CCs and S_all_DC freezes, with
+// phase 1's DC classification handed over as a solve hands it.
 void BM_ComboIndexBuild(benchmark::State& state) {
   auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(
       static_cast<double>(state.range(0))));
@@ -642,7 +652,8 @@ void BM_PreparePlan(benchmark::State& state) {
   CEXTEND_CHECK(planned.ok());
   for (auto _ : state) {
     auto prepared = PreparePlan(planned->plan, planned->v_join, data->housing,
-                                data->names, dcs);
+                                data->names, dcs, nullptr,
+                                &*planned->dc_classes);
     CEXTEND_CHECK(prepared.ok());
     benchmark::DoNotOptimize(prepared->partitions.data());
   }
@@ -653,10 +664,12 @@ BENCHMARK(BM_PreparePlan)->Arg(10)->Unit(benchmark::kMillisecond);
 //
 // A census instance with the good 201-CC family and S_all_DC, after the
 // Hasse recursion: as on a good-CC solve, the fill completes almost every
-// row of the join view. Timed: the fill and the CC match table it reads
-// (MatchCcs), which a solve builds once for all phase-1 stages. The fill
-// matched every CC itself before the table existed, so the two together
-// keep this kernel measuring the same work.
+// row of the join view. Timed: the fill, the CC match table it reads
+// (MatchCcs), which a solve builds once for all phase-1 stages, and the DC
+// binding and classification it reads (DcRowClasses), which a solve also
+// hands on to phase 2. The fill matched every CC and classified its rows
+// itself before, so the three together keep this kernel measuring the same
+// work.
 void BM_FinalFill(benchmark::State& state) {
   size_t persons = static_cast<size_t>(state.range(0));
   datagen::CensusOptions census;
@@ -690,8 +703,13 @@ void BM_FinalFill(benchmark::State& state) {
     state.ResumeTiming();
     auto matches = MatchCcs(*binning, *combos, data->housing, *ccs);
     CEXTEND_CHECK(matches.ok());
-    auto invalid = CompleteLeftoverRows(*fill, *combos, *ccs, *matches, dcs,
-                                        LeftoverMode::kAvoidCcs, rng, &stats);
+    auto bound = BindAll(dcs, v_join);
+    CEXTEND_CHECK(bound.ok());
+    const DcRowClasses dc_classes =
+        DcRowClasses::Build(v_join, std::move(bound).value());
+    auto invalid =
+        CompleteLeftoverRows(*fill, *combos, *ccs, *matches, dc_classes,
+                             LeftoverMode::kAvoidCcs, rng, &stats);
     CEXTEND_CHECK(invalid.ok());
     benchmark::DoNotOptimize(stats.completed_rows);
   }

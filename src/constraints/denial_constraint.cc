@@ -1,7 +1,6 @@
 #include "constraints/denial_constraint.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -193,40 +192,6 @@ void BoundDenialConstraint::AppendReadColumns(std::vector<size_t>* cols) const {
     cols->push_back(a.lhs_col);
     cols->push_back(a.rhs_col);
   }
-}
-
-bool BoundDenialConstraint::MayHoldOnOneRow() const {
-  // The =/IN atoms of every side; each admits a sorted list of codes.
-  std::vector<const BoundPredicate::BoundAtom*> membership;
-  for (const BoundPredicate& side : sides_) {
-    if (side.always_false()) return false;
-    for (const BoundPredicate::BoundAtom& a : side.atoms()) {
-      if (a.op == CompareOp::kEq || a.op == CompareOp::kIn) {
-        membership.push_back(&a);
-      }
-    }
-  }
-  auto admitted = [](const BoundPredicate::BoundAtom& a) {
-    return a.op == CompareOp::kIn ? a.rhs_set : std::vector<int64_t>{a.rhs};
-  };
-  for (size_t i = 0; i < membership.size(); ++i) {
-    std::vector<int64_t> a_codes = admitted(*membership[i]);
-    for (size_t j = i + 1; j < membership.size(); ++j) {
-      if (membership[j]->col != membership[i]->col) continue;
-      std::vector<int64_t> b_codes = admitted(*membership[j]);
-      std::vector<int64_t> common;
-      std::set_intersection(a_codes.begin(), a_codes.end(), b_codes.begin(),
-                            b_codes.end(), std::back_inserter(common));
-      if (common.empty()) return false;
-    }
-  }
-  // On one row both operands read the same cell x, and x ∘ x + offset holds
-  // exactly when 0 ∘ offset does (kIn never holds).
-  for (const CrossAtom& a : binary_) {
-    if (a.lhs_col == a.rhs_col && !CompareCodes(0, a.op, a.offset))
-      return false;
-  }
-  return true;
 }
 
 StatusOr<std::vector<BoundDenialConstraint>> BindAll(

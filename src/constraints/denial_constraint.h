@@ -120,8 +120,8 @@ class BoundDenialConstraint {
   }
 
   /// match[i] = SideMatches(table, rows[i], var) for every i, by
-  /// BoundPredicate::MatchesBatch's column sweep — the conflict builder's
-  /// side-mask and the final fill's clique-class hot path.
+  /// BoundPredicate::MatchesBatch's column sweep — the DC classification's
+  /// side-mask hot path (core/conflict.h).
   void SideMatchesBatch(const Table& table, const std::vector<uint32_t>& rows,
                         int var, std::vector<uint8_t>* match) const {
     sides_[static_cast<size_t>(var)].MatchesBatch(table, rows, match);
@@ -135,17 +135,6 @@ class BoundDenialConstraint {
   /// Evaluates only the binary (cross-tuple) atoms for the ordered rows.
   bool CrossAtomsHold(const Table& table,
                       const std::vector<uint32_t>& rows) const;
-
-  /// Sound static test of whether the body can hold with one row bound to
-  /// every tuple variable. False means no row of any table can; true is
-  /// only "maybe". It is false when
-  ///   * some side never matches;
-  ///   * two variables carry =/IN atoms on one column with disjoint codes
-  ///     (t0.Rel = Owner, t1.Rel = Spouse);
-  ///   * a binary atom compares a column with itself and x ∘ x + offset
-  ///     fails for every x (t1.Age < t0.Age - 12).
-  /// The final fill uses it to drop DCs that can form no clique class.
-  bool MayHoldOnOneRow() const;
 
  private:
   int arity_ = 2;

@@ -129,6 +129,7 @@ struct OrientedAtom {
 /// hash-bucket key, the first `ord` atom the sorted run inside a bucket;
 /// everything else is verified per candidate pair.
 struct BinaryDcPlan {
+  const BoundDenialConstraint* dc = nullptr;
   std::vector<OrientedAtom> eq;     // kEq cross atoms -> bucket key
   std::vector<OrientedAtom> ord;    // kLt/kLe/kGt/kGe cross atoms
   std::vector<OrientedAtom> other;  // kNe (and unsupported-op) cross atoms
@@ -158,6 +159,7 @@ struct BinaryDcPlan {
 
 BinaryDcPlan PlanBinaryDc(const BoundDenialConstraint& dc) {
   BinaryDcPlan plan;
+  plan.dc = &dc;
   for (const CrossAtom& a : dc.cross_atoms()) {
     if (!a.IsCross()) {
       (a.lhs_tuple == 0 ? plan.same0 : plan.same1).push_back(a);
@@ -181,10 +183,10 @@ BinaryDcPlan PlanBinaryDc(const BoundDenialConstraint& dc) {
 /// Column sweeps (one linear pass per atom over the raw codes) replace
 /// per-row atom loops — this is the O(n)-per-DC prologue of every oracle
 /// build, so it runs at memory speed.
-void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
-                   const BinaryDcPlan& plan, const std::vector<uint32_t>& rows,
-                   int var, std::vector<uint8_t>* match) {
-  dc.SideMatchesBatch(table, rows, var, match);
+void BuildSideMask(const Table& table, const BinaryDcPlan& plan,
+                   const std::vector<uint32_t>& rows, int var,
+                   std::vector<uint8_t>* match) {
+  plan.dc->SideMatchesBatch(table, rows, var, match);
   const size_t n = rows.size();
   uint8_t* m = match->data();
   const std::vector<CrossAtom>& same = var == 0 ? plan.same0 : plan.same1;
@@ -214,44 +216,57 @@ void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
   non_null_sweep(plan.other);
 }
 
-/// Epoch-stamped membership scratch for WouldViolate probes: stamping the
-/// `same_color` set is O(|set|) array writes (no per-probe tree or hash
-/// build), and the stamp survives across probes on the same thread so repair
-/// loops never allocate after warm-up.
-class ProbeStamp {
+/// Epoch-stamped ids < n: Local(id) numbers the ids in order of first
+/// sight (seen() lists them by local id) and Contains(id) tells whether id
+/// was seen since Begin. The tables survive across calls on the same thread,
+/// so a use costs O(ids touched), not O(n), and never allocates after
+/// warm-up: oracle builds renumber the global buckets and groups their rows
+/// touch, and WouldViolate probes stamp their same-color set.
+class StampedIds {
  public:
-  /// Begins a new probe over vertices < n; marks every member.
-  void Stamp(size_t n, const std::vector<size_t>& members) {
-    Begin(n);
-    for (size_t u : members) stamp_[u] = epoch_;
-  }
-
-  bool Contains(size_t u) const { return stamp_[u] == epoch_; }
-
-  static ProbeStamp& ThreadLocal() {
-    // cextend-lint: static-state-ok(per-thread probe scratch; epoch-stamped
-    // and reset on every probe, never observable in results)
-    thread_local ProbeStamp stamp;
-    return stamp;
-  }
-
- private:
   void Begin(size_t n) {
-    if (stamp_.size() < n) stamp_.resize(n, 0);
+    if (stamp_.size() < n) {
+      stamp_.resize(n, 0);
+      local_.resize(n);
+    }
     if (++epoch_ == 0) {  // wrapped: all stale marks must die
       std::fill(stamp_.begin(), stamp_.end(), 0);
       epoch_ = 1;
     }
+    seen_.clear();
   }
 
+  uint32_t Local(size_t id) {
+    if (stamp_[id] != epoch_) {
+      stamp_[id] = epoch_;
+      local_[id] = static_cast<uint32_t>(seen_.size());
+      seen_.push_back(static_cast<uint32_t>(id));
+    }
+    return local_[id];
+  }
+
+  bool Contains(size_t id) const { return stamp_[id] == epoch_; }
+  const std::vector<uint32_t>& seen() const { return seen_; }
+
+  /// Slots: 0 buckets and 1 groups of an oracle build, 2 probes.
+  static StampedIds& ThreadLocal(size_t slot) {
+    // cextend-lint: static-state-ok(per-thread scratch; epoch-stamped and
+    // reset on every use, never observable in results)
+    thread_local StampedIds ids[3];
+    return ids[slot];
+  }
+
+ private:
   std::vector<uint32_t> stamp_;
+  std::vector<uint32_t> local_;
+  std::vector<uint32_t> seen_;
   uint32_t epoch_ = 0;
 };
 
 /// Shared by both oracles: true when some hyperedge containing `v` has all
 /// of its other vertices in `stamp` (the probed same-color set).
 bool HyperedgeWouldViolate(const Hypergraph* higher, size_t v,
-                           const ProbeStamp& stamp) {
+                           const StampedIds& stamp) {
   for (int e : higher->incident_edges(v)) {
     bool all_in = true;
     for (int u : higher->edge(static_cast<size_t>(e))) {
@@ -428,132 +443,14 @@ Status EmitBinaryDcPairs(const Table& table, const BinaryDcPlan& plan,
 }
 
 
-/// True when the plan's cross atoms hold with both tuple variables bound to
-/// `row`, i.e. on any two distinct rows carrying row's codes.
-bool CrossAtomsHoldOnOneRow(const Table& table, const BinaryDcPlan& plan,
-                            uint32_t row) {
-  bool holds = true;
-  plan.ForEachCrossAtom(
-      [&](const OrientedAtom& a) { holds = holds && a.Holds(table, row, row); });
-  return holds;
-}
-
-/// A partition's vertices in buckets of identical binary-DC neighborhoods,
-/// and the buckets in groups by the sides they pass of the product DCs.
-/// Both are numbered in first-vertex order. A class's signature holds bit
-/// 2d when its members pass side 0 of binary DC d and bit 2d + 1 for side 1.
-struct VertexClasses {
-  size_t sig_words = 0;
-  std::vector<uint32_t> bucket_of;    // per vertex
-  std::vector<uint32_t> bucket_reps;  // per bucket: its first vertex's row
-  std::vector<uint64_t> bucket_sigs;  // per bucket: sig_words words
-  std::vector<uint32_t> group_of;     // per bucket
-  std::vector<uint32_t> group_reps;   // per group: its first vertex's row
-  std::vector<uint64_t> group_sigs;   // per group: product-DC bits only
-};
-
-/// Vertices are keyed by the codes of every column the binary DCs read,
-/// and each DC's sides are evaluated once per key. Keys then merge into
-/// buckets by (signature, codes of the cross-atom columns the signature's
-/// sides read): two vertices of one bucket pass the same DC sides and feed
-/// every cross atom they take part in the same codes, so each DC holds on
-/// (u, w) exactly when it holds on (u', w) for any u' of u's bucket. A
-/// cross-read column is never NULL on a side that reads it
-/// (BuildSideMask), so kNullCode marks the columns a signature does not
-/// read. Groups key buckets by their product-DC bits alone.
-VertexClasses ClassifyVertices(
-    const Table& table, const std::vector<const BoundDenialConstraint*>& dcs,
-    const std::vector<BinaryDcPlan>& plans, const std::vector<uint32_t>& rows) {
-  const size_t n = rows.size();
-  std::vector<size_t> cols;
-  cols.reserve(4 * dcs.size());
-  for (const BoundDenialConstraint* dc : dcs) dc->AppendReadColumns(&cols);
-  std::sort(cols.begin(), cols.end());
-  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  std::vector<const int64_t*> col_codes;
-  for (size_t c : cols) col_codes.push_back(table.ColumnCodes(c).data());
-
-  CodeInterner keys(cols.size());
-  std::vector<uint32_t> key_of(n);
-  std::vector<uint32_t> key_reps;
-  std::vector<int64_t> tuple(cols.size());
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t k = 0; k < cols.size(); ++k) tuple[k] = col_codes[k][rows[v]];
-    CodeInterner::Interned key = keys.Intern(tuple.data());
-    key_of[v] = key.id;
-    if (key.inserted) key_reps.push_back(rows[v]);
+/// The binary DCs of `dcs` with their index plans, in order.
+std::vector<BinaryDcPlan> PlanBinaryDcs(
+    const std::vector<BoundDenialConstraint>& dcs) {
+  std::vector<BinaryDcPlan> plans;
+  for (const BoundDenialConstraint& dc : dcs) {
+    if (dc.arity() == 2) plans.push_back(PlanBinaryDc(dc));
   }
-
-  VertexClasses out;
-  const size_t words = out.sig_words = (2 * dcs.size() + 63) / 64;
-  std::vector<uint64_t> key_sigs(key_reps.size() * words, 0);
-  std::vector<uint64_t> product_bits(words, 0);
-  std::vector<uint8_t> mask;
-  for (size_t bit = 0; bit < 2 * dcs.size(); ++bit) {
-    const size_t d = bit / 2;
-    const uint64_t flag = uint64_t{1} << (bit % 64);
-    if (plans[d].IsProduct()) product_bits[bit / 64] |= flag;
-    BuildSideMask(table, *dcs[d], plans[d], key_reps,
-                  static_cast<int>(bit % 2), &mask);
-    for (size_t k = 0; k < key_reps.size(); ++k) {
-      if (mask[k]) key_sigs[k * words + bit / 64] |= flag;
-    }
-  }
-
-  // Cross-atom columns; a bucket key holds their codes after the
-  // signature words.
-  std::vector<size_t> cross;
-  for (const BinaryDcPlan& plan : plans) {
-    plan.ForEachCrossAtom([&](const OrientedAtom& a) {
-      cross.push_back(a.u_col);
-      cross.push_back(a.v_col);
-    });
-  }
-  std::sort(cross.begin(), cross.end());
-  cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
-
-  CodeInterner buckets(words + cross.size());
-  CodeInterner groups(words);
-  std::vector<uint32_t> bucket_of_key(key_reps.size());
-  out.bucket_reps.reserve(key_reps.size());
-  out.bucket_sigs.reserve(key_reps.size() * words);
-  out.group_of.reserve(key_reps.size());
-  std::vector<int64_t> merged(words + cross.size());
-  for (size_t k = 0; k < key_reps.size(); ++k) {
-    const uint64_t* sig = key_sigs.data() + k * words;
-    const uint32_t row = key_reps[k];
-    std::fill(merged.begin() + static_cast<ptrdiff_t>(words), merged.end(),
-              kNullCode);
-    for (size_t w = 0; w < words; ++w) {
-      merged[w] = static_cast<int64_t>(sig[w]);
-      for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        plans[bit / 2].ForEachCrossAtom([&](const OrientedAtom& a) {
-          const size_t col = bit % 2 == 0 ? a.u_col : a.v_col;
-          merged[words + static_cast<size_t>(
-                             std::lower_bound(cross.begin(), cross.end(), col) -
-                             cross.begin())] = table.GetCode(row, col);
-        });
-      }
-    }
-    CodeInterner::Interned bucket = buckets.Intern(merged.data());
-    bucket_of_key[k] = bucket.id;
-    if (!bucket.inserted) continue;
-    out.bucket_reps.push_back(row);
-    out.bucket_sigs.insert(out.bucket_sigs.end(), sig, sig + words);
-    for (size_t w = 0; w < words; ++w) {
-      merged[w] = static_cast<int64_t>(sig[w] & product_bits[w]);
-    }
-    CodeInterner::Interned group = groups.Intern(merged.data());
-    out.group_of.push_back(group.id);
-    if (!group.inserted) continue;
-    out.group_reps.push_back(row);
-    out.group_sigs.insert(out.group_sigs.end(), merged.begin(),
-                          merged.begin() + static_cast<ptrdiff_t>(words));
-  }
-  out.bucket_of.resize(n);
-  for (size_t v = 0; v < n; ++v) out.bucket_of[v] = bucket_of_key[key_of[v]];
-  return out;
+  return plans;
 }
 
 /// Classes listed by signature bit: the classes (of `sigs`, `words` words
@@ -587,39 +484,186 @@ struct SideLists {
   }
 };
 
+/// Representatives and side lists of one level of a partition's classes,
+/// by local id; `global[local]` is the class's DcRowClasses id.
+struct LocalClasses {
+  std::vector<uint32_t> reps;
+  SideLists sides;
+
+  LocalClasses(const std::vector<uint32_t>& global,
+               const std::vector<uint32_t>& all_reps,
+               const std::vector<uint64_t>& all_sigs, size_t words)
+      : sides(Gather(global, all_sigs, words), words) {
+    for (uint32_t c : global) reps.push_back(all_reps[c]);
+  }
+
+  static std::vector<uint64_t> Gather(const std::vector<uint32_t>& global,
+                                      const std::vector<uint64_t>& all_sigs,
+                                      size_t words) {
+    std::vector<uint64_t> sigs;
+    sigs.reserve(global.size() * words);
+    for (uint32_t c : global) {
+      sigs.insert(sigs.end(), all_sigs.begin() + c * words,
+                  all_sigs.begin() + (c + 1) * words);
+    }
+    return sigs;
+  }
+};
+
 }  // namespace
+
+// ---- DcRowClasses. ----
+
+/// Rows are keyed by the codes of every column the binary DCs read, and each
+/// DC's sides are evaluated once per key. Keys then merge into buckets by
+/// (signature, codes of the cross-atom columns the signature's sides read):
+/// two rows of one bucket pass the same DC sides and feed every cross atom
+/// they take part in the same codes, so each DC holds on (u, w) exactly when
+/// it holds on (u', w) for any u' of u's bucket. A cross-read column is
+/// never NULL on a side that reads it (BuildSideMask), so kNullCode marks
+/// the columns a signature does not read. Groups key buckets by their
+/// product-DC bits alone.
+DcRowClasses DcRowClasses::Build(const Table& table,
+                                 std::vector<BoundDenialConstraint> dcs) {
+  DcRowClasses out;
+  out.dcs = std::move(dcs);
+  const std::vector<BinaryDcPlan> plans = PlanBinaryDcs(out.dcs);
+  const size_t n = table.NumRows();
+  std::vector<size_t> cols;
+  cols.reserve(4 * plans.size());
+  for (const BinaryDcPlan& plan : plans) plan.dc->AppendReadColumns(&cols);
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  std::vector<const int64_t*> col_codes;
+  for (size_t c : cols) col_codes.push_back(table.ColumnCodes(c).data());
+
+  CodeInterner keys(cols.size());
+  std::vector<uint32_t> key_of(n);
+  std::vector<uint32_t> key_reps;
+  std::vector<int64_t> tuple(cols.size());
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t k = 0; k < cols.size(); ++k) tuple[k] = col_codes[k][r];
+    CodeInterner::Interned key = keys.Intern(tuple.data());
+    key_of[r] = key.id;
+    if (key.inserted) key_reps.push_back(static_cast<uint32_t>(r));
+  }
+
+  const size_t words = out.sig_words = (2 * plans.size() + 63) / 64;
+  std::vector<uint64_t> key_sigs(key_reps.size() * words, 0);
+  std::vector<uint64_t> product_bits(words, 0);
+  std::vector<uint8_t> mask;
+  for (size_t bit = 0; bit < 2 * plans.size(); ++bit) {
+    const BinaryDcPlan& plan = plans[bit / 2];
+    const uint64_t flag = uint64_t{1} << (bit % 64);
+    if (plan.IsProduct()) product_bits[bit / 64] |= flag;
+    BuildSideMask(table, plan, key_reps, static_cast<int>(bit % 2), &mask);
+    for (size_t k = 0; k < key_reps.size(); ++k) {
+      if (mask[k]) key_sigs[k * words + bit / 64] |= flag;
+    }
+  }
+
+  // Cross-atom columns; a bucket key holds their codes after the
+  // signature words.
+  std::vector<size_t> cross;
+  for (const BinaryDcPlan& plan : plans) {
+    plan.ForEachCrossAtom([&](const OrientedAtom& a) {
+      cross.push_back(a.u_col);
+      cross.push_back(a.v_col);
+    });
+  }
+  std::sort(cross.begin(), cross.end());
+  cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
+
+  CodeInterner buckets(words + cross.size());
+  CodeInterner groups(words);
+  std::vector<uint32_t> bucket_of_key(key_reps.size());
+  out.bucket_rep.reserve(key_reps.size());
+  out.bucket_sigs.reserve(key_reps.size() * words);
+  out.group_of.reserve(key_reps.size());
+  out.self_begin.push_back(0);
+  std::vector<int64_t> merged(words + cross.size());
+  for (size_t k = 0; k < key_reps.size(); ++k) {
+    const uint64_t* sig = key_sigs.data() + k * words;
+    const uint32_t row = key_reps[k];
+    std::fill(merged.begin() + static_cast<ptrdiff_t>(words), merged.end(),
+              kNullCode);
+    for (size_t w = 0; w < words; ++w) {
+      merged[w] = static_cast<int64_t>(sig[w]);
+      for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
+        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        plans[bit / 2].ForEachCrossAtom([&](const OrientedAtom& a) {
+          const size_t col = bit % 2 == 0 ? a.u_col : a.v_col;
+          merged[words + static_cast<size_t>(
+                             std::lower_bound(cross.begin(), cross.end(), col) -
+                             cross.begin())] = table.GetCode(row, col);
+        });
+      }
+    }
+    CodeInterner::Interned bucket = buckets.Intern(merged.data());
+    bucket_of_key[k] = bucket.id;
+    if (!bucket.inserted) continue;
+    out.bucket_rep.push_back(row);
+    out.bucket_sigs.insert(out.bucket_sigs.end(), sig, sig + words);
+    // Self-adjacent: the DC holds with `row` in both roles, i.e. on any two
+    // distinct rows carrying row's codes.
+    const std::vector<uint32_t> self_pair = {row, row};
+    for (uint32_t d = 0; d < plans.size(); ++d) {
+      if (plans[d].dc->BodyHolds(table, self_pair)) out.self_dcs.push_back(d);
+    }
+    out.self_begin.push_back(static_cast<uint32_t>(out.self_dcs.size()));
+    for (size_t w = 0; w < words; ++w) {
+      merged[w] = static_cast<int64_t>(sig[w] & product_bits[w]);
+    }
+    CodeInterner::Interned group = groups.Intern(merged.data());
+    out.group_of.push_back(group.id);
+    if (!group.inserted) continue;
+    out.group_rep.push_back(row);
+    out.group_sigs.insert(out.group_sigs.end(), merged.begin(),
+                          merged.begin() + static_cast<ptrdiff_t>(words));
+  }
+  out.bucket_of.resize(n);
+  for (size_t r = 0; r < n; ++r) out.bucket_of[r] = bucket_of_key[key_of[r]];
+  return out;
+}
 
 // ---- PartitionConflictOracle (quotient). ----
 
 StatusOr<PartitionConflictOracle> PartitionConflictOracle::Build(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-    std::vector<uint32_t> rows, const ConflictOracleOptions& options) {
-  CEXTEND_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Hypergraph> higher,
-      BuildHigherArity(table, dcs, rows, options.max_hyperedge_candidates,
-                       options.run_control));
-  return BuildWithHypergraph(table, dcs, std::move(rows), options,
-                             std::move(higher));
-}
-
-StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const Table& table, const DcRowClasses& classes,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options,
-    std::shared_ptr<const Hypergraph> higher) {
+    std::optional<std::shared_ptr<const Hypergraph>> higher) {
+  if (!higher.has_value()) {
+    CEXTEND_ASSIGN_OR_RETURN(
+        higher,
+        BuildHigherArity(table, classes.dcs, rows,
+                         options.max_hyperedge_candidates,
+                         options.run_control));
+  }
   PartitionConflictOracle oracle;
   oracle.rows_ = std::move(rows);
-  oracle.higher_ = std::move(higher);
-  std::vector<const BoundDenialConstraint*> binary;
-  std::vector<BinaryDcPlan> plans;
-  binary.reserve(dcs.size());
-  plans.reserve(dcs.size());
-  for (const BoundDenialConstraint& dc : dcs) {
-    if (dc.arity() != 2) continue;
-    binary.push_back(&dc);
-    plans.push_back(PlanBinaryDc(dc));
-  }
-  VertexClasses classes = ClassifyVertices(table, binary, plans, oracle.rows_);
+  oracle.higher_ = std::move(*higher);
+  const std::vector<BinaryDcPlan> plans = PlanBinaryDcs(classes.dcs);
   const size_t words = classes.sig_words;
+
+  // The partition's buckets and groups, renumbered in first-vertex order,
+  // with their representatives and signatures.
+  CEXTEND_CHECK(classes.bucket_of.size() == table.NumRows());
+  QuotientGraph::Parts parts;
+  parts.bucket_of.reserve(oracle.rows_.size());
+  StampedIds& buckets = StampedIds::ThreadLocal(0);
+  buckets.Begin(classes.num_buckets());
+  for (uint32_t row : oracle.rows_) {
+    parts.bucket_of.push_back(buckets.Local(classes.bucket_of[row]));
+  }
+  StampedIds& groups = StampedIds::ThreadLocal(1);
+  groups.Begin(classes.group_rep.size());
+  for (uint32_t b : buckets.seen()) {
+    parts.group_of.push_back(groups.Local(classes.group_of[b]));
+  }
+  const LocalClasses local_buckets(buckets.seen(), classes.bucket_rep,
+                                   classes.bucket_sigs, words);
+  const LocalClasses local_groups(groups.seen(), classes.group_rep,
+                                  classes.group_sigs, words);
 
   // Product DCs emit group pairs over group representatives, the others
   // bucket pairs over bucket representatives; each level's pairs become its
@@ -627,39 +671,34 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   // *pre-dedup* total. A deadline/cancel outranks a budget overrun: the
   // overrun would trigger the naive fallback, which must not mask an
   // expired deadline / cancel.
-  QuotientGraph::Parts parts;
-  parts.group_self.assign(classes.group_reps.size(), 0);
-  parts.bucket_self.assign(classes.bucket_reps.size(), 0);
+  parts.group_self.assign(local_groups.reps.size(), 0);
+  parts.bucket_self.assign(local_buckets.reps.size(), 0);
   size_t emitted = 0;
-  const SideLists group_sides(classes.group_sigs, words);
-  const SideLists bucket_sides(classes.bucket_sigs, words);
-  for (size_t d = 0; d < binary.size(); ++d) {
+  for (size_t d = 0; d < plans.size(); ++d) {
     const bool product = plans[d].IsProduct();
-    const SideLists& sides = product ? group_sides : bucket_sides;
-    const std::vector<uint32_t>& reps =
-        product ? classes.group_reps : classes.bucket_reps;
-    std::span<const uint32_t> side0 = sides.Of(2 * d);
-    std::span<const uint32_t> side1 = sides.Of(2 * d + 1);
+    const LocalClasses& local = product ? local_groups : local_buckets;
     Status st = EmitBinaryDcPairs(
-        table, plans[d], reps, side0, side1, options.max_materialized_pairs,
+        table, plans[d], local.reps, local.sides.Of(2 * d),
+        local.sides.Of(2 * d + 1), options.max_materialized_pairs,
         options.run_control, &emitted,
         product ? &parts.group_pairs : &parts.bucket_pairs);
     if (!st.ok()) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
       return st;
     }
-    // A class on both sides is self-adjacent when the DC holds on two of
-    // its members, i.e. on (rep, rep).
-    std::vector<uint8_t>& self = product ? parts.group_self : parts.bucket_self;
-    for (uint32_t c : side0) {
-      if (std::binary_search(side1.begin(), side1.end(), c) &&
-          (product || CrossAtomsHoldOnOneRow(table, plans[d], reps[c]))) {
-        self[c] = 1;
+  }
+  // A self-adjacent bucket makes its group self-adjacent under a product DC
+  // (every bucket of a group passes the same product-DC sides) and itself
+  // under any other.
+  for (size_t b = 0; b < buckets.seen().size(); ++b) {
+    for (uint32_t d : classes.SelfDcs(buckets.seen()[b])) {
+      if (plans[d].IsProduct()) {
+        parts.group_self[parts.group_of[b]] = 1;
+      } else {
+        parts.bucket_self[b] = 1;
       }
     }
   }
-  parts.bucket_of = std::move(classes.bucket_of);
-  parts.group_of = std::move(classes.group_of);
   oracle.quotient_ = QuotientGraph(std::move(parts));
   return oracle;
 }
@@ -682,8 +721,9 @@ bool PartitionConflictOracle::WouldViolate(
   }
   // Hypergraph layer: edge-membership tests need the member set stamped.
   if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;
-  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
-  stamp.Stamp(rows_.size(), same_color);
+  StampedIds& stamp = StampedIds::ThreadLocal(2);
+  stamp.Begin(rows_.size());
+  for (size_t u : same_color) stamp.Local(u);
   return HyperedgeWouldViolate(higher_.get(), v, stamp);
 }
 
@@ -691,23 +731,18 @@ bool PartitionConflictOracle::WouldViolate(
 
 StatusOr<NaiveConflictOracle> NaiveConflictOracle::Build(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-    std::vector<uint32_t> rows, const ConflictOracleOptions& options) {
-  CEXTEND_ASSIGN_OR_RETURN(
-      std::shared_ptr<const Hypergraph> higher,
-      BuildHigherArity(table, dcs, rows, options.max_hyperedge_candidates,
-                       options.run_control));
-  return BuildWithHypergraph(table, dcs, std::move(rows), options,
-                             std::move(higher));
-}
-
-StatusOr<NaiveConflictOracle> NaiveConflictOracle::BuildWithHypergraph(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-    std::vector<uint32_t> rows, const ConflictOracleOptions& /*options*/,
-    std::shared_ptr<const Hypergraph> higher) {
+    std::vector<uint32_t> rows, const ConflictOracleOptions& options,
+    std::optional<std::shared_ptr<const Hypergraph>> higher) {
+  if (!higher.has_value()) {
+    CEXTEND_ASSIGN_OR_RETURN(
+        higher, BuildHigherArity(table, dcs, rows,
+                                 options.max_hyperedge_candidates,
+                                 options.run_control));
+  }
   NaiveConflictOracle oracle;
   oracle.table_ = &table;
   oracle.rows_ = std::move(rows);
-  oracle.higher_ = std::move(higher);
+  oracle.higher_ = std::move(*higher);
   size_t n = oracle.rows_.size();
   oracle.degrees_.assign(n, 0);
 
@@ -776,15 +811,16 @@ bool NaiveConflictOracle::WouldViolate(
     if (u != v && PairConflicts(u, v)) return true;
   }
   if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;
-  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
-  stamp.Stamp(rows_.size(), same_color);
+  StampedIds& stamp = StampedIds::ThreadLocal(2);
+  stamp.Begin(rows_.size());
+  for (size_t u : same_color) stamp.Local(u);
   return HyperedgeWouldViolate(higher_.get(), v, stamp);
 }
 
 // ---- Factory with fallback. ----
 
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const Table& table, const DcRowClasses& classes,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options,
     BuildOracleInfo* info) {
   // Hyperedges are enumerated once up front and shared: a cap failure here
@@ -793,14 +829,13 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
   // budget, which the naive fallback does not need.
   CEXTEND_ASSIGN_OR_RETURN(
       std::shared_ptr<const Hypergraph> higher,
-      BuildHigherArity(table, dcs, rows, options.max_hyperedge_candidates,
-                       options.run_control));
+      BuildHigherArity(table, classes.dcs, rows,
+                       options.max_hyperedge_candidates, options.run_control));
   // The injected fault abandons the quotient build outright, exercising the
   // same quotient→naive rung a real pair-budget overrun takes.
   if (!CEXTEND_INJECT_FAULT("oracle.build")) {
     StatusOr<PartitionConflictOracle> quotient =
-        PartitionConflictOracle::BuildWithHypergraph(table, dcs, rows,
-                                                     options, higher);
+        PartitionConflictOracle::Build(table, classes, rows, options, higher);
     if (quotient.ok()) {
       if (info != nullptr) {
         info->conflict_buckets = quotient.value().num_buckets();
@@ -819,8 +854,8 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
   if (info != nullptr) info->naive_fallback = true;
   CEXTEND_ASSIGN_OR_RETURN(
       NaiveConflictOracle naive,
-      NaiveConflictOracle::BuildWithHypergraph(table, dcs, std::move(rows),
-                                               options, std::move(higher)));
+      NaiveConflictOracle::Build(table, classes.dcs, std::move(rows), options,
+                                 std::move(higher)));
   std::unique_ptr<PartitionOracle> oracle =
       std::make_unique<NaiveConflictOracle>(std::move(naive));
   return oracle;
@@ -879,10 +914,11 @@ bool ScanWouldViolate(const Table& table,
 }
 
 StatusOr<RepairAssignment> AssignRepairKeys(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const Table& table, const DcRowClasses& classes,
     const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
     const std::vector<int64_t>& candidate_keys, RepairProbe probe,
     const ConflictOracleOptions& options) {
+  const std::vector<BoundDenialConstraint>& dcs = classes.dcs;
   const size_t num_colored = colored_keys.size();
   CEXTEND_CHECK(num_colored <= rows.size());
   const size_t group = rows.size() - num_colored;
@@ -934,7 +970,7 @@ StatusOr<RepairAssignment> AssignRepairKeys(
   std::unique_ptr<PartitionOracle> oracle;
   if (use_oracle) {
     StatusOr<std::unique_ptr<PartitionOracle>> built =
-        BuildPartitionOracle(table, dcs, rows, options, &out.build);
+        BuildPartitionOracle(table, classes, rows, options, &out.build);
     if (built.ok()) {
       oracle = std::move(built).value();
       out.used_oracle = true;

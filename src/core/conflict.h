@@ -2,34 +2,40 @@
 //
 // All rows of a partition share their (B1..Bq) values, hence their candidate
 // FK list; a hyperedge connects every tuple set that would violate a DC body
-// if co-assigned. Two interchangeable oracles implement the pairwise layer:
+// if co-assigned. A binary DC's truth on a row pair depends only on the codes
+// it reads, so the join view's rows are classified once per solve
+// (DcRowClasses): rows are keyed by the codes of every column some binary DC
+// reads, and each DC's sides are evaluated once per key. Keys then merge into
+// buckets by (side signature, codes of the cross-atom columns the
+// signature's sides read), whose members have identical neighborhoods, and
+// buckets into groups by the sides they pass of the product DCs (no cross
+// atoms, e.g. owner-owner). Each bucket records whether, and under which
+// DCs, two of its rows conflict (self-adjacency); the final fill reads the
+// same record as its clique classes. The classification is valid because
+// DCs read only R1's key and A columns, which phase I never writes.
 //
-//  * PartitionConflictOracle (default): a quotient builder. A binary DC's
-//    truth on a row pair depends only on the codes it reads, so vertices are
-//    first keyed by the codes of every column some binary DC reads
-//    (CodeInterner), and each DC's sides are evaluated once per key. Keys
-//    then merge into buckets by (side signature, codes of the cross-atom
-//    columns the signature's sides read), whose members have identical
-//    neighborhoods, and buckets into groups by the sides they pass of the
-//    product DCs (no cross atoms, e.g. owner-owner). Product DCs link
-//    groups, the others link buckets; each DC's class pairs come from the
-//    indexed emission run over one representative row per class: side-1
-//    representatives are sorted by the hash of their equality-atom codes
-//    and the first ordering atom's key, and every side-0 representative
-//    probes its sorted run. A class is self-adjacent when some DC holds on
-//    (rep, rep): a clique DC is one self-adjacent group. Degrees, edge
-//    counts, forbidden colors and pair queries answer from the
-//    QuotientGraph with simple-graph semantics, identical to one
-//    deduplicated all-pairs scan. Construction is O(n) key interning plus
-//    O(K·|DC|) side evaluation over K keys plus O(B + s log s + E_B)
-//    emission over B classes, where E_B is the emitted class pairs. When
-//    keys are near unique (a cross atom on a near-unique column), B
-//    approaches n and the bucket level is the per-vertex CSR graph.
+// Two interchangeable oracles implement the pairwise layer:
+//
+//  * PartitionConflictOracle (default): a quotient builder. It renumbers the
+//    global buckets and groups its rows touch in first-vertex order (no
+//    interning, no side evaluation). Product DCs link groups, the others
+//    link buckets; each DC's class pairs come from the indexed emission run
+//    over one representative row per class: side-1 representatives are
+//    sorted by the hash of their equality-atom codes and the first ordering
+//    atom's key, and every side-0 representative probes its sorted run. A
+//    clique DC is one self-adjacent group. Degrees, edge counts, forbidden
+//    colors and pair queries answer from the QuotientGraph with
+//    simple-graph semantics, identical to one deduplicated all-pairs scan.
+//    Construction is O(n) renumbering plus O(B + s log s + E_B) emission
+//    over B classes, where E_B is the emitted class pairs. When keys are
+//    near unique (a cross atom on a near-unique column), B approaches n and
+//    the bucket level is the per-vertex CSR graph.
 //
 //  * NaiveConflictOracle: the reference brute-force implementation (side
-//    masks + on-the-fly pair tests). Kept behind the same interface so tests
-//    and benchmarks can cross-check the quotient oracle bit-for-bit, and as a
-//    fallback when materialized class pairs would exceed the pair budget.
+//    masks + on-the-fly pair tests). It reads the DCs, never the
+//    classification, so tests and benchmarks can cross-check the quotient
+//    oracle bit-for-bit against it, and it is the fallback when materialized
+//    class pairs would exceed the pair budget.
 //
 // DCs of arity >= 3 are expanded into an explicit hypergraph by both oracles.
 //
@@ -41,6 +47,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "constraints/denial_constraint.h"
@@ -50,6 +58,40 @@
 #include "util/statusor.h"
 
 namespace cextend {
+
+/// The binary-DC classification of every row of one table (the join view),
+/// built once per solve. Buckets and groups are numbered in first-row order.
+struct DcRowClasses {
+  /// Every DC, any arity, bound against the classified table.
+  std::vector<BoundDenialConstraint> dcs;
+  /// Signatures hold bit 2d when a class passes side 0 of the d-th binary
+  /// DC of `dcs` and bit 2d + 1 for side 1, in sig_words words each.
+  size_t sig_words = 0;
+  std::vector<uint32_t> bucket_of;    ///< per row
+  std::vector<uint32_t> bucket_rep;   ///< per bucket: its first row
+  std::vector<uint64_t> bucket_sigs;  ///< per bucket: sig_words words
+  std::vector<uint32_t> group_of;     ///< per bucket
+  std::vector<uint32_t> group_rep;    ///< per group: its first row
+  std::vector<uint64_t> group_sigs;   ///< per group: product-DC bits only
+  /// Binary DCs (ascending d) a bucket is self-adjacent under: those that
+  /// hold with its representative bound to both variables, so any two of
+  /// its rows sharing an FK violate them. Bucket b's are
+  /// self_dcs[self_begin[b] .. self_begin[b + 1]).
+  std::vector<uint32_t> self_begin;
+  std::vector<uint32_t> self_dcs;
+
+  /// Classifies every row of `table`; `dcs` must be bound against it and
+  /// read only columns whose codes stay fixed while the classification is
+  /// in use.
+  static DcRowClasses Build(const Table& table,
+                            std::vector<BoundDenialConstraint> dcs);
+
+  size_t num_buckets() const { return bucket_rep.size(); }
+  std::span<const uint32_t> SelfDcs(uint32_t bucket) const {
+    return {self_dcs.data() + self_begin[bucket],
+            self_begin[bucket + 1] - self_begin[bucket]};
+  }
+};
 
 struct ConflictOracleOptions {
   /// Edge enumeration for arity >= 3 DCs is capped at this many candidate
@@ -103,20 +145,14 @@ class PartitionOracle : public ConflictOracle {
 /// hypergraph for arity >= 3.
 class PartitionConflictOracle final : public PartitionOracle {
  public:
-  /// `rows` are v_join/R1 row ids forming the partition. `dcs` must be bound
-  /// against `table`.
+  /// `rows` are row ids of `table`, which `classes` classifies. `higher`,
+  /// when set, holds the arity >= 3 hyperedges over `rows` the caller
+  /// already enumerated, null when there are none (BuildPartitionOracle
+  /// shares them with a naive fallback); unset enumerates them here.
   static StatusOr<PartitionConflictOracle> Build(
-      const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-      std::vector<uint32_t> rows, const ConflictOracleOptions& options = {});
-
-  /// Build with a prebuilt arity >= 3 hypergraph (may be null). Lets
-  /// BuildPartitionOracle enumerate hyperedges once and share them with a
-  /// naive fallback attempt; a kResourceExhausted from this overload always
-  /// means the pair budget.
-  static StatusOr<PartitionConflictOracle> BuildWithHypergraph(
-      const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-      std::vector<uint32_t> rows, const ConflictOracleOptions& options,
-      std::shared_ptr<const Hypergraph> higher);
+      const Table& table, const DcRowClasses& classes,
+      std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},
+      std::optional<std::shared_ptr<const Hypergraph>> higher = std::nullopt);
 
   const std::vector<uint32_t>& rows() const override { return rows_; }
 
@@ -166,16 +202,12 @@ class PartitionConflictOracle final : public PartitionOracle {
 /// fly. O(n) memory; O(n * |DC|) per forbidden-color query.
 class NaiveConflictOracle final : public PartitionOracle {
  public:
+  /// `dcs` must be bound against `table`; `higher` as in
+  /// PartitionConflictOracle::Build.
   static StatusOr<NaiveConflictOracle> Build(
       const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-      std::vector<uint32_t> rows, const ConflictOracleOptions& options = {});
-
-  /// Build with a prebuilt arity >= 3 hypergraph (may be null); see
-  /// PartitionConflictOracle::BuildWithHypergraph.
-  static StatusOr<NaiveConflictOracle> BuildWithHypergraph(
-      const Table& table, const std::vector<BoundDenialConstraint>& dcs,
-      std::vector<uint32_t> rows, const ConflictOracleOptions& options,
-      std::shared_ptr<const Hypergraph> higher);
+      std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},
+      std::optional<std::shared_ptr<const Hypergraph>> higher = std::nullopt);
 
   const std::vector<uint32_t>& rows() const override { return rows_; }
 
@@ -209,11 +241,13 @@ class NaiveConflictOracle final : public PartitionOracle {
   size_t num_edges_ = 0;  // cached during the construction degree scan
 };
 
-/// Builds the indexed oracle, falling back to the naive oracle when the
-/// materialized-pair budget is exceeded (or the `oracle.build` fault fires).
-/// `info`, when non-null, receives degradation accounting for the build.
+/// Builds the indexed oracle, falling back to the naive oracle over
+/// `classes.dcs` when the materialized-pair budget is exceeded (or the
+/// `oracle.build` fault fires); the naive oracle points into `classes.dcs`,
+/// so `classes` must outlive the result. `info`, when non-null, receives
+/// degradation accounting for the build.
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const Table& table, const DcRowClasses& classes,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},
     BuildOracleInfo* info = nullptr);
 
@@ -242,8 +276,8 @@ struct RepairAssignment {
   BuildOracleInfo build;
 };
 
-/// Key assignment for one repair combo. `rows` holds the combo's colored
-/// partition rows (their keys in `colored_keys`, same order) followed by the
+/// Key assignment for one repair combo under `classes.dcs`. `rows` holds the
+/// combo's colored partition rows (their keys in `colored_keys`, same order) followed by the
 /// rows to repair. Each repaired row, in order, takes the first of
 /// `candidate_keys` whose same-key bucket — colored rows plus rows repaired
 /// so far — it can join without violating a DC.
@@ -257,7 +291,7 @@ struct RepairAssignment {
 /// otherwise. An oracle build that trips a resource cap falls back to
 /// scans.
 StatusOr<RepairAssignment> AssignRepairKeys(
-    const Table& table, const std::vector<BoundDenialConstraint>& dcs,
+    const Table& table, const DcRowClasses& classes,
     const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
     const std::vector<int64_t>& candidate_keys,
     RepairProbe probe = RepairProbe::kBySize,

@@ -78,6 +78,8 @@ StatusOr<HybridResult> RunHybridPhase1(
   HybridStats& stats = result.stats;
   Rng rng(options.seed);
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
+  CEXTEND_ASSIGN_OR_RETURN(std::vector<BoundDenialConstraint> bound_dcs,
+                           BindAll(dcs, v_join));
 
   // Routing: classify every pair, then RouteCcs splits the active CCs into
   // S1 (Algorithm 2) and S2 (Algorithm 1). R1-side conditions are
@@ -165,10 +167,12 @@ StatusOr<HybridResult> RunHybridPhase1(
   // --- Final fill (Algorithm 2 lines 14-17, shared). ---
   {
     ScopedTimer timer(&stats.final_fill_seconds);
+    result.dc_classes = DcRowClasses::Build(v_join, std::move(bound_dcs));
     CEXTEND_ASSIGN_OR_RETURN(
         result.invalid_rows,
-        CompleteLeftoverRows(state, combos, active_ccs, matches, dcs,
-                             options.leftover_mode, rng, &stats.fill));
+        CompleteLeftoverRows(state, combos, active_ccs, matches,
+                             result.dc_classes, options.leftover_mode, rng,
+                             &stats.fill));
   }
   return result;
 }

@@ -59,6 +59,9 @@ struct HybridResult {
   /// hands to BuildSynthesisPlan so repair combo selection reuses it instead
   /// of rebuilding the index over R2.
   ComboIndex combos;
+  /// The DC classification of the join view the final fill read — handed to
+  /// PreparePlan the same way, so phase II's oracle builds reuse it.
+  DcRowClasses dc_classes;
   HybridStats stats;
 };
 
@@ -81,8 +84,12 @@ CcRouting RouteCcs(const CcRelationMatrix& relations,
                    const std::vector<CardinalityConstraint>& ccs,
                    bool force_ilp);
 
-/// Runs phase I over `v_join` (mutated in place). `dcs` only informs the
-/// DC-aware leftover completion (see CompleteLeftoverRows); it may be empty.
+/// Runs phase I over `v_join` (mutated in place). `dcs` (may be empty) only
+/// inform the DC-aware leftover completion (see CompleteLeftoverRows)
+/// through the classification phase II reuses. They are bound against
+/// `v_join` here (a DC that does not bind fails the run) and must read only
+/// R1's key and A columns: the classification is built before the B cells
+/// are complete.
 StatusOr<HybridResult> RunHybridPhase1(
     Table& v_join, const Table& r2, const PairSchema& names,
     const std::vector<CardinalityConstraint>& ccs,

@@ -91,53 +91,6 @@ class HasseRecursion {
   std::vector<bool> processed_;
 };
 
-/// Clique classes of a row list in CSR form: the classes of rows[i] are
-/// ids[offsets[i] .. offsets[i + 1]), in ascending DC order.
-struct CliqueClasses {
-  std::vector<size_t> offsets;
-  std::vector<uint32_t> ids;
-
-  std::span<const uint32_t> of(size_t i) const {
-    return {ids.data() + offsets[i], ids.data() + offsets[i + 1]};
-  }
-};
-
-/// rows[i] is in DC d's class when it matches both tuple roles of dcs[d]
-/// and every binary atom of dcs[d] holds with rows[i] bound to both roles.
-/// One pass per atom over the raw column codes, not one per row.
-CliqueClasses SweepCliqueClasses(const Table& table,
-                                 const std::vector<BoundDenialConstraint>& dcs,
-                                 const std::vector<uint32_t>& rows) {
-  const size_t n = rows.size();
-  std::vector<std::vector<uint8_t>> in_class(dcs.size());
-  std::vector<uint8_t> side1;
-  for (size_t d = 0; d < dcs.size(); ++d) {
-    std::vector<uint8_t>& m = in_class[d];
-    dcs[d].SideMatchesBatch(table, rows, 0, &m);
-    dcs[d].SideMatchesBatch(table, rows, 1, &side1);
-    for (size_t i = 0; i < n; ++i) m[i] &= side1[i];
-    for (const BoundDenialConstraint::CrossAtom& a : dcs[d].cross_atoms()) {
-      const int64_t* lhs = table.ColumnCodes(a.lhs_col).data();
-      const int64_t* rhs = table.ColumnCodes(a.rhs_col).data();
-      for (size_t i = 0; i < n; ++i) {
-        if (m[i] != 0 && !BoundDenialConstraint::CrossAtomHolds(
-                             a, lhs[rows[i]], rhs[rows[i]])) {
-          m[i] = 0;
-        }
-      }
-    }
-  }
-  CliqueClasses classes;
-  classes.offsets.assign(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t d = 0; d < dcs.size(); ++d) {
-      if (in_class[d][i] != 0) classes.ids.push_back(static_cast<uint32_t>(d));
-    }
-    classes.offsets[i + 1] = classes.ids.size();
-  }
-  return classes;
-}
-
 }  // namespace
 
 void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
@@ -177,9 +130,8 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
 StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     FillState& state, const ComboIndex& combos,
     const std::vector<CardinalityConstraint>& avoid_ccs,
-    const std::vector<CcMatch>& avoid_matches,
-    const std::vector<DenialConstraint>& dcs, LeftoverMode mode, Rng& rng,
-    FinalFillStats* stats) {
+    const std::vector<CcMatch>& avoid_matches, const DcRowClasses& dc_classes,
+    LeftoverMode mode, Rng& rng, FinalFillStats* stats) {
   std::vector<uint32_t> invalid;
   std::vector<uint32_t> leftovers = state.DrainPools();
   if (leftovers.empty()) return invalid;
@@ -326,30 +278,29 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
   for (size_t bin = 0; bin < bin_cursor.size(); ++bin)
     bin_cursor[bin] = bin * 7919;
 
-  // DC-aware per-combo capacity ledgers. A binary DC forms a clique class
-  // when a row can fill both of its tuple roles with the cross atoms
-  // trivially satisfied against itself (owner-owner, spouse-spouse): any two
-  // same-class rows sharing an FK violate the DC, so a combo can absorb at
-  // most keys(combo) of them. The fill keeps each class's per-combo load
-  // under that capacity whenever a candidate allows it, falling back to
-  // plain rotation (the paper's behaviour) when all are saturated. DCs that
-  // cannot hold on one row (age gaps, owner-child) form no class and are
-  // dropped before any row is looked at.
-  std::vector<BoundDenialConstraint> clique_dcs;
-  for (const DenialConstraint& dc : dcs) {
-    if (dc.arity() != 2) continue;
-    auto bound = BoundDenialConstraint::Bind(dc, v_join);
-    if (bound.ok() && bound->MayHoldOnOneRow())
-      clique_dcs.push_back(std::move(bound).value());
-  }
+  // DC-aware per-combo capacity ledgers. A row's clique classes are the
+  // binary DCs its bucket is self-adjacent under (owner-owner,
+  // spouse-spouse; DcRowClasses::SelfDcs): any two same-class rows sharing
+  // an FK violate the DC, so a combo can absorb at most keys(combo) of them.
+  // The fill keeps each class's per-combo load under that capacity whenever
+  // a candidate allows it, falling back to plain rotation (the paper's
+  // behaviour) when all are saturated. DCs that cannot hold on one row (age
+  // gaps, owner-child) are in no bucket's list.
   const size_t num_combos = combos.num_combos();
-  std::vector<int64_t> class_load(clique_dcs.size() * num_combos, 0);
-  if (!clique_dcs.empty()) {
+  const bool any_class = !dc_classes.self_dcs.empty();
+  CEXTEND_CHECK(!any_class || dc_classes.bucket_of.size() == v_join.NumRows());
+  auto classes_of = [&](size_t row) {
+    return any_class ? dc_classes.SelfDcs(dc_classes.bucket_of[row])
+                     : std::span<const uint32_t>();
+  };
+  const size_t num_binary = static_cast<size_t>(std::count_if(
+      dc_classes.dcs.begin(), dc_classes.dcs.end(),
+      [](const BoundDenialConstraint& dc) { return dc.arity() == 2; }));
+  std::vector<int64_t> class_load(any_class ? num_binary * num_combos : 0, 0);
+  if (any_class) {
     // Seed loads with the rows phase I already assigned.
     std::vector<uint8_t> is_leftover(v_join.NumRows(), 0);
     for (uint32_t r : leftovers) is_leftover[r] = 1;
-    std::vector<uint32_t> seeded;
-    std::vector<size_t> seeded_combo;
     std::vector<int64_t> codes(state.b_cols().size());
     for (size_t r = 0; r < v_join.NumRows(); ++r) {
       if (is_leftover[r]) continue;
@@ -364,14 +315,7 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
       if (!complete) continue;
       auto combo = combos.Find(codes);
       if (!combo.has_value()) continue;
-      seeded.push_back(static_cast<uint32_t>(r));
-      seeded_combo.push_back(*combo);
-    }
-    CliqueClasses seeded_classes =
-        SweepCliqueClasses(v_join, clique_dcs, seeded);
-    for (size_t i = 0; i < seeded.size(); ++i) {
-      for (uint32_t d : seeded_classes.of(i))
-        ++class_load[d * num_combos + seeded_combo[i]];
+      for (uint32_t d : classes_of(r)) ++class_load[d * num_combos + *combo];
     }
   }
   auto pick_from = [&](const std::vector<size_t>& candidates, size_t& cursor,
@@ -400,13 +344,11 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     return chosen;
   };
 
-  CliqueClasses classes = SweepCliqueClasses(v_join, clique_dcs, leftovers);
-  for (size_t i = 0; i < leftovers.size(); ++i) {
-    uint32_t row = leftovers[i];
+  for (uint32_t row : leftovers) {
     size_t bin = binning.bin_of_row(row);
     const std::vector<size_t>& free = free_combos_for_bin(bin);
     if (!free.empty()) {
-      size_t pick = pick_from(free, bin_cursor[bin], classes.of(i));
+      size_t pick = pick_from(free, bin_cursor[bin], classes_of(row));
       state.AssignFullCombo(row, combos.combo_codes(pick));
       ++stats->completed_rows;
     } else if (synthesized.has_value()) {

@@ -4,6 +4,9 @@
 // that completes leftover rows with combinations that add no CC counts.
 // Neither matches a CC itself: both read the bins and combos of each CC from
 // the solve's CcMatch table (core/fill_state.h), aligned with their CC list.
+// Nor does the fill evaluate a DC: its clique-capacity ledger reads each
+// row's self-adjacent DCs from the solve's DcRowClasses (core/conflict.h),
+// built once in phase I and handed on to phase II's oracle builds.
 
 #ifndef CEXTEND_CORE_PHASE1_HASSE_H_
 #define CEXTEND_CORE_PHASE1_HASSE_H_
@@ -12,8 +15,8 @@
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
-#include "constraints/denial_constraint.h"
 #include "constraints/hasse_diagram.h"
+#include "core/conflict.h"
 #include "core/fill_state.h"
 #include "core/join_view.h"
 #include "util/rng.h"
@@ -63,17 +66,18 @@ enum class LeftoverMode {
 /// every row still missing B values. Returns the rows left invalid.
 /// `avoid_matches[i]` is `avoid_ccs[i]`'s entry (read in kAvoidCcs mode).
 ///
-/// `dcs` (may be empty) enables the DC-aware capacity refinement: for every
-/// binary DC that forms cliques among equal-FK tuples (owner-owner style —
-/// detected as rows matching both tuple roles with the cross atoms trivially
-/// true), the fill keeps the number of clique-class rows per combo below the
-/// combo's key count whenever possible, so phase II rarely needs fresh keys.
+/// `dc_classes` (empty when there are no DCs) is the DC classification of
+/// the fill state's join view and enables the DC-aware capacity refinement:
+/// a row's clique classes are the binary DCs its bucket is self-adjacent
+/// under (owner-owner style: two rows of the class sharing an FK violate the
+/// DC), and the fill keeps the number of clique-class rows per combo below
+/// the combo's key count whenever possible, so phase II rarely needs fresh
+/// keys. The fill reads the classification only, never the DCs.
 StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     FillState& state, const ComboIndex& combos,
     const std::vector<CardinalityConstraint>& avoid_ccs,
-    const std::vector<CcMatch>& avoid_matches,
-    const std::vector<DenialConstraint>& dcs, LeftoverMode mode, Rng& rng,
-    FinalFillStats* stats);
+    const std::vector<CcMatch>& avoid_matches, const DcRowClasses& dc_classes,
+    LeftoverMode mode, Rng& rng, FinalFillStats* stats);
 
 }  // namespace cextend
 

@@ -304,7 +304,8 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
                                    const Table& v_join, const Table& r2,
                                    const PairSchema& names,
                                    const std::vector<DenialConstraint>& dcs,
-                                   const ComboIndex* r2_combos) {
+                                   const ComboIndex* r2_combos,
+                                   const DcRowClasses* dc_classes) {
   if (plan.num_rows != v_join.NumRows()) {
     return Status::InvalidArgument(
         "SynthesisPlan row count does not match the join view");
@@ -319,7 +320,14 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   PreparedPlan prepared;
   prepared.plan = &plan;
   prepared.v_join = &v_join;
-  CEXTEND_ASSIGN_OR_RETURN(prepared.bound_dcs, BindAll(dcs, v_join));
+  if (dc_classes == nullptr) {
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<BoundDenialConstraint> bound,
+                             BindAll(dcs, v_join));
+    prepared.owned_dc_classes = std::make_unique<const DcRowClasses>(
+        DcRowClasses::Build(v_join, std::move(bound)));
+    dc_classes = prepared.owned_dc_classes.get();
+  }
+  prepared.dc_classes = dc_classes;
 
   std::vector<uint8_t> is_invalid(plan.num_rows, 0);
   for (uint32_t r : plan.invalid_rows) is_invalid[r] = 1;

@@ -26,6 +26,7 @@
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
+#include "core/conflict.h"
 #include "core/join_view.h"
 #include "relational/table.h"
 #include "util/statusor.h"
@@ -102,12 +103,16 @@ struct PlanPartition {
 };
 
 /// Runtime context derived from a plan against concrete tables: partitions,
-/// the size-descending worklist, bound DCs, the repair grouping, and the
-/// fresh-key base. Holds pointers into `v_join` / `r2`; both must outlive it.
+/// the size-descending worklist, the DC classification, the repair grouping,
+/// and the fresh-key base. Holds pointers into `v_join` / `r2`; both must
+/// outlive it.
 struct PreparedPlan {
   const SynthesisPlan* plan = nullptr;
   const Table* v_join = nullptr;
-  std::vector<BoundDenialConstraint> bound_dcs;
+  /// The join view's DC classification (its `dcs` are the bound DCs):
+  /// PreparePlan's `dc_classes`, or `owned_dc_classes` when none was passed.
+  const DcRowClasses* dc_classes = nullptr;
+  std::unique_ptr<const DcRowClasses> owned_dc_classes;
   std::vector<PlanPartition> partitions;  ///< insertion order (first row)
   /// Plan combo id (SynthesisPlan::row_combo) → partition id, or
   /// kNoPartition when no valid row carries the combo. A repair group's
@@ -131,13 +136,16 @@ struct PreparedPlan {
 /// Validates `plan` against the tables and builds the runtime context. The
 /// join view must already carry every row's combo (either phase 1 + plan
 /// build in this process, or ApplyPlanToJoinView in a fresh one).
-/// `r2_combos` may pass the ComboIndex phase 1 built over `r2` (it must
-/// outlive the result); nullptr builds one.
+/// `r2_combos` may pass the ComboIndex phase 1 built over `r2`, and
+/// `dc_classes` the DC classification phase 1 built over `v_join` from
+/// `dcs` (both must outlive the result); nullptr builds one. Either way the
+/// classes, and so the emitted bytes, are the same.
 StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
                                    const Table& v_join, const Table& r2,
                                    const PairSchema& names,
                                    const std::vector<DenialConstraint>& dcs,
-                                   const ComboIndex* r2_combos = nullptr);
+                                   const ComboIndex* r2_combos = nullptr,
+                                   const DcRowClasses* dc_classes = nullptr);
 
 /// Per-partition flag: 1 iff the partition's combo is a repair target, i.e.
 /// the repair stage will probe against this partition's resolved colors.

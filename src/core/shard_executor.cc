@@ -8,7 +8,6 @@
 
 #include "core/conflict.h"
 #include "graph/list_coloring.h"
-#include "util/bytes.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -77,44 +76,6 @@ ResolvedShard ResolveShard(const PreparedPlan& prepared,
 size_t ShardOutput::ApproxBytes() const {
   size_t bytes = sizeof(ShardOutput) + blocks.capacity() * sizeof(Block);
   for (const Block& b : blocks) bytes += b.rows.capacity() * sizeof(ShardRow);
-  return bytes;
-}
-
-std::string SerializeShardOutput(const ShardOutput& out) {
-  std::string bytes;
-  PutU64(&bytes, out.shard_id);
-  PutU64(&bytes, out.blocks.size());
-  for (const ShardOutput::Block& b : out.blocks) {
-    PutU64(&bytes, b.worklist_idx);
-    PutU64(&bytes, b.partition);
-    PutU64(&bytes, b.num_fresh);
-    PutU64(&bytes, b.rows.size());
-    for (ShardRow r : b.rows) {
-      PutU64(&bytes, r.row);
-      PutI64(&bytes, r.key);
-    }
-  }
-  return bytes;
-}
-
-std::string SerializeResolvedShard(const ResolvedShard& shard) {
-  std::string bytes;
-  PutU64(&bytes, shard.shard_id);
-  PutU64(&bytes, shard.blocks.size());
-  for (const ResolvedShard::Block& b : shard.blocks) {
-    PutU64(&bytes, b.worklist_idx);
-    PutU64(&bytes, b.rows.size());
-    for (ShardRow r : b.rows) {
-      PutU64(&bytes, r.row);
-      PutI64(&bytes, r.key);
-    }
-    PutU64(&bytes, b.new_tuples.size());
-    for (const ResolvedShard::NewTuple& t : b.new_tuples) {
-      PutI64(&bytes, t.key);
-      PutU64(&bytes, t.combo.size());
-      for (int64_t code : t.combo) PutI64(&bytes, code);
-    }
-  }
   return bytes;
 }
 
@@ -277,7 +238,7 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
     BuildOracleInfo build_info;
     CEXTEND_ASSIGN_OR_RETURN(
         std::unique_ptr<PartitionOracle> oracle,
-        BuildPartitionOracle(v_join, prepared.bound_dcs, p.rows,
+        BuildPartitionOracle(v_join, *prepared.dc_classes, p.rows,
                              oracle_options, &build_info));
     ListColoringResult coloring = GreedyListColoring(*oracle, {}, p.candidates);
     if (coloring.csr_rung) ++out.csr_partitions;
@@ -481,7 +442,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       rows.insert(rows.end(), group.begin(), group.end());
       CEXTEND_ASSIGN_OR_RETURN(
           RepairAssignment assigned,
-          AssignRepairKeys(*prepared.v_join, prepared.bound_dcs, rows,
+          AssignRepairKeys(*prepared.v_join, *prepared.dc_classes, rows,
                            colored_keys, prepared.combos->keys(combo_id),
                            RepairProbe::kBySize, oracle_options));
       if (assigned.used_oracle) ++stats.oracle_repair_combos;

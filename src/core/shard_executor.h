@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,6 +37,7 @@ namespace cextend {
 struct ShardRow {
   uint32_t row;
   int64_t key;
+  bool operator==(const ShardRow&) const = default;
 };
 
 /// Raw output of EmitShard: one block per partition, in worklist order.
@@ -51,6 +51,7 @@ struct ShardOutput {
     size_t partition;  ///< index into PreparedPlan::partitions
     std::vector<ShardRow> rows;
     uint64_t num_fresh = 0;
+    bool operator==(const Block&) const = default;
   };
   std::vector<Block> blocks;
   // Per-shard degradation/ladder accounting, merged at retirement.
@@ -62,12 +63,11 @@ struct ShardOutput {
 
   /// Estimated resident footprint, for the executor's memory accounting.
   size_t ApproxBytes() const;
-};
 
-/// Canonical byte encoding of a ShardOutput (shard-purity tests: the same
-/// shard emitted from an in-process plan and from a deserialized one must
-/// serialize identically).
-std::string SerializeShardOutput(const ShardOutput& out);
+  /// Field-wise; the shard-purity tests compare shards emitted from an
+  /// in-process plan and from a deserialized one.
+  bool operator==(const ShardOutput&) const = default;
+};
 
 /// A retired shard: final keys, plus the new R2 tuples its fresh keys mint.
 /// Blocks stay per-partition so sink bytes never depend on the shard map.
@@ -78,18 +78,18 @@ struct ResolvedShard {
   struct NewTuple {
     int64_t key;
     std::vector<int64_t> combo;
+    bool operator==(const NewTuple&) const = default;
   };
   struct Block {
     uint64_t worklist_idx;
     std::vector<ShardRow> rows;        ///< final keys
     std::vector<NewTuple> new_tuples;  ///< keys ascending
+    bool operator==(const Block&) const = default;
   };
   size_t shard_id = 0;
   std::vector<Block> blocks;
+  bool operator==(const ResolvedShard&) const = default;
 };
-
-/// Canonical byte encoding of a ResolvedShard (executor determinism tests).
-std::string SerializeResolvedShard(const ResolvedShard& shard);
 
 /// Where retired shards go. Consume is called strictly in shard order
 /// (partition blocks in worklist order, repair last), exactly once per shard,

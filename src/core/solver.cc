@@ -1,5 +1,7 @@
 #include "core/solver.h"
 
+#include <set>
+#include <string>
 #include <utility>
 
 #include "core/shard_executor.h"
@@ -8,6 +10,29 @@
 
 namespace cextend {
 namespace {
+
+/// A DC constrains tuples of R1, and the phase-1 DC classification is built
+/// before the B cells are complete: every column a DC reads must be R1's key
+/// or one of its A columns.
+Status CheckDcColumns(const std::vector<DenialConstraint>& dcs,
+                      const PairSchema& names) {
+  std::set<std::string> r1_cols(names.r1_attrs.begin(), names.r1_attrs.end());
+  r1_cols.insert(names.key1);
+  for (const DenialConstraint& dc : dcs) {
+    for (const DcAtom& atom : dc.atoms()) {
+      std::vector<std::string> cols = {atom.lhs_column};
+      if (atom.is_binary) cols.push_back(atom.rhs_column);
+      for (const std::string& col : cols) {
+        if (!r1_cols.contains(col)) {
+          return Status::InvalidArgument(
+              "DC " + dc.name() + " reads column " + col +
+              ", which is not R1's key or one of its attributes");
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 /// Seed/run_control defaulting shared by both stages, so planning and
 /// execution derive identical effective options from one SolverOptions.
@@ -45,6 +70,7 @@ StatusOr<PlannedCExtension> PlanCExtension(
     const std::vector<DenialConstraint>& dcs, const SolverOptions& options) {
   Stopwatch total_watch;
   CEXTEND_RETURN_IF_ERROR(names.Validate(r1, r2));
+  CEXTEND_RETURN_IF_ERROR(CheckDcColumns(dcs, names));
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
   CEXTEND_ASSIGN_OR_RETURN(Table v_join, MakeJoinView(r1, r2, names));
 
@@ -84,7 +110,8 @@ StatusOr<PlannedCExtension> PlanCExtension(
 
   return PlannedCExtension{std::move(plan), std::move(v_join), stats,
                            plan_watch.ElapsedSeconds(),
-                           std::move(phase1.combos)};
+                           std::move(phase1.combos),
+                           std::move(phase1.dc_classes)};
 }
 
 StatusOr<Solution> ExecuteCExtensionPlan(
@@ -99,7 +126,8 @@ StatusOr<Solution> ExecuteCExtensionPlan(
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
       PreparePlan(planned.plan, planned.v_join, r2, names, dcs,
-                  planned.combos ? &*planned.combos : nullptr));
+                  planned.combos ? &*planned.combos : nullptr,
+                  planned.dc_classes ? &*planned.dc_classes : nullptr));
   TableSink table_sink(r1, r2, names);
   TeeSink tee_sink(&table_sink, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&tee_sink)
@@ -124,7 +152,8 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
       PreparePlan(planned.plan, planned.v_join, r2, names, dcs,
-                  planned.combos ? &*planned.combos : nullptr));
+                  planned.combos ? &*planned.combos : nullptr,
+                  planned.dc_classes ? &*planned.dc_classes : nullptr));
   TableSink table_sink(r1, r2, names);
   CEXTEND_ASSIGN_OR_RETURN(
       Phase2Stats phase2_stats,

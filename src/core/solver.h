@@ -54,14 +54,18 @@ struct PlannedCExtension {
   Table v_join;
   SolveStats stats;            ///< phase-1 + planning portion
   double plan_build_seconds;   ///< folded into phase2_seconds at execution
-  /// Phase 1's combo index over R2, handed to PreparePlan so one solve
-  /// builds it once; empty for a plan loaded in a fresh process.
+  /// Phase 1's combo index over R2 and DC classification of the join view,
+  /// handed to PreparePlan so one solve builds each once; empty for a plan
+  /// loaded in a fresh process.
   std::optional<ComboIndex> combos = std::nullopt;
+  std::optional<DcRowClasses> dc_classes = std::nullopt;
 };
 
 /// Stage 1 of the plan-then-stream split (see src/core/README.md "Streaming
 /// & sharding"): binning + phase-1 fills + repair combo selection, frozen
 /// into a SynthesisPlan. Runs no coloring and allocates no output tables.
+/// Fails with kInvalidArgument, before phase 1, when a DC reads a column
+/// other than R1's key and A columns (a B column or the FK).
 StatusOr<PlannedCExtension> PlanCExtension(
     const Table& r1, const Table& r2, const PairSchema& names,
     const std::vector<CardinalityConstraint>& ccs,

@@ -7,7 +7,6 @@
 #include "ilp/revised_simplex.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace cextend {
 namespace ilp {
@@ -98,7 +97,6 @@ int MostFractional(const Model& model, const std::vector<double>& x,
 
 IlpResult SolveIlp(const Model& model, const IlpOptions& options) {
   IlpResult result;
-  Stopwatch watch;
   size_t n = model.num_variables();
 
   // One compiled instance serves every node (the CSC matrix never changes;
@@ -128,8 +126,7 @@ IlpResult SolveIlp(const Model& model, const IlpOptions& options) {
   };
 
   while (!queue.empty()) {
-    if (result.nodes >= options.max_nodes ||
-        watch.ElapsedSeconds() > options.time_limit_seconds) {
+    if (result.nodes >= options.max_nodes) {
       budget_hit = true;
       break;
     }

@@ -38,13 +38,12 @@ struct IlpResult {
   int64_t cold_fallbacks = 0;
   /// Non-OK when the search stopped because the RunControl tripped (deadline
   /// expired / cancelled); `status` then reflects whatever incumbent was on
-  /// hand, exactly as on a node/time budget stop.
+  /// hand, exactly as on a node budget stop.
   Status interrupt;
 };
 
 struct IlpOptions {
   int64_t max_nodes = 2000;
-  double time_limit_seconds = 120.0;
   /// Stop as soon as an incumbent with objective <= target is found
   /// (phase-I slack models use 0: a zero-slack solution is perfect).
   std::optional<double> objective_target;

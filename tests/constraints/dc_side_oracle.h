@@ -2,19 +2,21 @@
 // record per unary atom (`t_i.A ∘ c`) and its own operator switch. The
 // library binds each tuple variable's unary atoms as one BoundPredicate
 // instead (constraints/denial_constraint.h); dc_side_oracle_test checks it
-// against this on census and seeded random DCs.
+// against this on census and seeded random DCs, and dc_row_classes_test
+// checks the join view's DC classification (core/conflict.h) against it.
 
 #ifndef CEXTEND_TESTS_CONSTRAINTS_DC_SIDE_ORACLE_H_
 #define CEXTEND_TESTS_CONSTRAINTS_DC_SIDE_ORACLE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "constraints/denial_constraint.h"
 #include "relational/table.h"
+#include "util/logging.h"
+#include "util/rng.h"
 #include "util/statusor.h"
 
 namespace cextend {
@@ -212,34 +214,79 @@ inline std::vector<size_t> ReadColumns(const OracleDc& dc) {
   return cols;
 }
 
-inline bool MayHoldOnOneRow(const OracleDc& dc) {
-  auto admitted = [](const BoundUnary& a) {
-    return a.op == CompareOp::kIn ? a.rhs_set : std::vector<int64_t>{a.rhs};
+// ---- Seeded random DCs, shared by the tests that check against this. ----
+
+/// A table with two string columns on separate dictionaries, two integer
+/// columns and a few percent NULL cells in each.
+inline Table RandomTable(Rng& rng) {
+  Schema schema{{"Age", DataType::kInt64},
+                {"Rel", DataType::kString},
+                {"MultiLing", DataType::kInt64},
+                {"Area", DataType::kString}};
+  Table t{schema};
+  const char* rels[] = {"Owner", "Spouse", "Child", "Grandchild"};
+  const char* areas[] = {"Chicago", "Boston", "Owner"};
+  auto maybe_null = [&](Value v) {
+    return rng.Bernoulli(0.06) ? Value::Null() : v;
   };
-  auto is_membership = [](const BoundUnary& a) {
-    return a.op == CompareOp::kEq || a.op == CompareOp::kIn;
+  for (int i = 0; i < 160; ++i) {
+    CEXTEND_CHECK(t.AppendRow({maybe_null(Value(rng.UniformInt(0, 90))),
+                               maybe_null(Value(rels[rng.UniformInt(0, 3)])),
+                               maybe_null(Value(rng.UniformInt(0, 1))),
+                               maybe_null(Value(areas[rng.UniformInt(0, 2)]))})
+                      .ok());
+  }
+  return t;
+}
+
+/// One random atom over `arity` tuple variables. Constants include absent
+/// strings, NULL, and constants of the other column's type; columns
+/// include an unknown one; tuple variables stray out of range now and then.
+inline void AddRandomAtom(Rng& rng, int arity, DenialConstraint& dc) {
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const char* kColumns[] = {"Age", "Rel", "MultiLing", "Area"};
+  auto var = [&] {
+    return rng.Bernoulli(0.02) ? (rng.Bernoulli(0.5) ? -1 : arity)
+                               : static_cast<int>(rng.UniformInt(0, arity - 1));
   };
-  for (size_t i = 0; i < dc.unary.size(); ++i) {
-    const BoundUnary& a = dc.unary[i];
-    if (a.never_matches) return false;
-    if (!is_membership(a)) continue;
-    std::vector<int64_t> a_codes = admitted(a);
-    for (size_t j = i + 1; j < dc.unary.size(); ++j) {
-      const BoundUnary& b = dc.unary[j];
-      if (b.col != a.col || !is_membership(b)) continue;
-      std::vector<int64_t> b_codes = admitted(b);
-      std::vector<int64_t> common;
-      std::set_intersection(a_codes.begin(), a_codes.end(), b_codes.begin(),
-                            b_codes.end(), std::back_inserter(common));
-      if (common.empty()) return false;
+  auto column = [&] {
+    return rng.Bernoulli(0.01) ? std::string("Nope")
+                               : std::string(kColumns[rng.UniformInt(0, 3)]);
+  };
+  auto op = [&] {
+    // Mostly =/!=, so string columns bind more often than they fail.
+    return rng.Bernoulli(0.6) ? kOps[rng.UniformInt(0, 1)]
+                              : kOps[rng.UniformInt(0, 5)];
+  };
+  auto constant = [&](const std::string& col) {
+    const bool is_string = col == "Rel" || col == "Area";
+    if (rng.Bernoulli(0.03)) return Value::Null();
+    if (rng.Bernoulli(0.05)) {  // the other type
+      return is_string ? Value(rng.UniformInt(0, 90)) : Value("x");
     }
+    if (!is_string) return Value(rng.UniformInt(-5, 95));
+    const char* kStrings[] = {"Owner", "Spouse", "Child", "Chicago",
+                              "Boston", "Martian"};
+    return Value(kStrings[rng.UniformInt(0, 5)]);
+  };
+  if (rng.Bernoulli(0.25)) {
+    std::string lhs = column();
+    std::string rhs = rng.Bernoulli(0.7) ? lhs : column();
+    dc.Binary(var(), lhs, op(), var(), rhs,
+              rng.Bernoulli(0.6) ? 0 : rng.UniformInt(-20, 20));
+    return;
   }
-  for (const BoundDenialConstraint::CrossAtom& a : dc.binary) {
-    if (a.lhs_col == a.rhs_col && !OracleCompare(0, a.op, a.offset)) {
-      return false;
+  std::string col = column();
+  if (rng.Bernoulli(0.25)) {
+    std::vector<Value> values;
+    for (int64_t k = rng.UniformInt(0, 3); k > 0; --k) {
+      values.push_back(constant(col));
     }
+    dc.UnaryIn(var(), col, std::move(values));
+    return;
   }
-  return true;
+  dc.Unary(var(), col, op(), constant(col));
 }
 
 }  // namespace dc_side_oracle

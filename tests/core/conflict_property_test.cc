@@ -213,13 +213,14 @@ TEST_P(ConflictPropertyTest, QuotientMatchesNaive) {
   Table t = RandomTable(rng, n);
   auto bound = BindAll(RandomDcs(rng), t);
   ASSERT_TRUE(bound.ok()) << bound.status();
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
 
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(0.9)) rows.push_back(i);  // non-contiguous partitions
   }
 
-  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto indexed = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(naive.ok()) << naive.status();
@@ -250,12 +251,13 @@ TEST_P(ConflictPropertyTest, ManyProductDcsMatchNaive) {
   for (DenialConstraint& dc : RandomDcs(rng)) dcs.push_back(std::move(dc));
   auto bound = BindAll(dcs, t);
   ASSERT_TRUE(bound.ok()) << bound.status();
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(0.9)) rows.push_back(i);
   }
 
-  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto indexed = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   EXPECT_GT(indexed->num_materialized_pairs(), 0u);
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
@@ -269,15 +271,16 @@ TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {
   Table t = RandomTable(rng, n);
   auto bound = BindAll(RandomDcs(rng), t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(n);
   for (uint32_t i = 0; i < n; ++i) rows[i] = i;
 
   // A pair budget of 1 forces the naive fallback.
   ConflictOracleOptions tiny;
   tiny.max_materialized_pairs = 1;
-  auto fallback = BuildPartitionOracle(t, bound.value(), rows, tiny);
+  auto fallback = BuildPartitionOracle(t, classes, rows, tiny);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
-  auto indexed = BuildPartitionOracle(t, bound.value(), rows);
+  auto indexed = BuildPartitionOracle(t, classes, rows);
   ASSERT_TRUE(indexed.ok());
   for (size_t u = 0; u < n; ++u) {
     EXPECT_EQ((*fallback)->Degree(u), (*indexed)->Degree(u));
@@ -344,11 +347,12 @@ TEST_P(ConflictPropertyTest, QuotientColoringMatchesGeneric) {
   Table t = RandomTable(rng, n);
   auto bound = BindAll(RandomDcs(rng), t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < n; ++i) {
     if (rng.Bernoulli(0.9)) rows.push_back(i);
   }
-  auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto oracle = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
 
   // Short lists, with duplicate values: the bucket rows.
@@ -414,9 +418,10 @@ TEST_P(ConflictPropertyTest, NearUniqueCrossColumnMatchesNaive) {
   }
   auto bound = BindAll(dcs, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(n);
   for (uint32_t i = 0; i < n; ++i) rows[i] = i;
-  auto quotient = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto quotient = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(quotient.ok()) << quotient.status();
   EXPECT_GT(quotient->num_buckets(), n * 3 / 4);
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
@@ -451,10 +456,11 @@ TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
   dc.Binary(0, "Age", CompareOp::kLt, 1, "Age", -1000);
   auto bound = BindAll({dc}, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(n);
   for (uint32_t i = 0; i < n; ++i) rows[i] = i;
 
-  auto full = BuildPartitionOracle(t, bound.value(), rows);
+  auto full = BuildPartitionOracle(t, classes, rows);
   ASSERT_TRUE(full.ok()) << full.status();
   auto* indexed = dynamic_cast<PartitionConflictOracle*>(full->get());
   ASSERT_NE(indexed, nullptr);
@@ -463,7 +469,7 @@ TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
   // The pool holds one entry per side-1 bucket (one per distinct Age here).
   ConflictOracleOptions tiny;
   tiny.max_materialized_pairs = indexed->num_buckets();  // < pool, > 0 pairs
-  auto fallback = BuildPartitionOracle(t, bound.value(), rows, tiny);
+  auto fallback = BuildPartitionOracle(t, classes, rows, tiny);
   ASSERT_TRUE(fallback.ok()) << fallback.status();
   EXPECT_EQ(dynamic_cast<PartitionConflictOracle*>(fallback->get()), nullptr)
       << "tiny budget must reject the flat pool and fall back to naive";
@@ -495,13 +501,14 @@ TEST(QuotientCliqueTest, CliquePartitionIsOneBucket) {
   dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
   auto bound = BindAll({dc}, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(n);
   for (uint32_t i = 0; i < n; ++i) rows[i] = i;
 
   ConflictOracleOptions tiny;
   tiny.max_materialized_pairs = 1000;  // << n(n-1)/2
   BuildOracleInfo info;
-  auto oracle = BuildPartitionOracle(t, bound.value(), rows, tiny, &info);
+  auto oracle = BuildPartitionOracle(t, classes, rows, tiny, &info);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   auto* indexed = dynamic_cast<PartitionConflictOracle*>(oracle->get());
   ASSERT_NE(indexed, nullptr) << "clique DC fell back to the naive oracle";
@@ -559,9 +566,10 @@ TEST(QuotientCliqueTest, MixedProductAndCrossDcsStaySimpleGraph) {
   }
   auto bound = BindAll(dcs, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(64);
   for (uint32_t i = 0; i < 64; ++i) rows[i] = i;
-  auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto indexed = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   // Buckets: (signature, G when same-group's sides hold), at most
   // 4 Rel classes x 2 ML values x 6 G codes (NULL included).
@@ -592,9 +600,10 @@ TEST(QuotientCliqueTest, SelfAdjacentBucketsMatchNaive) {
   dc.Binary(0, "Age", CompareOp::kLe, 1, "Age", 5);
   auto bound = BindAll({dc}, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows(120);
   for (uint32_t i = 0; i < 120; ++i) rows[i] = i;
-  auto quotient = PartitionConflictOracle::Build(t, bound.value(), rows);
+  auto quotient = PartitionConflictOracle::Build(t, classes, rows);
   ASSERT_TRUE(quotient.ok()) << quotient.status();
   const QuotientGraph::Level& buckets = quotient->quotient().buckets();
   EXPECT_LE(buckets.size(), 63u);  // 3 G values x 21 ages
@@ -619,8 +628,9 @@ TEST(ConflictPropertyFixtureTest, PaperExampleChicagoPartitionMatches) {
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(v.value(), bound.value());
   std::vector<uint32_t> rows = {0, 1, 2, 3, 4, 5, 6};
-  auto indexed = PartitionConflictOracle::Build(v.value(), bound.value(), rows);
+  auto indexed = PartitionConflictOracle::Build(v.value(), classes, rows);
   auto naive = NaiveConflictOracle::Build(v.value(), bound.value(), rows);
   ASSERT_TRUE(indexed.ok());
   ASSERT_TRUE(naive.ok());

@@ -29,7 +29,8 @@ TEST(ConflictOracleTernaryTest, HyperedgesPerClause) {
   Table t = ClauseTable({7, 7, 7, 9, 9, 9});
   auto bound = BindAll({TernaryClauseDc()}, t);
   ASSERT_TRUE(bound.ok());
-  auto oracle = PartitionConflictOracle::Build(t, bound.value(),
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
+  auto oracle = PartitionConflictOracle::Build(t, classes,
                                                {0, 1, 2, 3, 4, 5});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   // Each vertex sits in exactly one hyperedge.
@@ -57,7 +58,8 @@ TEST(ConflictOracleTernaryTest, ColoringRespectsHyperedges) {
   Table t = ClauseTable({7, 7, 7});
   auto bound = BindAll({TernaryClauseDc()}, t);
   ASSERT_TRUE(bound.ok());
-  auto oracle = PartitionConflictOracle::Build(t, bound.value(), {0, 1, 2});
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
+  auto oracle = PartitionConflictOracle::Build(t, classes, {0, 1, 2});
   ASSERT_TRUE(oracle.ok());
   ListColoringResult r = GreedyListColoring(*oracle, {}, {0, 1});
   EXPECT_TRUE(r.skipped.empty());
@@ -71,15 +73,16 @@ TEST(ConflictOracleTernaryTest, CandidateCapIsEnforced) {
   Table t = ClauseTable(cls);
   auto bound = BindAll({TernaryClauseDc()}, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < 60; ++i) rows.push_back(i);
   ConflictOracleOptions options;
   options.max_hyperedge_candidates = 1000;
-  auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows, options);
+  auto oracle = PartitionConflictOracle::Build(t, classes, rows, options);
   EXPECT_FALSE(oracle.ok());
   EXPECT_EQ(oracle.status().code(), StatusCode::kResourceExhausted);
   // The factory propagates the hyperedge-cap error instead of falling back.
-  auto via_factory = BuildPartitionOracle(t, bound.value(), rows, options);
+  auto via_factory = BuildPartitionOracle(t, classes, rows, options);
   EXPECT_FALSE(via_factory.ok());
   EXPECT_EQ(via_factory.status().code(), StatusCode::kResourceExhausted);
 }
@@ -92,8 +95,9 @@ TEST(ConflictOracleTest, MixedBinaryAndTernary) {
   binary.Unary(1, "Cls", CompareOp::kEq, Value(int64_t{9}));
   auto bound = BindAll({TernaryClauseDc(), binary}, t);
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
   auto oracle =
-      PartitionConflictOracle::Build(t, bound.value(), {0, 1, 2, 3, 4});
+      PartitionConflictOracle::Build(t, classes, {0, 1, 2, 3, 4});
   ASSERT_TRUE(oracle.ok());
   EXPECT_TRUE(oracle->PairConflicts(3, 4));   // binary
   EXPECT_FALSE(oracle->PairConflicts(0, 1));  // ternary only
@@ -108,10 +112,11 @@ TEST(ConflictOracleTest, EmptyAndSingletonPartitions) {
   Table t = ClauseTable({1});
   auto bound = BindAll({TernaryClauseDc()}, t);
   ASSERT_TRUE(bound.ok());
-  auto empty = PartitionConflictOracle::Build(t, bound.value(), {});
+  const DcRowClasses classes = DcRowClasses::Build(t, bound.value());
+  auto empty = PartitionConflictOracle::Build(t, classes, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->NumVertices(), 0u);
-  auto one = PartitionConflictOracle::Build(t, bound.value(), {0});
+  auto one = PartitionConflictOracle::Build(t, classes, {0});
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(one->Degree(0), 0);
   EXPECT_EQ(one->CountEdges(), 0u);
@@ -121,7 +126,7 @@ TEST(ConflictOracleTest, EmptyAndSingletonPartitions) {
 
 struct RepairInstance {
   Table table;
-  std::vector<BoundDenialConstraint> dcs;
+  DcRowClasses classes;
 };
 
 /// Household-shaped rows under a clique, an ordering and one `arity`-ary
@@ -157,7 +162,8 @@ RepairInstance MakeRepairInstance(size_t n, int arity) {
   dcs.push_back(std::move(children));
   auto bound = BindAll(dcs, t);
   CEXTEND_CHECK(bound.ok());
-  return RepairInstance{std::move(t), std::move(bound).value()};
+  DcRowClasses classes = DcRowClasses::Build(t, std::move(bound).value());
+  return RepairInstance{std::move(t), std::move(classes)};
 }
 
 /// Rows 0..colored+group of `instance`, the first `colored` in round-robin
@@ -174,7 +180,7 @@ StatusOr<RepairAssignment> Repair(const RepairInstance& instance,
   }
   std::vector<int64_t> keys;
   for (int64_t k = 0; k < num_keys; ++k) keys.push_back(k);
-  return AssignRepairKeys(instance.table, instance.dcs, rows, colored_keys,
+  return AssignRepairKeys(instance.table, instance.classes, rows, colored_keys,
                           keys, probe, options);
 }
 

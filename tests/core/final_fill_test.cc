@@ -248,8 +248,12 @@ Table ExpectFillMatchesReference(const Table& r1, const Table& r2,
   FinalFillStats ref_stats;
   auto matches = MatchCcs(*fast.binning, *fast.combos, r2, ccs);
   CEXTEND_CHECK(matches.ok()) << matches.status().ToString();
+  auto bound = BindAll(dcs, *fast.v_join);
+  CEXTEND_CHECK(bound.ok()) << bound.status().ToString();
+  const DcRowClasses dc_classes =
+      DcRowClasses::Build(*fast.v_join, std::move(bound).value());
   auto got = CompleteLeftoverRows(*fast.state, *fast.combos, ccs, *matches,
-                                  dcs, LeftoverMode::kAvoidCcs, rng,
+                                  dc_classes, LeftoverMode::kAvoidCcs, rng,
                                   &fast_stats);
   auto want = ReferenceCompleteLeftoverRows(*ref.state, *ref.combos, r2, ccs,
                                             dcs, &ref_stats);

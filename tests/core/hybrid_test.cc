@@ -132,5 +132,25 @@ TEST(HybridTest, EmptyCcSetStillFillsRows) {
   }
 }
 
+// Phase I binds every DC once, for the final fill and for phase II's oracle
+// builds: a DC that does not bind fails the run instead of being skipped.
+TEST(HybridTest, UnbindableDcFailsPhase1) {
+  PaperExample ex = MakePaperExample();
+  auto v = MakeJoinView(ex.persons, ex.housing, ex.names);
+  ASSERT_TRUE(v.ok());
+  Table v_join = std::move(v).value();
+  std::vector<DenialConstraint> dcs = ex.dcs;
+  DenialConstraint ordered_string(2, "ordered-string");
+  ordered_string.Unary(0, "Rel", CompareOp::kLt, Value("Owner"));
+  dcs.push_back(std::move(ordered_string));
+  auto result =
+      RunHybridPhase1(v_join, ex.housing, ex.names, ex.ccs, dcs, {});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("ordered-string"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 }  // namespace
 }  // namespace cextend

@@ -49,8 +49,9 @@ class HasseFixture {
   StatusOr<std::vector<uint32_t>> Finish(Rng& rng, FinalFillStats* stats) {
     CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
                              MatchCcs(*binning_, *combos_, r2_, ccs_));
-    return CompleteLeftoverRows(*state_, *combos_, ccs_, matches, /*dcs=*/{},
-                                LeftoverMode::kAvoidCcs, rng, stats);
+    return CompleteLeftoverRows(*state_, *combos_, ccs_, matches,
+                                /*dc_classes=*/{}, LeftoverMode::kAvoidCcs,
+                                rng, stats);
   }
 
   Table& v_join() { return *v_join_; }

@@ -62,7 +62,7 @@ void ExpectRepairMatchesRebuiltOracle(const PreparedPlan& prepared,
     const size_t num_colored = rows.size();
     rows.insert(rows.end(), group.begin(), group.end());
     auto oracle =
-        BuildPartitionOracle(*prepared.v_join, prepared.bound_dcs, rows);
+        BuildPartitionOracle(*prepared.v_join, *prepared.dc_classes, rows);
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
     std::map<int64_t, std::vector<size_t>> bucket;
     for (size_t v = 0; v < num_colored; ++v) {

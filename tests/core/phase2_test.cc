@@ -222,8 +222,9 @@ TEST(ConflictOracleTest, PaperExample53Degrees) {
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());
+  const DcRowClasses classes = DcRowClasses::Build(v.value(), bound.value());
   // Chicago rows: 0..6 (pids 1..7).
-  auto oracle = PartitionConflictOracle::Build(v.value(), bound.value(),
+  auto oracle = PartitionConflictOracle::Build(v.value(), classes,
                                                {0, 1, 2, 3, 4, 5, 6});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   // Owners {0,1,2,3} form a clique (degree >= 3 each).
@@ -255,7 +256,8 @@ TEST(ConflictOracleTest, CountEdgesMatchesPairScan) {
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());
-  auto oracle = PartitionConflictOracle::Build(v.value(), bound.value(),
+  const DcRowClasses classes = DcRowClasses::Build(v.value(), bound.value());
+  auto oracle = PartitionConflictOracle::Build(v.value(), classes,
                                                {0, 1, 2, 3, 4, 5, 6});
   ASSERT_TRUE(oracle.ok());
   size_t manual = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/baseline.h"
 #include "test_util.h"
 
 namespace cextend {
@@ -89,6 +90,37 @@ TEST(SolverTest, ValidatesSchema) {
   bad.fk = "wrong";
   EXPECT_FALSE(
       SolveCExtension(ex.persons, ex.housing, bad, ex.ccs, ex.dcs, {}).ok());
+}
+
+// A DC may read only R1's key and A columns: one on a B column (Area) or the
+// FK (hid) is refused before phase 1, naming the DC and the column, by the
+// planner and by both baselines.
+TEST(SolverTest, RejectsDcReadingBOrFkColumns) {
+  PaperExample ex = MakePaperExample();
+  for (const char* column : {"Area", "hid"}) {
+    std::vector<DenialConstraint> dcs = ex.dcs;
+    DenialConstraint dc(2, std::string("reads-") + column);
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Binary(0, column, CompareOp::kEq, 1, column);
+    dcs.push_back(std::move(dc));
+    std::vector<Status> statuses = {
+        PlanCExtension(ex.persons, ex.housing, ex.names, ex.ccs, dcs).status(),
+        SolveBaseline(ex.persons, ex.housing, ex.names, ex.ccs, dcs,
+                      BaselineKind::kPlain)
+            .status(),
+        SolveBaseline(ex.persons, ex.housing, ex.names, ex.ccs, dcs,
+                      BaselineKind::kWithMarginals)
+            .status()};
+    for (const Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << column;
+      EXPECT_NE(status.message().find(std::string("reads-") + column),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(std::string("column ") + column),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -193,11 +193,10 @@ TEST(ConstraintFuzzSmoke, RandomSpecsSolveCleanOrFailClean) {
     }
     SolverOptions options;
     options.seed = spec_seed;
-    // Random intersecting CC systems can branch heavily; a tight search
+    // Random intersecting CC systems can branch heavily; a tight node
     // budget keeps the sweep fast. CC optimality is not asserted here —
     // only DC cleanliness and the join identity, which hold regardless.
     options.phase1.ilp.ilp.max_nodes = 200;
-    options.phase1.ilp.ilp.time_limit_seconds = 2.0;
     auto solution = SolveCExtension(data->persons, data->housing, names,
                                     spec->ccs, spec->dcs, options);
     if (!solution.ok()) {

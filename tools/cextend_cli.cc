@@ -82,6 +82,8 @@ struct CliArgs {
 SolverOptions OptionsForAttempt(const CliArgs& args) {
   SolverOptions options;
   options.seed = args.seed;
+  // Both phases write the same bytes at any thread count.
+  options.phase1.ilp.num_threads = args.threads;
   options.phase2.num_threads = args.threads;
   options.phase2.num_shards = args.shards;
   options.phase2.max_resident_shards = args.max_resident_shards;
