@@ -408,13 +408,15 @@ void RunRepairCombo(benchmark::State& state, size_t colored, size_t group,
     auto assigned =
         AssignRepairKeys(f.table, f.classes, rows, colored_keys, keys, probe);
     CEXTEND_CHECK(assigned.ok());
-    benchmark::DoNotOptimize(assigned->keys.data());
+    benchmark::DoNotOptimize(assigned->data());
   }
   // Which side the production size rule takes on this combo.
-  auto by_size =
-      AssignRepairKeys(f.table, f.classes, rows, colored_keys, keys);
-  CEXTEND_CHECK(by_size.ok());
-  state.counters["size_rule_oracle"] = by_size->used_oracle ? 1 : 0;
+  Phase2Stats by_size;
+  CEXTEND_CHECK(AssignRepairKeys(f.table, f.classes, rows, colored_keys, keys,
+                                 RepairProbe::kBySize, {}, &by_size)
+                    .ok());
+  state.counters["size_rule_oracle"] =
+      static_cast<double>(by_size.oracle_repair_combos);
 }
 
 void BM_InvalidRepairGroupScan(benchmark::State& state) {

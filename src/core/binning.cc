@@ -6,7 +6,6 @@
 #include "relational/attr_set.h"
 #include "util/code_interner.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace cextend {
 namespace {
@@ -25,12 +24,12 @@ StatusOr<Binning> Binning::Create(
     const std::vector<CardinalityConstraint>& ccs) {
   Binning b;
   b.table_ = &table;
-  b.a_columns_ = a_columns;
+  std::vector<size_t> a_col_idx;
   for (const std::string& a : a_columns) {
     auto idx = table.schema().IndexOf(a);
     if (!idx.has_value())
       return Status::InvalidArgument("binning column not found: " + a);
-    b.a_col_idx_.push_back(*idx);
+    a_col_idx.push_back(*idx);
   }
 
   // Gather interval endpoints per integer attribute from the CCs' R1
@@ -62,12 +61,7 @@ StatusOr<Binning> Binning::Create(
     std::sort(cuts.begin(), cuts.end());
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
   }
-  b.cuts_ = cut_builder;
-  b.column_cuts_.resize(a_columns.size());
-  for (size_t i = 0; i < a_columns.size(); ++i) {
-    auto it = cut_builder.find(a_columns[i]);
-    if (it != cut_builder.end()) b.column_cuts_[i] = it->second;
-  }
+  b.cuts_ = std::move(cut_builder);
 
   // Bind irregular CC conditions once for the match-bit refinement.
   std::vector<BoundPredicate> irregular_preds;
@@ -89,12 +83,13 @@ StatusOr<Binning> Binning::Create(
   constexpr uint64_t kMaxLookupRange = uint64_t{1} << 20;
   const size_t num_rows = table.NumRows();
   std::vector<KeyColumn> key_columns;
-  for (size_t i = 0; i < b.a_col_idx_.size(); ++i) {
-    const size_t col = b.a_col_idx_[i];
+  for (size_t i = 0; i < a_col_idx.size(); ++i) {
+    const size_t col = a_col_idx[i];
     KeyColumn kc{table.ColumnCodes(col).data(), nullptr, 0, {}};
-    if (!b.column_cuts_[i].empty() &&
+    const auto cuts = b.cuts_.find(a_columns[i]);
+    if (cuts != b.cuts_.end() && !cuts->second.empty() &&
         table.schema().column(col).type == DataType::kInt64) {
-      kc.cuts = &b.column_cuts_[i];
+      kc.cuts = &cuts->second;
       int64_t lo = std::numeric_limits<int64_t>::max();
       int64_t hi = std::numeric_limits<int64_t>::min();
       for (size_t r = 0; r < num_rows; ++r) {
@@ -146,32 +141,6 @@ StatusOr<Binning> Binning::Create(
     b.rows_[bin].push_back(static_cast<uint32_t>(r));
   }
   return b;
-}
-
-StatusOr<Predicate> Binning::BinCondition(size_t bin) const {
-  if (bin >= rows_.size())
-    return Status::InvalidArgument("bin out of range");
-  uint32_t rep = representative(bin);
-  Predicate pred;
-  for (size_t i = 0; i < a_col_idx_.size(); ++i) {
-    size_t col = a_col_idx_[i];
-    int64_t code = table_->GetCode(rep, col);
-    if (code == kNullCode) continue;  // NULL cells match nothing; skip
-    if (!column_cuts_[i].empty() &&
-        table_->schema().column(col).type == DataType::kInt64) {
-      const std::vector<int64_t>& cuts = column_cuts_[i];
-      int64_t idx = IntervalIndex(cuts, code);
-      int64_t lo = idx == 0 ? std::numeric_limits<int64_t>::min() + 1
-                            : cuts[static_cast<size_t>(idx - 1)];
-      int64_t hi = idx == static_cast<int64_t>(cuts.size())
-                       ? std::numeric_limits<int64_t>::max() - 1
-                       : cuts[static_cast<size_t>(idx)] - 1;
-      pred.Between(a_columns_[i], lo, hi);
-    } else {
-      pred.Eq(a_columns_[i], table_->GetValue(rep, col));
-    }
-  }
-  return pred;
 }
 
 }  // namespace cextend

@@ -7,7 +7,9 @@
 // optionally refined by per-CC match bits when a CC's condition is not
 // interval-representable (e.g. != on an integer) — this keeps the invariant
 // "every CC selection is a union of bins" exact in all cases.
-// Bin counts are exactly the paper's all-way marginals over A1..Ap.
+// Bin counts are exactly the paper's all-way marginals over A1..Ap; the ILP
+// takes them from count(), and tests/core/marginals_oracle.h renders them as
+// explicit CCs with one reconstructed R1 condition per bin.
 
 #ifndef CEXTEND_CORE_BINNING_H_
 #define CEXTEND_CORE_BINNING_H_
@@ -50,20 +52,12 @@ class Binning {
     return cuts_;
   }
 
-  /// Reconstructs a conjunctive R1 condition describing bin `bin`: equality
-  /// on categorical columns, Between on intervalized ones. Used to render the
-  /// all-way marginals as explicit CCs (paper Section 4.1).
-  StatusOr<Predicate> BinCondition(size_t bin) const;
-
   const Table& table() const { return *table_; }
 
  private:
   const Table* table_ = nullptr;
-  std::vector<std::string> a_columns_;
-  std::vector<size_t> a_col_idx_;
-  // Per a-column: cut list if intervalized (empty vector = raw codes).
+  // Cut list per intervalized column; other columns key bins by raw code.
   std::map<std::string, std::vector<int64_t>> cuts_;
-  std::vector<std::vector<int64_t>> column_cuts_;  // parallel to a_col_idx_
   std::vector<uint32_t> bin_of_row_;
   std::vector<std::vector<uint32_t>> rows_;
 };

@@ -822,7 +822,7 @@ bool NaiveConflictOracle::WouldViolate(
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const DcRowClasses& classes,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options,
-    BuildOracleInfo* info) {
+    Phase2Stats* stats) {
   // Hyperedges are enumerated once up front and shared: a cap failure here
   // is terminal (the naive oracle would hit the identical cap), and a
   // later kResourceExhausted from the quotient build can only mean the pair
@@ -837,9 +837,9 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     StatusOr<PartitionConflictOracle> quotient =
         PartitionConflictOracle::Build(table, classes, rows, options, higher);
     if (quotient.ok()) {
-      if (info != nullptr) {
-        info->conflict_buckets = quotient.value().num_buckets();
-        info->materialized_pairs = quotient.value().num_materialized_pairs();
+      if (stats != nullptr) {
+        stats->conflict_buckets += quotient.value().num_buckets();
+        stats->materialized_pairs += quotient.value().num_materialized_pairs();
       }
       std::unique_ptr<PartitionOracle> oracle =
           std::make_unique<PartitionConflictOracle>(
@@ -851,7 +851,7 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     }
     // Pair budget exceeded: fall back to the O(n) memory brute-force oracle.
   }
-  if (info != nullptr) info->naive_fallback = true;
+  if (stats != nullptr) ++stats->naive_oracle_fallbacks;
   CEXTEND_ASSIGN_OR_RETURN(
       NaiveConflictOracle naive,
       NaiveConflictOracle::Build(table, classes.dcs, std::move(rows), options,
@@ -913,11 +913,11 @@ bool ScanWouldViolate(const Table& table,
   return false;
 }
 
-StatusOr<RepairAssignment> AssignRepairKeys(
+StatusOr<std::vector<int64_t>> AssignRepairKeys(
     const Table& table, const DcRowClasses& classes,
     const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
     const std::vector<int64_t>& candidate_keys, RepairProbe probe,
-    const ConflictOracleOptions& options) {
+    const ConflictOracleOptions& options, Phase2Stats* stats) {
   const std::vector<BoundDenialConstraint>& dcs = classes.dcs;
   const size_t num_colored = colored_keys.size();
   CEXTEND_CHECK(num_colored <= rows.size());
@@ -966,20 +966,20 @@ StatusOr<RepairAssignment> AssignRepairKeys(
     use_oracle = scan_work > kRepairOracleWorkRatio * build_work;
   }
 
-  RepairAssignment out;
   std::unique_ptr<PartitionOracle> oracle;
   if (use_oracle) {
     StatusOr<std::unique_ptr<PartitionOracle>> built =
-        BuildPartitionOracle(table, classes, rows, options, &out.build);
+        BuildPartitionOracle(table, classes, rows, options, stats);
     if (built.ok()) {
       oracle = std::move(built).value();
-      out.used_oracle = true;
+      if (stats != nullptr) ++stats->oracle_repair_combos;
     } else if (built.status().code() != StatusCode::kResourceExhausted) {
       return built.status();
     }
   }
 
-  out.keys.reserve(group);
+  std::vector<int64_t> keys;
+  keys.reserve(group);
   for (size_t local = num_colored; local < rows.size(); ++local) {
     int64_t chosen = kNoColor;
     for (int64_t key : candidate_keys) {
@@ -993,11 +993,11 @@ StatusOr<RepairAssignment> AssignRepairKeys(
         break;
       }
     }
-    out.keys.push_back(chosen);
+    keys.push_back(chosen);
     // Fresh keys are never candidates, so only candidate buckets grow.
     if (chosen != kNoColor) bucket[chosen].push_back(local);
   }
-  return out;
+  return keys;
 }
 
 }  // namespace cextend

@@ -41,6 +41,10 @@
 //
 // AssignRepairKeys (invalid-tuple repair) answers its key probes either by
 // direct DC scans or through a per-combo oracle, chosen from combo sizes.
+//
+// Both builders report what they did by adding into a nullable Phase2Stats
+// from their caller (naive fallbacks, quotient buckets and pairs, oracle
+// repair combos); the shard executor passes each shard's own stats.
 
 #ifndef CEXTEND_CORE_CONFLICT_H_
 #define CEXTEND_CORE_CONFLICT_H_
@@ -52,6 +56,7 @@
 #include <vector>
 
 #include "constraints/denial_constraint.h"
+#include "core/phase2.h"
 #include "graph/hypergraph.h"
 #include "relational/table.h"
 #include "util/deadline.h"
@@ -106,18 +111,6 @@ struct ConflictOracleOptions {
   /// Deadline/cancellation, checked per DC during hyperedge enumeration and
   /// pair emission, and at every pair-budget charge chunk.
   RunControl run_control;
-};
-
-/// Degradation accounting for one BuildPartitionOracle call, reported
-/// through the optional out-param so phase II can aggregate ladder stats.
-struct BuildOracleInfo {
-  /// The quotient build was abandoned (pair budget / injected fault) and the
-  /// O(n)-memory naive oracle was built instead (quotient→naive rung).
-  bool naive_fallback = false;
-  /// Buckets and deduplicated group and bucket pairs of the quotient (0
-  /// when naive).
-  size_t conflict_buckets = 0;
-  size_t materialized_pairs = 0;
 };
 
 /// ConflictOracle plus the pairwise and set queries phase II needs.
@@ -244,12 +237,14 @@ class NaiveConflictOracle final : public PartitionOracle {
 /// Builds the indexed oracle, falling back to the naive oracle over
 /// `classes.dcs` when the materialized-pair budget is exceeded (or the
 /// `oracle.build` fault fires); the naive oracle points into `classes.dcs`,
-/// so `classes` must outlive the result. `info`, when non-null, receives
-/// degradation accounting for the build.
+/// so `classes` must outlive the result. `stats`, when non-null, is added
+/// into: naive_oracle_fallbacks counts the quotient→naive rung, and a
+/// quotient build adds its buckets (conflict_buckets) and deduplicated group
+/// and bucket pairs (materialized_pairs).
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const DcRowClasses& classes,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},
-    BuildOracleInfo* info = nullptr);
+    Phase2Stats* stats = nullptr);
 
 // ---- Invalid-tuple repair probes (solveInvalidTuples pass 2). ----
 
@@ -267,20 +262,12 @@ bool ScanWouldViolate(const Table& table,
 /// benchmarks and equivalence tests.
 enum class RepairProbe { kBySize, kScan, kOracle };
 
-struct RepairAssignment {
-  /// Per repaired row: the chosen candidate key, or kNoColor when no
-  /// candidate fits and the row needs a fresh key.
-  std::vector<int64_t> keys;
-  /// The probes went through a per-combo oracle (false: direct scans).
-  bool used_oracle = false;
-  BuildOracleInfo build;
-};
-
 /// Key assignment for one repair combo under `classes.dcs`. `rows` holds the
-/// combo's colored partition rows (their keys in `colored_keys`, same order) followed by the
-/// rows to repair. Each repaired row, in order, takes the first of
-/// `candidate_keys` whose same-key bucket — colored rows plus rows repaired
-/// so far — it can join without violating a DC.
+/// combo's colored partition rows (their keys in `colored_keys`, same order)
+/// followed by the rows to repair. Returns, per repaired row in order, the
+/// first of `candidate_keys` whose same-key bucket — colored rows plus rows
+/// repaired so far — it can join without violating a DC, or kNoColor when no
+/// candidate fits and the row needs a fresh key.
 ///
 /// Both conflict sources answer that question identically. kBySize builds a
 /// per-combo oracle over `rows` when the estimated scan work — per k-ary DC,
@@ -289,13 +276,15 @@ struct RepairAssignment {
 /// build work — |rows| plus, per DC of arity >= 3, the product of its
 /// per-variable candidate counts (the hyperedge enumeration) — and scans
 /// otherwise. An oracle build that trips a resource cap falls back to
-/// scans.
-StatusOr<RepairAssignment> AssignRepairKeys(
+/// scans. `stats`, when non-null, is added into: oracle_repair_combos counts
+/// a combo whose probes went through an oracle, and the build adds as in
+/// BuildPartitionOracle.
+StatusOr<std::vector<int64_t>> AssignRepairKeys(
     const Table& table, const DcRowClasses& classes,
     const std::vector<uint32_t>& rows, const std::vector<int64_t>& colored_keys,
     const std::vector<int64_t>& candidate_keys,
     RepairProbe probe = RepairProbe::kBySize,
-    const ConflictOracleOptions& options = {});
+    const ConflictOracleOptions& options = {}, Phase2Stats* stats = nullptr);
 
 /// Crossover of AssignRepairKeys' kBySize rule, from the
 /// InvalidRepairCombo{Scan,Oracle} micro-kernels.

@@ -66,9 +66,10 @@ struct Phase2Stats {
   /// oracle builds (coloring or repair) that fell back to the naive oracle.
   /// The rung preserves bit-identical output.
   size_t naive_oracle_fallbacks = 0;
-  /// Conflict-quotient accounting over the partition colorings: partitions
-  /// colored on the CSR rung (chosen from sizes, not a degradation), and the
-  /// summed buckets and deduplicated bucket pairs of their oracles.
+  /// Conflict-quotient accounting: partitions colored on the CSR rung
+  /// (chosen from sizes, not a degradation), and the summed buckets and
+  /// deduplicated bucket pairs of every quotient oracle phase II built
+  /// (partition colorings and repair combos).
   size_t csr_partitions = 0;
   size_t conflict_buckets = 0;
   size_t materialized_pairs = 0;
@@ -83,6 +84,11 @@ struct Phase2Stats {
   /// (counts the repair stage too), and manifest records fsync'd this run.
   size_t resumed_shards = 0;
   size_t manifest_commits = 0;
+
+  /// Adds `other` in: counters and timings sum, and the two high-water
+  /// marks (max_shards_in_flight, peak_resident_bytes) take the max.
+  void Merge(const Phase2Stats& other);
+  bool operator==(const Phase2Stats&) const = default;
 };
 
 }  // namespace cextend

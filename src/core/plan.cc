@@ -167,9 +167,9 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
     const std::vector<CardinalityConstraint>& ccs,
     const std::vector<uint32_t>& invalid_rows,
     const SynthesisPlanOptions& options, const ComboIndex* r2_combos,
-    PlanBuildTimings* timings) {
-  PlanBuildTimings local_timings;
-  if (timings == nullptr) timings = &local_timings;
+    Phase2Stats* stats) {
+  Phase2Stats local_stats;
+  if (stats == nullptr) stats = &local_stats;
   CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> b_cols,
                            FillState::ResolveBColumns(v_join.schema(), names));
 
@@ -188,7 +188,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
   // the CC conditions — never on coloring — which is what makes it *plan*
   // state: freezing it here fixes the repair grouping before any shard runs.
   {
-    ScopedTimer timer(&timings->selection_seconds);
+    ScopedTimer timer(&stats->invalid_seconds);
     if (!invalid_rows.empty()) {
       ComboIndex built;
       if (r2_combos == nullptr) {
@@ -233,7 +233,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
 
   // ---- Freeze the combo layout and the shard map. ----
   {
-    ScopedTimer timer(&timings->layout_seconds);
+    ScopedTimer timer(&stats->partition_seconds);
     // Every row (valid and repaired) now carries its combo; intern them in
     // first-appearance order. Phase 1 may synthesize combos absent from R2,
     // which is why the plan keeps its own table instead of ComboIndex ids.

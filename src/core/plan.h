@@ -14,6 +14,10 @@
 // identical input tables (dictionaries grow in insertion order), so a plan is
 // valid exactly against the (R1, R2) it was built from; ApplyPlanToJoinView
 // reconstitutes the completed join view in a fresh process from those inputs.
+//
+// Planning is timed as part of phase 2 (Fig. 13's partitioning and invalid
+// tuples): BuildSynthesisPlan adds its two stages into the caller's
+// Phase2Stats, which the executed stats are later merged onto.
 
 #ifndef CEXTEND_CORE_PLAN_H_
 #define CEXTEND_CORE_PLAN_H_
@@ -28,6 +32,7 @@
 #include "constraints/denial_constraint.h"
 #include "core/conflict.h"
 #include "core/join_view.h"
+#include "core/phase2.h"
 #include "relational/table.h"
 #include "util/statusor.h"
 
@@ -69,24 +74,20 @@ struct SynthesisPlan {
   static StatusOr<SynthesisPlan> Deserialize(const std::string& bytes);
 };
 
-/// Extra planning timings, attributed into Phase2Stats by the callers.
-struct PlanBuildTimings {
-  double selection_seconds = 0.0;  ///< repair pass 1 (combo selection)
-  double layout_seconds = 0.0;     ///< combo table + worklist + shard map
-};
-
 /// Freezes the phase-2 plan for a phase-1-completed join view. Runs
 /// solveInvalidTuples pass 1: each row in `invalid_rows` gets its
 /// error-minimizing combo written into `v_join`'s B cells (the only
 /// mutation), exactly as the monolithic phase 2 did. `r2_combos` may pass a
 /// prebuilt ComboIndex over R2 (the planner reuses phase 1's); nullptr
-/// builds one on demand when invalid rows exist.
+/// builds one on demand when invalid rows exist. `stats`, when non-null, is
+/// added into: the combo selection's time goes to invalid_seconds, the combo
+/// table, worklist and shard map's to partition_seconds.
 StatusOr<SynthesisPlan> BuildSynthesisPlan(
     Table& v_join, const Table& r2, const PairSchema& names,
     const std::vector<CardinalityConstraint>& ccs,
     const std::vector<uint32_t>& invalid_rows,
     const SynthesisPlanOptions& options, const ComboIndex* r2_combos = nullptr,
-    PlanBuildTimings* timings = nullptr);
+    Phase2Stats* stats = nullptr);
 
 /// Writes every row's planned combo into `v_join`'s B cells. Used by a fresh
 /// process to reconstitute the completed join view from (R1, R2, plan):

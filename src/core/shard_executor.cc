@@ -99,14 +99,33 @@ Status TableSink::Consume(const ResolvedShard& shard) {
   std::vector<int64_t> codes(r2_hat_.schema().NumColumns());
   for (const ResolvedShard::Block& block : shard.blocks) {
     for (ShardRow r : block.rows) {
-      CEXTEND_CHECK(r.key != kNoColor) << "row " << r.row << " uncolored";
+      if (r.row >= r1_hat_.NumRows() || r.key == kNoColor) {
+        return Status::InvalidArgument(
+            "invalid row record: row " + std::to_string(r.row) + " (R1 has " +
+            std::to_string(r1_hat_.NumRows()) + "), key " +
+            std::to_string(r.key));
+      }
       r1_hat_.SetCode(r.row, fk_col_, r.key);
       ++rows_written_;
     }
     for (const ResolvedShard::NewTuple& t : block.new_tuples) {
+      if (t.combo.size() != b_cols_r2_.size()) {
+        return Status::InvalidArgument(
+            "new tuple " + std::to_string(t.key) + " has " +
+            std::to_string(t.combo.size()) + " B codes, expected " +
+            std::to_string(b_cols_r2_.size()));
+      }
       codes.assign(r2_hat_.schema().NumColumns(), kNullCode);
       codes[k2_col_] = t.key;
       for (size_t i = 0; i < b_cols_r2_.size(); ++i) {
+        const std::shared_ptr<Dictionary>& dict =
+            r2_hat_.dictionary(b_cols_r2_[i]);
+        if (dict != nullptr && t.combo[i] != kNullCode &&
+            (t.combo[i] < 0 || t.combo[i] >= dict->size())) {
+          return Status::InvalidArgument(
+              "new tuple " + std::to_string(t.key) + " has B code " +
+              std::to_string(t.combo[i]) + " outside its dictionary");
+        }
         codes[b_cols_r2_[i]] = t.combo[i];
       }
       r2_hat_.AppendRowCodes(codes);
@@ -235,14 +254,13 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
       out.blocks.push_back(std::move(block));
       continue;
     }
-    BuildOracleInfo build_info;
     CEXTEND_ASSIGN_OR_RETURN(
         std::unique_ptr<PartitionOracle> oracle,
         BuildPartitionOracle(v_join, *prepared.dc_classes, p.rows,
-                             oracle_options, &build_info));
+                             oracle_options, &out.stats));
     ListColoringResult coloring = GreedyListColoring(*oracle, {}, p.candidates);
-    if (coloring.csr_rung) ++out.csr_partitions;
-    size_t skipped_here = coloring.skipped.size();
+    if (coloring.csr_rung) ++out.stats.csr_partitions;
+    out.stats.skipped_vertices += coloring.skipped.size();
     // |s| fresh colors, then color the skipped vertices with them; iterate
     // in the (k-ary) corner case where skips remain.
     while (!coloring.skipped.empty()) {
@@ -254,16 +272,12 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
       CEXTEND_CHECK(next.skipped.size() < coloring.skipped.size())
           << "fresh-color pass must make progress";
       coloring = std::move(next);
-      skipped_here += coloring.skipped.size();
+      out.stats.skipped_vertices += coloring.skipped.size();
     }
     block.rows.resize(p.rows.size());
     for (size_t v = 0; v < p.rows.size(); ++v) {
       block.rows[v] = ShardRow{p.rows[v], coloring.colors[v]};
     }
-    out.skipped_vertices += skipped_here;
-    if (build_info.naive_fallback) ++out.naive_oracle_fallbacks;
-    out.conflict_buckets += build_info.conflict_buckets;
-    out.materialized_pairs += build_info.materialized_pairs;
     out.blocks.push_back(std::move(block));
   }
   return out;
@@ -370,11 +384,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
               st.repair_colors[r.row] = r.key;
             }
           }
-          st.stats.skipped_vertices += retire.skipped_vertices;
-          st.stats.naive_oracle_fallbacks += retire.naive_oracle_fallbacks;
-          st.stats.csr_partitions += retire.csr_partitions;
-          st.stats.conflict_buckets += retire.conflict_buckets;
-          st.stats.materialized_pairs += retire.materialized_pairs;
+          st.stats.Merge(retire.stats);
           ++st.stats.shards_emitted;
           Status consumed = sink->Consume(resolved);
           st.resident_bytes -= st.charged[st.next_retire];
@@ -441,14 +451,12 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       }
       rows.insert(rows.end(), group.begin(), group.end());
       CEXTEND_ASSIGN_OR_RETURN(
-          RepairAssignment assigned,
+          std::vector<int64_t> keys,
           AssignRepairKeys(*prepared.v_join, *prepared.dc_classes, rows,
                            colored_keys, prepared.combos->keys(combo_id),
-                           RepairProbe::kBySize, oracle_options));
-      if (assigned.used_oracle) ++stats.oracle_repair_combos;
-      if (assigned.build.naive_fallback) ++stats.naive_oracle_fallbacks;
+                           RepairProbe::kBySize, oracle_options, &stats));
       for (size_t g = 0; g < group.size(); ++g) {
-        int64_t chosen = assigned.keys[g];
+        int64_t chosen = keys[g];
         if (chosen == kNoColor) {
           chosen = next_key++;
           block.new_tuples.push_back(ResolvedShard::NewTuple{chosen, combo});

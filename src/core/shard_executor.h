@@ -54,12 +54,10 @@ struct ShardOutput {
     bool operator==(const Block&) const = default;
   };
   std::vector<Block> blocks;
-  // Per-shard degradation/ladder accounting, merged at retirement.
-  size_t skipped_vertices = 0;
-  size_t naive_oracle_fallbacks = 0;
-  size_t csr_partitions = 0;
-  size_t conflict_buckets = 0;
-  size_t materialized_pairs = 0;
+  /// What emitting the shard counted (skipped vertices, oracle ladder and
+  /// quotient counters); ExecutePlan merges it into the run's stats when
+  /// the shard retires.
+  Phase2Stats stats;
 
   /// Estimated resident footprint, for the executor's memory accounting.
   size_t ApproxBytes() const;
@@ -105,8 +103,11 @@ class RowSink {
 };
 
 /// In-memory sink for the table-returning API: clones R1/R2 up front,
-/// writes FK cells and appends new R2 tuples as shards retire. Finish
-/// verifies every join view row received a key.
+/// writes FK cells and appends new R2 tuples as shards retire. Consume
+/// returns InvalidArgument, writing nothing past the bad record, for a row
+/// outside R1, an uncolored row, or a tuple whose combo does not have one
+/// valid code per B column (a malformed stream prefix replayed on resume).
+/// Finish verifies every join view row received a key.
 class TableSink : public RowSink {
  public:
   TableSink(const Table& r1, const Table& r2, const PairSchema& names);
@@ -158,9 +159,6 @@ class TextStreamSink : public RowSink {
   Status Begin(const PreparedPlan& prepared) override;
   Status Consume(const ResolvedShard& shard) override;
   Status Finish() override;
-
-  size_t rows_written() const { return rows_written_; }
-  size_t tuples_written() const { return tuples_written_; }
 
  private:
   Status Fail(const char* what);
@@ -221,10 +219,11 @@ struct ExecuteResume {
 /// the only threads phase 2 runs on: the calling thread is one of them
 /// (util/parallel.h), and the repair stage runs serially on it after the
 /// others join. The first shard whose emission fails fails the run.
-/// Timings, ladder counters, and memory high-water marks are returned in the stats. `resume` restarts the run at
-/// resume.first_shard with the checkpointed fresh-key counter and repair
-/// colors; stats then cover only the work actually redone (except
-/// new_r2_tuples, which stays the whole-run total).
+/// Timings, ladder counters, and memory high-water marks are returned in the
+/// stats; each retired shard's ShardOutput::stats is merged in. `resume`
+/// restarts the run at resume.first_shard with the checkpointed fresh-key
+/// counter and repair colors; stats then cover only the work actually redone
+/// (except new_r2_tuples, which stays the whole-run total).
 StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
                                   const Phase2Options& options, RowSink* sink,
                                   const ExecuteResume& resume = {});

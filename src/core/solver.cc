@@ -45,21 +45,18 @@ Phase2Options EffectivePhase2Options(const SolverOptions& options) {
   return phase2;
 }
 
-/// Shared tail of the execution entry points: folds planning timings and the
-/// executed phase-2 stats into the solve record and moves the collected
-/// tables out of the sink.
-Solution FinishSolution(PlannedCExtension&& planned, SolveStats stats,
-                        Phase2Stats phase2_stats, TableSink&& table_sink,
+/// Shared tail of the execution entry points: adds the executed phase 2
+/// onto the planned stats and moves the collected tables out of the sink.
+Solution FinishSolution(PlannedCExtension&& planned,
+                        const Phase2Stats& executed, TableSink&& table_sink,
                         double phase2_elapsed, double total_elapsed) {
-  phase2_stats.partition_seconds += stats.phase2.partition_seconds;
-  phase2_stats.invalid_seconds += stats.phase2.invalid_seconds;
-  stats.phase2 = phase2_stats;
-  stats.phase2_seconds = planned.plan_build_seconds + phase2_elapsed;
+  SolveStats& stats = planned.stats;
+  stats.phase2.Merge(executed);
+  stats.phase2_seconds += phase2_elapsed;
   stats.total_seconds += total_elapsed;
-
   return Solution{std::move(table_sink.r1_hat()),
                   std::move(table_sink.r2_hat()), std::move(planned.v_join),
-                  stats};
+                  std::move(stats)};
 }
 
 }  // namespace
@@ -88,7 +85,6 @@ StatusOr<PlannedCExtension> PlanCExtension(
       RunHybridPhase1(v_join, r2, names, ccs, dcs, phase1_options));
   stats.phase1 = phase1.stats;
   stats.phase1_seconds = phase1_watch.ElapsedSeconds();
-  stats.invalid_tuples = phase1.invalid_rows.size();
 
   // Freeze the synthesis plan: repair combo selection (writes the invalid
   // rows' B cells), combo layout, shard map. Phase 1's combo index is
@@ -99,17 +95,14 @@ StatusOr<PlannedCExtension> PlanCExtension(
   plan_options.seed = phase2_options.seed;
   plan_options.num_shards = phase2_options.num_shards;
   plan_options.num_threads_hint = phase2_options.num_threads;
-  PlanBuildTimings timings;
   CEXTEND_ASSIGN_OR_RETURN(
       SynthesisPlan plan,
       BuildSynthesisPlan(v_join, r2, names, ccs, phase1.invalid_rows,
-                         plan_options, &phase1.combos, &timings));
-  stats.phase2.partition_seconds += timings.layout_seconds;
-  stats.phase2.invalid_seconds += timings.selection_seconds;
+                         plan_options, &phase1.combos, &stats.phase2));
+  stats.phase2_seconds = plan_watch.ElapsedSeconds();
   stats.total_seconds = total_watch.ElapsedSeconds();
 
   return PlannedCExtension{std::move(plan), std::move(v_join), stats,
-                           plan_watch.ElapsedSeconds(),
                            std::move(phase1.combos),
                            std::move(phase1.dc_classes)};
 }
@@ -119,7 +112,6 @@ StatusOr<Solution> ExecuteCExtensionPlan(
     const PairSchema& names, const std::vector<DenialConstraint>& dcs,
     const SolverOptions& options, RowSink* tee) {
   Stopwatch total_watch;
-  SolveStats stats = planned.stats;
   Phase2Options phase2_options = EffectivePhase2Options(options);
 
   Stopwatch phase2_watch;
@@ -134,8 +126,7 @@ StatusOr<Solution> ExecuteCExtensionPlan(
                                  : static_cast<RowSink*>(&table_sink);
   CEXTEND_ASSIGN_OR_RETURN(Phase2Stats phase2_stats,
                            ExecutePlan(prepared, phase2_options, sink));
-  return FinishSolution(std::move(planned), std::move(stats),
-                        std::move(phase2_stats), std::move(table_sink),
+  return FinishSolution(std::move(planned), phase2_stats, std::move(table_sink),
                         phase2_watch.ElapsedSeconds(),
                         total_watch.ElapsedSeconds());
 }
@@ -145,7 +136,6 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
     const PairSchema& names, const std::vector<DenialConstraint>& dcs,
     const DurableStreamSpec& stream, const SolverOptions& options) {
   Stopwatch total_watch;
-  SolveStats stats = planned.stats;
   Phase2Options phase2_options = EffectivePhase2Options(options);
 
   Stopwatch phase2_watch;
@@ -158,8 +148,7 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
   CEXTEND_ASSIGN_OR_RETURN(
       Phase2Stats phase2_stats,
       ExecutePlanDurable(prepared, phase2_options, stream, &table_sink));
-  return FinishSolution(std::move(planned), std::move(stats),
-                        std::move(phase2_stats), std::move(table_sink),
+  return FinishSolution(std::move(planned), phase2_stats, std::move(table_sink),
                         phase2_watch.ElapsedSeconds(),
                         total_watch.ElapsedSeconds());
 }

@@ -46,14 +46,15 @@ struct Solution {
 
 /// Output of the planning stage: the serializable SynthesisPlan, the
 /// completed join view (phase-1 fills + repair combo selections written into
-/// its B cells), and the phase-1 portion of the run statistics. Hand it to
+/// its B cells), and the run statistics so far. Hand it to
 /// ExecuteCExtensionPlan — with the *same* SolverOptions — to stream the
 /// synthesized database out.
 struct PlannedCExtension {
   SynthesisPlan plan;
   Table v_join;
-  SolveStats stats;            ///< phase-1 + planning portion
-  double plan_build_seconds;   ///< folded into phase2_seconds at execution
+  /// Phase 1, plus the plan stage as phase 2's first part: phase2_seconds
+  /// and phase2.{partition,invalid}_seconds. Execution adds onto these.
+  SolveStats stats;
   /// Phase 1's combo index over R2 and DC classification of the join view,
   /// handed to PreparePlan so one solve builds each once; empty for a plan
   /// loaded in a fresh process.

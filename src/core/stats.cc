@@ -1,8 +1,32 @@
 #include "core/stats.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace cextend {
+
+void Phase2Stats::Merge(const Phase2Stats& other) {
+  partition_seconds += other.partition_seconds;
+  coloring_seconds += other.coloring_seconds;
+  invalid_seconds += other.invalid_seconds;
+  num_partitions += other.num_partitions;
+  skipped_vertices += other.skipped_vertices;
+  new_r2_tuples += other.new_r2_tuples;
+  invalid_rows += other.invalid_rows;
+  oracle_repair_combos += other.oracle_repair_combos;
+  naive_oracle_fallbacks += other.naive_oracle_fallbacks;
+  csr_partitions += other.csr_partitions;
+  conflict_buckets += other.conflict_buckets;
+  materialized_pairs += other.materialized_pairs;
+  shards_emitted += other.shards_emitted;
+  max_shards_in_flight = std::max(max_shards_in_flight,
+                                  other.max_shards_in_flight);
+  peak_resident_bytes = std::max(peak_resident_bytes,
+                                 other.peak_resident_bytes);
+  resumed_shards += other.resumed_shards;
+  manifest_commits += other.manifest_commits;
+}
 
 std::string SolveStats::BreakdownTable() const {
   double total = std::max(total_seconds, 1e-12);
@@ -31,7 +55,7 @@ std::string SolveStats::Summary() const {
       FormatDuration(total_seconds).c_str(),
       FormatDuration(phase1_seconds).c_str(),
       FormatDuration(phase2_seconds).c_str(), phase1.ccs_to_hasse,
-      phase1.ccs_to_ilp, invalid_tuples, phase2.new_r2_tuples,
+      phase1.ccs_to_ilp, phase2.invalid_rows, phase2.new_r2_tuples,
       phase2.skipped_vertices);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,

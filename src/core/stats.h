@@ -1,13 +1,19 @@
 // Aggregated run statistics: the runtime breakdown reported in the paper's
 // Figures 11 and 13 plus solution-quality counters.
 //
+// Each count has one writer: the code that does the work adds into the
+// Phase2Stats its caller passes down (BuildPartitionOracle, AssignRepairKeys,
+// BuildSynthesisPlan), and every larger total is built by
+// Phase2Stats::Merge, never by copying fields one by one.
+//
 // Concurrency contract: these are plain value aggregates with no internal
-// synchronization. Worker threads never write a shared instance directly —
-// the shard executor accumulates its Phase2Stats under ExecState::mu
-// (GUARDED_BY; see src/core/shard_executor.cc) and the merged copy is read
-// only after the pool has joined. Keep it that way: if a new parallel stage
-// needs counters, either merge under an annotated Mutex or use per-thread
-// locals combined at the barrier.
+// synchronization. Worker threads never write a shared instance directly:
+// each shard carries its own Phase2Stats (ShardOutput::stats), filled by the
+// worker that emits it, and the shard executor merges it into the run's
+// stats under ExecState::mu (GUARDED_BY; see src/core/shard_executor.cc) when
+// the shard retires. The merged copy is read only after the pool has joined.
+// Keep it that way: if a new parallel stage needs counters, give each task
+// its own Phase2Stats and merge under an annotated Mutex or at the barrier.
 
 #ifndef CEXTEND_CORE_STATS_H_
 #define CEXTEND_CORE_STATS_H_
@@ -26,7 +32,6 @@ struct SolveStats {
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;
   double total_seconds = 0.0;
-  size_t invalid_tuples = 0;
 
   /// Figure 13-style breakdown table.
   std::string BreakdownTable() const;

@@ -33,6 +33,14 @@ constexpr size_t kBufferSpill = size_t{1} << 16;
 /// Replay hands the sink synthetic shards of at most this many records.
 constexpr size_t kReplayChunkRecords = size_t{1} << 16;
 
+/// Keeps nothing: the sink of a finished run resumed without a tee.
+class DiscardSink : public RowSink {
+ public:
+  Status Consume(const ResolvedShard& /*shard*/) override {
+    return Status::Ok();
+  }
+};
+
 /// The FNV-1a hash of `n` bytes at `data`, xor `salt`, mixed.
 uint64_t Checksum(const char* data, size_t n, uint64_t salt) {
   return MixHash64(0, Fnv1a(kFnv1aBasis, data, n) ^ salt);
@@ -454,9 +462,12 @@ Status ReplayStream(const std::string& stream_path, uint64_t limit,
     const char* p = line.c_str() + 2;
     char* end = nullptr;
     if (line[0] == 'r') {
-      const unsigned long row = std::strtoul(p, &end, 10);
-      const long long key = std::strtoll(end, &end, 10);
-      if (end == p || *end != '\0') {
+      errno = 0;
+      const unsigned long long row = std::strtoull(p, &end, 10);
+      const bool row_fits = end != p && errno == 0 && row <= UINT32_MAX;
+      const char* key_begin = end;
+      const long long key = std::strtoll(key_begin, &end, 10);
+      if (!row_fits || end == key_begin || *end != '\0') {
         return Status::InvalidArgument(stream_path +
                                        ": malformed row record \"" + line +
                                        "\" in committed prefix");
@@ -514,30 +525,6 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
         rp, LoadResumePoint(spec.stream_path, manifest_path, *prepared.plan));
   }
 
-  if (rp.finished) {
-    // The whole run is already durable: trim any garbage past the committed
-    // offsets, rebuild the tee from the stream, re-execute nothing.
-    CEXTEND_ASSIGN_OR_RETURN(
-        std::unique_ptr<DurableFile> data,
-        DurableFile::OpenAt(spec.stream_path, rp.committed_offset));
-    CEXTEND_ASSIGN_OR_RETURN(
-        std::unique_ptr<DurableFile> manifest,
-        DurableFile::OpenAt(manifest_path, rp.manifest_offset));
-    if (tee != nullptr) {
-      CEXTEND_RETURN_IF_ERROR(tee->Begin(prepared));
-      CEXTEND_RETURN_IF_ERROR(
-          ReplayStream(spec.stream_path, rp.committed_offset, tee));
-      CEXTEND_RETURN_IF_ERROR(tee->Finish());
-    }
-    Phase2Stats stats;
-    stats.num_partitions = prepared.partitions.size();
-    stats.invalid_rows = prepared.plan->invalid_rows.size();
-    stats.new_r2_tuples =
-        static_cast<size_t>(rp.next_key - prepared.fresh_base);
-    stats.resumed_shards = num_shards + 1;
-    return stats;
-  }
-
   std::unique_ptr<DurableFile> data;
   std::unique_ptr<DurableFile> manifest;
   const bool resuming = spec.resume && rp.header_committed;
@@ -566,6 +553,10 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
                             resuming ? &rp : nullptr);
   TeeSink teed(&durable, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&teed) : &durable;
+  // A finished run is durable through its trailer: nothing is re-executed
+  // or written, and only the tee, fed the whole stream above, is finished.
+  DiscardSink discard;
+  if (rp.finished) sink = tee != nullptr ? tee : &discard;
 
   ExecuteResume resume;
   resume.first_shard =

@@ -5,20 +5,6 @@
 namespace cextend {
 namespace ilp {
 
-const char* LpStatusToString(LpStatus s) {
-  switch (s) {
-    case LpStatus::kOptimal:
-      return "OPTIMAL";
-    case LpStatus::kInfeasible:
-      return "INFEASIBLE";
-    case LpStatus::kUnbounded:
-      return "UNBOUNDED";
-    case LpStatus::kIterationLimit:
-      return "ITERATION_LIMIT";
-  }
-  return "?";
-}
-
 LpResult SolveLp(const Model& model, const RunControl& run_control,
                  const std::vector<double>& extra_lower,
                  const std::vector<double>& extra_upper) {

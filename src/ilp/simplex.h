@@ -25,8 +25,6 @@ enum class LpStatus {
   kIterationLimit,
 };
 
-const char* LpStatusToString(LpStatus s);
-
 struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;

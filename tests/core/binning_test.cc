@@ -4,7 +4,7 @@
 
 #include "core/interning_oracle.h"
 #include "core/join_view.h"
-#include "core/marginals.h"
+#include "core/marginals_oracle.h"
 #include "core/match_oracle.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
@@ -108,7 +108,7 @@ TEST(BinningTest, BinConditionReconstructs) {
   auto binning = Binning::Create(v.value(), ex.names.r1_attrs, ex.ccs);
   ASSERT_TRUE(binning.ok());
   for (size_t b = 0; b < binning->num_bins(); ++b) {
-    auto cond = binning->BinCondition(b);
+    auto cond = marginals_oracle::BinCondition(*binning, ex.names.r1_attrs, b);
     ASSERT_TRUE(cond.ok());
     auto pred = BoundPredicate::Bind(cond.value(), v.value());
     ASSERT_TRUE(pred.ok());
@@ -243,7 +243,8 @@ TEST(MarginalsTest, AllWayMarginalsMatchBinCounts) {
   ASSERT_TRUE(v.ok());
   auto binning = Binning::Create(v.value(), ex.names.r1_attrs, ex.ccs);
   ASSERT_TRUE(binning.ok());
-  auto marginals = ComputeAllWayMarginals(binning.value());
+  auto marginals =
+      marginals_oracle::ComputeAllWayMarginals(*binning, ex.names.r1_attrs);
   ASSERT_TRUE(marginals.ok());
   EXPECT_EQ(marginals->size(), binning->num_bins());
   int64_t total = 0;

@@ -507,14 +507,14 @@ TEST(QuotientCliqueTest, CliquePartitionIsOneBucket) {
 
   ConflictOracleOptions tiny;
   tiny.max_materialized_pairs = 1000;  // << n(n-1)/2
-  BuildOracleInfo info;
-  auto oracle = BuildPartitionOracle(t, classes, rows, tiny, &info);
+  Phase2Stats stats;
+  auto oracle = BuildPartitionOracle(t, classes, rows, tiny, &stats);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   auto* indexed = dynamic_cast<PartitionConflictOracle*>(oracle->get());
   ASSERT_NE(indexed, nullptr) << "clique DC fell back to the naive oracle";
-  EXPECT_FALSE(info.naive_fallback);
-  EXPECT_EQ(info.conflict_buckets, 1u);
-  EXPECT_EQ(info.materialized_pairs, 0u);
+  EXPECT_EQ(stats.naive_oracle_fallbacks, 0u);
+  EXPECT_EQ(stats.conflict_buckets, 1u);
+  EXPECT_EQ(stats.materialized_pairs, 0u);
   EXPECT_EQ(indexed->num_buckets(), 1u);
   EXPECT_EQ(indexed->num_materialized_pairs(), 0u);
   EXPECT_EQ(indexed->CountEdges(), n * (n - 1) / 2);

@@ -166,12 +166,17 @@ RepairInstance MakeRepairInstance(size_t n, int arity) {
   return RepairInstance{std::move(t), std::move(classes)};
 }
 
+/// One AssignRepairKeys call: the keys, and what it added into its stats.
+struct Repaired {
+  std::vector<int64_t> keys;
+  Phase2Stats stats;
+};
+
 /// Rows 0..colored+group of `instance`, the first `colored` in round-robin
 /// buckets over `num_keys` candidate keys.
-StatusOr<RepairAssignment> Repair(const RepairInstance& instance,
-                                  size_t colored, size_t group,
-                                  int64_t num_keys, RepairProbe probe,
-                                  const ConflictOracleOptions& options = {}) {
+StatusOr<Repaired> Repair(const RepairInstance& instance, size_t colored,
+                          size_t group, int64_t num_keys, RepairProbe probe,
+                          const ConflictOracleOptions& options = {}) {
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < colored + group; ++i) rows.push_back(i);
   std::vector<int64_t> colored_keys;
@@ -180,8 +185,12 @@ StatusOr<RepairAssignment> Repair(const RepairInstance& instance,
   }
   std::vector<int64_t> keys;
   for (int64_t k = 0; k < num_keys; ++k) keys.push_back(k);
-  return AssignRepairKeys(instance.table, instance.classes, rows, colored_keys,
-                          keys, probe, options);
+  Repaired out;
+  CEXTEND_ASSIGN_OR_RETURN(
+      out.keys, AssignRepairKeys(instance.table, instance.classes, rows,
+                                 colored_keys, keys, probe, options,
+                                 &out.stats));
+  return out;
 }
 
 TEST(AssignRepairKeysTest, ConflictSourcesAgree) {
@@ -201,8 +210,8 @@ TEST(AssignRepairKeysTest, ConflictSourcesAgree) {
       auto by_size = Repair(instance, s.colored, s.group, s.keys,
                             RepairProbe::kBySize);
       ASSERT_TRUE(scan.ok() && oracle.ok() && by_size.ok());
-      EXPECT_FALSE(scan->used_oracle);
-      EXPECT_TRUE(oracle->used_oracle);
+      EXPECT_EQ(scan->stats.oracle_repair_combos, 0u);
+      EXPECT_EQ(oracle->stats.oracle_repair_combos, 1u);
       EXPECT_EQ(scan->keys, oracle->keys)
           << "arity " << arity << " colored " << s.colored;
       EXPECT_EQ(scan->keys, by_size->keys)
@@ -220,12 +229,12 @@ TEST(AssignRepairKeysTest, BySizePicksEachSource) {
   // No partition, a large group: scanning is quadratic in the group.
   auto group = Repair(instance, 0, 64, 4, RepairProbe::kBySize);
   ASSERT_TRUE(group.ok());
-  EXPECT_TRUE(group->used_oracle);
+  EXPECT_EQ(group->stats.oracle_repair_combos, 1u);
   // A large colored partition in small buckets and two rows to repair: an
   // oracle build over the whole partition would dominate.
   auto few = Repair(instance, 400, 2, 100, RepairProbe::kBySize);
   ASSERT_TRUE(few.ok());
-  EXPECT_FALSE(few->used_oracle);
+  EXPECT_EQ(few->stats.oracle_repair_combos, 0u);
 }
 
 TEST(AssignRepairKeysTest, OracleCapFallsBackToScans) {
@@ -234,7 +243,7 @@ TEST(AssignRepairKeysTest, OracleCapFallsBackToScans) {
   capped.max_hyperedge_candidates = 10;
   auto fallback = Repair(instance, 40, 30, 3, RepairProbe::kOracle, capped);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-  EXPECT_FALSE(fallback->used_oracle);
+  EXPECT_EQ(fallback->stats.oracle_repair_combos, 0u);
   auto scan = Repair(instance, 40, 30, 3, RepairProbe::kScan);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(fallback->keys, scan->keys);

@@ -486,6 +486,8 @@ TEST(ShardExecutorTest, TablesIndependentOfShardGeometry) {
   Phase2Tables mono = run(1, 0, 1);
   EXPECT_GT(mono.stats.skipped_vertices, 0u);
   EXPECT_GT(mono.stats.new_r2_tuples, 0u);
+  EXPECT_GT(mono.stats.invalid_rows, 0u);
+  EXPECT_GT(mono.stats.conflict_buckets, 0u);
   EXPECT_EQ(mono.stats.shards_emitted, 1u);
   for (auto [shards, max_resident, threads] :
        {std::tuple<size_t, size_t, size_t>{8, 1, 1},
@@ -495,8 +497,19 @@ TEST(ShardExecutorTest, TablesIndependentOfShardGeometry) {
     Phase2Tables sharded = run(shards, max_resident, threads);
     ExpectTablesEqual(mono.r1_hat, sharded.r1_hat, "r1_hat");
     ExpectTablesEqual(mono.r2_hat, sharded.r2_hat, "r2_hat");
+    // Every counter the shard geometry does not change; the shard counts,
+    // high-water marks and timings are the ones it does.
+    EXPECT_EQ(mono.stats.num_partitions, sharded.stats.num_partitions);
+    EXPECT_EQ(mono.stats.invalid_rows, sharded.stats.invalid_rows);
     EXPECT_EQ(mono.stats.skipped_vertices, sharded.stats.skipped_vertices);
     EXPECT_EQ(mono.stats.new_r2_tuples, sharded.stats.new_r2_tuples);
+    EXPECT_EQ(mono.stats.naive_oracle_fallbacks,
+              sharded.stats.naive_oracle_fallbacks);
+    EXPECT_EQ(mono.stats.csr_partitions, sharded.stats.csr_partitions);
+    EXPECT_EQ(mono.stats.conflict_buckets, sharded.stats.conflict_buckets);
+    EXPECT_EQ(mono.stats.materialized_pairs, sharded.stats.materialized_pairs);
+    EXPECT_EQ(mono.stats.oracle_repair_combos,
+              sharded.stats.oracle_repair_combos);
   }
 }
 

@@ -505,6 +505,46 @@ TEST(ShardExecutorResumeTest, RejectsInconsistentResumePoints) {
             StatusCode::kInvalidArgument);
 }
 
+// A malformed committed prefix fails the replay with a Status, never a
+// crash: a row id past R1 or past uint32_t, an uncolored or missing key, and
+// a new tuple with the wrong number of B codes (q = 1 here) or a code its
+// dictionary does not hold. Well-formed records of both kinds are the
+// control.
+TEST(StreamCheckpointTest, ReplayRejectsMalformedRecords) {
+  Instance instance = MakeInstance();
+  const std::string path = TempPath("malformed.stream");
+  struct Case {
+    const char* record;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"r 1 0", true},
+      {"n 20 0", true},
+      {"r 999999 0", false},
+      {"r 4294967296 0", false},
+      {"r 18446744073709551616 0", false},
+      {"r -1 0", false},
+      {"r 1", false},
+      {"r 1 -9223372036854775808", false},
+      {"n 5", false},
+      {"n 5 0 1", false},
+      {"n 5 999999", false},
+  };
+  for (const Case& c : cases) {
+    const std::string bytes =
+        std::string("cextend-stream v1 rows=400 b=1 seed=9\n") + c.record +
+        "\n";
+    WriteFileBytes(path, bytes);
+    TableSink sink(instance.persons, instance.housing, instance.names);
+    const Status st = ReplayStream(path, bytes.size(), &sink);
+    if (c.ok) {
+      EXPECT_TRUE(st.ok()) << c.record << ": " << st.ToString();
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.record;
+    }
+  }
+}
+
 TEST(TextStreamSinkTest, SurfacesStreamFailuresAsStatus) {
   Instance instance = MakeInstance();
   auto planned = Prepare(instance, 3);

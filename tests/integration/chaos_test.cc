@@ -276,12 +276,11 @@ TEST(ChaosStreamingTest, InterruptedDurableSolveResumesBitIdentical) {
   const std::string plan_bytes = first->plan.Serialize();
   const Table v_join_master = first->v_join.Clone();
   const SolveStats plan_stats = first->stats;
-  const double plan_seconds = first->plan_build_seconds;
   auto remake = [&]() {
     auto plan = SynthesisPlan::Deserialize(plan_bytes);
     CEXTEND_CHECK(plan.ok()) << plan.status().ToString();
     return PlannedCExtension{std::move(plan).value(), v_join_master.Clone(),
-                             plan_stats, plan_seconds};
+                             plan_stats};
   };
   auto read_bytes = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);

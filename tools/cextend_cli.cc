@@ -191,7 +191,6 @@ Status Run(const CliArgs& args) {
     std::string plan_bytes;
     std::optional<Table> v_join;
     SolveStats stats;
-    double plan_build_seconds = 0.0;
   };
   PlanCache cache;
   // Whether the next streaming attempt continues from the durable prefix:
@@ -205,14 +204,13 @@ Status Run(const CliArgs& args) {
       CEXTEND_ASSIGN_OR_RETURN(SynthesisPlan plan,
                                SynthesisPlan::Deserialize(cache.plan_bytes));
       planned = PlannedCExtension{std::move(plan), cache.v_join->Clone(),
-                                  cache.stats, cache.plan_build_seconds};
+                                  cache.stats};
     } else {
       planned = PlanCExtension(r1, r2, names, spec.ccs, spec.dcs, options);
       if (planned.ok()) {
         cache.plan_bytes = planned->plan.Serialize();
         cache.v_join = planned->v_join.Clone();
         cache.stats = planned->stats;
-        cache.plan_build_seconds = planned->plan_build_seconds;
       }
     }
     CEXTEND_RETURN_IF_ERROR(planned.status());
