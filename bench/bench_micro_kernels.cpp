@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: simplex
 // LP solves, conflict-oracle construction, greedy list coloring, CC pairwise
-// classification, phase-1 CC matching and the census ILP, binning, and the
-// phase-1 final fill.
+// classification, phase-1 CC matching and the census ILP, binning, the
+// phase-1 final fill, and the census and CC-family data set-up.
 //
 // Every per-size run additionally appends one JSON-lines record
 //   {"kernel": "<name>", "n": <arg>, "seconds": <time per iteration>}
@@ -661,6 +661,49 @@ void BM_PreparePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreparePlan)->Arg(10)->Unit(benchmark::kMillisecond);
+
+// ---- Data set-up (census generation and CC targets). ----
+//
+// The set-up of perfbench's workloads, without its key relabelling, keyed by
+// persons: GenerateCensus at good_250k's 250,990 persons, GenerateCcs for
+// the good 201-CC family at that scale and for the bad 1001-CC family at
+// bad_1001cc's 25,099 persons. GenerateCcs builds the R2-condition pool,
+// the family, and its targets (CountCcTargets).
+datagen::CensusOptions CensusForPersons(int64_t persons) {
+  return datagen::ScaledCensusOptions(static_cast<double>(persons) / 25099.0);
+}
+
+void BM_GenerateCensus(benchmark::State& state) {
+  const datagen::CensusOptions census = CensusForPersons(state.range(0));
+  for (auto _ : state) {
+    auto data = datagen::GenerateCensus(census);
+    CEXTEND_CHECK(data.ok());
+    benchmark::DoNotOptimize(data->persons_truth.NumRows());
+  }
+}
+BENCHMARK(BM_GenerateCensus)->Arg(250990)->Unit(benchmark::kMillisecond);
+
+void BM_GenerateCcs(benchmark::State& state, bool intersecting,
+                    size_t num_ccs) {
+  auto data = datagen::GenerateCensus(CensusForPersons(state.range(0)));
+  CEXTEND_CHECK(data.ok());
+  datagen::CcFamilyOptions cc_options;
+  cc_options.num_ccs = num_ccs;
+  cc_options.intersecting = intersecting;
+  for (auto _ : state) {
+    auto ccs = datagen::GenerateCcs(data.value(), cc_options);
+    CEXTEND_CHECK(ccs.ok());
+    benchmark::DoNotOptimize(ccs->data());
+  }
+}
+void BM_GenerateCcsGood(benchmark::State& state) {
+  BM_GenerateCcs(state, /*intersecting=*/false, 201);
+}
+void BM_GenerateCcsBad(benchmark::State& state) {
+  BM_GenerateCcs(state, /*intersecting=*/true, 1001);
+}
+BENCHMARK(BM_GenerateCcsGood)->Arg(250990)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateCcsBad)->Arg(25099)->Unit(benchmark::kMillisecond);
 
 // ---- Phase-1 final fill (CompleteLeftoverRows). ----
 //

@@ -109,7 +109,6 @@ StatusOr<Dataset> MakeDataset(const HarnessOptions& options, double scale,
   cc_options.num_ccs =
       num_ccs_override > 0 ? num_ccs_override : options.num_ccs;
   cc_options.intersecting = bad_ccs;
-  cc_options.seed = options.seed * 17 + 3;
   CEXTEND_ASSIGN_OR_RETURN(std::vector<CardinalityConstraint> ccs,
                            datagen::GenerateCcs(data, cc_options));
   Dataset dataset{std::move(data), std::move(ccs),

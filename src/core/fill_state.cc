@@ -17,14 +17,19 @@ FootprintMatcher FootprintMatcher::ForBins(const Binning& binning) {
   for (size_t bin = 0; bin < rows.size(); ++bin) {
     rows[bin] = binning.representative(bin);
   }
-  return FootprintMatcher(binning.table(), std::move(rows));
+  return ForRows(binning.table(), std::move(rows));
 }
 
 FootprintMatcher FootprintMatcher::ForCombos(const ComboIndex& combos,
                                              const Table& r2) {
   std::vector<uint32_t> rows(combos.num_combos());
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = combos.representative(i);
-  return FootprintMatcher(r2, std::move(rows));
+  return ForRows(r2, std::move(rows));
+}
+
+FootprintMatcher FootprintMatcher::ForRows(const Table& table,
+                                           std::vector<uint32_t> rows) {
+  return FootprintMatcher(table, std::move(rows));
 }
 
 const std::vector<uint64_t>& FootprintMatcher::AtomBits(

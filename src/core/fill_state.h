@@ -31,7 +31,8 @@ struct CcMatch {
 };
 
 /// Matches conditions against one representative row per class: the bins
-/// of a Binning or the combos of a ComboIndex. A condition is bound with
+/// of a Binning, the combos of a ComboIndex, or any caller-chosen rows of a
+/// table (ForRows). A condition is bound with
 /// BoundPredicate::Bind, so an unknown column or a bad constant fails as it
 /// does everywhere else. Each distinct bound atom (column, op, code, IN
 /// codes) is then swept once over the representatives' codes into a cached
@@ -43,6 +44,9 @@ class FootprintMatcher {
   static FootprintMatcher ForBins(const Binning& binning);
   /// `r2` is the table `combos` was built from.
   static FootprintMatcher ForCombos(const ComboIndex& combos, const Table& r2);
+  /// Class id i is `table` row `rows[i]`. `table` must outlive the matcher.
+  static FootprintMatcher ForRows(const Table& table,
+                                  std::vector<uint32_t> rows);
 
   /// Ids of the classes whose representative satisfies `condition`,
   /// ascending.

@@ -88,10 +88,15 @@ TableSink::TableSink(const Table& r1, const Table& r2, const PairSchema& names)
   for (const std::string& b : names.r2_attrs) {
     b_cols_r2_.push_back(r2.schema().IndexOrDie(b));
   }
+  // PreparePlan's fresh_base over the same R2, for a sink fed without Begin.
+  for (int64_t key : r2.ColumnCodes(k2_col_)) {
+    fresh_base_ = std::max(fresh_base_, key + 1);
+  }
 }
 
 Status TableSink::Begin(const PreparedPlan& prepared) {
   expected_rows_ = prepared.plan->num_rows;
+  fresh_base_ = prepared.fresh_base;
   return Status::Ok();
 }
 
@@ -127,6 +132,15 @@ Status TableSink::Consume(const ResolvedShard& shard) {
               std::to_string(t.combo[i]) + " outside its dictionary");
         }
         codes[b_cols_r2_[i]] = t.combo[i];
+      }
+      // Fresh keys are handed out in retirement order, so the n-th new tuple
+      // carries fresh_base + n; any other key would repeat or skip one.
+      const int64_t expected_key =
+          fresh_base_ + static_cast<int64_t>(new_r2_tuples_);
+      if (t.key != expected_key) {
+        return Status::InvalidArgument(
+            "new tuple key " + std::to_string(t.key) +
+            " is not the next fresh key " + std::to_string(expected_key));
       }
       r2_hat_.AppendRowCodes(codes);
       ++new_r2_tuples_;

@@ -105,7 +105,9 @@ class RowSink {
 /// In-memory sink for the table-returning API: clones R1/R2 up front,
 /// writes FK cells and appends new R2 tuples as shards retire. Consume
 /// returns InvalidArgument, writing nothing past the bad record, for a row
-/// outside R1, an uncolored row, or a tuple whose combo does not have one
+/// outside R1, an uncolored row, a new tuple whose key is not the next fresh
+/// key (fresh_base plus the tuples appended so far: Begin's plan, or the
+/// maximal R2 key + 1 before Begin), or a tuple whose combo does not have one
 /// valid code per B column (a malformed stream prefix replayed on resume).
 /// Finish verifies every join view row received a key.
 class TableSink : public RowSink {
@@ -128,6 +130,7 @@ class TableSink : public RowSink {
   std::vector<size_t> b_cols_r2_;
   size_t rows_written_ = 0;
   size_t expected_rows_ = 0;
+  int64_t fresh_base_ = 0;  ///< key of the first new tuple
   size_t new_r2_tuples_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -52,37 +53,42 @@ bool TryAddMember(Rng& rng, Household& house, std::vector<Person>& persons) {
     int64_t lo, hi;   // permissible age range given the owner
     bool needs_single_spouse_slot = false;
   };
-  std::vector<Option> options;
+  constexpr size_t kMaxOptions = 12;
+  Option options[kMaxOptions];
+  size_t num_options = 0;
+  auto add = [&](Option o) { options[num_options++] = o; };
   int64_t child_lo = house.owner_multi == 1 ? a - 50 : a - 69;
-  options.push_back({kBioChild, 0.34, child_lo, a - 12});
-  options.push_back({kStepChild, 0.05, child_lo, a - 12});
-  options.push_back({kAdoptedChild, 0.04, child_lo, a - 12});
-  options.push_back({kFosterChild, 0.02, a - 69, a - 12});
-  options.push_back({kSpouse, 0.27, a - 50, a + 50, true});
-  options.push_back({kPartner, 0.05, a - 50, a + 50, true});
-  options.push_back({kSibling, 0.05, a - 35, a + 35});
+  add({kBioChild, 0.34, child_lo, a - 12});
+  add({kStepChild, 0.05, child_lo, a - 12});
+  add({kAdoptedChild, 0.04, child_lo, a - 12});
+  add({kFosterChild, 0.02, a - 69, a - 12});
+  add({kSpouse, 0.27, a - 50, a + 50, true});
+  add({kPartner, 0.05, a - 50, a + 50, true});
+  add({kSibling, 0.05, a - 35, a + 35});
   if (a <= 94) {
-    options.push_back({kParent, 0.04, a + 12, a + 115});
-    options.push_back({kParentInLaw, 0.02, a + 12, a + 115});
+    add({kParent, 0.04, a + 12, a + 115});
+    add({kParentInLaw, 0.02, a + 12, a + 115});
   }
   if (a >= 30) {
-    options.push_back({kGrandchild, 0.04, a - 115, a - 30});
-    options.push_back({kChildInLaw, 0.02, a - 69, a - 1});
+    add({kGrandchild, 0.04, a - 115, a - 30});
+    add({kChildInLaw, 0.02, a - 69, a - 1});
   }
-  options.push_back({kHousemate, 0.06, 15, 85});
+  add({kHousemate, 0.06, 15, 85});
 
-  std::vector<double> weights;
-  for (const Option& o : options) {
+  double weights[kMaxOptions];
+  double total = 0.0;
+  for (size_t i = 0; i < num_options; ++i) {
+    const Option& o = options[i];
     bool feasible = !(o.needs_single_spouse_slot && house.has_spouse_or_partner);
     int64_t lo = Clamp(o.lo, 0, 114);
     int64_t hi = Clamp(o.hi, 0, 114);
     if (lo > hi) feasible = false;
-    weights.push_back(feasible ? o.weight : 0.0);
+    weights[i] = feasible ? o.weight : 0.0;
+    total += weights[i];
   }
-  double total = 0.0;
-  for (double w : weights) total += w;
   if (total <= 0.0) return false;
-  const Option& pick = options[rng.WeightedIndex(weights)];
+  const Option& pick =
+      options[rng.WeightedIndex(std::span<const double>(weights, num_options))];
   int64_t age = DrawAge(rng, pick.lo, pick.hi);
   if (age < 0) return false;
   if (pick.needs_single_spouse_slot) house.has_spouse_or_partner = true;
@@ -113,6 +119,9 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
       options.num_r2_columns != 6 && options.num_r2_columns != 8 &&
       options.num_r2_columns != 10) {
     return Status::InvalidArgument("num_r2_columns must be 2, 4, 6, 8 or 10");
+  }
+  if (options.num_areas == 0) {
+    return Status::InvalidArgument("num_areas must be positive");
   }
   Rng rng(options.seed);
 
@@ -169,11 +178,10 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
   static const char* kTenures[] = {"Owned-mortgage", "Owned-free", "Rented",
                                    "No-rent"};
   static const double kTenureWeights[] = {0.38, 0.22, 0.32, 0.08};
-  std::vector<double> tenure_weights(std::begin(kTenureWeights),
-                                     std::end(kTenureWeights));
+  const ZipfTable area_zipf(options.num_areas, 0.6);
   for (const Household& house : houses) {
-    size_t area = rng.Zipf(options.num_areas, 0.6);
-    size_t tenure = rng.WeightedIndex(tenure_weights);
+    size_t area = area_zipf.Draw(rng);
+    size_t tenure = rng.WeightedIndex(kTenureWeights);
     std::vector<Value> row;
     row.push_back(Value(house.hid));
     row.push_back(Value(kTenures[tenure]));

@@ -8,8 +8,8 @@
 //     counts of the paper's Table 1 (scaled by any factor);
 //   * households are composed so the *ground truth* satisfies all 12 DCs of
 //     Table 4 (ages of spouses/children/parents/... respect the gaps);
-//   * CC targets are later computed from the materialized ground-truth join,
-//     exactly as the paper derives targets from the real data.
+//   * CC targets are later counted on the ground-truth join (persons_truth's
+//     hid), exactly as the paper derives targets from the real data.
 // Every figure's shape depends on constraint structure and scale, not on
 // census-specific values, so this substitution preserves the experiments.
 

@@ -1,12 +1,13 @@
 #include "datagen/constraint_gen.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <span>
+#include <unordered_map>
 
-#include "core/join_view.h"
+#include "core/fill_state.h"
+#include "util/code_interner.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace cextend {
@@ -112,6 +113,52 @@ Predicate PoolPredicate(const PoolRow& row) {
   return p;
 }
 
+/// Ascending indices in `table` of the columns that `side` of the CCs reads.
+/// Each must be one of `allowed`, the columns this side contributes to the
+/// join view.
+StatusOr<std::vector<size_t>> ReadColumns(
+    const Table& table, const std::vector<std::string>& allowed,
+    const std::vector<CardinalityConstraint>& ccs,
+    Predicate CardinalityConstraint::*side) {
+  std::vector<size_t> cols;
+  for (const CardinalityConstraint& cc : ccs) {
+    for (const std::string& column : (cc.*side).Columns()) {
+      if (std::find(allowed.begin(), allowed.end(), column) == allowed.end()) {
+        return Status::InvalidArgument(StrFormat(
+            "%s reads column '%s' outside its side of the join view",
+            cc.name.c_str(), column.c_str()));
+      }
+      cols.push_back(table.schema().IndexOrDie(column));
+    }
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+/// Rows of `table` grouped by their codes on `cols`. Class ids follow
+/// first-row order; a class's representative is its first row.
+struct RowClasses {
+  std::vector<uint32_t> of_row;
+  std::vector<uint32_t> representatives;
+};
+
+RowClasses InternRows(const Table& table, const std::vector<size_t>& cols) {
+  std::vector<const int64_t*> columns;
+  for (size_t col : cols) columns.push_back(table.ColumnCodes(col).data());
+  CodeInterner interner(cols.size());
+  std::vector<int64_t> key(cols.size());
+  RowClasses classes;
+  classes.of_row.resize(table.NumRows());
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    for (size_t i = 0; i < columns.size(); ++i) key[i] = columns[i][r];
+    const auto [id, inserted] = interner.Intern(key.data());
+    if (inserted) classes.representatives.push_back(static_cast<uint32_t>(r));
+    classes.of_row[r] = id;
+  }
+  return classes;
+}
+
 }  // namespace
 
 std::vector<DenialConstraint> MakeCensusDcs(bool good_only) {
@@ -171,26 +218,35 @@ std::vector<DenialConstraint> MakeCensusDcs(bool good_only) {
 
 StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
     const CensusData& data, const CcFamilyOptions& options) {
-  Rng rng(options.seed);
-  (void)rng;  // reserved for future randomized variants
   const std::vector<PoolRow>& pool = BadPool();
 
   // R2-side condition pool. Area values below 121 are reserved for Area-only
   // CCs, the rest feed the Tenure-Area pairs; keeping the two sets disjoint
   // mirrors the paper's "469 Tenure-Area values and another 121 Area values".
-  size_t area_col = data.housing.schema().IndexOrDie("Area");
-  size_t tenure_col = data.housing.schema().IndexOrDie("Tenure");
+  // Distinct (Tenure, Area) codes are collected first and decoded once each;
+  // the sets order them by text.
+  const Table& housing = data.housing;
+  const size_t area_col = housing.schema().IndexOrDie("Area");
+  const size_t tenure_col = housing.schema().IndexOrDie("Tenure");
+  const int64_t* area_codes = housing.ColumnCodes(area_col).data();
+  const int64_t* tenure_codes = housing.ColumnCodes(tenure_col).data();
+  CodeInterner distinct(2);
+  for (size_t r = 0; r < housing.NumRows(); ++r) {
+    const int64_t key[2] = {tenure_codes[r], area_codes[r]};
+    distinct.Intern(key);
+  }
   std::set<std::pair<std::string, std::string>> pairs_seen;
   std::set<std::string> areas_seen;
-  for (size_t r = 0; r < data.housing.NumRows(); ++r) {
-    std::string area = data.housing.GetValue(r, area_col).AsString();
-    std::string tenure = data.housing.GetValue(r, tenure_col).AsString();
+  for (uint32_t id = 0; id < distinct.size(); ++id) {
+    std::span<const int64_t> codes = distinct.tuple(id);
+    std::string tenure = housing.DecodeCode(tenure_col, codes[0]).AsString();
+    std::string area = housing.DecodeCode(area_col, codes[1]).AsString();
     // Area code "Axxx": xxx < 121 => Area-only pool.
     int64_t num = *ParseInt64(area.substr(1));
     if (num < 121) {
-      areas_seen.insert(area);
+      areas_seen.insert(std::move(area));
     } else {
-      pairs_seen.insert({tenure, area});
+      pairs_seen.insert({std::move(tenure), std::move(area)});
     }
   }
   struct R2Cond {
@@ -216,11 +272,6 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
     return Status::FailedPrecondition(
         "housing table too small to derive R2 conditions");
   }
-
-  // Ground-truth join for target counting.
-  CEXTEND_ASSIGN_OR_RETURN(
-      Table truth_join,
-      MaterializeJoin(data.persons_truth, data.housing, data.names));
 
   std::vector<CardinalityConstraint> ccs;
   ccs.reserve(options.num_ccs);
@@ -262,7 +313,6 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
         emit(flat[(i + cycle) % flat.size()], r2_conditions[i].pred);
       }
     }
-    (void)pool;
   } else {
     // Bad family: cycle the Table-5 bad pool (overlapping Age intervals)
     // over the R2 conditions; intersections arise by construction.
@@ -293,14 +343,95 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
     ccs = std::move(unique);
   }
 
-  // Targets from the ground truth.
-  for (CardinalityConstraint& cc : ccs) {
-    CEXTEND_ASSIGN_OR_RETURN(
-        BoundPredicate pred,
-        BoundPredicate::Bind(cc.JoinCondition(), truth_join));
-    cc.target = static_cast<int64_t>(pred.CountMatches(truth_join));
-  }
+  CEXTEND_RETURN_IF_ERROR(
+      CountCcTargets(data.persons_truth, data.housing, data.names, &ccs));
   return ccs;
+}
+
+Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
+                      std::vector<CardinalityConstraint>* ccs) {
+  CEXTEND_RETURN_IF_ERROR(names.Validate(r1, r2));
+  CEXTEND_CHECK(r1.NumRows() <= UINT32_MAX);
+  std::vector<std::string> r1_side = names.r1_attrs;
+  r1_side.push_back(names.key1);
+  CEXTEND_ASSIGN_OR_RETURN(
+      std::vector<size_t> r1_cols,
+      ReadColumns(r1, r1_side, *ccs, &CardinalityConstraint::r1_condition));
+  CEXTEND_ASSIGN_OR_RETURN(
+      std::vector<size_t> r2_cols,
+      ReadColumns(r2, names.r2_attrs, *ccs,
+                  &CardinalityConstraint::r2_condition));
+
+  const RowClasses r2_classes = InternRows(r2, r2_cols);
+  const int64_t* keys = r2.ColumnCodes(r2.schema().IndexOrDie(names.key2)).data();
+  std::unordered_map<int64_t, uint32_t> class_of_key;
+  class_of_key.reserve(r2.NumRows() * 2);
+  for (size_t r = 0; r < r2.NumRows(); ++r) {
+    if (keys[r] == kNullCode) {
+      return Status::FailedPrecondition("NULL key in R2");
+    }
+    if (!class_of_key.emplace(keys[r], r2_classes.of_row[r]).second) {
+      return Status::FailedPrecondition("duplicate key in R2");
+    }
+  }
+
+  // One packed (R2 class, R1 class) pair per R1 row, joined through the FK.
+  const RowClasses r1_classes = InternRows(r1, r1_cols);
+  const int64_t* fks = r1.ColumnCodes(r1.schema().IndexOrDie(names.fk)).data();
+  std::vector<uint64_t> pairs(r1.NumRows());
+  for (size_t r = 0; r < r1.NumRows(); ++r) {
+    if (fks[r] == kNullCode) {
+      return Status::FailedPrecondition(
+          StrFormat("R1 row %zu has NULL foreign key", r));
+    }
+    auto it = class_of_key.find(fks[r]);
+    if (it == class_of_key.end()) {
+      return Status::FailedPrecondition(
+          StrFormat("R1 row %zu has dangling foreign key", r));
+    }
+    pairs[r] = uint64_t{it->second} << 32 | r1_classes.of_row[r];
+  }
+  std::sort(pairs.begin(), pairs.end());
+
+  // Run lengths of the sorted pairs, grouped by R2 class: R2 class j joins
+  // the R1 classes runs[start[j]..start[j + 1]), each with its row count.
+  struct Run {
+    uint32_t r1_class;
+    uint32_t rows;
+  };
+  std::vector<Run> runs;
+  std::vector<size_t> start(r2_classes.representatives.size() + 1, 0);
+  for (size_t i = 0; i < pairs.size();) {
+    size_t end = i + 1;
+    while (end < pairs.size() && pairs[end] == pairs[i]) ++end;
+    runs.push_back({static_cast<uint32_t>(pairs[i]),
+                    static_cast<uint32_t>(end - i)});
+    ++start[(pairs[i] >> 32) + 1];
+    i = end;
+  }
+  for (size_t j = 1; j < start.size(); ++j) start[j] += start[j - 1];
+
+  FootprintMatcher r1_matcher =
+      FootprintMatcher::ForRows(r1, r1_classes.representatives);
+  FootprintMatcher r2_matcher =
+      FootprintMatcher::ForRows(r2, r2_classes.representatives);
+  std::vector<uint8_t> r1_match(r1_classes.representatives.size(), 0);
+  for (CardinalityConstraint& cc : *ccs) {
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> r1_ids,
+                             r1_matcher.Match(cc.r1_condition));
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> r2_ids,
+                             r2_matcher.Match(cc.r2_condition));
+    for (size_t id : r1_ids) r1_match[id] = 1;
+    int64_t target = 0;
+    for (size_t j : r2_ids) {
+      for (size_t k = start[j]; k < start[j + 1]; ++k) {
+        if (r1_match[runs[k].r1_class]) target += runs[k].rows;
+      }
+    }
+    for (size_t id : r1_ids) r1_match[id] = 0;
+    cc.target = target;
+  }
+  return Status::Ok();
 }
 
 }  // namespace datagen

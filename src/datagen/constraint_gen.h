@@ -5,8 +5,8 @@
 //     469 Tenure-Area pairs plus 121 Area-only values, combined with the
 //     good/bad R1-predicate pools; "bad" pools contain intersecting Age
 //     intervals).
-// Targets are counted on the materialized ground-truth join, as the paper
-// derives targets from the real data.
+// Targets are counted on the ground-truth join, as the paper derives targets
+// from the real data, without materializing it (CountCcTargets).
 
 #ifndef CEXTEND_DATAGEN_CONSTRAINT_GEN_H_
 #define CEXTEND_DATAGEN_CONSTRAINT_GEN_H_
@@ -36,13 +36,32 @@ struct CcFamilyOptions {
   /// (paper: 469 and 121). Clamped to what the data provides.
   size_t num_tenure_area_pairs = 469;
   size_t num_area_only = 121;
-  uint64_t seed = 7;
 };
 
 /// Builds a CC family over the generated census data, with targets counted
-/// on the ground truth join.
+/// on the ground truth join by CountCcTargets.
 StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
     const CensusData& data, const CcFamilyOptions& options);
+
+/// Sets each CC's target to the number of rows of the join r1 ⋈_{fk=key2} r2
+/// that satisfy its JoinCondition(), where `r1` holds the ground-truth FK.
+/// The join is never materialized. Rows of `r1` are grouped into classes of
+/// equal codes on the columns the r1_conditions read, rows of `r2` likewise
+/// for the r2_conditions; each R1 row is mapped through its FK to its R2 row's
+/// class, and one sort of the packed (R2 class, R1 class) pairs gives, per R2
+/// class, the R1 classes joined to it with their row counts. A CC's
+/// conditions are then matched on one representative row per class
+/// (FootprintMatcher), and its target is the sum of the counts of the
+/// matching pairs. Cost: O(|r1| + |r2|) to intern, O(|r1| log |r1|) for the
+/// sort, and per CC the number of distinct pairs in its matching R2 classes
+/// (2,283 R1 and 1,000 R2 classes on the 250k-person census).
+///
+/// Fails like MaterializeJoin with FailedPrecondition on a NULL, duplicate or
+/// dangling key, and with InvalidArgument when a condition does not bind or
+/// reads a column outside its side of the join view (key1 and the R1
+/// attributes for r1_condition, the R2 attributes for r2_condition).
+Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
+                      std::vector<CardinalityConstraint>* ccs);
 
 }  // namespace datagen
 }  // namespace cextend

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/sanitize.h"
@@ -64,23 +65,7 @@ double Rng::UniformDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-size_t Rng::Zipf(size_t n, double s) {
-  CEXTEND_CHECK(n > 0);
-  if (n == 1) return 0;
-  if (s <= 0.0) return static_cast<size_t>(UniformInt(0, static_cast<int64_t>(n) - 1));
-  // O(n) inverse CDF; callers use modest n (domains, not data sizes).
-  double total = 0.0;
-  for (size_t i = 1; i <= n; ++i) total += 1.0 / std::pow(static_cast<double>(i), s);
-  double u = UniformDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (u <= acc) return i - 1;
-  }
-  return n - 1;
-}
-
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
+size_t Rng::WeightedIndex(std::span<const double> weights) {
   CEXTEND_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
@@ -98,5 +83,27 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
+
+ZipfTable::ZipfTable(size_t n, double s) : n_(n), uniform_(s <= 0.0) {
+  CEXTEND_CHECK(n > 0);
+  if (n == 1 || uniform_) return;
+  cdf_.reserve(n);
+  double acc = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    cdf_.push_back(acc);
+  }
+}
+
+size_t ZipfTable::Draw(Rng& rng) const {
+  if (n_ == 1) return 0;
+  if (uniform_) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n_) - 1));
+  }
+  const double u = rng.UniformDouble() * cdf_.back();
+  // First rank whose running sum reaches u; the sums never decrease.
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return it == cdf_.end() ? n_ - 1 : static_cast<size_t>(it - cdf_.begin());
+}
 
 }  // namespace cextend

@@ -5,7 +5,9 @@
 #ifndef CEXTEND_UTIL_RNG_H_
 #define CEXTEND_UTIL_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/logging.h"
@@ -32,11 +34,6 @@ class Rng {
   /// Bernoulli trial with success probability `p`.
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Index in [0, n) drawn from a Zipf-like distribution with exponent `s`
-  /// (s = 0 gives uniform). Uses inverse-CDF over precomputed weights if the
-  /// caller keeps reusing the same `n`; otherwise O(n) per draw for small n.
-  size_t Zipf(size_t n, double s);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
@@ -56,13 +53,33 @@ class Rng {
   }
 
   /// Index drawn proportionally to non-negative `weights` (sum must be > 0).
-  size_t WeightedIndex(const std::vector<double>& weights);
+  /// Sums left to right and returns the first index whose running sum is at
+  /// least `UniformDouble() * total`.
+  size_t WeightedIndex(std::span<const double> weights);
 
   /// Derives an independent child generator (for per-thread streams).
   Rng Fork();
 
  private:
   uint64_t state_[4];
+};
+
+/// Zipf-like distribution over [0, n) with exponent `s` (s <= 0 gives
+/// uniform): rank i + 1 has weight 1 / (i + 1)^s. The constructor sums the
+/// weights once, from rank 1 up; Draw takes one UniformDouble and
+/// binary-searches the prefix sums, so it returns the index an O(n)
+/// inverse-CDF walk over the same sums would, with the same draw consumed.
+/// n == 1 consumes no draw.
+class ZipfTable {
+ public:
+  ZipfTable(size_t n, double s);
+
+  size_t Draw(Rng& rng) const;
+
+ private:
+  size_t n_;
+  bool uniform_;
+  std::vector<double> cdf_;  // cdf_[i] = weight of ranks 1..i+1
 };
 
 }  // namespace cextend

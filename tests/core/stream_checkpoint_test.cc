@@ -507,9 +507,10 @@ TEST(ShardExecutorResumeTest, RejectsInconsistentResumePoints) {
 
 // A malformed committed prefix fails the replay with a Status, never a
 // crash: a row id past R1 or past uint32_t, an uncolored or missing key, and
-// a new tuple with the wrong number of B codes (q = 1 here) or a code its
-// dictionary does not hold. Well-formed records of both kinds are the
-// control.
+// a new tuple with the wrong number of B codes (q = 1 here), a code its
+// dictionary does not hold, or a key other than the next fresh one (R2 keys
+// are 1..16, so the first new tuple must be 17). Well-formed records of both
+// kinds are the control.
 TEST(StreamCheckpointTest, ReplayRejectsMalformedRecords) {
   Instance instance = MakeInstance();
   const std::string path = TempPath("malformed.stream");
@@ -519,7 +520,9 @@ TEST(StreamCheckpointTest, ReplayRejectsMalformedRecords) {
   };
   const Case cases[] = {
       {"r 1 0", true},
-      {"n 20 0", true},
+      {"n 17 0", true},
+      {"n 20 0", false},
+      {"n 16 0", false},
       {"r 999999 0", false},
       {"r 4294967296 0", false},
       {"r 18446744073709551616 0", false},
@@ -543,6 +546,43 @@ TEST(StreamCheckpointTest, ReplayRejectsMalformedRecords) {
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.record;
     }
   }
+}
+
+// A replayed new tuple may not reuse a key: over a 2-tuple R2 (keys 1, 2)
+// the stream "n 1 0" / "r 0 1" would give R̂2 the keys 1 2 1. The replay
+// fails instead and appends nothing; the next fresh key, 3, is accepted.
+TEST(StreamCheckpointTest, ReplayRejectsReusedR2Key) {
+  Table persons{Schema{{"pid", DataType::kInt64},
+                       {"Rel", DataType::kString},
+                       {"hid", DataType::kInt64}}};
+  ASSERT_TRUE(
+      persons.AppendRow({Value(int64_t{1}), Value("Owner"), Value::Null()})
+          .ok());
+  Table housing{Schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}}};
+  ASSERT_TRUE(housing.AppendRow({Value(int64_t{1}), Value("A0")}).ok());
+  ASSERT_TRUE(housing.AppendRow({Value(int64_t{2}), Value("A1")}).ok());
+  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  const std::string path = TempPath("reused_key.stream");
+  const std::string header = "cextend-stream v1 rows=1 b=1 seed=0\n";
+
+  const std::string reused = header + "n 1 0\nr 0 1\n";
+  WriteFileBytes(path, reused);
+  TableSink rejected(persons, housing, names.value());
+  const Status st = ReplayStream(path, reused.size(), &rejected);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(rejected.r2_hat().NumRows(), 2u);
+  EXPECT_EQ(rejected.new_r2_tuples(), 0u);
+
+  const std::string fresh = header + "n 3 0\nr 0 3\n";
+  WriteFileBytes(path, fresh);
+  TableSink accepted(persons, housing, names.value());
+  ASSERT_TRUE(ReplayStream(path, fresh.size(), &accepted).ok());
+  ASSERT_EQ(accepted.r2_hat().NumRows(), 3u);
+  const size_t key_col = housing.schema().IndexOrDie("hid");
+  EXPECT_EQ(accepted.r2_hat().GetCode(2, key_col), 3);
+  EXPECT_EQ(accepted.r1_hat().GetCode(0, persons.schema().IndexOrDie("hid")),
+            3);
 }
 
 TEST(TextStreamSinkTest, SurfacesStreamFailuresAsStatus) {

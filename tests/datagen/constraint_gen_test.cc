@@ -5,6 +5,8 @@
 #include "constraints/metrics.h"
 #include "constraints/relationship.h"
 #include "core/join_view.h"
+#include "relational/predicate.h"
+#include "util/string_util.h"
 
 namespace cextend {
 namespace datagen {
@@ -83,17 +85,115 @@ TEST(CcGenTest, BadFamilyHasIntersectingPairs) {
   EXPECT_GT(intersecting, 0u);
 }
 
-TEST(CcGenTest, TargetsMatchGroundTruth) {
-  CensusData data = SmallData();
-  CcFamilyOptions options;
-  options.num_ccs = 60;
-  auto ccs = GenerateCcs(data, options);
-  ASSERT_TRUE(ccs.ok());
+/// Per-row oracle: each CC's JoinCondition counted over the materialized
+/// ground-truth join.
+std::vector<int64_t> OracleTargets(
+    const CensusData& data, const std::vector<CardinalityConstraint>& ccs) {
   auto truth = MaterializeJoin(data.persons_truth, data.housing, data.names);
-  ASSERT_TRUE(truth.ok());
-  auto report = EvaluateCcError(*ccs, truth.value());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->num_exact, ccs->size());
+  CEXTEND_CHECK(truth.ok()) << truth.status().ToString();
+  std::vector<int64_t> targets;
+  for (const CardinalityConstraint& cc : ccs) {
+    auto pred = BoundPredicate::Bind(cc.JoinCondition(), *truth);
+    CEXTEND_CHECK(pred.ok()) << pred.status().ToString();
+    targets.push_back(static_cast<int64_t>(pred->CountMatches(*truth)));
+  }
+  return targets;
+}
+
+void ExpectOracleTargets(const CensusData& data,
+                         const std::vector<CardinalityConstraint>& ccs) {
+  const std::vector<int64_t> expected = OracleTargets(data, ccs);
+  for (size_t i = 0; i < ccs.size(); ++i) {
+    EXPECT_EQ(ccs[i].target, expected[i]) << ccs[i].ToString();
+  }
+}
+
+TEST(CcGenTest, TargetsMatchGroundTruth) {
+  for (uint64_t seed : {42u, 7u, 2024u}) {
+    CensusData data = SmallData(seed);
+    for (bool intersecting : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << (intersecting ? " bad" : " good"));
+      CcFamilyOptions options;
+      options.num_ccs = intersecting ? 1001 : 201;
+      options.intersecting = intersecting;
+      auto ccs = GenerateCcs(data, options);
+      ASSERT_TRUE(ccs.ok()) << ccs.status();
+      EXPECT_EQ(ccs->size(), options.num_ccs);
+      ExpectOracleTargets(data, *ccs);
+      auto truth =
+          MaterializeJoin(data.persons_truth, data.housing, data.names);
+      ASSERT_TRUE(truth.ok());
+      auto report = EvaluateCcError(*ccs, truth.value());
+      ASSERT_TRUE(report.ok());
+      EXPECT_EQ(report->num_exact, ccs->size());
+    }
+  }
+}
+
+// Conditions the generated families never contain: an `=` constant absent
+// from the dictionary, IN lists (one with an absent value, one with none
+// present), `!=`, a key condition, and empty conditions on either side.
+TEST(CcGenTest, HandBuiltTargetsMatchGroundTruth) {
+  CensusData data = SmallData();
+  std::vector<CardinalityConstraint> ccs(8);
+  ccs[0].r1_condition.Eq("Rel", Value("No such relationship"));
+  ccs[0].r2_condition.Eq("Area", Value("A130"));
+  ccs[1].r1_condition.In("Rel", {Value(kSpouse), Value(kPartner),
+                                 Value("No such relationship")});
+  ccs[1].r2_condition.In("Tenure", {Value("Rented"), Value("No-rent")});
+  ccs[2].r1_condition.Between("Age", 20, 40);
+  ccs[3].r2_condition.Eq("Area", Value("A007"));
+  ccs[4].r1_condition.In("Rel", {Value("absent 1"), Value("absent 2")});
+  ccs[5].r1_condition.Ne("Rel", Value(kOwner)).Eq("MultiLing", Value(int64_t{1}));
+  ccs[5].r2_condition.Ne("Tenure", Value("absent"));
+  ccs[6].r1_condition.Le("pid", Value(int64_t{1000}));
+  ccs[6].r2_condition.In("Area", {Value("A001"), Value("A250"), Value("A002")});
+  for (size_t i = 0; i < ccs.size(); ++i) ccs[i].name = StrFormat("H%zu", i);
+  ASSERT_TRUE(CountCcTargets(data.persons_truth, data.housing, data.names, &ccs)
+                  .ok());
+  ExpectOracleTargets(data, ccs);
+  EXPECT_EQ(ccs[0].target, 0);
+  EXPECT_EQ(ccs[4].target, 0);
+  EXPECT_EQ(ccs[7].target,
+            static_cast<int64_t>(data.persons_truth.NumRows()));
+  EXPECT_GT(ccs[1].target, 0);
+  EXPECT_GT(ccs[3].target, 0);
+}
+
+TEST(CcGenTest, TargetsNeedAJoinableTruth) {
+  CensusData data = SmallData();
+  const size_t fk = data.persons_truth.schema().IndexOrDie("hid");
+  std::vector<CardinalityConstraint> ccs(1);
+  ccs[0].r1_condition.Eq("Rel", Value(kOwner));
+
+  Table null_fk = data.persons_truth.Clone();
+  null_fk.SetCode(17, fk, kNullCode);
+  CensusData with_null{data.persons.Clone(), data.housing.Clone(),
+                       std::move(null_fk), data.names};
+  EXPECT_EQ(CountCcTargets(with_null.persons_truth, with_null.housing,
+                           with_null.names, &ccs)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(GenerateCcs(with_null, CcFamilyOptions()).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  Table dangling_fk = data.persons_truth.Clone();
+  dangling_fk.SetCode(17, fk, 1000000);
+  CensusData with_dangling{data.persons.Clone(), data.housing.Clone(),
+                           std::move(dangling_fk), data.names};
+  EXPECT_EQ(CountCcTargets(with_dangling.persons_truth, with_dangling.housing,
+                           with_dangling.names, &ccs)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(GenerateCcs(with_dangling, CcFamilyOptions()).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The join view has no FK column: a condition on it does not bind there.
+  ccs[0].r1_condition.Eq("hid", Value(int64_t{1}));
+  EXPECT_EQ(CountCcTargets(data.persons_truth, data.housing, data.names, &ccs)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CcGenTest, ConditionsAreDistinct) {

@@ -54,7 +54,6 @@ Instance MakeInstance(uint64_t seed, size_t persons, size_t houses,
   CcFamilyOptions cc_options;
   cc_options.num_ccs = num_ccs;
   cc_options.intersecting = bad_ccs;
-  cc_options.seed = seed * 13 + 1;
   auto ccs = GenerateCcs(data.value(), cc_options);
   CEXTEND_CHECK(ccs.ok()) << ccs.status().ToString();
   return Instance{std::move(data).value(), std::move(ccs).value(),

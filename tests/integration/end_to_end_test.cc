@@ -41,7 +41,6 @@ Instance MakeInstance(uint64_t seed, bool bad_ccs, bool all_dcs,
   CcFamilyOptions cc_options;
   cc_options.num_ccs = num_ccs;
   cc_options.intersecting = bad_ccs;
-  cc_options.seed = seed * 13 + 1;
   auto ccs = GenerateCcs(data.value(), cc_options);
   CEXTEND_CHECK(ccs.ok()) << ccs.status().ToString();
   return Instance{std::move(data).value(), std::move(ccs).value(),

@@ -129,7 +129,6 @@ const Instance& SmallInstance() {
     CEXTEND_CHECK(data.ok());
     CcFamilyOptions cc_options;
     cc_options.num_ccs = 30;
-    cc_options.seed = 11 * 13 + 1;
     auto ccs = GenerateCcs(data.value(), cc_options);
     CEXTEND_CHECK(ccs.ok()) << ccs.status().ToString();
     return new Instance{std::move(data).value(), std::move(ccs).value(),

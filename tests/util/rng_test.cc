@@ -1,12 +1,33 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
 namespace cextend {
 namespace {
+
+/// The O(n)-per-draw inverse CDF that ZipfTable replaces: the weights summed
+/// once for the total, then again until the running sum reaches the draw.
+size_t ZipfOracle(Rng& rng, size_t n, double s) {
+  if (n == 1) return 0;
+  if (s <= 0.0) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  }
+  double total = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i), s);
+  }
+  double u = rng.UniformDouble() * total;
+  double acc = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i), s);
+    if (u <= acc) return i - 1;
+  }
+  return n - 1;
+}
 
 TEST(RngTest, DeterministicGivenSeed) {
   Rng a(123), b(123);
@@ -94,9 +115,10 @@ TEST(RngTest, WeightedIndexProportions) {
 
 TEST(RngTest, ZipfSkewsLow) {
   Rng rng(17);
+  const ZipfTable zipf(100, 1.0);
   int low = 0;
   for (int i = 0; i < 5000; ++i) {
-    size_t v = rng.Zipf(100, 1.0);
+    size_t v = zipf.Draw(rng);
     EXPECT_LT(v, 100u);
     if (v < 10) ++low;
   }
@@ -106,9 +128,29 @@ TEST(RngTest, ZipfSkewsLow) {
 
 TEST(RngTest, ZipfZeroExponentIsUniformish) {
   Rng rng(19);
+  const ZipfTable zipf(10, 0.0);
   std::vector<int> counts(10, 0);
-  for (int i = 0; i < 10000; ++i) ++counts[rng.Zipf(10, 0.0)];
+  for (int i = 0; i < 10000; ++i) ++counts[zipf.Draw(rng)];
   for (int c : counts) EXPECT_NEAR(c, 1000, 250);
+}
+
+// Every draw equals the O(n) oracle's on the same stream, and leaves the
+// stream where the oracle leaves it (checked by the next raw value).
+TEST(RngTest, ZipfTableMatchesLinearOracle) {
+  for (size_t n : {1u, 2u, 250u, 1000u}) {
+    for (double s : {0.6, 1.0, 0.0}) {
+      const ZipfTable zipf(n, s);
+      for (uint64_t seed : {1u, 42u, 987654321u}) {
+        Rng table_rng(seed), oracle_rng(seed);
+        for (int i = 0; i < 2000; ++i) {
+          ASSERT_EQ(zipf.Draw(table_rng), ZipfOracle(oracle_rng, n, s))
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+          ASSERT_EQ(table_rng.Next(), oracle_rng.Next())
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(RngTest, ForkProducesIndependentStream) {
