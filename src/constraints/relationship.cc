@@ -105,7 +105,7 @@ bool Meet(const std::vector<int32_t>& a, const std::vector<int32_t>& b) {
   return false;
 }
 
-/// AttrSet::DisjointFrom over compiled terms.
+/// True when the sets of `x` and `y` provably share no value.
 bool TermsDisjoint(const Term& x, const Term& y) {
   if (x.empty || y.empty) return true;
   if (x.kind == Kind::kUnknown || y.kind == Kind::kUnknown) return false;
@@ -123,7 +123,7 @@ bool TermsDisjoint(const Term& x, const Term& y) {
   return false;  // complements of finite sets over an open domain meet
 }
 
-/// AttrSet::SubsetOf over compiled terms.
+/// True when the set of `x` is provably a subset of the set of `y`.
 bool TermSubset(const Term& x, const Term& y) {
   if (x.empty) return true;
   if (x.kind == Kind::kUnknown || y.kind == Kind::kUnknown) {

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "relational/attr_set.h"
-#include "util/code_interner.h"
 #include "util/logging.h"
 
 namespace cextend {
@@ -116,30 +115,25 @@ StatusOr<Binning> Binning::Create(
   }
 
   // Assign rows to bins, numbered in first-row order.
-  const size_t arity = a_columns.size() + irregular_preds.size();
-  CodeInterner bins(arity);
-  b.bin_of_row_.resize(num_rows);
-  std::vector<int64_t> key(arity);
-  for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t i = 0; i < key_columns.size(); ++i) {
-      const KeyColumn& kc = key_columns[i];
-      const int64_t code = kc.codes[r];
-      if (kc.cuts == nullptr || code == kNullCode) {
-        key[i] = code;
-      } else if (!kc.lookup.empty()) {
-        key[i] = kc.lookup[static_cast<size_t>(code - kc.lookup_base)];
-      } else {
-        key[i] = IntervalIndex(*kc.cuts, code);
-      }
-    }
-    for (size_t i = 0; i < irregular_preds.size(); ++i) {
-      key[a_columns.size() + i] = irregular_preds[i].Matches(table, r) ? 1 : 0;
-    }
-    const auto [bin, inserted] = bins.Intern(key.data());
-    if (inserted) b.rows_.emplace_back();
-    b.bin_of_row_[r] = bin;
-    b.rows_[bin].push_back(static_cast<uint32_t>(r));
-  }
+  b.bins_ = InternRows(
+      num_rows, a_columns.size() + irregular_preds.size(),
+      [&](size_t r, int64_t* key) {
+        for (size_t i = 0; i < key_columns.size(); ++i) {
+          const KeyColumn& kc = key_columns[i];
+          const int64_t code = kc.codes[r];
+          if (kc.cuts == nullptr || code == kNullCode) {
+            key[i] = code;
+          } else if (!kc.lookup.empty()) {
+            key[i] = kc.lookup[static_cast<size_t>(code - kc.lookup_base)];
+          } else {
+            key[i] = IntervalIndex(*kc.cuts, code);
+          }
+        }
+        for (size_t i = 0; i < irregular_preds.size(); ++i) {
+          key[a_columns.size() + i] =
+              irregular_preds[i].Matches(table, r) ? 1 : 0;
+        }
+      });
   return b;
 }
 

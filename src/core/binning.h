@@ -7,9 +7,10 @@
 // optionally refined by per-CC match bits when a CC's condition is not
 // interval-representable (e.g. != on an integer) — this keeps the invariant
 // "every CC selection is a union of bins" exact in all cases.
-// Bin counts are exactly the paper's all-way marginals over A1..Ap; the ILP
-// takes them from count(), and tests/core/marginals_oracle.h renders them as
-// explicit CCs with one reconstructed R1 condition per bin.
+// Bin sizes are exactly the paper's all-way marginals over A1..Ap; the ILP
+// reads them as the sizes of FillState's per-bin pools, and
+// tests/core/marginals_oracle.h renders them as explicit CCs with one
+// reconstructed R1 condition per bin.
 
 #ifndef CEXTEND_CORE_BINNING_H_
 #define CEXTEND_CORE_BINNING_H_
@@ -22,6 +23,7 @@
 #include "constraints/cardinality_constraint.h"
 #include "relational/predicate.h"
 #include "relational/table.h"
+#include "util/code_interner.h"
 #include "util/statusor.h"
 
 namespace cextend {
@@ -34,17 +36,18 @@ class Binning {
                                   const std::vector<std::string>& a_columns,
                                   const std::vector<CardinalityConstraint>& ccs);
 
-  size_t num_bins() const { return rows_.size(); }
-  size_t num_rows() const { return bin_of_row_.size(); }
+  /// Bins are numbered in first-row order.
+  size_t num_bins() const { return bins_.size(); }
+  size_t num_rows() const { return bins_.of_row.size(); }
 
-  uint32_t bin_of_row(size_t row) const { return bin_of_row_[row]; }
-  const std::vector<uint32_t>& rows(size_t bin) const { return rows_[bin]; }
-  size_t count(size_t bin) const { return rows_[bin].size(); }
-  /// Any row of the bin; all rows of a bin agree on every CC's R1 condition
-  /// drawn from the CC set used at creation (each is a union of bins), so a
-  /// CC covers a bin exactly when it holds on this row (MatchCcs in
-  /// core/fill_state.h).
-  uint32_t representative(size_t bin) const { return rows_[bin][0]; }
+  uint32_t bin_of_row(size_t row) const { return bins_.of_row[row]; }
+  /// The first row of each bin. All rows of a bin agree on every CC's R1
+  /// condition drawn from the CC set used at creation (each is a union of
+  /// bins), so a CC covers a bin exactly when it holds on this row (MatchCcs
+  /// in core/fill_state.h).
+  const std::vector<uint32_t>& representatives() const {
+    return bins_.representatives;
+  }
 
   /// Interval cut points per intervalized column (for tests/inspection).
   /// Cuts c0 < c1 < ... define intervals (-inf,c0-1], [c0,c1-1], ..., [ck,inf).
@@ -58,8 +61,7 @@ class Binning {
   const Table* table_ = nullptr;
   // Cut list per intervalized column; other columns key bins by raw code.
   std::map<std::string, std::vector<int64_t>> cuts_;
-  std::vector<uint32_t> bin_of_row_;
-  std::vector<std::vector<uint32_t>> rows_;
+  RowClasses bins_;
 };
 
 }  // namespace cextend

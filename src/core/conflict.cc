@@ -537,16 +537,8 @@ DcRowClasses DcRowClasses::Build(const Table& table,
   std::vector<const int64_t*> col_codes;
   for (size_t c : cols) col_codes.push_back(table.ColumnCodes(c).data());
 
-  CodeInterner keys(cols.size());
-  std::vector<uint32_t> key_of(n);
-  std::vector<uint32_t> key_reps;
-  std::vector<int64_t> tuple(cols.size());
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t k = 0; k < cols.size(); ++k) tuple[k] = col_codes[k][r];
-    CodeInterner::Interned key = keys.Intern(tuple.data());
-    key_of[r] = key.id;
-    if (key.inserted) key_reps.push_back(static_cast<uint32_t>(r));
-  }
+  const RowClasses keys = InternRows(n, col_codes);
+  const std::vector<uint32_t>& key_reps = keys.representatives;
 
   const size_t words = out.sig_words = (2 * plans.size() + 63) / 64;
   std::vector<uint64_t> key_sigs(key_reps.size() * words, 0);
@@ -574,34 +566,32 @@ DcRowClasses DcRowClasses::Build(const Table& table,
   std::sort(cross.begin(), cross.end());
   cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
 
-  CodeInterner buckets(words + cross.size());
-  CodeInterner groups(words);
-  std::vector<uint32_t> bucket_of_key(key_reps.size());
-  out.bucket_rep.reserve(key_reps.size());
-  out.bucket_sigs.reserve(key_reps.size() * words);
-  out.group_of.reserve(key_reps.size());
+  const RowClasses buckets = InternRows(
+      key_reps.size(), words + cross.size(), [&](size_t k, int64_t* merged) {
+        const uint64_t* sig = key_sigs.data() + k * words;
+        const uint32_t row = key_reps[k];
+        std::fill(merged + words, merged + words + cross.size(), kNullCode);
+        for (size_t w = 0; w < words; ++w) {
+          merged[w] = static_cast<int64_t>(sig[w]);
+          for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
+            const size_t bit =
+                w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+            plans[bit / 2].ForEachCrossAtom([&](const OrientedAtom& a) {
+              const size_t col = bit % 2 == 0 ? a.u_col : a.v_col;
+              const auto slot =
+                  std::lower_bound(cross.begin(), cross.end(), col);
+              merged[words + static_cast<size_t>(slot - cross.begin())] =
+                  table.GetCode(row, col);
+            });
+          }
+        }
+      });
+  out.bucket_rep.reserve(buckets.size());
+  out.bucket_sigs.reserve(buckets.size() * words);
   out.self_begin.push_back(0);
-  std::vector<int64_t> merged(words + cross.size());
-  for (size_t k = 0; k < key_reps.size(); ++k) {
-    const uint64_t* sig = key_sigs.data() + k * words;
+  for (uint32_t k : buckets.representatives) {
     const uint32_t row = key_reps[k];
-    std::fill(merged.begin() + static_cast<ptrdiff_t>(words), merged.end(),
-              kNullCode);
-    for (size_t w = 0; w < words; ++w) {
-      merged[w] = static_cast<int64_t>(sig[w]);
-      for (uint64_t bits = sig[w]; bits != 0; bits &= bits - 1) {
-        const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-        plans[bit / 2].ForEachCrossAtom([&](const OrientedAtom& a) {
-          const size_t col = bit % 2 == 0 ? a.u_col : a.v_col;
-          merged[words + static_cast<size_t>(
-                             std::lower_bound(cross.begin(), cross.end(), col) -
-                             cross.begin())] = table.GetCode(row, col);
-        });
-      }
-    }
-    CodeInterner::Interned bucket = buckets.Intern(merged.data());
-    bucket_of_key[k] = bucket.id;
-    if (!bucket.inserted) continue;
+    const uint64_t* sig = key_sigs.data() + k * words;
     out.bucket_rep.push_back(row);
     out.bucket_sigs.insert(out.bucket_sigs.end(), sig, sig + words);
     // Self-adjacent: the DC holds with `row` in both roles, i.e. on any two
@@ -611,18 +601,26 @@ DcRowClasses DcRowClasses::Build(const Table& table,
       if (plans[d].dc->BodyHolds(table, self_pair)) out.self_dcs.push_back(d);
     }
     out.self_begin.push_back(static_cast<uint32_t>(out.self_dcs.size()));
-    for (size_t w = 0; w < words; ++w) {
-      merged[w] = static_cast<int64_t>(sig[w] & product_bits[w]);
+  }
+
+  RowClasses groups =
+      InternRows(buckets.size(), words, [&](size_t b, int64_t* product_sig) {
+        for (size_t w = 0; w < words; ++w) {
+          product_sig[w] = static_cast<int64_t>(out.bucket_sigs[b * words + w] &
+                                                product_bits[w]);
+        }
+      });
+  out.group_of = std::move(groups.of_row);
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    out.group_rep.push_back(out.bucket_rep[groups.representatives[g]]);
+    for (int64_t word : groups.keys.tuple(g)) {
+      out.group_sigs.push_back(static_cast<uint64_t>(word));
     }
-    CodeInterner::Interned group = groups.Intern(merged.data());
-    out.group_of.push_back(group.id);
-    if (!group.inserted) continue;
-    out.group_rep.push_back(row);
-    out.group_sigs.insert(out.group_sigs.end(), merged.begin(),
-                          merged.begin() + static_cast<ptrdiff_t>(words));
   }
   out.bucket_of.resize(n);
-  for (size_t r = 0; r < n; ++r) out.bucket_of[r] = bucket_of_key[key_of[r]];
+  for (size_t r = 0; r < n; ++r) {
+    out.bucket_of[r] = buckets.of_row[keys.of_row[r]];
+  }
   return out;
 }
 

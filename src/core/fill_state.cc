@@ -12,26 +12,6 @@ FootprintMatcher::FootprintMatcher(const Table& table,
       rows_(std::move(rows)),
       words_((rows_.size() + 63) / 64) {}
 
-FootprintMatcher FootprintMatcher::ForBins(const Binning& binning) {
-  std::vector<uint32_t> rows(binning.num_bins());
-  for (size_t bin = 0; bin < rows.size(); ++bin) {
-    rows[bin] = binning.representative(bin);
-  }
-  return ForRows(binning.table(), std::move(rows));
-}
-
-FootprintMatcher FootprintMatcher::ForCombos(const ComboIndex& combos,
-                                             const Table& r2) {
-  std::vector<uint32_t> rows(combos.num_combos());
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = combos.representative(i);
-  return ForRows(r2, std::move(rows));
-}
-
-FootprintMatcher FootprintMatcher::ForRows(const Table& table,
-                                           std::vector<uint32_t> rows) {
-  return FootprintMatcher(table, std::move(rows));
-}
-
 const std::vector<uint64_t>& FootprintMatcher::AtomBits(
     const BoundPredicate::BoundAtom& atom) {
   auto [it, inserted] = atom_bits_.try_emplace(
@@ -79,8 +59,8 @@ StatusOr<std::vector<size_t>> FootprintMatcher::Match(
 StatusOr<std::vector<CcMatch>> MatchCcs(
     const Binning& binning, const ComboIndex& combos, const Table& r2,
     const std::vector<CardinalityConstraint>& ccs) {
-  FootprintMatcher bin_matcher = FootprintMatcher::ForBins(binning);
-  FootprintMatcher combo_matcher = FootprintMatcher::ForCombos(combos, r2);
+  FootprintMatcher bin_matcher(binning.table(), binning.representatives());
+  FootprintMatcher combo_matcher(r2, combos.representatives());
   std::vector<CcMatch> matches(ccs.size());
   for (size_t c = 0; c < ccs.size(); ++c) {
     CEXTEND_ASSIGN_OR_RETURN(matches[c].bins,
@@ -103,8 +83,8 @@ StatusOr<FillState> FillState::Create(Table* v_join, const PairSchema& names,
   CEXTEND_ASSIGN_OR_RETURN(state.b_cols_,
                            ResolveBColumns(v_join->schema(), names));
   state.pools_.resize(binning->num_bins());
-  for (size_t bin = 0; bin < binning->num_bins(); ++bin) {
-    state.pools_[bin] = binning->rows(bin);
+  for (size_t r = 0; r < binning->num_rows(); ++r) {
+    state.pools_[binning->bin_of_row(r)].push_back(static_cast<uint32_t>(r));
   }
   return state;
 }
@@ -131,7 +111,7 @@ std::vector<uint32_t> FillState::PopRows(size_t bin, size_t k) {
 }
 
 void FillState::AssignFullCombo(uint32_t row,
-                                const std::vector<int64_t>& codes) {
+                                std::span<const int64_t> codes) {
   CEXTEND_DCHECK(codes.size() == b_cols_.size());
   for (size_t i = 0; i < b_cols_.size(); ++i) {
     v_join_->SetCode(row, b_cols_[i], codes[i]);

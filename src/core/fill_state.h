@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -30,23 +31,18 @@ struct CcMatch {
   std::vector<size_t> combos;
 };
 
-/// Matches conditions against one representative row per class: the bins
-/// of a Binning, the combos of a ComboIndex, or any caller-chosen rows of a
-/// table (ForRows). A condition is bound with
-/// BoundPredicate::Bind, so an unknown column or a bad constant fails as it
-/// does everywhere else. Each distinct bound atom (column, op, code, IN
-/// codes) is then swept once over the representatives' codes into a cached
-/// bitset, and a condition's classes are the AND of its atoms' bitsets.
-/// BoundPredicate::AtomHolds decides every cell, so the result equals
-/// BoundPredicate::Matches on each representative.
+/// Matches conditions against one representative row per class: the
+/// representatives of a Binning, of a ComboIndex or of any RowClasses. A
+/// condition is bound with BoundPredicate::Bind, so an unknown column or a
+/// bad constant fails as it does everywhere else. Each distinct bound atom
+/// (column, op, code, IN codes) is then swept once over the representatives'
+/// codes into a cached bitset, and a condition's classes are the AND of its
+/// atoms' bitsets. BoundPredicate::AtomHolds decides every cell, so the
+/// result equals BoundPredicate::Matches on each representative.
 class FootprintMatcher {
  public:
-  static FootprintMatcher ForBins(const Binning& binning);
-  /// `r2` is the table `combos` was built from.
-  static FootprintMatcher ForCombos(const ComboIndex& combos, const Table& r2);
   /// Class id i is `table` row `rows[i]`. `table` must outlive the matcher.
-  static FootprintMatcher ForRows(const Table& table,
-                                  std::vector<uint32_t> rows);
+  FootprintMatcher(const Table& table, std::vector<uint32_t> rows);
 
   /// Ids of the classes whose representative satisfies `condition`,
   /// ascending.
@@ -55,7 +51,6 @@ class FootprintMatcher {
  private:
   using AtomKey = std::tuple<size_t, CompareOp, int64_t, std::vector<int64_t>>;
 
-  FootprintMatcher(const Table& table, std::vector<uint32_t> rows);
   const std::vector<uint64_t>& AtomBits(const BoundPredicate::BoundAtom& atom);
 
   const Table* table_;
@@ -97,7 +92,7 @@ class FillState {
   std::vector<uint32_t> PopRows(size_t bin, size_t k);
 
   /// Writes full combo `codes` (one per B column) into `row`.
-  void AssignFullCombo(uint32_t row, const std::vector<int64_t>& codes);
+  void AssignFullCombo(uint32_t row, std::span<const int64_t> codes);
 
   /// Rows never assigned (still in pools), drained into one list.
   std::vector<uint32_t> DrainPools();

@@ -1,7 +1,6 @@
 #include "core/join_view.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -96,75 +95,28 @@ StatusOr<Table> MakeJoinView(const Table& r1, const Table& r2,
   return v_join;
 }
 
-StatusOr<Table> MaterializeJoin(const Table& r1, const Table& r2,
-                                const PairSchema& names) {
-  CEXTEND_ASSIGN_OR_RETURN(Table v_join, MakeJoinView(r1, r2, names));
-  size_t fk_col = r1.schema().IndexOrDie(names.fk);
-  size_t k2_col = r2.schema().IndexOrDie(names.key2);
-  std::unordered_map<int64_t, uint32_t> key_to_row;
-  key_to_row.reserve(r2.NumRows() * 2);
-  for (size_t r = 0; r < r2.NumRows(); ++r) {
-    int64_t key = r2.GetCode(r, k2_col);
-    if (key == kNullCode)
-      return Status::FailedPrecondition("NULL key in R2");
-    if (!key_to_row.emplace(key, static_cast<uint32_t>(r)).second)
-      return Status::FailedPrecondition("duplicate key in R2");
-  }
-  std::vector<size_t> b_cols_r2, b_cols_v;
-  for (const std::string& b : names.r2_attrs) {
-    b_cols_r2.push_back(r2.schema().IndexOrDie(b));
-    b_cols_v.push_back(v_join.schema().IndexOrDie(b));
-  }
-  for (size_t r = 0; r < r1.NumRows(); ++r) {
-    int64_t fk = r1.GetCode(r, fk_col);
-    if (fk == kNullCode) {
-      return Status::FailedPrecondition(
-          StrFormat("R1 row %zu has NULL foreign key", r));
-    }
-    auto it = key_to_row.find(fk);
-    if (it == key_to_row.end()) {
-      return Status::FailedPrecondition(
-          StrFormat("R1 row %zu has dangling foreign key", r));
-    }
-    for (size_t i = 0; i < b_cols_r2.size(); ++i) {
-      v_join.SetCode(r, b_cols_v[i], r2.GetCode(it->second, b_cols_r2[i]));
-    }
-  }
-  return v_join;
-}
-
 StatusOr<ComboIndex> ComboIndex::Build(const Table& r2,
                                        const PairSchema& names) {
-  ComboIndex index;
-  index.key_col_ = r2.schema().IndexOrDie(names.key2);
-  for (const std::string& b : names.r2_attrs) {
-    index.b_cols_.push_back(r2.schema().IndexOrDie(b));
-  }
   std::vector<const int64_t*> b_codes;
-  for (size_t col : index.b_cols_) {
-    b_codes.push_back(r2.ColumnCodes(col).data());
+  for (const std::string& b : names.r2_attrs) {
+    b_codes.push_back(r2.ColumnCodes(r2.schema().IndexOrDie(b)).data());
   }
-  const int64_t* key_codes = r2.ColumnCodes(index.key_col_).data();
-  index.lookup_ = CodeInterner(b_codes.size());
-  std::vector<int64_t> codes(b_codes.size());
+  ComboIndex index;
+  index.classes_ = InternRows(r2.NumRows(), b_codes);
+  index.keys_.resize(index.classes_.size());
+  const int64_t* key_codes =
+      r2.ColumnCodes(r2.schema().IndexOrDie(names.key2)).data();
   for (size_t r = 0; r < r2.NumRows(); ++r) {
-    for (size_t i = 0; i < b_codes.size(); ++i) codes[i] = b_codes[i][r];
-    const auto [id, inserted] = index.lookup_.Intern(codes.data());
-    if (inserted) {
-      index.combos_.push_back(codes);
-      index.keys_.emplace_back();
-      index.representative_.push_back(static_cast<uint32_t>(r));
-    }
-    index.keys_[id].push_back(key_codes[r]);
+    index.keys_[index.classes_.of_row[r]].push_back(key_codes[r]);
   }
   for (auto& k : index.keys_) std::sort(k.begin(), k.end());
   return index;
 }
 
 std::optional<size_t> ComboIndex::Find(
-    const std::vector<int64_t>& codes) const {
-  if (codes.size() != lookup_.arity()) return std::nullopt;
-  return lookup_.Find(codes.data());
+    std::span<const int64_t> codes) const {
+  if (codes.size() != classes_.keys.arity()) return std::nullopt;
+  return classes_.keys.Find(codes.data());
 }
 
 std::vector<size_t> ComboIndex::ExpandByKeyCount(

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,12 +43,6 @@ struct PairSchema {
 StatusOr<Table> MakeJoinView(const Table& r1, const Table& r2,
                              const PairSchema& names);
 
-/// Materializes the actual join of a *filled* R1 with R2 (used to derive
-/// ground-truth CC targets in the generators and to verify Proposition 5.5).
-/// Fails if any FK value is NULL or dangling.
-StatusOr<Table> MaterializeJoin(const Table& r1, const Table& r2,
-                                const PairSchema& names);
-
 /// Index over the distinct (B1..Bq) combinations present in R2: which keys
 /// realize each combination, and one R2 row per combination (which R2-side
 /// CC conditions a combination satisfies is read at that row; see MatchCcs
@@ -57,11 +52,11 @@ class ComboIndex {
  public:
   static StatusOr<ComboIndex> Build(const Table& r2, const PairSchema& names);
 
-  size_t num_combos() const { return combos_.size(); }
+  size_t num_combos() const { return classes_.size(); }
 
   /// Codes of combo `i`, one per B column (order of names.r2_attrs).
-  const std::vector<int64_t>& combo_codes(size_t i) const {
-    return combos_[i];
+  std::span<const int64_t> combo_codes(size_t i) const {
+    return classes_.keys.tuple(static_cast<uint32_t>(i));
   }
 
   /// K2 values carrying combo `i`, ascending.
@@ -69,10 +64,12 @@ class ComboIndex {
 
   /// Combo id for exact codes, if present in R2 (nullopt when `codes` has
   /// the wrong arity). Ids are in first-appearance order over R2's rows.
-  std::optional<size_t> Find(const std::vector<int64_t>& codes) const;
+  std::optional<size_t> Find(std::span<const int64_t> codes) const;
 
-  /// The first R2 row carrying combo `i` (an R2 row index, not a key).
-  uint32_t representative(size_t i) const { return representative_[i]; }
+  /// The first R2 row carrying each combo (R2 row indices, not keys).
+  const std::vector<uint32_t>& representatives() const {
+    return classes_.representatives;
+  }
 
   /// Repeats each combo id proportionally to its key count (capped at
   /// `cap`). Round-robin assignment over the expanded list spreads tuples
@@ -83,12 +80,8 @@ class ComboIndex {
                                        size_t cap = 8) const;
 
  private:
-  std::vector<size_t> b_cols_;              // column indices in R2
-  size_t key_col_ = 0;
-  std::vector<std::vector<int64_t>> combos_;
+  RowClasses classes_;  // R2 rows by B codes
   std::vector<std::vector<int64_t>> keys_;
-  std::vector<uint32_t> representative_;    // an R2 row per combo
-  CodeInterner lookup_;                     // B codes -> combo id
 };
 
 }  // namespace cextend

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "core/fill_state.h"
 #include "util/bytes.h"
@@ -196,7 +197,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
         r2_combos = &built;
       }
       const ComboIndex& combos = *r2_combos;
-      FootprintMatcher combo_matcher = FootprintMatcher::ForCombos(combos, r2);
+      FootprintMatcher combo_matcher(r2, combos.representatives());
       std::vector<BoundPredicate> cc_r1;
       std::vector<std::vector<char>> cc_combo(ccs.size());
       for (size_t c = 0; c < ccs.size(); ++c) {
@@ -223,7 +224,7 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
             if (badness == 0) break;
           }
         }
-        const std::vector<int64_t>& combo = combos.combo_codes(best_combo);
+        std::span<const int64_t> combo = combos.combo_codes(best_combo);
         for (size_t i = 0; i < b_cols.size(); ++i) {
           v_join.SetCode(row, b_cols[i], combo[i]);
         }
@@ -239,14 +240,11 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
     // which is why the plan keeps its own table instead of ComboIndex ids.
     std::vector<const int64_t*> b_codes;
     for (size_t col : b_cols) b_codes.push_back(v_join.ColumnCodes(col).data());
-    CodeInterner interned(b_cols.size());
-    plan.row_combo.resize(v_join.NumRows());
-    std::vector<int64_t> key(b_cols.size());
-    for (size_t r = 0; r < v_join.NumRows(); ++r) {
-      for (size_t i = 0; i < b_codes.size(); ++i) key[i] = b_codes[i][r];
-      const auto [id, inserted] = interned.Intern(key.data());
-      if (inserted) plan.combo_table.push_back(key);
-      plan.row_combo[r] = id;
+    RowClasses combos = InternRows(v_join.NumRows(), b_codes);
+    plan.row_combo = std::move(combos.of_row);
+    for (size_t id = 0; id < combos.size(); ++id) {
+      std::span<const int64_t> codes = combos.keys.tuple(id);
+      plan.combo_table.emplace_back(codes.begin(), codes.end());
     }
 
     const PartitionLayout layout = LayoutPartitions(plan, is_invalid);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <unordered_map>
 
 #include "core/conflict.h"
@@ -451,8 +452,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
     oracle_options.run_control = options.run_control;
     for (const auto& [combo_id, group] : prepared.repair_groups) {
       CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
-      const std::vector<int64_t>& combo =
-          prepared.combos->combo_codes(combo_id);
+      std::span<const int64_t> combo = prepared.combos->combo_codes(combo_id);
       // Colored partition rows first, then the group.
       std::vector<uint32_t> rows;
       std::vector<int64_t> colored_keys;
@@ -473,7 +473,8 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
         int64_t chosen = keys[g];
         if (chosen == kNoColor) {
           chosen = next_key++;
-          block.new_tuples.push_back(ResolvedShard::NewTuple{chosen, combo});
+          block.new_tuples.push_back(ResolvedShard::NewTuple{
+              chosen, std::vector<int64_t>(combo.begin(), combo.end())});
         }
         block.rows.push_back(ShardRow{group[g], chosen});
       }

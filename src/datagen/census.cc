@@ -12,6 +12,10 @@ namespace cextend {
 namespace datagen {
 namespace {
 
+/// Distinct Area values. 121 are reserved for Area-only CCs; the rest form
+/// the Tenure-Area pool (paper Table 5 uses 469 pairs + 121 areas).
+constexpr size_t kNumAreas = 250;
+
 /// One generated person before table materialization.
 struct Person {
   int64_t age;
@@ -120,9 +124,6 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
       options.num_r2_columns != 10) {
     return Status::InvalidArgument("num_r2_columns must be 2, 4, 6, 8 or 10");
   }
-  if (options.num_areas == 0) {
-    return Status::InvalidArgument("num_areas must be positive");
-  }
   Rng rng(options.seed);
 
   // ---- Households: one owner each. ----
@@ -178,7 +179,7 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
   static const char* kTenures[] = {"Owned-mortgage", "Owned-free", "Rented",
                                    "No-rent"};
   static const double kTenureWeights[] = {0.38, 0.22, 0.32, 0.08};
-  const ZipfTable area_zipf(options.num_areas, 0.6);
+  const ZipfTable area_zipf(kNumAreas, 0.6);
   for (const Household& house : houses) {
     size_t area = area_zipf.Draw(rng);
     size_t tenure = rng.WeightedIndex(kTenureWeights);

@@ -48,9 +48,6 @@ struct CensusOptions {
   size_t num_households = 9820;
   /// Number of non-key Housing columns: 2, 4, 6, 8 or 10 (paper Figure 12).
   size_t num_r2_columns = 2;
-  /// Distinct Area values. 121 are reserved for Area-only CCs; the rest form
-  /// the Tenure-Area pool (paper Table 5 uses 469 pairs + 121 areas).
-  size_t num_areas = 250;
   uint64_t seed = 42;
 };
 

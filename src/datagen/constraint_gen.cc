@@ -40,6 +40,11 @@ void AddAgeGapDc(std::vector<DenialConstraint>& out, const std::string& name,
   }
 }
 
+/// R2-side conditions are drawn from this many Tenure-Area pairs and
+/// Area-only values (paper Table 5), clamped to what the data provides.
+constexpr size_t kTenureAreaPairs = 469;
+constexpr size_t kAreaOnlyValues = 121;
+
 /// One row of the Table-5 predicate pools.
 struct PoolRow {
   int64_t age_lo;
@@ -113,10 +118,10 @@ Predicate PoolPredicate(const PoolRow& row) {
   return p;
 }
 
-/// Ascending indices in `table` of the columns that `side` of the CCs reads.
-/// Each must be one of `allowed`, the columns this side contributes to the
-/// join view.
-StatusOr<std::vector<size_t>> ReadColumns(
+/// Codes of the columns that `side` of the CCs reads, in column order. Each
+/// must be one of `allowed`, the columns this side contributes to the join
+/// view.
+StatusOr<std::vector<const int64_t*>> ReadColumns(
     const Table& table, const std::vector<std::string>& allowed,
     const std::vector<CardinalityConstraint>& ccs,
     Predicate CardinalityConstraint::*side) {
@@ -133,30 +138,9 @@ StatusOr<std::vector<size_t>> ReadColumns(
   }
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-  return cols;
-}
-
-/// Rows of `table` grouped by their codes on `cols`. Class ids follow
-/// first-row order; a class's representative is its first row.
-struct RowClasses {
-  std::vector<uint32_t> of_row;
-  std::vector<uint32_t> representatives;
-};
-
-RowClasses InternRows(const Table& table, const std::vector<size_t>& cols) {
-  std::vector<const int64_t*> columns;
-  for (size_t col : cols) columns.push_back(table.ColumnCodes(col).data());
-  CodeInterner interner(cols.size());
-  std::vector<int64_t> key(cols.size());
-  RowClasses classes;
-  classes.of_row.resize(table.NumRows());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    for (size_t i = 0; i < columns.size(); ++i) key[i] = columns[i][r];
-    const auto [id, inserted] = interner.Intern(key.data());
-    if (inserted) classes.representatives.push_back(static_cast<uint32_t>(r));
-    classes.of_row[r] = id;
-  }
-  return classes;
+  std::vector<const int64_t*> codes;
+  for (size_t col : cols) codes.push_back(table.ColumnCodes(col).data());
+  return codes;
 }
 
 }  // namespace
@@ -228,19 +212,15 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
   const Table& housing = data.housing;
   const size_t area_col = housing.schema().IndexOrDie("Area");
   const size_t tenure_col = housing.schema().IndexOrDie("Tenure");
-  const int64_t* area_codes = housing.ColumnCodes(area_col).data();
-  const int64_t* tenure_codes = housing.ColumnCodes(tenure_col).data();
-  CodeInterner distinct(2);
-  for (size_t r = 0; r < housing.NumRows(); ++r) {
-    const int64_t key[2] = {tenure_codes[r], area_codes[r]};
-    distinct.Intern(key);
-  }
+  const int64_t* const codes[] = {housing.ColumnCodes(tenure_col).data(),
+                                  housing.ColumnCodes(area_col).data()};
+  const RowClasses distinct = InternRows(housing.NumRows(), codes);
   std::set<std::pair<std::string, std::string>> pairs_seen;
   std::set<std::string> areas_seen;
   for (uint32_t id = 0; id < distinct.size(); ++id) {
-    std::span<const int64_t> codes = distinct.tuple(id);
-    std::string tenure = housing.DecodeCode(tenure_col, codes[0]).AsString();
-    std::string area = housing.DecodeCode(area_col, codes[1]).AsString();
+    std::span<const int64_t> pair = distinct.keys.tuple(id);
+    std::string tenure = housing.DecodeCode(tenure_col, pair[0]).AsString();
+    std::string area = housing.DecodeCode(area_col, pair[1]).AsString();
     // Area code "Axxx": xxx < 121 => Area-only pool.
     int64_t num = *ParseInt64(area.substr(1));
     if (num < 121) {
@@ -255,14 +235,14 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
   };
   std::vector<R2Cond> r2_conditions;
   for (const auto& [tenure, area] : pairs_seen) {
-    if (r2_conditions.size() >= options.num_tenure_area_pairs) break;
+    if (r2_conditions.size() >= kTenureAreaPairs) break;
     Predicate p;
     p.Eq("Tenure", Value(tenure)).Eq("Area", Value(area));
     r2_conditions.push_back({std::move(p), tenure + "/" + area});
   }
   size_t area_only = 0;
   for (const std::string& area : areas_seen) {
-    if (area_only >= options.num_area_only) break;
+    if (area_only >= kAreaOnlyValues) break;
     Predicate p;
     p.Eq("Area", Value(area));
     r2_conditions.push_back({std::move(p), area});
@@ -355,14 +335,14 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
   std::vector<std::string> r1_side = names.r1_attrs;
   r1_side.push_back(names.key1);
   CEXTEND_ASSIGN_OR_RETURN(
-      std::vector<size_t> r1_cols,
+      std::vector<const int64_t*> r1_cols,
       ReadColumns(r1, r1_side, *ccs, &CardinalityConstraint::r1_condition));
   CEXTEND_ASSIGN_OR_RETURN(
-      std::vector<size_t> r2_cols,
+      std::vector<const int64_t*> r2_cols,
       ReadColumns(r2, names.r2_attrs, *ccs,
                   &CardinalityConstraint::r2_condition));
 
-  const RowClasses r2_classes = InternRows(r2, r2_cols);
+  const RowClasses r2_classes = InternRows(r2.NumRows(), r2_cols);
   const int64_t* keys = r2.ColumnCodes(r2.schema().IndexOrDie(names.key2)).data();
   std::unordered_map<int64_t, uint32_t> class_of_key;
   class_of_key.reserve(r2.NumRows() * 2);
@@ -376,7 +356,7 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
   }
 
   // One packed (R2 class, R1 class) pair per R1 row, joined through the FK.
-  const RowClasses r1_classes = InternRows(r1, r1_cols);
+  const RowClasses r1_classes = InternRows(r1.NumRows(), r1_cols);
   const int64_t* fks = r1.ColumnCodes(r1.schema().IndexOrDie(names.fk)).data();
   std::vector<uint64_t> pairs(r1.NumRows());
   for (size_t r = 0; r < r1.NumRows(); ++r) {
@@ -400,7 +380,7 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
     uint32_t rows;
   };
   std::vector<Run> runs;
-  std::vector<size_t> start(r2_classes.representatives.size() + 1, 0);
+  std::vector<size_t> start(r2_classes.size() + 1, 0);
   for (size_t i = 0; i < pairs.size();) {
     size_t end = i + 1;
     while (end < pairs.size() && pairs[end] == pairs[i]) ++end;
@@ -411,11 +391,9 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
   }
   for (size_t j = 1; j < start.size(); ++j) start[j] += start[j - 1];
 
-  FootprintMatcher r1_matcher =
-      FootprintMatcher::ForRows(r1, r1_classes.representatives);
-  FootprintMatcher r2_matcher =
-      FootprintMatcher::ForRows(r2, r2_classes.representatives);
-  std::vector<uint8_t> r1_match(r1_classes.representatives.size(), 0);
+  FootprintMatcher r1_matcher(r1, r1_classes.representatives);
+  FootprintMatcher r2_matcher(r2, r2_classes.representatives);
+  std::vector<uint8_t> r1_match(r1_classes.size(), 0);
   for (CardinalityConstraint& cc : *ccs) {
     CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> r1_ids,
                              r1_matcher.Match(cc.r1_condition));

@@ -32,10 +32,6 @@ struct CcFamilyOptions {
   /// false: the S_good pool (containment chains only); true: the S_bad pool
   /// (intersecting Age intervals).
   bool intersecting = false;
-  /// Tenure-Area pairs / Area-only values to draw R2-side conditions from
-  /// (paper: 469 and 121). Clamped to what the data provides.
-  size_t num_tenure_area_pairs = 469;
-  size_t num_area_only = 121;
 };
 
 /// Builds a CC family over the generated census data, with targets counted
@@ -56,10 +52,10 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
 /// sort, and per CC the number of distinct pairs in its matching R2 classes
 /// (2,283 R1 and 1,000 R2 classes on the 250k-person census).
 ///
-/// Fails like MaterializeJoin with FailedPrecondition on a NULL, duplicate or
-/// dangling key, and with InvalidArgument when a condition does not bind or
-/// reads a column outside its side of the join view (key1 and the R1
-/// attributes for r1_condition, the R2 attributes for r2_condition).
+/// Fails with FailedPrecondition on a NULL, duplicate or dangling key, and
+/// with InvalidArgument when a condition does not bind or reads a column
+/// outside its side of the join view (key1 and the R1 attributes for
+/// r1_condition, the R2 attributes for r2_condition).
 Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
                       std::vector<CardinalityConstraint>* ccs);
 

@@ -217,20 +217,4 @@ void Hypergraph::AppendForbiddenColors(size_t v,
   }
 }
 
-bool Hypergraph::IsProperColoring(const std::vector<int64_t>& colors) const {
-  constexpr int64_t kNoColor = INT64_MIN;
-  for (const std::vector<int>& edge : edges_) {
-    bool distinct = false;
-    int64_t first = colors[static_cast<size_t>(edge[0])];
-    if (first == kNoColor) return false;
-    for (size_t i = 1; i < edge.size(); ++i) {
-      int64_t c = colors[static_cast<size_t>(edge[i])];
-      if (c == kNoColor) return false;  // uncolored vertices break the edge
-      if (c != first) distinct = true;
-    }
-    if (!distinct) return false;
-  }
-  return true;
-}
-
 }  // namespace cextend

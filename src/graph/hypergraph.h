@@ -226,10 +226,6 @@ class Hypergraph : public ConflictOracle {
   void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
                              std::vector<int64_t>* out) const override;
 
-  /// A coloring is proper when every edge has >= 2 distinct colors among its
-  /// vertices. Uncolored vertices (kNoColor) make an edge improper.
-  bool IsProperColoring(const std::vector<int64_t>& colors) const;
-
  private:
   std::vector<std::vector<int>> edges_;
   std::vector<std::vector<int>> incident_;

@@ -43,11 +43,6 @@ std::vector<std::string> SetUnion(const std::vector<std::string>& a,
   return out;
 }
 
-bool IsSubset(const std::vector<std::string>& a,
-              const std::vector<std::string>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
 }  // namespace
 
 AttrSet AttrSet::FullInt() { return Interval(kIntMin, kIntMax); }
@@ -111,30 +106,6 @@ AttrSet AttrSet::IntersectWith(const AttrSet& other) const {
   }
   // Interval vs categorical: type confusion; treat as unknown.
   return Unknown();
-}
-
-bool AttrSet::SubsetOf(const AttrSet& other) const {
-  if (IsEmpty()) return true;
-  if (kind_ == Kind::kUnknown || other.kind_ == Kind::kUnknown)
-    return *this == other;
-  if (kind_ == Kind::kInterval && other.kind_ == Kind::kInterval)
-    return lo_ >= other.lo_ && hi_ <= other.hi_;
-  if (kind_ == Kind::kCatPositive && other.kind_ == Kind::kCatPositive)
-    return IsSubset(values_, other.values_);
-  if (kind_ == Kind::kCatPositive && other.kind_ == Kind::kCatNegative)
-    return SetIntersection(values_, other.values_).empty();
-  if (kind_ == Kind::kCatNegative && other.kind_ == Kind::kCatNegative)
-    return IsSubset(other.values_, values_);  // comp(A) ⊆ comp(B) iff B ⊆ A
-  // kCatNegative ⊆ kCatPositive cannot be proven without the full domain.
-  return false;
-}
-
-bool AttrSet::DisjointFrom(const AttrSet& other) const {
-  if (IsEmpty() || other.IsEmpty()) return true;
-  if (kind_ == Kind::kUnknown || other.kind_ == Kind::kUnknown) return false;
-  AttrSet inter = IntersectWith(other);
-  if (inter.kind_ == Kind::kUnknown) return false;
-  return inter.IsEmpty();
 }
 
 bool AttrSet::ContainsInt(int64_t v) const {

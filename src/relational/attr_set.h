@@ -52,12 +52,6 @@ class AttrSet {
   /// Set intersection. Unknown absorbs everything.
   AttrSet IntersectWith(const AttrSet& other) const;
 
-  /// True when this ⊆ other can be *proven*. Unknown only contains itself.
-  bool SubsetOf(const AttrSet& other) const;
-
-  /// True when this ∩ other = ∅ can be *proven*.
-  bool DisjointFrom(const AttrSet& other) const;
-
   /// Membership tests. Unknown sets conservatively contain everything.
   bool ContainsInt(int64_t v) const;
   bool ContainsString(const std::string& v) const;

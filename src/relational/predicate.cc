@@ -178,12 +178,4 @@ size_t BoundPredicate::CountMatches(const Table& table) const {
   return count;
 }
 
-std::vector<uint32_t> BoundPredicate::Filter(const Table& table) const {
-  std::vector<uint32_t> out;
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    if (Matches(table, r)) out.push_back(static_cast<uint32_t>(r));
-  }
-  return out;
-}
-
 }  // namespace cextend

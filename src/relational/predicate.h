@@ -118,9 +118,6 @@ class BoundPredicate {
   /// Number of matching rows.
   size_t CountMatches(const Table& table) const;
 
-  /// Indices of matching rows.
-  std::vector<uint32_t> Filter(const Table& table) const;
-
   /// One conjunct compiled to codes. An absent `!=` constant binds as
   /// `!= kNullCode` ("any non-NULL cell"), an absent `=` constant as
   /// `= kNullCode` (no cell).

@@ -1,10 +1,14 @@
-// Dense ids for fixed-arity code tuples.
+// Dense ids for fixed-arity code tuples, and rows grouped by them.
 //
 // CodeInterner gives each distinct tuple of `arity` int64 codes a uint32 id,
-// numbered 0, 1, 2, ... in first-insertion order. Binning (one id per bin
-// key), ComboIndex (one per R2 B-combo) and the synthesis plan (one per
-// join-view B-combo) all number their tuples this way, so their ids — and
-// every output ordered by them — follow row order alone.
+// numbered 0, 1, 2, ... in first-insertion order. InternRows runs it over a
+// table's rows and returns RowClasses: a class id per row, the first row of
+// each class and the class key tuples. Every row grouping of the library goes
+// through InternRows: Binning (one class per bin key), ComboIndex (one per
+// R2 B-combo), the synthesis plan (one per join-view B-combo), DcRowClasses
+// (keys, buckets and groups) and the CC-target count (R1 and R2 classes over
+// the columns the CCs read). Their ids — and every output ordered by them —
+// follow row order alone.
 //
 // Layout: the tuples live back to back in one vector, indexed by id; the
 // hash table is a power-of-two array of id+1 slots (0 = empty) probed
@@ -112,6 +116,41 @@ class CodeInterner {
   std::vector<int64_t> keys_;    // size_ * arity_ codes, in id order
   std::vector<uint32_t> slots_;  // id + 1, or 0 when empty
 };
+
+/// Rows [0, n) grouped into classes of equal key tuples. Class ids follow
+/// first-row order; a class's representative is its first row.
+struct RowClasses {
+  std::vector<uint32_t> of_row;           ///< class id per row
+  std::vector<uint32_t> representatives;  ///< first row per class
+  CodeInterner keys;                      ///< key tuple per class id
+
+  size_t size() const { return representatives.size(); }
+};
+
+/// Groups rows [0, num_rows) by the `arity` codes that
+/// `fill_key(row, key)` writes to `key`.
+template <typename FillKey>
+RowClasses InternRows(size_t num_rows, size_t arity, FillKey&& fill_key) {
+  RowClasses classes{{}, {}, CodeInterner(arity)};
+  classes.of_row.resize(num_rows);
+  std::vector<int64_t> key(arity);
+  for (size_t r = 0; r < num_rows; ++r) {
+    fill_key(r, key.data());
+    const auto [id, inserted] = classes.keys.Intern(key.data());
+    if (inserted) classes.representatives.push_back(static_cast<uint32_t>(r));
+    classes.of_row[r] = id;
+  }
+  return classes;
+}
+
+/// Groups rows [0, num_rows) by their codes in `columns`, each of which
+/// holds `num_rows` codes.
+inline RowClasses InternRows(size_t num_rows,
+                             std::span<const int64_t* const> columns) {
+  return InternRows(num_rows, columns.size(), [&](size_t r, int64_t* key) {
+    for (size_t i = 0; i < columns.size(); ++i) key[i] = columns[i][r];
+  });
+}
 
 }  // namespace cextend
 

@@ -27,7 +27,7 @@ class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Infinite deadline: Expired() is always false.
+  /// Infinite deadline: IsExpired() is always false.
   Deadline() = default;
 
   /// Expires `millis` from now (clamped at 0).
@@ -35,12 +35,6 @@ class Deadline {
     if (millis < 0) millis = 0;
     return Deadline(Clock::now() + std::chrono::milliseconds(millis));
   }
-
-  /// Already-expired deadline (for tests and immediate shutdown).
-  static Deadline Expired() { return Deadline(Clock::time_point::min()); }
-
-  /// Never-expiring deadline (same as default construction).
-  static Deadline Infinite() { return Deadline(); }
 
   bool is_infinite() const { return !has_deadline_; }
 

@@ -122,12 +122,4 @@ const std::vector<std::string>& FaultInjection::KnownSites() {
   return *kSites;
 }
 
-std::vector<std::string> FaultInjection::ArmedSites() const {
-  MutexLock lock(impl_->mu);
-  std::vector<std::string> out;
-  out.reserve(impl_->sites.size());
-  for (const auto& kv : impl_->sites) out.push_back(kv.first);
-  return out;
-}
-
 }  // namespace cextend

@@ -62,9 +62,6 @@ class FaultInjection {
   /// Tests use this to assert a fault was reached.
   uint64_t FiredCount(const std::string& site) const;
 
-  /// Sites currently armed (for diagnostics).
-  std::vector<std::string> ArmedSites() const;
-
   /// Every site name registered in the codebase, sorted. This is the
   /// authoritative list the registry/doc sync test checks against the
   /// CEXTEND_INJECT_FAULT call sites in src/, the site table in

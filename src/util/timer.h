@@ -13,9 +13,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

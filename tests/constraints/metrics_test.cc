@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/join_oracle.h"
 #include "core/join_view.h"
 #include "test_util.h"
 
@@ -58,7 +59,8 @@ TEST(MetricsTest, NullFkNeverViolates) {
 
 TEST(MetricsTest, CcErrorOnSolvedExample) {
   PaperExample ex = MakePaperExample();
-  auto v_join = MaterializeJoin(SolvedPersons(), ex.housing, ex.names);
+  auto v_join =
+      join_oracle::MaterializeJoin(SolvedPersons(), ex.housing, ex.names);
   ASSERT_TRUE(v_join.ok()) << v_join.status();
   auto report = EvaluateCcError(ex.ccs, v_join.value());
   ASSERT_TRUE(report.ok());
@@ -69,7 +71,8 @@ TEST(MetricsTest, CcErrorOnSolvedExample) {
 
 TEST(MetricsTest, CcErrorUsesMax10Denominator) {
   PaperExample ex = MakePaperExample();
-  auto v_join = MaterializeJoin(SolvedPersons(), ex.housing, ex.names);
+  auto v_join =
+      join_oracle::MaterializeJoin(SolvedPersons(), ex.housing, ex.names);
   ASSERT_TRUE(v_join.ok());
   // Perturb CC1's target (actual count 4): error = |4-6| / max(10,6) = 0.2.
   std::vector<CardinalityConstraint> ccs = ex.ccs;
@@ -87,7 +90,7 @@ TEST(MetricsTest, CcErrorUsesMax10Denominator) {
 TEST(MetricsTest, JoinMismatchesDetectsCorruption) {
   PaperExample ex = MakePaperExample();
   Table persons = SolvedPersons();
-  auto v_join = MaterializeJoin(persons, ex.housing, ex.names);
+  auto v_join = join_oracle::MaterializeJoin(persons, ex.housing, ex.names);
   ASSERT_TRUE(v_join.ok());
   auto zero = CountJoinMismatches(persons, "hid", ex.housing, "hid",
                                   v_join.value(), {"Area"});

@@ -1,12 +1,16 @@
 // Reference oracle for ClassifyAll: the direct, map-based reading of
 // Definitions 4.2-4.4. Each pair compares the per-attribute AttrSets of both
-// CCs by name, merging R1 and R2 sides per pair. Slow (it allocates per
-// pair) but short enough to check by eye; the production classifier must
+// CCs by name, merging R1 and R2 sides per pair, with set containment and
+// disjointness decided on the AttrSets themselves (SubsetOf, DisjointFrom).
+// Slow (it allocates per pair) but short enough to check by eye; the
+// production classifier, which compares compiled code terms instead, must
 // match it entry for entry.
 
 #ifndef CEXTEND_TESTS_CONSTRAINTS_RELATIONSHIP_ORACLE_H_
 #define CEXTEND_TESTS_CONSTRAINTS_RELATIONSHIP_ORACLE_H_
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
@@ -20,6 +24,42 @@
 
 namespace cextend {
 namespace relationship_oracle {
+
+/// True when a ⊆ b can be *proven*. Unknown only contains itself.
+inline bool SubsetOf(const AttrSet& a, const AttrSet& b) {
+  using Kind = AttrSet::Kind;
+  if (a.IsEmpty()) return true;
+  if (a.kind() == Kind::kUnknown || b.kind() == Kind::kUnknown) return a == b;
+  const std::vector<std::string>& av = a.values();
+  const std::vector<std::string>& bv = b.values();
+  if (a.kind() == Kind::kInterval && b.kind() == Kind::kInterval)
+    return a.lo() >= b.lo() && a.hi() <= b.hi();
+  if (a.kind() == Kind::kCatPositive && b.kind() == Kind::kCatPositive)
+    return std::includes(bv.begin(), bv.end(), av.begin(), av.end());
+  if (a.kind() == Kind::kCatPositive && b.kind() == Kind::kCatNegative) {
+    std::vector<std::string> common;
+    std::set_intersection(av.begin(), av.end(), bv.begin(), bv.end(),
+                          std::back_inserter(common));
+    return common.empty();
+  }
+  if (a.kind() == Kind::kCatNegative && b.kind() == Kind::kCatNegative) {
+    // comp(A) ⊆ comp(B) iff B ⊆ A
+    return std::includes(av.begin(), av.end(), bv.begin(), bv.end());
+  }
+  // kCatNegative ⊆ kCatPositive cannot be proven without the full domain.
+  return false;
+}
+
+/// True when a ∩ b = ∅ can be *proven*.
+inline bool DisjointFrom(const AttrSet& a, const AttrSet& b) {
+  if (a.IsEmpty() || b.IsEmpty()) return true;
+  if (a.kind() == AttrSet::Kind::kUnknown ||
+      b.kind() == AttrSet::Kind::kUnknown) {
+    return false;
+  }
+  const AttrSet inter = a.IntersectWith(b);
+  return inter.kind() != AttrSet::Kind::kUnknown && inter.IsEmpty();
+}
 
 /// Per-CC attribute sets, split by side.
 struct CcAttrSets {
@@ -45,7 +85,7 @@ inline bool ConditionsDisjoint(const std::map<std::string, AttrSet>& a,
   for (const auto& [attr, set_a] : a) {
     if (set_a.IsEmpty()) return true;
     auto it = b.find(attr);
-    if (it != b.end() && set_a.DisjointFrom(it->second)) return true;
+    if (it != b.end() && DisjointFrom(set_a, it->second)) return true;
   }
   for (const auto& [attr, set_b] : b) {
     if (set_b.IsEmpty()) return true;
@@ -73,7 +113,7 @@ inline bool ConditionContained(const std::map<std::string, AttrSet>& a,
   for (const auto& [attr, set_b] : b) {
     auto it = a.find(attr);
     if (it == a.end()) return false;  // b mentions an attr a lacks
-    if (!it->second.SubsetOf(set_b)) return false;
+    if (!SubsetOf(it->second, set_b)) return false;
   }
   return true;
 }

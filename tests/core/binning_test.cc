@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fill_state.h"
 #include "core/interning_oracle.h"
 #include "core/join_view.h"
 #include "core/marginals_oracle.h"
@@ -17,6 +18,15 @@ namespace {
 using testing_fixtures::MakePaperExample;
 using testing_fixtures::PaperExample;
 
+/// Rows per bin, counted through bin_of_row.
+std::vector<size_t> BinSizes(const Binning& binning) {
+  std::vector<size_t> sizes(binning.num_bins(), 0);
+  for (size_t r = 0; r < binning.num_rows(); ++r) {
+    ++sizes[binning.bin_of_row(r)];
+  }
+  return sizes;
+}
+
 TEST(BinningTest, PaperExample41Intervalization) {
   // CC3 (Age <= 24) splits Age into [.., 24] and [25, ..] (Example 4.1).
   PaperExample ex = MakePaperExample();
@@ -31,9 +41,7 @@ TEST(BinningTest, PaperExample41Intervalization) {
   EXPECT_EQ(binning->num_bins(), 4u);
   // Row partition sizes: {1,3,8}=3 owners ml=0; {2,4,9}=3 owners ml=1;
   // {5}=1 spouse; {6,7}=2 children.
-  std::vector<size_t> sizes;
-  for (size_t b = 0; b < binning->num_bins(); ++b)
-    sizes.push_back(binning->count(b));
+  std::vector<size_t> sizes = BinSizes(*binning);
   std::sort(sizes.begin(), sizes.end());
   EXPECT_EQ(sizes, (std::vector<size_t>{1, 2, 3, 3}));
 }
@@ -47,17 +55,17 @@ TEST(BinningTest, MatchingBinsExactForCcConditions) {
   // CC3's R1 condition Age <= 24 matches the spouse bin and the child bin.
   auto bins = match_oracle::MatchingBins(*binning, ex.ccs[2].r1_condition);
   ASSERT_TRUE(bins.ok());
+  const std::vector<size_t> sizes = BinSizes(*binning);
   size_t rows = 0;
-  for (size_t b : *bins) rows += binning->count(b);
+  for (size_t b : *bins) rows += sizes[b];
   EXPECT_EQ(rows, 3u);  // pids 5, 6, 7
   // Bin membership agrees with a per-row evaluation.
   auto pred = BoundPredicate::Bind(ex.ccs[2].r1_condition, v.value());
   ASSERT_TRUE(pred.ok());
-  for (size_t b = 0; b < binning->num_bins(); ++b) {
-    bool bin_match = match_oracle::BinMatches(*binning, b, pred.value());
-    for (uint32_t r : binning->rows(b)) {
-      EXPECT_EQ(pred->Matches(v.value(), r), bin_match);
-    }
+  for (size_t r = 0; r < v->NumRows(); ++r) {
+    EXPECT_EQ(pred->Matches(v.value(), r),
+              match_oracle::BinMatches(*binning, binning->bin_of_row(r),
+                                       pred.value()));
   }
 }
 
@@ -67,14 +75,16 @@ TEST(BinningTest, BinOfRowConsistent) {
   ASSERT_TRUE(v.ok());
   auto binning = Binning::Create(v.value(), ex.names.r1_attrs, ex.ccs);
   ASSERT_TRUE(binning.ok());
+  // FillState's pools hold each bin's rows, every row exactly once.
+  auto state = FillState::Create(&v.value(), ex.names, &binning.value());
+  ASSERT_TRUE(state.ok()) << state.status();
+  ASSERT_EQ(state->num_bins(), binning->num_bins());
   for (size_t b = 0; b < binning->num_bins(); ++b) {
-    for (uint32_t r : binning->rows(b)) {
+    for (uint32_t r : state->pool(b)) {
       EXPECT_EQ(binning->bin_of_row(r), b);
     }
   }
-  size_t total = 0;
-  for (size_t b = 0; b < binning->num_bins(); ++b) total += binning->count(b);
-  EXPECT_EQ(total, v->NumRows());
+  EXPECT_EQ(state->total_unassigned(), v->NumRows());
 }
 
 TEST(BinningTest, IrregularCcGetsMatchBit) {
@@ -93,11 +103,10 @@ TEST(BinningTest, IrregularCcGetsMatchBit) {
   ASSERT_TRUE(binning.ok());
   auto pred = BoundPredicate::Bind(odd.r1_condition, v.value());
   ASSERT_TRUE(pred.ok());
-  for (size_t b = 0; b < binning->num_bins(); ++b) {
-    bool bin_match = match_oracle::BinMatches(*binning, b, pred.value());
-    for (uint32_t r : binning->rows(b)) {
-      EXPECT_EQ(pred->Matches(v.value(), r), bin_match);
-    }
+  for (size_t r = 0; r < v->NumRows(); ++r) {
+    EXPECT_EQ(pred->Matches(v.value(), r),
+              match_oracle::BinMatches(*binning, binning->bin_of_row(r),
+                                       pred.value()));
   }
 }
 
@@ -107,13 +116,14 @@ TEST(BinningTest, BinConditionReconstructs) {
   ASSERT_TRUE(v.ok());
   auto binning = Binning::Create(v.value(), ex.names.r1_attrs, ex.ccs);
   ASSERT_TRUE(binning.ok());
+  const std::vector<size_t> sizes = BinSizes(*binning);
   for (size_t b = 0; b < binning->num_bins(); ++b) {
     auto cond = marginals_oracle::BinCondition(*binning, ex.names.r1_attrs, b);
     ASSERT_TRUE(cond.ok());
     auto pred = BoundPredicate::Bind(cond.value(), v.value());
     ASSERT_TRUE(pred.ok());
     // The bin's own rows all match; rows of other bins do not.
-    EXPECT_EQ(pred->CountMatches(v.value()), binning->count(b));
+    EXPECT_EQ(pred->CountMatches(v.value()), sizes[b]);
   }
 }
 
@@ -133,7 +143,7 @@ TEST(BinningOracleTest, CensusGoodAndBadFamilies) {
     auto binning = Binning::Create(v.value(), data->names.r1_attrs, *ccs);
     ASSERT_TRUE(binning.ok()) << binning.status();
     interning_oracle::ExpectBinningMatches(
-        *binning,
+        v.value(), *binning,
         interning_oracle::BinRows(v.value(), data->names.r1_attrs, *ccs),
         intersecting ? "bad family" : "good family");
   }
@@ -212,7 +222,8 @@ TEST(BinningOracleTest, RandomTablesWithNullsAndIrregularCc) {
       const std::string what = "span " + std::to_string(w_span) + " seed " +
                                std::to_string(seed);
       interning_oracle::ExpectBinningMatches(
-          *binning, interning_oracle::BinRows(t, columns, ccs), what.c_str());
+          t, *binning, interning_oracle::BinRows(t, columns, ccs),
+          what.c_str());
     }
   }
 }
@@ -234,7 +245,7 @@ TEST(BinningOracleTest, ExtremeCodesTakeTheFallback) {
   ASSERT_TRUE(binning.ok()) << binning.status();
   EXPECT_EQ(binning->num_bins(), 4u);  // below, inside, above, NULL
   interning_oracle::ExpectBinningMatches(
-      *binning, interning_oracle::BinRows(t, {"X"}, {cc}), "extremes");
+      t, *binning, interning_oracle::BinRows(t, {"X"}, {cc}), "extremes");
 }
 
 TEST(MarginalsTest, AllWayMarginalsMatchBinCounts) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/conflict.h"
+#include "core/join_oracle.h"
 #include "graph/list_coloring.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -624,7 +625,7 @@ TEST(ConflictPropertyFixtureTest, PaperExampleChicagoPartitionMatches) {
   const int64_t hids[] = {2, 1, 3, 4, 3, 4, 4, 5, 6};
   for (size_t r = 0; r < persons.NumRows(); ++r)
     persons.SetCode(r, hid_col, hids[r]);
-  auto v = MaterializeJoin(persons, ex.housing, ex.names);
+  auto v = join_oracle::MaterializeJoin(persons, ex.housing, ex.names);
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());

@@ -1,8 +1,9 @@
 // Reference oracles for the code-tuple numbering that Binning::Create,
-// ComboIndex::Build and PreparePlan do through util/code_interner.h: the
-// std::map row loops they replaced, one heap vector per row. They share no
-// code with the interner, so the production ids, row lists and candidate
-// lists must match them exactly — and with them every output ordered by id.
+// ComboIndex::Build and PreparePlan do through InternRows
+// (util/code_interner.h): the std::map row loops they replaced, one heap
+// vector per row. They share no code with the interner, so the production
+// ids, representatives, FillState pools and candidate lists must match them
+// exactly — and with them every output ordered by id.
 
 #ifndef CEXTEND_TESTS_CORE_INTERNING_ORACLE_H_
 #define CEXTEND_TESTS_CORE_INTERNING_ORACLE_H_
@@ -13,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 
 #include "constraints/cardinality_constraint.h"
 #include "core/binning.h"
+#include "core/fill_state.h"
 #include "core/join_view.h"
 #include "core/plan.h"
 #include "relational/attr_set.h"
@@ -98,8 +101,11 @@ inline Bins BinRows(const Table& table,
   return out;
 }
 
-inline void ExpectBinningMatches(const Binning& binning, const Bins& oracle,
-                                 const char* what) {
+/// Checks `binning` (created over `table`) against the oracle: cuts, the
+/// bin of every row, each bin's first row, and the FillState pools built
+/// from it, which must list each bin's rows in row order.
+inline void ExpectBinningMatches(Table& table, const Binning& binning,
+                                 const Bins& oracle, const char* what) {
   EXPECT_EQ(binning.cuts(), oracle.cuts) << what;
   ASSERT_EQ(binning.num_bins(), oracle.rows.size()) << what;
   ASSERT_EQ(binning.num_rows(), oracle.bin_of_row.size()) << what;
@@ -107,8 +113,12 @@ inline void ExpectBinningMatches(const Binning& binning, const Bins& oracle,
     ASSERT_EQ(binning.bin_of_row(r), oracle.bin_of_row[r]) << what << " row "
                                                            << r;
   }
+  auto state = FillState::Create(&table, PairSchema{}, &binning);
+  ASSERT_TRUE(state.ok()) << what << ": " << state.status().ToString();
   for (size_t b = 0; b < oracle.rows.size(); ++b) {
-    ASSERT_EQ(binning.rows(b), oracle.rows[b]) << what << " bin " << b;
+    ASSERT_EQ(binning.representatives()[b], oracle.rows[b].front())
+        << what << " bin " << b;
+    ASSERT_EQ(state->pool(b), oracle.rows[b]) << what << " bin " << b;
   }
 }
 
@@ -149,7 +159,9 @@ inline void ExpectComboIndexMatches(const ComboIndex& index,
                                     const Combos& oracle, const char* what) {
   ASSERT_EQ(index.num_combos(), oracle.codes.size()) << what;
   for (size_t i = 0; i < oracle.codes.size(); ++i) {
-    EXPECT_EQ(index.combo_codes(i), oracle.codes[i]) << what << " combo " << i;
+    const std::span<const int64_t> codes = index.combo_codes(i);
+    EXPECT_EQ(std::vector<int64_t>(codes.begin(), codes.end()), oracle.codes[i])
+        << what << " combo " << i;
     EXPECT_EQ(index.keys(i), oracle.keys[i]) << what << " combo " << i;
     EXPECT_EQ(index.Find(oracle.codes[i]), std::optional<size_t>(i)) << what;
     // Every one-code perturbation is absent unless the oracle has it too.

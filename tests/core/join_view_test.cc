@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/interning_oracle.h"
+#include "core/join_oracle.h"
 #include "core/match_oracle.h"
 #include "datagen/census.h"
 #include "test_util.h"
@@ -61,7 +62,7 @@ TEST(JoinViewTest, MaterializeJoinFillsB) {
   const int64_t hids[] = {2, 1, 3, 4, 3, 4, 4, 5, 6};
   for (size_t r = 0; r < persons.NumRows(); ++r)
     persons.SetCode(r, hid_col, hids[r]);
-  auto v = MaterializeJoin(persons, ex.housing, ex.names);
+  auto v = join_oracle::MaterializeJoin(persons, ex.housing, ex.names);
   ASSERT_TRUE(v.ok()) << v.status();
   size_t area = v->schema().IndexOrDie("Area");
   EXPECT_EQ(v->GetValue(0, area), Value("Chicago"));  // hid 2
@@ -70,12 +71,14 @@ TEST(JoinViewTest, MaterializeJoinFillsB) {
 
 TEST(JoinViewTest, MaterializeJoinRejectsNullAndDanglingFk) {
   PaperExample ex = MakePaperExample();
-  EXPECT_FALSE(MaterializeJoin(ex.persons, ex.housing, ex.names).ok());
+  EXPECT_FALSE(
+      join_oracle::MaterializeJoin(ex.persons, ex.housing, ex.names).ok());
   Table persons = ex.persons.Clone();
   size_t hid_col = persons.schema().IndexOrDie("hid");
   for (size_t r = 0; r < persons.NumRows(); ++r)
     persons.SetCode(r, hid_col, 99);  // dangling
-  EXPECT_FALSE(MaterializeJoin(persons, ex.housing, ex.names).ok());
+  EXPECT_FALSE(
+      join_oracle::MaterializeJoin(persons, ex.housing, ex.names).ok());
 }
 
 TEST(ComboIndexTest, BuildsDistinctCombos) {
@@ -116,7 +119,7 @@ TEST(ComboIndexTest, FindExactCombo) {
   for (size_t i = 0; i < combos->num_combos(); ++i) {
     EXPECT_EQ(combos->Find(combos->combo_codes(i)).value(), i);
   }
-  EXPECT_FALSE(combos->Find({int64_t{12345}}).has_value());
+  EXPECT_FALSE(combos->Find(std::vector<int64_t>{12345}).has_value());
 }
 
 // ---- Combos against the std::map reference loop (interning_oracle.h). ----

@@ -36,7 +36,7 @@ inline StatusOr<Predicate> BinCondition(
     return Status::InvalidArgument("bin out of range");
   }
   const Table& table = binning.table();
-  const uint32_t rep = binning.representative(bin);
+  const uint32_t rep = binning.representatives()[bin];
   Predicate pred;
   for (const std::string& name : a_columns) {
     const size_t col = table.schema().IndexOrDie(name);
@@ -63,9 +63,13 @@ inline StatusOr<Predicate> BinCondition(
 }
 
 /// One CC per bin: the bin's reconstructed R1 condition, TRUE R2 condition,
-/// target = bin count.
+/// target = the number of rows in the bin.
 inline StatusOr<std::vector<CardinalityConstraint>> ComputeAllWayMarginals(
     const Binning& binning, const std::vector<std::string>& a_columns) {
+  std::vector<int64_t> counts(binning.num_bins(), 0);
+  for (size_t r = 0; r < binning.num_rows(); ++r) {
+    ++counts[binning.bin_of_row(r)];
+  }
   std::vector<CardinalityConstraint> out;
   out.reserve(binning.num_bins());
   for (size_t bin = 0; bin < binning.num_bins(); ++bin) {
@@ -74,7 +78,7 @@ inline StatusOr<std::vector<CardinalityConstraint>> ComputeAllWayMarginals(
     CEXTEND_ASSIGN_OR_RETURN(cc.r1_condition,
                              BinCondition(binning, a_columns, bin));
     cc.r2_condition = Predicate::True();
-    cc.target = static_cast<int64_t>(binning.count(bin));
+    cc.target = counts[bin];
     out.push_back(std::move(cc));
   }
   return out;

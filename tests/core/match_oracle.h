@@ -24,7 +24,7 @@ namespace match_oracle {
 /// unions of bins).
 inline bool BinMatches(const Binning& binning, size_t bin,
                        const BoundPredicate& pred) {
-  return pred.Matches(binning.table(), binning.representative(bin));
+  return pred.Matches(binning.table(), binning.representatives()[bin]);
 }
 
 /// Ids of the bins matching `r1_condition`, ascending.
@@ -47,7 +47,7 @@ inline StatusOr<std::vector<size_t>> MatchingCombos(
                            BoundPredicate::Bind(r2_condition, r2));
   std::vector<size_t> out;
   for (size_t i = 0; i < combos.num_combos(); ++i) {
-    if (pred.Matches(r2, combos.representative(i))) out.push_back(i);
+    if (pred.Matches(r2, combos.representatives()[i])) out.push_back(i);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/join_oracle.h"
 #include "test_util.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -224,7 +225,7 @@ TEST_P(Prop47Test, ExactWhenNoIntersections) {
   }
   auto names = PairSchema::Infer(r1, r2, "pid", "hid", "hid");
   ASSERT_TRUE(names.ok());
-  auto truth = MaterializeJoin(r1, r2, names.value());
+  auto truth = join_oracle::MaterializeJoin(r1, r2, names.value());
   ASSERT_TRUE(truth.ok());
 
   // CC family without intersecting pairs under Definitions 4.2-4.4: each

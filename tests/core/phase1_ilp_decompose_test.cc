@@ -279,13 +279,15 @@ TEST(ClassSplitTest, IntersectingFamilyExactAndBitIdentical) {
     EXPECT_EQ(report->num_exact, ccs.size());
     // A bin's rows are either still pooled or carry a combo.
     const size_t b_col = inst.state->b_cols()[0];
+    std::vector<size_t> assigned(inst.binning->num_bins(), 0);
+    std::vector<size_t> bin_rows(inst.binning->num_bins(), 0);
+    for (size_t row = 0; row < inst.binning->num_rows(); ++row) {
+      const uint32_t bin = inst.binning->bin_of_row(row);
+      ++bin_rows[bin];
+      if (!inst.v_join->IsNull(row, b_col)) ++assigned[bin];
+    }
     for (size_t bin = 0; bin < inst.binning->num_bins(); ++bin) {
-      size_t assigned = 0;
-      for (uint32_t row : inst.binning->rows(bin)) {
-        if (!inst.v_join->IsNull(row, b_col)) ++assigned;
-      }
-      EXPECT_EQ(assigned + inst.state->pool(bin).size(),
-                inst.binning->count(bin));
+      EXPECT_EQ(assigned[bin] + inst.state->pool(bin).size(), bin_rows[bin]);
     }
     std::vector<int64_t> codes = BColumnCodes(inst);
     if (threads == 1) {

@@ -5,6 +5,7 @@
 #include "constraints/metrics.h"
 #include "core/conflict.h"
 #include "core/hybrid.h"
+#include "core/join_oracle.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 
@@ -218,7 +219,7 @@ TEST(ConflictOracleTest, PaperExample53Degrees) {
   const int64_t hids[] = {2, 1, 3, 4, 3, 4, 4, 5, 6};
   for (size_t r = 0; r < persons.NumRows(); ++r)
     persons.SetCode(r, hid_col, hids[r]);
-  auto v = MaterializeJoin(persons, ex.housing, ex.names);
+  auto v = join_oracle::MaterializeJoin(persons, ex.housing, ex.names);
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());
@@ -252,7 +253,7 @@ TEST(ConflictOracleTest, CountEdgesMatchesPairScan) {
   const int64_t hids[] = {2, 1, 3, 4, 3, 4, 4, 5, 6};
   for (size_t r = 0; r < persons.NumRows(); ++r)
     persons.SetCode(r, hid_col, hids[r]);
-  auto v = MaterializeJoin(persons, ex.housing, ex.names);
+  auto v = join_oracle::MaterializeJoin(persons, ex.housing, ex.names);
   ASSERT_TRUE(v.ok());
   auto bound = BindAll(ex.dcs, v.value());
   ASSERT_TRUE(bound.ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/join_oracle.h"
 #include "datagen/constraint_gen.h"
 #include "util/hash.h"
 
@@ -65,7 +66,8 @@ TEST(CensusTest, InputPersonsHaveNullHid) {
 TEST(CensusTest, GroundTruthJoinsCleanly) {
   auto data = GenerateCensus(SmallOptions());
   ASSERT_TRUE(data.ok());
-  auto join = MaterializeJoin(data->persons_truth, data->housing, data->names);
+  auto join = join_oracle::MaterializeJoin(data->persons_truth, data->housing,
+                                           data->names);
   EXPECT_TRUE(join.ok()) << join.status();
 }
 

@@ -4,6 +4,7 @@
 
 #include "constraints/metrics.h"
 #include "constraints/relationship.h"
+#include "core/join_oracle.h"
 #include "core/join_view.h"
 #include "relational/predicate.h"
 #include "util/string_util.h"
@@ -89,7 +90,8 @@ TEST(CcGenTest, BadFamilyHasIntersectingPairs) {
 /// ground-truth join.
 std::vector<int64_t> OracleTargets(
     const CensusData& data, const std::vector<CardinalityConstraint>& ccs) {
-  auto truth = MaterializeJoin(data.persons_truth, data.housing, data.names);
+  auto truth = join_oracle::MaterializeJoin(data.persons_truth, data.housing,
+                                            data.names);
   CEXTEND_CHECK(truth.ok()) << truth.status().ToString();
   std::vector<int64_t> targets;
   for (const CardinalityConstraint& cc : ccs) {
@@ -121,8 +123,8 @@ TEST(CcGenTest, TargetsMatchGroundTruth) {
       ASSERT_TRUE(ccs.ok()) << ccs.status();
       EXPECT_EQ(ccs->size(), options.num_ccs);
       ExpectOracleTargets(data, *ccs);
-      auto truth =
-          MaterializeJoin(data.persons_truth, data.housing, data.names);
+      auto truth = join_oracle::MaterializeJoin(data.persons_truth,
+                                                data.housing, data.names);
       ASSERT_TRUE(truth.ok());
       auto report = EvaluateCcError(*ccs, truth.value());
       ASSERT_TRUE(report.ok());

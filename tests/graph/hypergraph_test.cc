@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/coloring_oracle.h"
 #include "graph/list_coloring.h"
 
 namespace cextend {
 namespace {
+
+using coloring_oracle::IsProperColoring;
 
 TEST(HypergraphTest, EdgesAndDegrees) {
   Hypergraph g(4);
@@ -50,18 +53,18 @@ TEST(HypergraphTest, ProperColoring) {
   Hypergraph g(3);
   g.AddEdge({0, 1});
   g.AddEdge({0, 1, 2});
-  EXPECT_TRUE(g.IsProperColoring({1, 2, 2}));
-  EXPECT_FALSE(g.IsProperColoring({1, 1, 2}));      // binary edge mono
-  EXPECT_FALSE(g.IsProperColoring({1, 2, kNoColor}));  // uncolored
+  EXPECT_TRUE(IsProperColoring(g, {1, 2, 2}));
+  EXPECT_FALSE(IsProperColoring(g, {1, 1, 2}));      // binary edge mono
+  EXPECT_FALSE(IsProperColoring(g, {1, 2, kNoColor}));  // uncolored
   Hypergraph h(3);
   h.AddEdge({0, 1, 2});
-  EXPECT_TRUE(h.IsProperColoring({4, 4, 5}));  // two of three may share
-  EXPECT_FALSE(h.IsProperColoring({4, 4, 4}));
+  EXPECT_TRUE(IsProperColoring(h, {4, 4, 5}));  // two of three may share
+  EXPECT_FALSE(IsProperColoring(h, {4, 4, 4}));
 }
 
 TEST(HypergraphTest, NoEdgesAlwaysProper) {
   Hypergraph g(2);
-  EXPECT_TRUE(g.IsProperColoring({1, 1}));
+  EXPECT_TRUE(IsProperColoring(g, {1, 1}));
 }
 
 }  // namespace

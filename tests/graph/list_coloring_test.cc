@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/coloring_oracle.h"
 #include "graph/hypergraph.h"
 #include "util/rng.h"
 
 namespace cextend {
 namespace {
+
+using coloring_oracle::IsProperColoring;
 
 TEST(ListColoringTest, PathGraphTwoColors) {
   Hypergraph g(3);
@@ -14,7 +17,7 @@ TEST(ListColoringTest, PathGraphTwoColors) {
   g.AddEdge({1, 2});
   ListColoringResult r = GreedyListColoring(g, {}, {10, 20});
   EXPECT_TRUE(r.skipped.empty());
-  EXPECT_TRUE(g.IsProperColoring(r.colors));
+  EXPECT_TRUE(IsProperColoring(g, r.colors));
   // Vertex 1 has the highest degree: colored first with the first candidate.
   EXPECT_EQ(r.colors[1], 10);
   EXPECT_EQ(r.colors[0], 20);
@@ -30,7 +33,7 @@ TEST(ListColoringTest, TriangleNeedsThree) {
   EXPECT_EQ(two.skipped.size(), 1u);
   ListColoringResult three = GreedyListColoring(g, {}, {1, 2, 3});
   EXPECT_TRUE(three.skipped.empty());
-  EXPECT_TRUE(g.IsProperColoring(three.colors));
+  EXPECT_TRUE(IsProperColoring(g, three.colors));
 }
 
 TEST(ListColoringTest, ResumesFromPartialColoring) {
@@ -57,7 +60,7 @@ TEST(ListColoringTest, SkippedVerticesColoredByFreshPass) {
   ListColoringResult second =
       GreedyListColoring(g, std::move(first.colors), {3, 4});
   EXPECT_TRUE(second.skipped.empty());
-  EXPECT_TRUE(g.IsProperColoring(second.colors));
+  EXPECT_TRUE(IsProperColoring(g, second.colors));
 }
 
 TEST(ListColoringTest, HyperedgeAllowsTwoOfThree) {
@@ -71,7 +74,7 @@ TEST(ListColoringTest, HyperedgeAllowsTwoOfThree) {
   EXPECT_EQ(r.skipped.size(), 1u);
   ListColoringResult full = GreedyListColoring(g, {}, {1, 2});
   EXPECT_TRUE(full.skipped.empty());
-  EXPECT_TRUE(g.IsProperColoring(full.colors));
+  EXPECT_TRUE(IsProperColoring(g, full.colors));
 }
 
 TEST(ListColoringTest, CandidateOrderIsPreference) {
@@ -102,7 +105,7 @@ TEST_P(ColoringRandomTest, ProperOnRandomGraphs) {
     candidates.push_back(c);
   ListColoringResult r = GreedyListColoring(g, {}, candidates);
   EXPECT_TRUE(r.skipped.empty());
-  EXPECT_TRUE(g.IsProperColoring(r.colors));
+  EXPECT_TRUE(IsProperColoring(g, r.colors));
 
   // With few candidates, skipped vertices are exactly the uncolored ones and
   // the colored sub-assignment violates no edge among colored vertices.

@@ -7,6 +7,7 @@
 
 #include "constraints/metrics.h"
 #include "constraints/parser.h"
+#include "core/join_oracle.h"
 #include "core/solver.h"
 #include "relational/csv.h"
 #include "test_util.h"
@@ -90,7 +91,8 @@ TEST(SpecRoundTripTest, SolutionSurvivesCsvSerialization) {
   auto dc_report = EvaluateDcError(ex.dcs, r1_hat.value(), "hid");
   ASSERT_TRUE(dc_report.ok());
   EXPECT_EQ(dc_report->num_violations, 0u);
-  auto truth = MaterializeJoin(r1_hat.value(), ex.housing, ex.names);
+  auto truth =
+      join_oracle::MaterializeJoin(r1_hat.value(), ex.housing, ex.names);
   ASSERT_TRUE(truth.ok()) << truth.status();  // all FKs valid after reload
 }
 

@@ -4,8 +4,13 @@
 
 #include <limits>
 
+#include "constraints/relationship_oracle.h"
+
 namespace cextend {
 namespace {
+
+using relationship_oracle::DisjointFrom;
+using relationship_oracle::SubsetOf;
 
 TEST(AttrSetTest, IntervalBasics) {
   AttrSet a = AttrSet::Interval(5, 10);
@@ -13,11 +18,11 @@ TEST(AttrSetTest, IntervalBasics) {
   AttrSet c = AttrSet::Interval(11, 20);
   EXPECT_FALSE(a.IsEmpty());
   EXPECT_TRUE(AttrSet::Interval(3, 2).IsEmpty());
-  EXPECT_TRUE(b.SubsetOf(a));
-  EXPECT_FALSE(a.SubsetOf(b));
-  EXPECT_TRUE(a.DisjointFrom(c));
-  EXPECT_FALSE(a.DisjointFrom(b));
-  EXPECT_TRUE(a.SubsetOf(AttrSet::FullInt()));
+  EXPECT_TRUE(SubsetOf(b, a));
+  EXPECT_FALSE(SubsetOf(a, b));
+  EXPECT_TRUE(DisjointFrom(a, c));
+  EXPECT_FALSE(DisjointFrom(a, b));
+  EXPECT_TRUE(SubsetOf(a, AttrSet::FullInt()));
 }
 
 TEST(AttrSetTest, IntervalIntersection) {
@@ -33,10 +38,10 @@ TEST(AttrSetTest, CategoricalPositive) {
   AttrSet ab = AttrSet::CatIn({"a", "b"});
   AttrSet a = AttrSet::CatIn({"a"});
   AttrSet cd = AttrSet::CatIn({"c", "d"});
-  EXPECT_TRUE(a.SubsetOf(ab));
-  EXPECT_FALSE(ab.SubsetOf(a));
-  EXPECT_TRUE(ab.DisjointFrom(cd));
-  EXPECT_FALSE(ab.DisjointFrom(a));
+  EXPECT_TRUE(SubsetOf(a, ab));
+  EXPECT_FALSE(SubsetOf(ab, a));
+  EXPECT_TRUE(DisjointFrom(ab, cd));
+  EXPECT_FALSE(DisjointFrom(ab, a));
   EXPECT_TRUE(AttrSet::CatIn({}).IsEmpty());
 }
 
@@ -46,14 +51,14 @@ TEST(AttrSetTest, CategoricalNegative) {
   AttrSet b = AttrSet::CatIn({"b"});
   AttrSet a = AttrSet::CatIn({"a"});
   // comp({a,b}) subset of comp({a}).
-  EXPECT_TRUE(not_ab.SubsetOf(not_a));
-  EXPECT_FALSE(not_a.SubsetOf(not_ab));
+  EXPECT_TRUE(SubsetOf(not_ab, not_a));
+  EXPECT_FALSE(SubsetOf(not_a, not_ab));
   // {b} subset of comp({a}); {a} disjoint from comp({a}).
-  EXPECT_TRUE(b.SubsetOf(not_a));
-  EXPECT_TRUE(a.DisjointFrom(not_a));
+  EXPECT_TRUE(SubsetOf(b, not_a));
+  EXPECT_TRUE(DisjointFrom(a, not_a));
   // Open domain: complements are never provably empty or disjoint.
   EXPECT_FALSE(not_a.IsEmpty());
-  EXPECT_FALSE(not_a.DisjointFrom(not_ab));
+  EXPECT_FALSE(DisjointFrom(not_a, not_ab));
 }
 
 TEST(AttrSetTest, MixedIntersections) {
@@ -69,10 +74,10 @@ TEST(AttrSetTest, MixedIntersections) {
 TEST(AttrSetTest, UnknownIsConservative) {
   AttrSet u = AttrSet::Unknown();
   AttrSet i = AttrSet::Interval(1, 5);
-  EXPECT_FALSE(u.SubsetOf(i));
-  EXPECT_FALSE(i.SubsetOf(u));
-  EXPECT_FALSE(u.DisjointFrom(i));
-  EXPECT_TRUE(u.SubsetOf(AttrSet::Unknown()));  // equal only
+  EXPECT_FALSE(SubsetOf(u, i));
+  EXPECT_FALSE(SubsetOf(i, u));
+  EXPECT_FALSE(DisjointFrom(u, i));
+  EXPECT_TRUE(SubsetOf(u, AttrSet::Unknown()));  // equal only
 }
 
 TEST(AttrSetTest, Membership) {

@@ -172,13 +172,6 @@ TEST(PredicateTest, MatchesBatchAgreesWithMatches) {
   }
 }
 
-TEST(PredicateTest, FilterReturnsIndices) {
-  Table t = MakeTable();
-  auto bound = BoundPredicate::Bind(Predicate().Eq("ml", Value(1)), t);
-  ASSERT_TRUE(bound.ok());
-  EXPECT_EQ(bound->Filter(t), (std::vector<uint32_t>{2, 3}));
-}
-
 TEST(PredicateTest, ColumnsAndToString) {
   Predicate p;
   p.Eq("a", Value(1)).Lt("b", Value(2)).Ge("a", Value(0));

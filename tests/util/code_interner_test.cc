@@ -7,6 +7,7 @@
 #include <map>
 #include <vector>
 
+#include "relational/value.h"
 #include "util/rng.h"
 
 namespace cextend {
@@ -141,6 +142,84 @@ TEST(CodeInternerTest, KeysDifferingOnlyInLastElement) {
     ASSERT_EQ(interner.Find(key),
               std::optional<uint32_t>(static_cast<uint32_t>(last)));
   }
+}
+
+// ---- InternRows. ----
+
+TEST(InternRowsTest, ClassesFollowFirstRowOrder) {
+  // Rows: (5,1) (1,5) (5,1) (0,0) (1,5) (-1,0).
+  const std::vector<int64_t> a = {5, 1, 5, 0, 1, -1};
+  const std::vector<int64_t> b = {1, 5, 1, 0, 5, 0};
+  const std::vector<const int64_t*> columns = {a.data(), b.data()};
+  const RowClasses classes = InternRows(a.size(), columns);
+  EXPECT_EQ(classes.of_row, (std::vector<uint32_t>{0, 1, 0, 2, 1, 3}));
+  EXPECT_EQ(classes.representatives, (std::vector<uint32_t>{0, 1, 3, 5}));
+  ASSERT_EQ(classes.size(), 4u);
+  ASSERT_EQ(classes.keys.size(), 4u);
+  EXPECT_EQ(Tuple(classes.keys, 0), (std::vector<int64_t>{5, 1}));
+  EXPECT_EQ(Tuple(classes.keys, 1), (std::vector<int64_t>{1, 5}));
+  EXPECT_EQ(Tuple(classes.keys, 2), (std::vector<int64_t>{0, 0}));
+  EXPECT_EQ(Tuple(classes.keys, 3), (std::vector<int64_t>{-1, 0}));
+}
+
+TEST(InternRowsTest, NullCodeIsNotZero) {
+  const std::vector<int64_t> col = {0, kNullCode, 0, kNullCode, 1};
+  const std::vector<const int64_t*> columns = {col.data()};
+  const RowClasses classes = InternRows(col.size(), columns);
+  EXPECT_EQ(classes.of_row, (std::vector<uint32_t>{0, 1, 0, 1, 2}));
+  EXPECT_EQ(classes.representatives, (std::vector<uint32_t>{0, 1, 4}));
+  EXPECT_EQ(Tuple(classes.keys, 1), (std::vector<int64_t>{kNullCode}));
+}
+
+TEST(InternRowsTest, ZeroArityIsOneClass) {
+  const RowClasses classes = InternRows(5, std::vector<const int64_t*>{});
+  EXPECT_EQ(classes.of_row, (std::vector<uint32_t>(5, 0)));
+  EXPECT_EQ(classes.representatives, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(classes.keys.arity(), 0u);
+}
+
+TEST(InternRowsTest, ZeroRowsAreNoClasses) {
+  const std::vector<const int64_t*> columns = {nullptr, nullptr};
+  const RowClasses classes = InternRows(0, columns);
+  EXPECT_TRUE(classes.of_row.empty());
+  EXPECT_TRUE(classes.representatives.empty());
+  EXPECT_EQ(classes.size(), 0u);
+  EXPECT_EQ(classes.keys.arity(), 2u);
+}
+
+TEST(InternRowsTest, FillerFormAgreesWithColumnForm) {
+  // The filler derives the same codes on the fly that the columns hold.
+  Rng rng(11);
+  const size_t n = 5000;
+  std::vector<int64_t> x(n), y(n), z(n);
+  for (size_t r = 0; r < n; ++r) {
+    x[r] = rng.UniformInt(0, 9);
+    y[r] = rng.Bernoulli(0.1) ? kNullCode : rng.UniformInt(-2, 2);
+    z[r] = rng.UniformInt(0, 3);
+  }
+  const std::vector<const int64_t*> columns = {x.data(), y.data(), z.data()};
+  const RowClasses by_columns = InternRows(n, columns);
+  const RowClasses by_filler = InternRows(n, 3, [&](size_t r, int64_t* key) {
+    key[0] = x[r];
+    key[1] = y[r];
+    key[2] = z[r];
+  });
+  EXPECT_EQ(by_filler.of_row, by_columns.of_row);
+  EXPECT_EQ(by_filler.representatives, by_columns.representatives);
+  ASSERT_EQ(by_filler.keys.size(), by_columns.keys.size());
+  for (uint32_t id = 0; id < by_columns.keys.size(); ++id) {
+    EXPECT_EQ(Tuple(by_filler.keys, id), Tuple(by_columns.keys, id));
+  }
+  // Against a std::map over the same rows: first-row ids and first rows.
+  std::map<std::vector<int64_t>, uint32_t> oracle;
+  std::vector<uint32_t> first_rows;
+  for (size_t r = 0; r < n; ++r) {
+    auto [it, inserted] = oracle.emplace(std::vector<int64_t>{x[r], y[r], z[r]},
+                                         static_cast<uint32_t>(oracle.size()));
+    if (inserted) first_rows.push_back(static_cast<uint32_t>(r));
+    ASSERT_EQ(by_columns.of_row[r], it->second) << r;
+  }
+  EXPECT_EQ(by_columns.representatives, first_rows);
 }
 
 }  // namespace
