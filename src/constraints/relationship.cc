@@ -198,17 +198,6 @@ const char* CcRelationToString(CcRelation rel) {
   return "?";
 }
 
-CcRelationMatrix CcRelationMatrix::Restrict(
-    const std::vector<int>& ids) const {
-  CcRelationMatrix out(ids.size());
-  CcRelation* entry = out.matrix.data();
-  for (int a : ids) {
-    const CcRelation* row = matrix.data() + static_cast<size_t>(a) * n_;
-    for (int b : ids) *entry++ = row[b];
-  }
-  return out;
-}
-
 StatusOr<CcRelationMatrix> ClassifyAll(
     const std::vector<CardinalityConstraint>& ccs, const Schema& r1_schema,
     const Schema& r2_schema) {

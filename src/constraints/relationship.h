@@ -40,10 +40,6 @@ struct CcRelationMatrix {
   CcRelation At(size_t i, size_t j) const { return matrix[i * n_ + j]; }
   size_t size() const { return n_; }
 
-  /// The relations among the CCs `ids` (indices into this matrix): entry
-  /// (a, b) of the result is At(ids[a], ids[b]).
-  CcRelationMatrix Restrict(const std::vector<int>& ids) const;
-
  private:
   size_t n_ = 0;
 };

@@ -1,8 +1,8 @@
 #include "core/hybrid.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "constraints/hasse_diagram.h"
 #include "constraints/relationship.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -25,6 +25,7 @@ CcRouting RouteCcs(const CcRelationMatrix& relations,
   std::vector<char> tainted(n, 0);
   UnionFind components(n);
   std::vector<size_t> intersecting, contained;  // active i < j
+  std::vector<std::pair<size_t, size_t>> below;  // (c, p): active c ⊂ p
   for (size_t j = 1; j < n; ++j) {
     intersecting.clear();
     contained.clear();
@@ -53,12 +54,19 @@ CcRouting RouteCcs(const CcRelationMatrix& relations,
     if (!active[j]) continue;
     if (!intersecting.empty()) tainted[j] = 1;
     for (size_t i : intersecting) tainted[i] = 1;
-    for (size_t i : contained) components.Union(i, j);
+    for (size_t i : contained) {
+      components.Union(i, j);
+      below.push_back(relations.At(i, j) == CcRelation::kFirstInSecond
+                          ? std::pair{i, j}
+                          : std::pair{j, i});
+    }
   }
 
   std::vector<char> component_tainted(n, 0);
+  std::vector<int> position(n, -1);  // CC id -> index in `active`
   for (size_t i = 0; i < n; ++i) {
     if (!active[i]) continue;
+    position[i] = static_cast<int>(routing.active.size());
     routing.active.push_back(static_cast<int>(i));
     if (force_ilp || tainted[i]) component_tainted[components.Find(i)] = 1;
   }
@@ -67,6 +75,45 @@ CcRouting RouteCcs(const CcRelationMatrix& relations,
     (component_tainted[components.Find(id)] ? routing.s2 : routing.s1)
         .push_back(static_cast<int>(a));
   }
+
+  // S1's Hasse diagram. p covers c when c ⊂ p and no other superset k of c
+  // has k ⊂ p. Sorted by child, the pairs give each child's supersets as
+  // one run, and the children of every p come out ascending.
+  HasseDiagram& diagram = routing.s1_diagram;
+  diagram.children.resize(routing.active.size());
+  std::erase_if(below, [&](const std::pair<size_t, size_t>& pair) {
+    return component_tainted[components.Find(pair.first)] != 0;
+  });
+  std::sort(below.begin(), below.end());
+  std::vector<char> has_parent(n, 0);
+  for (size_t lo = 0, hi = 0; lo < below.size(); lo = hi) {
+    const size_t child = below[lo].first;
+    while (hi < below.size() && below[hi].first == child) ++hi;
+    has_parent[child] = 1;
+    for (size_t p = lo; p < hi; ++p) {
+      const size_t parent = below[p].second;
+      bool covers = true;
+      for (size_t k = lo; k < hi && covers; ++k) {
+        covers = relations.At(below[k].second, parent) !=
+                 CcRelation::kFirstInSecond;
+      }
+      if (covers) {
+        diagram.children[static_cast<size_t>(position[parent])].push_back(
+            position[child]);
+      }
+    }
+  }
+  // A component's representative is its smallest CC, so ordering the roots
+  // by (representative, index) groups them diagram by diagram in order of
+  // each diagram's first CC.
+  std::vector<std::pair<size_t, int>> roots;
+  for (int a : routing.s1) {
+    const size_t id =
+        static_cast<size_t>(routing.active[static_cast<size_t>(a)]);
+    if (!has_parent[id]) roots.emplace_back(components.Find(id), a);
+  }
+  std::sort(roots.begin(), roots.end());
+  for (const auto& [component, a] : roots) diagram.roots.push_back(a);
   return routing;
 }
 
@@ -82,12 +129,11 @@ StatusOr<HybridResult> RunHybridPhase1(
                            BindAll(dcs, v_join));
 
   // Routing: classify every pair, then RouteCcs splits the active CCs into
-  // S1 (Algorithm 2) and S2 (Algorithm 1). R1-side conditions are
-  // classified against the join view's schema (it carries all A columns);
-  // R2-side against R2.
+  // S1 (Algorithm 2) and S2 (Algorithm 1) and builds S1's diagram. R1-side
+  // conditions are classified against the join view's schema (it carries
+  // all A columns); R2-side against R2.
   CcRouting routing;
-  std::vector<CardinalityConstraint> active_ccs, s1_ccs, s2_ccs;
-  HasseDiagram s1_diagram;
+  std::vector<CardinalityConstraint> active_ccs, s2_ccs;
   {
     ScopedTimer timer(&stats.pairwise_seconds);
     CEXTEND_ASSIGN_OR_RETURN(CcRelationMatrix relations,
@@ -96,16 +142,8 @@ StatusOr<HybridResult> RunHybridPhase1(
     for (int id : routing.active) {
       active_ccs.push_back(ccs[static_cast<size_t>(id)]);
     }
-    std::vector<int> s1_ids;  // CC ids of S1, for its diagram
-    for (int a : routing.s1) {
-      s1_ids.push_back(routing.active[static_cast<size_t>(a)]);
-      s1_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
-    }
     for (int a : routing.s2) {
       s2_ccs.push_back(active_ccs[static_cast<size_t>(a)]);
-    }
-    if (!s1_ids.empty()) {
-      s1_diagram = HasseDiagram::Build(relations.Restrict(s1_ids));
     }
   }
   stats.duplicate_ccs_dropped = routing.duplicates_dropped;
@@ -133,14 +171,10 @@ StatusOr<HybridResult> RunHybridPhase1(
 
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
 
-  // --- Algorithm 2 over S1. ---
+  // --- Algorithm 2 over S1, by its diagram's indices into active_ccs. ---
   if (!routing.s1.empty()) {
     ScopedTimer timer(&stats.recursion_seconds);
-    std::vector<CcMatch> s1_matches;
-    for (int a : routing.s1) {
-      s1_matches.push_back(matches[static_cast<size_t>(a)]);
-    }
-    RunPhase1Hasse(state, combos, s1_ccs, s1_matches, s1_diagram,
+    RunPhase1Hasse(state, combos, active_ccs, matches, routing.s1_diagram,
                    &stats.hasse);
   }
 

@@ -1,6 +1,9 @@
 // Phase I hybrid approach (Section 4.3): split S_CC into the diagrams free of
 // intersections (handled exactly by Algorithm 2) and the rest (handled by the
 // ILP of Algorithm 1 with modified marginals), then complete leftovers.
+// RouteCcs makes the split in one pass over the classified pairs and, from
+// the containment pairs it meets there, builds the Hasse diagram that
+// Algorithm 2 recurses over.
 // Every active CC is matched against the bins and R2 combos once, right
 // after binning (the CcMatch table of core/fill_state.h); both algorithms
 // and the final fill read their CCs' entries from that table.
@@ -38,8 +41,8 @@ struct HybridOptions {
 };
 
 struct HybridStats {
-  /// CC pair classification plus routing (RouteCcs, S1's Hasse diagram
-  /// and the per-stage CC lists).
+  /// CC pair classification plus routing (RouteCcs, which also builds
+  /// S1's Hasse diagram) and the active CC list.
   double pairwise_seconds = 0.0;
   double binning_seconds = 0.0;   ///< binning, combo index, CC matching
   double recursion_seconds = 0.0; ///< Algorithm 2 (Hasse recursion)
@@ -70,6 +73,9 @@ struct CcRouting {
   std::vector<int> active;  ///< CCs kept after dropping duplicates, ascending
   std::vector<int> s1;      ///< indices into `active`: Algorithm 2
   std::vector<int> s2;      ///< indices into `active`: Algorithm 1
+  /// S1's Hasse diagram, by index into `active` (S2's CCs have no children
+  /// and are no roots): what Algorithm 2 recurses over.
+  HasseDiagram s1_diagram;
   size_t duplicates_dropped = 0;
 };
 
@@ -79,7 +85,9 @@ struct CcRouting {
 /// CCs joined by containment pairs form the components of their Hasse
 /// diagram (every containment pair is linked by a chain of covering
 /// edges); a component with a tainted CC, or every CC under `force_ilp`,
-/// goes to S2, the rest to S1.
+/// goes to S2, the rest to S1. The covering edges are found among S1's
+/// containment pairs only, so this is the one place phase I derives
+/// containment structure.
 CcRouting RouteCcs(const CcRelationMatrix& relations,
                    const std::vector<CardinalityConstraint>& ccs,
                    bool force_ilp);

@@ -1,6 +1,8 @@
 #include "core/join_view.h"
 
 #include <algorithm>
+#include <limits>
+#include <unordered_set>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -18,6 +20,50 @@ Status RequireIntColumn(const Table& t, const std::string& name,
   if (t.schema().column(*idx).type != DataType::kInt64) {
     return Status::InvalidArgument(
         StrFormat("%s column '%s' must be INT64", role, name.c_str()));
+  }
+  return Status::Ok();
+}
+
+/// R2's keys must be non-NULL and distinct: phase II hands each partition
+/// its own candidate keys. A first pass finds NULLs and the key range; the
+/// second marks keys in a bitmap over that range, or in a hash set when the
+/// range is over 64 keys wide per row.
+Status RequireDistinctKeys(const Table& t, const std::string& name,
+                           const char* role) {
+  const std::vector<int64_t>& keys =
+      t.ColumnCodes(t.schema().IndexOrDie(name));
+  if (keys.empty()) return Status::Ok();
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (size_t r = 0; r < keys.size(); ++r) {
+    if (keys[r] == kNullCode) {
+      return Status::InvalidArgument(StrFormat(
+          "%s column '%s' is NULL in row %zu", role, name.c_str(), r));
+    }
+    lo = std::min(lo, keys[r]);
+    hi = std::max(hi, keys[r]);
+  }
+  auto duplicate = [&](size_t r) {
+    return Status::InvalidArgument(
+        StrFormat("%s column '%s' repeats key %lld in row %zu", role,
+                  name.c_str(), static_cast<long long>(keys[r]), r));
+  };
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span / 64 < keys.size()) {
+    std::vector<uint64_t> seen(span / 64 + 1, 0);
+    for (size_t r = 0; r < keys.size(); ++r) {
+      const uint64_t offset =
+          static_cast<uint64_t>(keys[r]) - static_cast<uint64_t>(lo);
+      const uint64_t bit = uint64_t{1} << (offset & 63);
+      if (seen[offset >> 6] & bit) return duplicate(r);
+      seen[offset >> 6] |= bit;
+    }
+  } else {
+    std::unordered_set<int64_t> seen;
+    seen.reserve(keys.size());
+    for (size_t r = 0; r < keys.size(); ++r) {
+      if (!seen.insert(keys[r]).second) return duplicate(r);
+    }
   }
   return Status::Ok();
 }
@@ -61,7 +107,7 @@ Status PairSchema::Validate(const Table& r1, const Table& r2) const {
       return Status::InvalidArgument(
           "R1 and R2 column names must be disjoint; duplicate: " + b);
   }
-  return Status::Ok();
+  return RequireDistinctKeys(r2, key2, "R2 key");
 }
 
 StatusOr<Table> MakeJoinView(const Table& r1, const Table& r2,

@@ -34,7 +34,9 @@ struct PairSchema {
                                     std::string key1, std::string fk,
                                     std::string key2);
 
-  /// Checks that all named columns exist with the right types.
+  /// Checks that all named columns exist with the right types and that
+  /// R2's key column holds distinct, non-NULL keys (phase II assumes each
+  /// key belongs to one R2 tuple). O(|R2|).
   Status Validate(const Table& r1, const Table& r2) const;
 };
 

@@ -6,6 +6,7 @@
 #include <span>
 #include <unordered_set>
 
+#include "core/hybrid.h"
 #include "relational/attr_set.h"
 #include "util/logging.h"
 
@@ -35,7 +36,7 @@ class HasseRecursion {
     processed_[n] = true;
 
     int64_t child_total = 0;
-    for (int child : diagram_.children(node)) {
+    for (int child : diagram_.children[n]) {
       ProcessNode(child);
       child_total += ccs_[static_cast<size_t>(child)].target;
     }
@@ -49,7 +50,7 @@ class HasseRecursion {
 
     // Bins satisfying sigma_m but no child's sigma_c (paper line 12).
     std::unordered_set<size_t> excluded;
-    for (int child : diagram_.children(node)) {
+    for (int child : diagram_.children[n]) {
       const CcMatch& cm = matches_[static_cast<size_t>(child)];
       excluded.insert(cm.bins.begin(), cm.bins.end());
     }
@@ -98,11 +99,7 @@ void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
                     const std::vector<CcMatch>& matches,
                     const HasseDiagram& diagram, Phase1HasseStats* stats) {
   HasseRecursion recursion(state, combos, ccs, matches, diagram, stats);
-  for (size_t comp = 0; comp < diagram.num_components(); ++comp) {
-    for (int m : diagram.maximal_elements(static_cast<int>(comp))) {
-      recursion.ProcessNode(m);
-    }
-  }
+  for (int m : diagram.roots) recursion.ProcessNode(m);
 }
 
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
@@ -111,19 +108,22 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
                                 Phase1HasseStats* stats) {
   CEXTEND_ASSIGN_OR_RETURN(CcRelationMatrix relations,
                            ClassifyAll(ccs, r1_schema, r2.schema()));
-  for (size_t i = 0; i < relations.size(); ++i) {
-    for (size_t j = i + 1; j < relations.size(); ++j) {
-      if (relations.At(i, j) == CcRelation::kIntersecting) {
-        return Status::FailedPrecondition(
-            "Algorithm 2 requires a CC set without intersecting pairs; " +
-            ccs[i].name + " intersects " + ccs[j].name);
-      }
-    }
+  const CcRouting routing = RouteCcs(relations, ccs, /*force_ilp=*/false);
+  if (!routing.s2.empty()) {
+    const int id = routing.active[static_cast<size_t>(routing.s2.front())];
+    return Status::FailedPrecondition(
+        "Algorithm 2 requires a CC set without intersecting pairs or "
+        "conflicting duplicates; " + ccs[static_cast<size_t>(id)].name +
+        " would go to the ILP");
+  }
+  std::vector<CardinalityConstraint> active_ccs;
+  for (int id : routing.active) {
+    active_ccs.push_back(ccs[static_cast<size_t>(id)]);
   }
   CEXTEND_ASSIGN_OR_RETURN(std::vector<CcMatch> matches,
-                           MatchCcs(state.binning(), combos, r2, ccs));
-  HasseDiagram diagram = HasseDiagram::Build(relations);
-  RunPhase1Hasse(state, combos, ccs, matches, diagram, stats);
+                           MatchCcs(state.binning(), combos, r2, active_ccs));
+  RunPhase1Hasse(state, combos, active_ccs, matches, routing.s1_diagram,
+                 stats);
   return Status::Ok();
 }
 

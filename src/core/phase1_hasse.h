@@ -2,6 +2,8 @@
 // V_join when the CC set has no intersecting constraints, by recursing on the
 // Hasse diagram of CC containment, plus the shared final fill (lines 14-17)
 // that completes leftover rows with combinations that add no CC counts.
+// The diagram is not built here: RouteCcs (core/hybrid.h) finds it while it
+// routes the CCs, from the containment pairs it already visits.
 // Neither matches a CC itself: both read the bins and combos of each CC from
 // the solve's CcMatch table (core/fill_state.h), aligned with their CC list.
 // Nor does the fill evaluate a DC: its clique-capacity ledger reads each
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
-#include "constraints/hasse_diagram.h"
 #include "core/conflict.h"
 #include "core/fill_state.h"
 #include "core/join_view.h"
@@ -31,18 +32,34 @@ struct Phase1HasseStats {
   int64_t shortfall = 0;
 };
 
-/// Runs Algorithm 2 over `ccs` (which must be free of intersecting pairs;
-/// the hybrid guarantees this). `matches[i]` is `ccs[i]`'s entry and
-/// `diagram` is precomputed over exactly `ccs`. Assigns B cells in the fill
-/// state.
+/// The Hasse diagram of CC containment (Section 4.2) over some of a CC
+/// list, by position in that list. p covers c when c ⊂ p and no CC lies
+/// strictly between them; each connected part is one of the paper's
+/// "diagrams", and its maximal elements are its CCs contained in no other.
+struct HasseDiagram {
+  /// children[p]: the CCs p covers, ascending.
+  std::vector<std::vector<int>> children;
+  /// The maximal elements, diagram by diagram in order of each diagram's
+  /// first CC, ascending within one. Algorithm 2 processes them in this
+  /// order; it matters because two CCs with the same R1 condition and
+  /// disjoint R2 conditions draw rows from the same bins.
+  std::vector<int> roots;
+};
+
+/// Runs Algorithm 2 over the CCs of `diagram` (which must be free of
+/// intersecting pairs; RouteCcs guarantees this for its S1 diagram).
+/// `ccs[i]`'s entry is `matches[i]`; CCs outside the diagram are not read.
+/// Assigns B cells in the fill state.
 void RunPhase1Hasse(FillState& state, const ComboIndex& combos,
                     const std::vector<CardinalityConstraint>& ccs,
                     const std::vector<CcMatch>& matches,
                     const HasseDiagram& diagram, Phase1HasseStats* stats);
 
-/// Convenience for standalone use/tests: classifies and matches `ccs`,
-/// builds the Hasse diagram and runs the algorithm. `r2` is the table
-/// `combos` was built from. Fails when `ccs` contains an intersecting pair.
+/// Convenience for standalone use/tests: classifies and routes `ccs` as the
+/// hybrid does (exact duplicates are dropped), matches the rest and runs
+/// the algorithm. `r2` is the table `combos` was built from. Fails with
+/// FailedPrecondition when a CC would go to the ILP: it intersects another
+/// or duplicates one with a different target.
 Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
                                 const std::vector<CardinalityConstraint>& ccs,
                                 const Schema& r1_schema, const Table& r2,

@@ -66,9 +66,9 @@ StatusOr<PlannedCExtension> PlanCExtension(
     const std::vector<CardinalityConstraint>& ccs,
     const std::vector<DenialConstraint>& dcs, const SolverOptions& options) {
   Stopwatch total_watch;
-  CEXTEND_RETURN_IF_ERROR(names.Validate(r1, r2));
   CEXTEND_RETURN_IF_ERROR(CheckDcColumns(dcs, names));
   CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
+  // MakeJoinView validates `names` against the tables, R2's keys included.
   CEXTEND_ASSIGN_OR_RETURN(Table v_join, MakeJoinView(r1, r2, names));
 
   SolveStats stats;

@@ -347,12 +347,7 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
   std::unordered_map<int64_t, uint32_t> class_of_key;
   class_of_key.reserve(r2.NumRows() * 2);
   for (size_t r = 0; r < r2.NumRows(); ++r) {
-    if (keys[r] == kNullCode) {
-      return Status::FailedPrecondition("NULL key in R2");
-    }
-    if (!class_of_key.emplace(keys[r], r2_classes.of_row[r]).second) {
-      return Status::FailedPrecondition("duplicate key in R2");
-    }
+    class_of_key.emplace(keys[r], r2_classes.of_row[r]);
   }
 
   // One packed (R2 class, R1 class) pair per R1 row, joined through the FK.

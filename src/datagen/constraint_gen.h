@@ -52,10 +52,12 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
 /// sort, and per CC the number of distinct pairs in its matching R2 classes
 /// (2,283 R1 and 1,000 R2 classes on the 250k-person census).
 ///
-/// Fails with FailedPrecondition on a NULL, duplicate or dangling key, and
-/// with InvalidArgument when a condition does not bind or reads a column
-/// outside its side of the join view (key1 and the R1 attributes for
-/// r1_condition, the R2 attributes for r2_condition).
+/// Fails with InvalidArgument when `names` does not validate against the
+/// tables (PairSchema::Validate rejects NULL and duplicate R2 keys), when a
+/// condition does not bind or when it reads a column outside its side of
+/// the join view (key1 and the R1 attributes for r1_condition, the R2
+/// attributes for r2_condition), and with FailedPrecondition on a NULL or
+/// dangling foreign key.
 Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
                       std::vector<CardinalityConstraint>* ccs);
 

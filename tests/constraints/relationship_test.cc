@@ -152,26 +152,6 @@ TEST(RelationshipTest, UnsatisfiableIntervalIsDisjointFromEverything) {
   }
 }
 
-TEST(RelationshipTest, RestrictSelectsRowsAndColumnsInOrder) {
-  std::vector<CardinalityConstraint> ccs = {
-      MakeCc(10, 14, "Chicago"), MakeCc(50, 60, "NYC", 0),
-      MakeCc(13, 64, "Chicago"), MakeCc(18, 24, "Chicago", 0)};
-  auto matrix = ClassifyAll(ccs, R1Schema(), R2Schema());
-  ASSERT_TRUE(matrix.ok());
-  const std::vector<int> ids = {3, 0, 2};
-  CcRelationMatrix sub = matrix->Restrict(ids);
-  ASSERT_EQ(sub.size(), ids.size());
-  ASSERT_EQ(sub.matrix.size(), ids.size() * ids.size());
-  for (size_t a = 0; a < ids.size(); ++a) {
-    for (size_t b = 0; b < ids.size(); ++b) {
-      EXPECT_EQ(sub.At(a, b), matrix->At(static_cast<size_t>(ids[a]),
-                                         static_cast<size_t>(ids[b])));
-    }
-  }
-  EXPECT_EQ(sub.At(0, 2), CcRelation::kFirstInSecond);  // CC4 ⊆ CC3
-  EXPECT_EQ(matrix->Restrict({}).size(), 0u);
-}
-
 TEST(RelationshipTest, UnknownColumnFails) {
   CardinalityConstraint bad;
   bad.r1_condition.Eq("Height", Value(int64_t{3}));

@@ -1,17 +1,20 @@
 // RouteCcs splits CCs between Algorithm 2 and Algorithm 1 by the
-// components that containment pairs form among the active CCs. The
-// reference below routes by the components of HasseDiagram::Build over the
-// active CCs' relation matrix, after two all-pairs scans (duplicates, then
-// intersections); both must agree on the census CC families and on seeded
-// random CC sets with duplicates, at both force_ilp settings.
+// components that containment pairs form among the active CCs, and builds
+// S1's Hasse diagram from those pairs. The reference below routes by the
+// components of the all-pairs Hasse construction (core/hasse_oracle.h) over
+// the active CCs, after two all-pairs scans (duplicates, then
+// intersections), and builds S1's diagram the same way over S1 alone; both
+// must agree on the census CC families and on seeded random CC sets with
+// duplicates, at both force_ilp settings. The diagram cases at the end pin
+// small shapes directly.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "constraints/hasse_diagram.h"
 #include "constraints/relationship.h"
+#include "core/hasse_oracle.h"
 #include "core/hybrid.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
@@ -51,19 +54,35 @@ CcRouting ReferenceRouting(const CcRelationMatrix& relations,
   for (size_t i = 0; i < n; ++i) {
     if (active[i]) routing.active.push_back(static_cast<int>(i));
   }
-  HasseDiagram diagram =
-      HasseDiagram::Build(relations.Restrict(routing.active));
-  std::vector<char> comp_tainted(diagram.num_components(), 0);
+  const hasse_oracle::Diagram diagram =
+      hasse_oracle::Build(relations, routing.active);
+  std::vector<char> comp_tainted(routing.active.size(), 0);
   for (size_t a = 0; a < routing.active.size(); ++a) {
     if (force_ilp || tainted[static_cast<size_t>(routing.active[a])]) {
-      comp_tainted[static_cast<size_t>(
-          diagram.component(static_cast<int>(a)))] = 1;
+      comp_tainted[static_cast<size_t>(diagram.component[a])] = 1;
     }
   }
   for (size_t a = 0; a < routing.active.size(); ++a) {
-    const bool to_ilp = comp_tainted[static_cast<size_t>(
-        diagram.component(static_cast<int>(a)))];
+    const bool to_ilp = comp_tainted[static_cast<size_t>(diagram.component[a])];
     (to_ilp ? routing.s2 : routing.s1).push_back(static_cast<int>(a));
+  }
+
+  // S1's diagram over S1 alone, renumbered from S1 order to `active` order.
+  std::vector<int> s1_ids;
+  for (int a : routing.s1) {
+    s1_ids.push_back(routing.active[static_cast<size_t>(a)]);
+  }
+  const hasse_oracle::Diagram s1 = hasse_oracle::Build(relations, s1_ids);
+  routing.s1_diagram.children.assign(routing.active.size(), {});
+  for (size_t k = 0; k < s1_ids.size(); ++k) {
+    for (int child : s1.children[k]) {
+      routing.s1_diagram.children[static_cast<size_t>(routing.s1[k])]
+          .push_back(routing.s1[static_cast<size_t>(child)]);
+    }
+  }
+  for (int root : s1.roots) {
+    routing.s1_diagram.roots.push_back(
+        routing.s1[static_cast<size_t>(root)]);
   }
   return routing;
 }
@@ -80,10 +99,14 @@ void ExpectSameRouting(const std::vector<CardinalityConstraint>& ccs,
     EXPECT_EQ(got.s1, want.s1) << what << " force_ilp=" << force_ilp;
     EXPECT_EQ(got.s2, want.s2) << what << " force_ilp=" << force_ilp;
     EXPECT_EQ(got.duplicates_dropped, want.duplicates_dropped) << what;
+    EXPECT_EQ(got.s1_diagram.children, want.s1_diagram.children)
+        << what << " force_ilp=" << force_ilp;
+    EXPECT_EQ(got.s1_diagram.roots, want.s1_diagram.roots)
+        << what << " force_ilp=" << force_ilp;
   }
 }
 
-TEST(RouteCcsTest, CensusFamiliesMatchHasseComponents) {
+TEST(RouteCcsTest, CensusFamiliesMatchHasseOracle) {
   auto data = datagen::GenerateCensus(datagen::ScaledCensusOptions(0.1));
   ASSERT_TRUE(data.ok());
   auto v = MakeJoinView(data->persons, data->housing, data->names);
@@ -135,11 +158,11 @@ CardinalityConstraint RandomCc(Rng& rng, size_t id) {
   return cc;
 }
 
-TEST(RouteCcsTest, SeededRandomCcSetsMatchHasseComponents) {
+TEST(RouteCcsTest, SeededRandomCcSetsMatchHasseOracle) {
   testing_fixtures::PaperExample ex = testing_fixtures::MakePaperExample();
   auto v = MakeJoinView(ex.persons, ex.housing, ex.names);
   ASSERT_TRUE(v.ok());
-  size_t dropped = 0, mixed = 0;
+  size_t dropped = 0, mixed = 0, s1_edges = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     std::vector<CardinalityConstraint> ccs;
@@ -162,10 +185,112 @@ TEST(RouteCcsTest, SeededRandomCcSetsMatchHasseComponents) {
     const CcRouting routing = RouteCcs(*relations, ccs, false);
     dropped += routing.duplicates_dropped;
     if (!routing.s1.empty() && !routing.s2.empty()) ++mixed;
+    for (const std::vector<int>& children : routing.s1_diagram.children) {
+      s1_edges += children.size();
+    }
   }
-  // The sets exercise dropped duplicates and splits between both paths.
+  // The sets exercise dropped duplicates, splits between both paths and
+  // covering edges inside S1.
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(mixed, 5u);
+  EXPECT_GT(s1_edges, 0u);
+}
+
+// S1's diagram on small shapes, over an Age interval and an Area.
+Schema AgeSchema() {
+  return Schema{{"Age", DataType::kInt64}, {"Rel", DataType::kString}};
+}
+Schema AreaSchema() { return Schema{{"Area", DataType::kString}}; }
+
+CardinalityConstraint AgeCc(int64_t lo, int64_t hi, const char* area) {
+  CardinalityConstraint cc;
+  cc.r1_condition.Between("Age", lo, hi);
+  cc.r2_condition.Eq("Area", Value(area));
+  return cc;
+}
+
+/// Routes `ccs`, expects every CC active and in S1, and returns S1's
+/// diagram.
+HasseDiagram S1Diagram(const std::vector<CardinalityConstraint>& ccs) {
+  auto relations = ClassifyAll(ccs, AgeSchema(), AreaSchema());
+  EXPECT_TRUE(relations.ok()) << relations.status().ToString();
+  const CcRouting routing = RouteCcs(*relations, ccs, /*force_ilp=*/false);
+  EXPECT_EQ(routing.active.size(), ccs.size());
+  EXPECT_EQ(routing.s1.size(), ccs.size());
+  EXPECT_EQ(routing.s1_diagram.children.size(), ccs.size());
+  return routing.s1_diagram;
+}
+
+using Children = std::vector<std::vector<int>>;
+
+// The shape of the paper's Example 4.6: CC1 and CC2 alone, CC3 containing
+// CC4. CC1's interval is [10,12] and CC2's [70,80] so that both are
+// disjoint from CC3 as the example intends (an interval inside CC3's with
+// another Area would intersect it, and the pair would go to the ILP).
+TEST(RouteCcsTest, DiagramPaperExample46Shape) {
+  const HasseDiagram d = S1Diagram({
+      AgeCc(10, 12, "Chicago"),  // CC1
+      AgeCc(70, 80, "NYC"),      // CC2
+      AgeCc(13, 64, "Chicago"),  // CC3
+      AgeCc(18, 24, "Chicago"),  // CC4 ⊆ CC3
+  });
+  EXPECT_EQ(d.children, (Children{{}, {}, {3}, {}}));
+  EXPECT_EQ(d.roots, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(RouteCcsTest, DiagramIsTransitivelyReduced) {
+  // a ⊃ b ⊃ c: the pair (a, c) is no edge.
+  const HasseDiagram d = S1Diagram({
+      AgeCc(0, 100, "X"),  // a
+      AgeCc(10, 50, "X"),  // b
+      AgeCc(20, 30, "X"),  // c
+  });
+  EXPECT_EQ(d.children, (Children{{1}, {2}, {}}));
+  EXPECT_EQ(d.roots, (std::vector<int>{0}));
+}
+
+TEST(RouteCcsTest, DiagramSharedChildInsideS1) {
+  // a and b have the same R1 condition and disjoint Areas (Definition 4.2,
+  // second clause). c's Area condition admits no value, so c is contained
+  // in both; no pair intersects and all three stay in S1.
+  CardinalityConstraint c;
+  c.r1_condition.Between("Age", 10, 20);
+  c.r2_condition.Eq("Area", Value("Chicago")).Eq("Area", Value("NYC"));
+  const HasseDiagram d =
+      S1Diagram({AgeCc(0, 50, "Chicago"), AgeCc(0, 50, "NYC"), c});
+  EXPECT_EQ(d.children, (Children{{2}, {2}, {}}));
+  EXPECT_EQ(d.roots, (std::vector<int>{0, 1}));
+}
+
+TEST(RouteCcsTest, DiagramRootsGoDiagramByDiagram) {
+  // The diagram of CC 0 has two maximal elements, 0 and 3 (sharing the
+  // unsatisfiable child 4, as above); the diagram of CC 1 lies between
+  // them. Roots list the whole first diagram before the second.
+  CardinalityConstraint c;
+  c.r1_condition.Between("Age", 10, 20);
+  c.r2_condition.Eq("Area", Value("Chicago")).Eq("Area", Value("NYC"));
+  const HasseDiagram d = S1Diagram({
+      AgeCc(0, 50, "Chicago"),  // 0
+      AgeCc(60, 90, "X"),       // 1
+      AgeCc(70, 80, "X"),       // 2 ⊂ 1
+      AgeCc(0, 50, "NYC"),      // 3
+      c,                        // 4 ⊂ 0, 4 ⊂ 3
+  });
+  EXPECT_EQ(d.children, (Children{{4}, {2}, {}, {4}, {}}));
+  EXPECT_EQ(d.roots, (std::vector<int>{0, 3, 1}));
+}
+
+TEST(RouteCcsTest, DiagramAllDisjointIsAllRoots) {
+  const HasseDiagram d = S1Diagram(
+      {AgeCc(0, 9, "X"), AgeCc(10, 19, "X"), AgeCc(20, 29, "X")});
+  EXPECT_EQ(d.children, (Children{{}, {}, {}}));
+  EXPECT_EQ(d.roots, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(RouteCcsTest, DiagramOfEmptyInputIsEmpty) {
+  const HasseDiagram d = S1Diagram({});
+  EXPECT_TRUE(d.children.empty());
+  EXPECT_TRUE(d.roots.empty());
 }
 
 }  // namespace

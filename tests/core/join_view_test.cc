@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/interning_oracle.h"
 #include "core/join_oracle.h"
 #include "core/match_oracle.h"
@@ -36,6 +38,42 @@ TEST(PairSchemaTest, ValidateRejectsBadNames) {
   bad = ex.names;
   bad.r1_attrs.push_back("hid");  // overlaps FK
   EXPECT_FALSE(bad.Validate(ex.persons, ex.housing).ok());
+}
+
+// R2's keys must be distinct and non-NULL, whether they are dense (checked
+// with a bitmap over their range) or sparse (a hash set), down to the
+// extremes of INT64.
+TEST(PairSchemaTest, ValidateRejectsNullOrDuplicateR2Keys) {
+  PaperExample ex = MakePaperExample();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = kNullCode + 1;
+  struct Case {
+    std::vector<int64_t> keys;
+    bool ok;
+  };
+  const Case cases[] = {
+      {{3, 1, 2, 4, 5, 6}, true},
+      {{3, 1, 2, 4, 5, 3}, false},
+      {{1, 2, 3, 4, 5, kNullCode}, false},
+      {{1, int64_t{1} << 40, 7, 9, max, min}, true},
+      {{1, int64_t{1} << 40, 7, 9, max, int64_t{1} << 40}, false},
+      {{min, max, 0, -1, 1, max}, false},
+      {{0, 63, 64, 127, 128, 191}, true},
+      {{0, 63, 64, 127, 128, 63}, false},
+  };
+  for (const Case& c : cases) {
+    Table housing = ex.housing.Clone();
+    for (size_t r = 0; r < c.keys.size(); ++r) housing.SetCode(r, 0, c.keys[r]);
+    const Status status = ex.names.Validate(ex.persons, housing);
+    EXPECT_EQ(status.ok(), c.ok) << status.ToString() << " at key "
+                                 << c.keys.back();
+    if (!c.ok) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // An empty R2 has no keys to repeat.
+  Table empty{ex.housing.schema()};
+  EXPECT_TRUE(ex.names.Validate(ex.persons, empty).ok());
 }
 
 TEST(JoinViewTest, MakeJoinViewCopiesR1AndNullsB) {

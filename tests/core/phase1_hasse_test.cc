@@ -97,6 +97,42 @@ TEST(Phase1HasseTest, RejectsIntersectingSets) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(Phase1HasseTest, ExactDuplicateIsSatisfiedOnce) {
+  // Two copies of one CC over all nine persons: the copy is dropped as the
+  // hybrid drops it, so three rows are assigned, not six, and both copies
+  // count exactly three.
+  PaperExample ex = MakePaperExample();
+  CardinalityConstraint cc;
+  cc.name = "everyone-in-chicago";
+  cc.r1_condition.Ge("Age", Value(int64_t{0}));
+  cc.r2_condition.Eq("Area", Value("Chicago"));
+  cc.target = 3;
+  CardinalityConstraint copy = cc;
+  copy.name = "copy";
+  std::vector<CardinalityConstraint> ccs = {cc, copy};
+  HasseFixture fx(ex.persons, ex.housing, ex.names, ccs);
+  Phase1HasseStats stats;
+  ASSERT_TRUE(fx.Run(&stats).ok());
+  EXPECT_EQ(stats.rows_assigned, 3u);
+  EXPECT_EQ(stats.shortfall, 0);
+  Rng rng(1);
+  FinalFillStats fill;
+  ASSERT_TRUE(fx.Finish(rng, &fill).ok());
+  auto report = EvaluateCcError(ccs, fx.v_join());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->num_exact, 2u) << report->Summary();
+}
+
+TEST(Phase1HasseTest, RejectsDuplicatesWithConflictingTargets) {
+  PaperExample ex = MakePaperExample();
+  CardinalityConstraint other = ex.ccs[0];
+  other.name = "conflicting-copy";
+  other.target += 1;
+  HasseFixture fx(ex.persons, ex.housing, ex.names, {ex.ccs[0], other});
+  Phase1HasseStats stats;
+  EXPECT_EQ(fx.Run(&stats).code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(Phase1HasseTest, ContainmentRecursion) {
   // Child CC inside parent CC (Example 4.6 mechanics): the child's rows are
   // assigned first, the parent then only needs the difference.

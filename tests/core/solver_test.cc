@@ -92,6 +92,46 @@ TEST(SolverTest, ValidatesSchema) {
       SolveCExtension(ex.persons, ex.housing, bad, ex.ccs, ex.dcs, {}).ok());
 }
 
+// R2's key column must hold distinct, non-NULL keys: phase II hands each
+// partition its own candidate keys, so two R2 rows sharing key 1 would let
+// both Owners take FK 1 and break the DC. Planning refuses either case with
+// InvalidArgument before phase I.
+TEST(SolverTest, RejectsNullOrDuplicateR2Keys) {
+  Table persons{Schema{{"pid", DataType::kInt64},
+                       {"Rel", DataType::kString},
+                       {"hid", DataType::kInt64}}};
+  for (int64_t pid : {1, 2, 3}) {
+    ASSERT_TRUE(persons
+                    .AppendRow({Value(pid), Value(pid < 3 ? "Owner" : "Child"),
+                                Value::Null()})
+                    .ok());
+  }
+  DenialConstraint one_owner(2, "one_owner");
+  one_owner.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  one_owner.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+  PairSchema names;
+  names.key1 = "pid";
+  names.fk = "hid";
+  names.key2 = "hid";
+  names.r1_attrs = {"Rel"};
+  names.r2_attrs = {"Area"};
+  for (const bool null_key : {false, true}) {
+    Table housing{
+        Schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}}};
+    ASSERT_TRUE(housing.AppendRow({Value(int64_t{1}), Value("Chicago")}).ok());
+    ASSERT_TRUE(housing
+                    .AppendRow({null_key ? Value::Null() : Value(int64_t{1}),
+                                Value("NYC")})
+                    .ok());
+    const Status status =
+        PlanCExtension(persons, housing, names, {}, {one_owner}).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(null_key ? "NULL" : "repeats key 1"),
+              std::string::npos)
+        << status;
+  }
+}
+
 // A DC may read only R1's key and A columns: one on a B column (Area) or the
 // FK (hid) is refused before phase 1, naming the DC and the column, by the
 // planner and by both baselines.

@@ -191,6 +191,16 @@ TEST(CcGenTest, TargetsNeedAJoinableTruth) {
   EXPECT_EQ(GenerateCcs(with_dangling, CcFamilyOptions()).status().code(),
             StatusCode::kFailedPrecondition);
 
+  // NULL and duplicate R2 keys are refused by PairSchema::Validate.
+  const size_t key2 = data.housing.schema().IndexOrDie("hid");
+  for (int64_t bad_key : {kNullCode, data.housing.GetCode(0, key2)}) {
+    Table bad_housing = data.housing.Clone();
+    bad_housing.SetCode(1, key2, bad_key);
+    EXPECT_EQ(CountCcTargets(data.persons_truth, bad_housing, data.names, &ccs)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+
   // The join view has no FK column: a condition on it does not bind there.
   ccs[0].r1_condition.Eq("hid", Value(int64_t{1}));
   EXPECT_EQ(CountCcTargets(data.persons_truth, data.housing, data.names, &ccs)

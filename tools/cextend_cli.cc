@@ -34,11 +34,16 @@
 // likewise resumes from the durable prefix. The resumed stream is
 // byte-identical to an uninterrupted run.
 //
+// Numeric flags must be whole base-10 numbers in range (--timeout-ms not
+// negative); anything else prints the usage and exits 2 before any input
+// is read.
+//
 // The spec file holds one constraint per line (see constraints/parser.h):
 //     cc chicago_owners: COUNT(Rel = "Owner" & Area = "Chicago") = 4
 //     dc one_owner:      !(t0.Rel = "Owner" & t1.Rel = "Owner")
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -129,6 +134,17 @@ StatusOr<std::string> ReadFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Parses all of `text` as a non-negative base-10 number of type T.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || text[0] == '-') return false;
+  *out = value;
+  return true;
 }
 
 int Usage(const char* argv0) {
@@ -291,6 +307,7 @@ int main(int argc, char** argv) {
   cextend::CliArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     auto value = [&](const char* prefix) -> const char* {
       size_t len = strlen(prefix);
       return strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
@@ -310,13 +327,17 @@ int main(int argc, char** argv) {
     else if (const char* v = value("--stream-out=")) args.stream_out = v;
     else if (const char* v = value("--manifest=")) args.manifest = v;
     else if (strcmp(arg, "--resume") == 0) args.resume = true;
-    else if (const char* v = value("--seed=")) args.seed = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--threads=")) args.threads = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--shards=")) args.shards = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--max-resident-shards=")) args.max_resident_shards = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--timeout-ms=")) args.timeout_ms = strtoll(v, nullptr, 10);
-    else if (const char* v = value("--max-attempts=")) args.max_attempts = strtoull(v, nullptr, 10);
-    else return cextend::Usage(argv[0]);
+    else if (const char* v = value("--seed=")) ok = cextend::ParseNumber(v, &args.seed);
+    else if (const char* v = value("--threads=")) ok = cextend::ParseNumber(v, &args.threads);
+    else if (const char* v = value("--shards=")) ok = cextend::ParseNumber(v, &args.shards);
+    else if (const char* v = value("--max-resident-shards=")) ok = cextend::ParseNumber(v, &args.max_resident_shards);
+    else if (const char* v = value("--timeout-ms=")) ok = cextend::ParseNumber(v, &args.timeout_ms);
+    else if (const char* v = value("--max-attempts=")) ok = cextend::ParseNumber(v, &args.max_attempts);
+    else ok = false;
+    if (!ok) {
+      std::fprintf(stderr, "bad argument: %s\n", arg);
+      return cextend::Usage(argv[0]);
+    }
   }
   if (args.r1_path.empty() || args.r2_path.empty() ||
       args.r1_schema.empty() || args.r2_schema.empty() || args.key1.empty() ||
