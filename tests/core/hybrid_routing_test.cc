@@ -5,8 +5,8 @@
 // the active CCs, after two all-pairs scans (duplicates, then
 // intersections), and builds S1's diagram the same way over S1 alone; both
 // must agree on the census CC families and on seeded random CC sets with
-// duplicates, at both force_ilp settings. The diagram cases at the end pin
-// small shapes directly.
+// duplicates, at both force_ilp settings. Small diagram shapes are pinned
+// in constraints/hasse_diagram_test.cc.
 
 #include <string>
 #include <vector>
@@ -194,103 +194,6 @@ TEST(RouteCcsTest, SeededRandomCcSetsMatchHasseOracle) {
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(mixed, 5u);
   EXPECT_GT(s1_edges, 0u);
-}
-
-// S1's diagram on small shapes, over an Age interval and an Area.
-Schema AgeSchema() {
-  return Schema{{"Age", DataType::kInt64}, {"Rel", DataType::kString}};
-}
-Schema AreaSchema() { return Schema{{"Area", DataType::kString}}; }
-
-CardinalityConstraint AgeCc(int64_t lo, int64_t hi, const char* area) {
-  CardinalityConstraint cc;
-  cc.r1_condition.Between("Age", lo, hi);
-  cc.r2_condition.Eq("Area", Value(area));
-  return cc;
-}
-
-/// Routes `ccs`, expects every CC active and in S1, and returns S1's
-/// diagram.
-HasseDiagram S1Diagram(const std::vector<CardinalityConstraint>& ccs) {
-  auto relations = ClassifyAll(ccs, AgeSchema(), AreaSchema());
-  EXPECT_TRUE(relations.ok()) << relations.status().ToString();
-  const CcRouting routing = RouteCcs(*relations, ccs, /*force_ilp=*/false);
-  EXPECT_EQ(routing.active.size(), ccs.size());
-  EXPECT_EQ(routing.s1.size(), ccs.size());
-  EXPECT_EQ(routing.s1_diagram.children.size(), ccs.size());
-  return routing.s1_diagram;
-}
-
-using Children = std::vector<std::vector<int>>;
-
-// The shape of the paper's Example 4.6: CC1 and CC2 alone, CC3 containing
-// CC4. CC1's interval is [10,12] and CC2's [70,80] so that both are
-// disjoint from CC3 as the example intends (an interval inside CC3's with
-// another Area would intersect it, and the pair would go to the ILP).
-TEST(RouteCcsTest, DiagramPaperExample46Shape) {
-  const HasseDiagram d = S1Diagram({
-      AgeCc(10, 12, "Chicago"),  // CC1
-      AgeCc(70, 80, "NYC"),      // CC2
-      AgeCc(13, 64, "Chicago"),  // CC3
-      AgeCc(18, 24, "Chicago"),  // CC4 ⊆ CC3
-  });
-  EXPECT_EQ(d.children, (Children{{}, {}, {3}, {}}));
-  EXPECT_EQ(d.roots, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(RouteCcsTest, DiagramIsTransitivelyReduced) {
-  // a ⊃ b ⊃ c: the pair (a, c) is no edge.
-  const HasseDiagram d = S1Diagram({
-      AgeCc(0, 100, "X"),  // a
-      AgeCc(10, 50, "X"),  // b
-      AgeCc(20, 30, "X"),  // c
-  });
-  EXPECT_EQ(d.children, (Children{{1}, {2}, {}}));
-  EXPECT_EQ(d.roots, (std::vector<int>{0}));
-}
-
-TEST(RouteCcsTest, DiagramSharedChildInsideS1) {
-  // a and b have the same R1 condition and disjoint Areas (Definition 4.2,
-  // second clause). c's Area condition admits no value, so c is contained
-  // in both; no pair intersects and all three stay in S1.
-  CardinalityConstraint c;
-  c.r1_condition.Between("Age", 10, 20);
-  c.r2_condition.Eq("Area", Value("Chicago")).Eq("Area", Value("NYC"));
-  const HasseDiagram d =
-      S1Diagram({AgeCc(0, 50, "Chicago"), AgeCc(0, 50, "NYC"), c});
-  EXPECT_EQ(d.children, (Children{{2}, {2}, {}}));
-  EXPECT_EQ(d.roots, (std::vector<int>{0, 1}));
-}
-
-TEST(RouteCcsTest, DiagramRootsGoDiagramByDiagram) {
-  // The diagram of CC 0 has two maximal elements, 0 and 3 (sharing the
-  // unsatisfiable child 4, as above); the diagram of CC 1 lies between
-  // them. Roots list the whole first diagram before the second.
-  CardinalityConstraint c;
-  c.r1_condition.Between("Age", 10, 20);
-  c.r2_condition.Eq("Area", Value("Chicago")).Eq("Area", Value("NYC"));
-  const HasseDiagram d = S1Diagram({
-      AgeCc(0, 50, "Chicago"),  // 0
-      AgeCc(60, 90, "X"),       // 1
-      AgeCc(70, 80, "X"),       // 2 ⊂ 1
-      AgeCc(0, 50, "NYC"),      // 3
-      c,                        // 4 ⊂ 0, 4 ⊂ 3
-  });
-  EXPECT_EQ(d.children, (Children{{4}, {2}, {}, {4}, {}}));
-  EXPECT_EQ(d.roots, (std::vector<int>{0, 3, 1}));
-}
-
-TEST(RouteCcsTest, DiagramAllDisjointIsAllRoots) {
-  const HasseDiagram d = S1Diagram(
-      {AgeCc(0, 9, "X"), AgeCc(10, 19, "X"), AgeCc(20, 29, "X")});
-  EXPECT_EQ(d.children, (Children{{}, {}, {}}));
-  EXPECT_EQ(d.roots, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(RouteCcsTest, DiagramOfEmptyInputIsEmpty) {
-  const HasseDiagram d = S1Diagram({});
-  EXPECT_TRUE(d.children.empty());
-  EXPECT_TRUE(d.roots.empty());
 }
 
 }  // namespace
