@@ -35,6 +35,30 @@ uint64_t TableDigest(const Table& t) {
   return h;
 }
 
+/// FNV-1a over a table's codes, column by column (each code's 8 bytes), then
+/// over each string column's dictionary in code order (each string followed
+/// by a unit separator). Unlike TableDigest it sees how labels are numbered.
+uint64_t CodeDigest(const Table& t) {
+  uint64_t h = kFnv1aBasis;
+  for (size_t c = 0; c < t.NumColumns(); ++c) {
+    for (int64_t code : t.ColumnCodes(c)) {
+      h = Fnv1a(h, reinterpret_cast<const char*>(&code), sizeof(code));
+    }
+    h = Fnv1a(h, "\x1e", 1);
+  }
+  for (size_t c = 0; c < t.NumColumns(); ++c) {
+    const Dictionary* dict = t.dictionary(c).get();
+    if (dict == nullptr) continue;
+    for (int64_t code = 0; code < dict->size(); ++code) {
+      const std::string& text = dict->Get(code);
+      h = Fnv1a(h, text.data(), text.size());
+      h = Fnv1a(h, "\x1f", 1);
+    }
+    h = Fnv1a(h, "\x1e", 1);
+  }
+  return h;
+}
+
 TEST(CensusTest, ExactRowCounts) {
   auto data = GenerateCensus(SmallOptions());
   ASSERT_TRUE(data.ok()) << data.status();
@@ -186,6 +210,42 @@ TEST(CensusTest, BytesArePinned) {
     EXPECT_EQ(TableDigest(data->housing), c.housing)
         << c.r2_columns << " R2 columns: housing 0x" << std::hex
         << TableDigest(data->housing);
+  }
+}
+
+// The same instances as BytesArePinned, pinned at the level of codes: every
+// column's codes and every dictionary in code order, so a generator that
+// numbered the same labels differently fails here.
+TEST(CensusTest, CodesArePinned) {
+  struct Case {
+    size_t r2_columns;
+    uint64_t persons_truth;
+    uint64_t persons;
+    uint64_t housing;
+  };
+  const Case cases[] = {
+      {2, 0x63f9531f376748e2ULL, 0x990e3fff1c13f6e5ULL,
+       0x51725aab58a08112ULL},
+      {10, 0x63f9531f376748e2ULL, 0x990e3fff1c13f6e5ULL,
+       0xbfb07babb246f3f0ULL},
+  };
+  for (const Case& c : cases) {
+    CensusOptions options;
+    options.num_persons = 2400;
+    options.num_households = 940;
+    options.num_r2_columns = c.r2_columns;
+    options.seed = 42;
+    auto data = GenerateCensus(options);
+    ASSERT_TRUE(data.ok()) << data.status();
+    EXPECT_EQ(CodeDigest(data->persons_truth), c.persons_truth)
+        << c.r2_columns << " R2 columns: persons_truth 0x" << std::hex
+        << CodeDigest(data->persons_truth);
+    EXPECT_EQ(CodeDigest(data->persons), c.persons)
+        << c.r2_columns << " R2 columns: persons 0x" << std::hex
+        << CodeDigest(data->persons);
+    EXPECT_EQ(CodeDigest(data->housing), c.housing)
+        << c.r2_columns << " R2 columns: housing 0x" << std::hex
+        << CodeDigest(data->housing);
   }
 }
 
