@@ -113,32 +113,25 @@ Status PairSchema::Validate(const Table& r1, const Table& r2) const {
 StatusOr<Table> MakeJoinView(const Table& r1, const Table& r2,
                              const PairSchema& names) {
   CEXTEND_RETURN_IF_ERROR(names.Validate(r1, r2));
+  // R1's key and attribute columns are copied whole; the B columns are NULL.
   std::vector<ColumnSpec> specs;
   std::vector<std::shared_ptr<Dictionary>> dicts;
-  size_t k1 = r1.schema().IndexOrDie(names.key1);
-  specs.push_back(r1.schema().column(k1));
-  dicts.push_back(r1.dictionary(k1));
-  std::vector<size_t> a_cols;
-  for (const std::string& a : names.r1_attrs) {
-    size_t c = r1.schema().IndexOrDie(a);
-    a_cols.push_back(c);
+  std::vector<std::vector<int64_t>> columns;
+  auto add_r1_column = [&](const std::string& name) {
+    const size_t c = r1.schema().IndexOrDie(name);
     specs.push_back(r1.schema().column(c));
     dicts.push_back(r1.dictionary(c));
-  }
+    columns.push_back(r1.ColumnCodes(c));
+  };
+  add_r1_column(names.key1);
+  for (const std::string& a : names.r1_attrs) add_r1_column(a);
   for (const std::string& b : names.r2_attrs) {
-    size_t c = r2.schema().IndexOrDie(b);
+    const size_t c = r2.schema().IndexOrDie(b);
     specs.push_back(r2.schema().column(c));
     dicts.push_back(r2.dictionary(c));
+    columns.emplace_back(r1.NumRows(), kNullCode);
   }
-  Table v_join{Schema(specs), dicts};
-  v_join.AppendNullRows(r1.NumRows());
-  for (size_t r = 0; r < r1.NumRows(); ++r) {
-    v_join.SetCode(r, 0, r1.GetCode(r, k1));
-    for (size_t i = 0; i < a_cols.size(); ++i) {
-      v_join.SetCode(r, 1 + i, r1.GetCode(r, a_cols[i]));
-    }
-  }
-  return v_join;
+  return Table(Schema(specs), std::move(dicts), std::move(columns));
 }
 
 StatusOr<ComboIndex> ComboIndex::Build(const Table& r2,

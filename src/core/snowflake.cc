@@ -15,17 +15,14 @@ Table WithNullFkColumn(const Table& base, const std::string& fk) {
   std::vector<ColumnSpec> specs = base.schema().columns();
   specs.push_back(ColumnSpec{fk, DataType::kInt64});
   std::vector<std::shared_ptr<Dictionary>> dicts;
-  for (size_t c = 0; c < base.NumColumns(); ++c)
+  std::vector<std::vector<int64_t>> columns;
+  for (size_t c = 0; c < base.NumColumns(); ++c) {
     dicts.push_back(base.dictionary(c));
-  dicts.push_back(nullptr);
-  Table out{Schema(specs), dicts};
-  out.AppendNullRows(base.NumRows());
-  for (size_t r = 0; r < base.NumRows(); ++r) {
-    for (size_t c = 0; c < base.NumColumns(); ++c) {
-      out.SetCode(r, c, base.GetCode(r, c));
-    }
+    columns.push_back(base.ColumnCodes(c));
   }
-  return out;
+  dicts.push_back(nullptr);
+  columns.emplace_back(base.NumRows(), kNullCode);
+  return Table(Schema(specs), std::move(dicts), std::move(columns));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
 #include <span>
 
 #include "util/logging.h"
@@ -16,12 +18,34 @@ namespace {
 /// the Tenure-Area pool (paper Table 5 uses 469 pairs + 121 areas).
 constexpr size_t kNumAreas = 250;
 
+/// Rel labels, in the order of `kRelLabels`; `Person::rel` is one of these.
+enum Rel : uint8_t {
+  kRelOwner,
+  kRelSpouse,
+  kRelPartner,
+  kRelBioChild,
+  kRelAdoptedChild,
+  kRelStepChild,
+  kRelFosterChild,
+  kRelSibling,
+  kRelParent,
+  kRelParentInLaw,
+  kRelChildInLaw,
+  kRelGrandchild,
+  kRelHousemate,
+  kNumRels,
+};
+constexpr const char* kRelLabels[kNumRels] = {
+    kOwner,      kSpouse,       kPartner, kBioChild, kAdoptedChild,
+    kStepChild,  kFosterChild,  kSibling, kParent,   kParentInLaw,
+    kChildInLaw, kGrandchild,   kHousemate};
+
 /// One generated person before table materialization.
 struct Person {
-  int64_t age;
-  const char* rel;
-  int64_t multi_ling;
   int64_t hid;
+  int32_t age;
+  Rel rel;
+  uint8_t multi_ling;
 };
 
 /// Household composition state used to respect the per-house DCs.
@@ -32,6 +56,56 @@ struct Household {
   bool has_spouse_or_partner = false;
   size_t members = 1;  // the owner
 };
+
+/// One string column's codes by label index. Each label is interned the
+/// first time a row uses it, so the dictionary numbers labels in first-row
+/// order, as appending the rows' text would.
+class LabelCodes {
+ public:
+  explicit LabelCodes(size_t num_labels)
+      : dict_(std::make_shared<Dictionary>()), codes_(num_labels, kNullCode) {}
+
+  /// The code of label `label`, whose text `text()` is built on first use.
+  template <typename Text>
+  int64_t Code(size_t label, const Text& text) {
+    int64_t& code = codes_[label];
+    if (code == kNullCode) code = dict_->Intern(text());
+    return code;
+  }
+
+  const std::shared_ptr<Dictionary>& dict() const { return dict_; }
+
+ private:
+  std::shared_ptr<Dictionary> dict_;
+  std::vector<int64_t> codes_;
+};
+
+/// The Housing columns whose label is a function of the Area drawn, in
+/// schema order: `num_r2_columns` 2 has Area, 4 adds County and St, 6 and
+/// up add Div and Reg.
+struct AreaColumn {
+  const char* name;
+  const char* format;
+  size_t (*label)(size_t area);
+};
+constexpr AreaColumn kAreaColumns[] = {
+    {"Area", "A%03zu", [](size_t area) { return area; }},
+    // County is determined by Area (two areas per county); St by Area too.
+    {"County", "C%03zu", [](size_t area) { return area / 2; }},
+    {"St", "S%02zu", [](size_t area) { return area % 50; }},
+    // Div and Reg are determined by St (paper Section 6.1 notes this).
+    {"Div", "D%zu", [](size_t area) { return area % 50 % 9; }},
+    {"Reg", "R%zu", [](size_t area) { return area % 50 % 9 % 4; }},
+};
+
+/// The 0/1 Housing columns after the Area columns, with the probability of
+/// a 1: `num_r2_columns` 8 has Water and Bath, 10 adds Fridge and Stove.
+struct FlagColumn {
+  const char* name;
+  double p;
+};
+constexpr FlagColumn kFlagColumns[] = {
+    {"Water", 0.95}, {"Bath", 0.9}, {"Fridge", 0.93}, {"Stove", 0.96}};
 
 int64_t Clamp(int64_t v, int64_t lo, int64_t hi) {
   return std::max(lo, std::min(hi, v));
@@ -52,7 +126,7 @@ bool TryAddMember(Rng& rng, Household& house, std::vector<Person>& persons) {
   const int64_t a = house.owner_age;
   // Candidate member types with weights; infeasible ones are filtered below.
   struct Option {
-    const char* rel;
+    Rel rel;
     double weight;
     int64_t lo, hi;   // permissible age range given the owner
     bool needs_single_spouse_slot = false;
@@ -62,22 +136,22 @@ bool TryAddMember(Rng& rng, Household& house, std::vector<Person>& persons) {
   size_t num_options = 0;
   auto add = [&](Option o) { options[num_options++] = o; };
   int64_t child_lo = house.owner_multi == 1 ? a - 50 : a - 69;
-  add({kBioChild, 0.34, child_lo, a - 12});
-  add({kStepChild, 0.05, child_lo, a - 12});
-  add({kAdoptedChild, 0.04, child_lo, a - 12});
-  add({kFosterChild, 0.02, a - 69, a - 12});
-  add({kSpouse, 0.27, a - 50, a + 50, true});
-  add({kPartner, 0.05, a - 50, a + 50, true});
-  add({kSibling, 0.05, a - 35, a + 35});
+  add({kRelBioChild, 0.34, child_lo, a - 12});
+  add({kRelStepChild, 0.05, child_lo, a - 12});
+  add({kRelAdoptedChild, 0.04, child_lo, a - 12});
+  add({kRelFosterChild, 0.02, a - 69, a - 12});
+  add({kRelSpouse, 0.27, a - 50, a + 50, true});
+  add({kRelPartner, 0.05, a - 50, a + 50, true});
+  add({kRelSibling, 0.05, a - 35, a + 35});
   if (a <= 94) {
-    add({kParent, 0.04, a + 12, a + 115});
-    add({kParentInLaw, 0.02, a + 12, a + 115});
+    add({kRelParent, 0.04, a + 12, a + 115});
+    add({kRelParentInLaw, 0.02, a + 12, a + 115});
   }
   if (a >= 30) {
-    add({kGrandchild, 0.04, a - 115, a - 30});
-    add({kChildInLaw, 0.02, a - 69, a - 1});
+    add({kRelGrandchild, 0.04, a - 115, a - 30});
+    add({kRelChildInLaw, 0.02, a - 69, a - 1});
   }
-  add({kHousemate, 0.06, 15, 85});
+  add({kRelHousemate, 0.06, 15, 85});
 
   double weights[kMaxOptions];
   double total = 0.0;
@@ -96,8 +170,8 @@ bool TryAddMember(Rng& rng, Household& house, std::vector<Person>& persons) {
   int64_t age = DrawAge(rng, pick.lo, pick.hi);
   if (age < 0) return false;
   if (pick.needs_single_spouse_slot) house.has_spouse_or_partner = true;
-  persons.push_back(Person{age, pick.rel, rng.Bernoulli(0.22) ? 1 : 0,
-                           house.hid});
+  persons.push_back(Person{house.hid, static_cast<int32_t>(age), pick.rel,
+                           static_cast<uint8_t>(rng.Bernoulli(0.22) ? 1 : 0)});
   ++house.members;
   return true;
 }
@@ -136,8 +210,9 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
     house.hid = static_cast<int64_t>(h) + 1;
     house.owner_age = rng.UniformInt(18, 95);
     house.owner_multi = rng.Bernoulli(0.25) ? 1 : 0;
-    persons.push_back(Person{house.owner_age, kOwner, house.owner_multi,
-                             house.hid});
+    persons.push_back(Person{house.hid, static_cast<int32_t>(house.owner_age),
+                             kRelOwner,
+                             static_cast<uint8_t>(house.owner_multi)});
     houses.push_back(house);
   }
   // ---- Fill remaining persons by adding members to random households. ----
@@ -155,77 +230,81 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
   // shuffle so tuple order does not leak household structure.
   rng.Shuffle(persons);
 
-  // ---- Housing table. ----
-  std::vector<ColumnSpec> housing_specs = {{"hid", DataType::kInt64},
-                                           {"Tenure", DataType::kString},
-                                           {"Area", DataType::kString}};
-  if (options.num_r2_columns >= 4) {
-    housing_specs.push_back({"County", DataType::kString});
-    housing_specs.push_back({"St", DataType::kString});
-  }
-  if (options.num_r2_columns >= 6) {
-    housing_specs.push_back({"Div", DataType::kString});
-    housing_specs.push_back({"Reg", DataType::kString});
-  }
-  if (options.num_r2_columns >= 8) {
-    housing_specs.push_back({"Water", DataType::kInt64});
-    housing_specs.push_back({"Bath", DataType::kInt64});
-  }
-  if (options.num_r2_columns >= 10) {
-    housing_specs.push_back({"Fridge", DataType::kInt64});
-    housing_specs.push_back({"Stove", DataType::kInt64});
-  }
-  Table housing{Schema(housing_specs)};
+  // ---- Housing table, column by column: hid, Tenure, the Area columns,
+  // then the flag columns, each row's draws in that order. ----
   static const char* kTenures[] = {"Owned-mortgage", "Owned-free", "Rented",
                                    "No-rent"};
   static const double kTenureWeights[] = {0.38, 0.22, 0.32, 0.08};
-  const ZipfTable area_zipf(kNumAreas, 0.6);
-  for (const Household& house : houses) {
-    size_t area = area_zipf.Draw(rng);
-    size_t tenure = rng.WeightedIndex(kTenureWeights);
-    std::vector<Value> row;
-    row.push_back(Value(house.hid));
-    row.push_back(Value(kTenures[tenure]));
-    row.push_back(Value(StrFormat("A%03zu", area)));
-    if (options.num_r2_columns >= 4) {
-      // County is determined by Area (two areas per county); St by Area too.
-      row.push_back(Value(StrFormat("C%03zu", area / 2)));
-      row.push_back(Value(StrFormat("S%02zu", area % 50)));
-    }
-    if (options.num_r2_columns >= 6) {
-      // Div and Reg are determined by St (paper Section 6.1 notes this).
-      row.push_back(Value(StrFormat("D%zu", (area % 50) % 9)));
-      row.push_back(Value(StrFormat("R%zu", ((area % 50) % 9) % 4)));
-    }
-    if (options.num_r2_columns >= 8) {
-      row.push_back(Value(rng.Bernoulli(0.95) ? 1 : 0));
-      row.push_back(Value(rng.Bernoulli(0.9) ? 1 : 0));
-    }
-    if (options.num_r2_columns >= 10) {
-      row.push_back(Value(rng.Bernoulli(0.93) ? 1 : 0));
-      row.push_back(Value(rng.Bernoulli(0.96) ? 1 : 0));
-    }
-    CEXTEND_RETURN_IF_ERROR(housing.AppendRow(row));
+  const size_t num_area_cols = std::min<size_t>(options.num_r2_columns - 1, 5);
+  const size_t num_flag_cols =
+      options.num_r2_columns > 6 ? options.num_r2_columns - 6 : 0;
+  const size_t num_houses = houses.size();
+  std::vector<ColumnSpec> housing_specs = {{"hid", DataType::kInt64},
+                                           {"Tenure", DataType::kString}};
+  std::vector<std::vector<int64_t>> housing_cols(
+      2 + num_area_cols + num_flag_cols, std::vector<int64_t>(num_houses));
+  LabelCodes tenures(std::size(kTenures));
+  // Labels are cached by Area, which determines every Area column's label.
+  std::vector<LabelCodes> area_labels;
+  for (size_t i = 0; i < num_area_cols; ++i) {
+    housing_specs.push_back({kAreaColumns[i].name, DataType::kString});
+    area_labels.emplace_back(kNumAreas);
   }
+  for (size_t i = 0; i < num_flag_cols; ++i) {
+    housing_specs.push_back({kFlagColumns[i].name, DataType::kInt64});
+  }
+  const ZipfTable area_zipf(kNumAreas, 0.6);
+  for (size_t h = 0; h < num_houses; ++h) {
+    const size_t area = area_zipf.Draw(rng);
+    const size_t tenure = rng.WeightedIndex(kTenureWeights);
+    housing_cols[0][h] = houses[h].hid;
+    housing_cols[1][h] =
+        tenures.Code(tenure, [&] { return kTenures[tenure]; });
+    for (size_t i = 0; i < num_area_cols; ++i) {
+      const AreaColumn& column = kAreaColumns[i];
+      housing_cols[2 + i][h] = area_labels[i].Code(area, [&] {
+        return StrFormat(column.format, column.label(area));
+      });
+    }
+    for (size_t i = 0; i < num_flag_cols; ++i) {
+      housing_cols[2 + num_area_cols + i][h] =
+          rng.Bernoulli(kFlagColumns[i].p) ? 1 : 0;
+    }
+  }
+  std::vector<std::shared_ptr<Dictionary>> housing_dicts = {nullptr,
+                                                            tenures.dict()};
+  for (const LabelCodes& labels : area_labels) {
+    housing_dicts.push_back(labels.dict());
+  }
+  Table housing{Schema(housing_specs), std::move(housing_dicts),
+                std::move(housing_cols)};
 
-  // ---- Persons tables (truth + problem input with NULL hid). ----
+  // ---- Persons tables (truth + problem input with NULL hid), one pass
+  // over the persons; the two share the Rel dictionary. ----
   Schema persons_schema{{"pid", DataType::kInt64},
                         {"Age", DataType::kInt64},
                         {"Rel", DataType::kString},
                         {"MultiLing", DataType::kInt64},
                         {"hid", DataType::kInt64}};
-  Table persons_truth{persons_schema};
-  for (size_t i = 0; i < persons.size(); ++i) {
-    CEXTEND_RETURN_IF_ERROR(persons_truth.AppendRow(
-        {Value(static_cast<int64_t>(i) + 1), Value(persons[i].age),
-         Value(persons[i].rel), Value(persons[i].multi_ling),
-         Value(persons[i].hid)}));
+  const size_t n = persons.size();
+  std::vector<std::vector<int64_t>> truth_cols(persons_schema.NumColumns(),
+                                               std::vector<int64_t>(n));
+  LabelCodes rels(kNumRels);
+  for (size_t i = 0; i < n; ++i) {
+    const Person& p = persons[i];
+    truth_cols[0][i] = static_cast<int64_t>(i) + 1;
+    truth_cols[1][i] = p.age;
+    truth_cols[2][i] = rels.Code(p.rel, [&] { return kRelLabels[p.rel]; });
+    truth_cols[3][i] = p.multi_ling;
+    truth_cols[4][i] = p.hid;
   }
-  Table persons_input = persons_truth.Clone();
-  size_t hid_col = persons_schema.IndexOrDie("hid");
-  for (size_t r = 0; r < persons_input.NumRows(); ++r) {
-    persons_input.SetCode(r, hid_col, kNullCode);
-  }
+  std::vector<std::vector<int64_t>> input_cols(truth_cols.begin(),
+                                               truth_cols.end() - 1);
+  input_cols.emplace_back(n, kNullCode);
+  const std::vector<std::shared_ptr<Dictionary>> persons_dicts = {
+      nullptr, nullptr, rels.dict(), nullptr, nullptr};
+  Table persons_input{persons_schema, persons_dicts, std::move(input_cols)};
+  Table persons_truth{persons_schema, persons_dicts, std::move(truth_cols)};
 
   CensusData data{std::move(persons_input), std::move(housing),
                   std::move(persons_truth), {}};

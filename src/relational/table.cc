@@ -23,6 +23,19 @@ Table::Table(Schema schema, std::vector<std::shared_ptr<Dictionary>> dicts)
   }
 }
 
+Table::Table(Schema schema, std::vector<std::shared_ptr<Dictionary>> dicts,
+             std::vector<std::vector<int64_t>> columns)
+    : Table(std::move(schema), std::move(dicts)) {
+  CEXTEND_CHECK(columns.size() == columns_.size())
+      << columns.size() << " columns for a schema of " << columns_.size();
+  num_rows_ = columns.empty() ? 0 : columns[0].size();
+  for (const std::vector<int64_t>& column : columns) {
+    CEXTEND_CHECK(column.size() == num_rows_)
+        << "columns of " << num_rows_ << " and " << column.size() << " rows";
+  }
+  columns_ = std::move(columns);
+}
+
 Status Table::AppendRow(const std::vector<Value>& values) {
   if (values.size() != schema_.NumColumns()) {
     return Status::InvalidArgument(
@@ -41,11 +54,6 @@ void Table::AppendRowCodes(const std::vector<int64_t>& codes) {
   CEXTEND_CHECK(codes.size() == schema_.NumColumns());
   for (size_t i = 0; i < codes.size(); ++i) columns_[i].push_back(codes[i]);
   ++num_rows_;
-}
-
-void Table::AppendNullRows(size_t n) {
-  for (auto& col : columns_) col.resize(col.size() + n, kNullCode);
-  num_rows_ += n;
 }
 
 Value Table::GetValue(size_t row, size_t col) const {

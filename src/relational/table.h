@@ -34,6 +34,12 @@ class Table {
   /// STRING column has no entry).
   Table(Schema schema, std::vector<std::shared_ptr<Dictionary>> dicts);
 
+  /// Creates a table from whole columns: `columns[i]` holds column i's codes
+  /// (STRING codes index `dicts[i]`, as above). Every column must hold the
+  /// same number of rows; the codes are not checked further.
+  Table(Schema schema, std::vector<std::shared_ptr<Dictionary>> dicts,
+        std::vector<std::vector<int64_t>> columns);
+
   const Schema& schema() const { return schema_; }
   size_t NumRows() const { return num_rows_; }
   size_t NumColumns() const { return schema_.NumColumns(); }
@@ -43,9 +49,6 @@ class Table {
 
   /// Appends a row given raw codes (caller guarantees code validity).
   void AppendRowCodes(const std::vector<int64_t>& codes);
-
-  /// Appends `n` rows of all-NULL cells.
-  void AppendNullRows(size_t n);
 
   /// Cell accessors.
   int64_t GetCode(size_t row, size_t col) const {

@@ -96,13 +96,24 @@ TEST(TableTest, CloneCopiesRows) {
   EXPECT_EQ(b.GetValue(0, 2), Value(31));
 }
 
-TEST(TableTest, AppendNullRowsAndSet) {
-  Table t{PersonSchema()};
-  t.AppendNullRows(3);
+TEST(TableTest, FromColumnsAndSet) {
+  Table names{PersonSchema()};
+  ASSERT_TRUE(names.AppendRow({Value(1), Value("ann"), Value(30)}).ok());
+  const int64_t ann = names.GetCode(0, 1);
+  Table t{PersonSchema(),
+          {nullptr, names.dictionary(1), nullptr},
+          {{7, 8, 9}, {ann, kNullCode, ann}, {kNullCode, 41, 42}}};
   EXPECT_EQ(t.NumRows(), 3u);
-  EXPECT_TRUE(t.IsNull(2, 1));
-  ASSERT_TRUE(t.SetValue(2, 1, Value("late")).ok());
-  EXPECT_EQ(t.GetValue(2, 1), Value("late"));
+  EXPECT_EQ(t.dictionary(1), names.dictionary(1));
+  EXPECT_EQ(t.GetValue(2, 1), Value("ann"));
+  EXPECT_TRUE(t.IsNull(1, 1));
+  EXPECT_TRUE(t.IsNull(0, 2));
+  EXPECT_EQ(t.GetValue(1, 2), Value(41));
+  ASSERT_TRUE(t.SetValue(1, 1, Value("late")).ok());
+  EXPECT_EQ(t.GetValue(1, 1), Value("late"));
+  ASSERT_TRUE(t.AppendRow({Value(10), Value("ann"), Value(43)}).ok());
+  EXPECT_EQ(t.NumRows(), 4u);
+  EXPECT_EQ(t.GetCode(3, 1), ann);
 }
 
 TEST(TableTest, ToStringTruncates) {
