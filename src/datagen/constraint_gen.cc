@@ -350,10 +350,11 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
     class_of_key.emplace(keys[r], r2_classes.of_row[r]);
   }
 
-  // One packed (R2 class, R1 class) pair per R1 row, joined through the FK.
+  // Each R1 row's R2 class, joined through the FK, and the rows per class.
   const RowClasses r1_classes = InternRows(r1.NumRows(), r1_cols);
   const int64_t* fks = r1.ColumnCodes(r1.schema().IndexOrDie(names.fk)).data();
-  std::vector<uint64_t> pairs(r1.NumRows());
+  std::vector<uint32_t> r2_class_of(r1.NumRows());
+  std::vector<size_t> bucket_start(r2_classes.size() + 1, 0);
   for (size_t r = 0; r < r1.NumRows(); ++r) {
     if (fks[r] == kNullCode) {
       return Status::FailedPrecondition(
@@ -364,27 +365,46 @@ Status CountCcTargets(const Table& r1, const Table& r2, const PairSchema& names,
       return Status::FailedPrecondition(
           StrFormat("R1 row %zu has dangling foreign key", r));
     }
-    pairs[r] = uint64_t{it->second} << 32 | r1_classes.of_row[r];
+    r2_class_of[r] = it->second;
+    ++bucket_start[it->second + 1];
   }
-  std::sort(pairs.begin(), pairs.end());
+  for (size_t j = 1; j < bucket_start.size(); ++j) {
+    bucket_start[j] += bucket_start[j - 1];
+  }
+  // Counting sort: the R1 classes of the rows joined to R2 class j fill
+  // bucket[bucket_start[j]..bucket_start[j + 1]).
+  std::vector<uint32_t> bucket(r1.NumRows());
+  {
+    std::vector<size_t> next(bucket_start.begin(), bucket_start.end() - 1);
+    for (size_t r = 0; r < r1.NumRows(); ++r) {
+      bucket[next[r2_class_of[r]]++] = r1_classes.of_row[r];
+    }
+  }
 
-  // Run lengths of the sorted pairs, grouped by R2 class: R2 class j joins
-  // the R1 classes runs[start[j]..start[j + 1]), each with its row count.
+  // Each bucket's R1 classes with their row counts: R2 class j joins the R1
+  // classes runs[start[j]..start[j + 1]). run_of holds each R1 class's run
+  // (+1) in the current bucket; the bucket's runs list the entries to reset.
   struct Run {
     uint32_t r1_class;
     uint32_t rows;
   };
   std::vector<Run> runs;
   std::vector<size_t> start(r2_classes.size() + 1, 0);
-  for (size_t i = 0; i < pairs.size();) {
-    size_t end = i + 1;
-    while (end < pairs.size() && pairs[end] == pairs[i]) ++end;
-    runs.push_back({static_cast<uint32_t>(pairs[i]),
-                    static_cast<uint32_t>(end - i)});
-    ++start[(pairs[i] >> 32) + 1];
-    i = end;
+  std::vector<size_t> run_of(r1_classes.size(), 0);
+  for (size_t j = 0; j < r2_classes.size(); ++j) {
+    for (size_t k = bucket_start[j]; k < bucket_start[j + 1]; ++k) {
+      size_t& run = run_of[bucket[k]];
+      if (run == 0) {
+        runs.push_back({bucket[k], 0});
+        run = runs.size();
+      }
+      ++runs[run - 1].rows;
+    }
+    start[j + 1] = runs.size();
+    for (size_t i = start[j]; i < start[j + 1]; ++i) {
+      run_of[runs[i].r1_class] = 0;
+    }
   }
-  for (size_t j = 1; j < start.size(); ++j) start[j] += start[j - 1];
 
   FootprintMatcher r1_matcher(r1, r1_classes.representatives);
   FootprintMatcher r2_matcher(r2, r2_classes.representatives);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 #include "constraints/metrics.h"
 #include "constraints/relationship.h"
 #include "core/join_oracle.h"
 #include "core/join_view.h"
 #include "relational/predicate.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace cextend {
@@ -161,6 +165,87 @@ TEST(CcGenTest, HandBuiltTargetsMatchGroundTruth) {
             static_cast<int64_t>(data.persons_truth.NumRows()));
   EXPECT_GT(ccs[1].target, 0);
   EXPECT_GT(ccs[3].target, 0);
+}
+
+// The counting needs neither dense nor sorted keys: R2 keys (and the FKs
+// that name them) are relabelled to sparse values from the smallest non-NULL
+// int64 up to INT64_MAX, the R1 rows are shuffled, and an R2 row of its own
+// class that no R1 row joins is added. Both families' targets stay what they
+// were on the generated instance and agree with the oracle.
+TEST(CcGenTest, TargetsIgnoreKeyValuesAndRowOrder) {
+  CensusData data = SmallData();
+  std::vector<std::vector<CardinalityConstraint>> families;
+  for (bool intersecting : {false, true}) {
+    CcFamilyOptions options;
+    options.num_ccs = intersecting ? 1001 : 201;
+    options.intersecting = intersecting;
+    auto ccs = GenerateCcs(data, options);
+    ASSERT_TRUE(ccs.ok()) << ccs.status();
+    CardinalityConstraint unjoined;
+    unjoined.name = "Unjoined";
+    unjoined.r1_condition.Eq("Rel", Value(kOwner));
+    unjoined.r2_condition.Eq("Tenure", Value("Vacant"));
+    ccs->push_back(std::move(unjoined));
+    families.push_back(std::move(ccs).value());
+  }
+
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  auto sparse = [&](int64_t key) -> int64_t {
+    if (key == 1) return kNullCode + 1;
+    switch (key % 3) {
+      case 0:
+        return max - key;
+      case 1:
+        return -(key << 20);
+      default:
+        return key * 1000003;
+    }
+  };
+  Table housing = data.housing.Clone();
+  const size_t key2 = housing.schema().IndexOrDie("hid");
+  for (size_t r = 0; r < housing.NumRows(); ++r) {
+    housing.SetCode(r, key2, sparse(housing.GetCode(r, key2)));
+  }
+  ASSERT_TRUE(housing.AppendRow({Value(int64_t{5}), Value("Vacant"),
+                                 Value("A001")}).ok());
+
+  const Table& truth = data.persons_truth;
+  std::vector<size_t> order(truth.NumRows());
+  for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+  Rng rng(11);
+  rng.Shuffle(order);
+  const size_t fk = truth.schema().IndexOrDie("hid");
+  std::vector<std::vector<int64_t>> columns(truth.NumColumns());
+  std::vector<std::shared_ptr<Dictionary>> dicts;
+  for (size_t c = 0; c < truth.NumColumns(); ++c) {
+    dicts.push_back(truth.dictionary(c));
+    for (size_t r : order) {
+      const int64_t code = truth.GetCode(r, c);
+      columns[c].push_back(c == fk ? sparse(code) : code);
+    }
+  }
+  CensusData relabelled{data.persons.Clone(), std::move(housing),
+                        Table(truth.schema(), dicts, std::move(columns)),
+                        data.names};
+
+  for (std::vector<CardinalityConstraint>& ccs : families) {
+    SCOPED_TRACE(testing::Message() << ccs.size() << " CCs");
+    ASSERT_TRUE(CountCcTargets(data.persons_truth, data.housing, data.names,
+                               &ccs)
+                    .ok());
+    std::vector<int64_t> dense_targets;
+    for (const CardinalityConstraint& cc : ccs) {
+      dense_targets.push_back(cc.target);
+    }
+    ASSERT_TRUE(CountCcTargets(relabelled.persons_truth, relabelled.housing,
+                               relabelled.names, &ccs)
+                    .ok());
+    ExpectOracleTargets(relabelled, ccs);
+    for (size_t i = 0; i < ccs.size(); ++i) {
+      EXPECT_EQ(ccs[i].target, dense_targets[i]) << ccs[i].ToString();
+    }
+    EXPECT_EQ(ccs.back().target, 0);
+  }
 }
 
 TEST(CcGenTest, TargetsNeedAJoinableTruth) {
