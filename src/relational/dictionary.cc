@@ -5,7 +5,7 @@
 namespace cextend {
 
 int64_t Dictionary::Intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   int64_t code = static_cast<int64_t>(strings_.size());
   strings_.emplace_back(s);
@@ -14,7 +14,7 @@ int64_t Dictionary::Intern(std::string_view s) {
 }
 
 std::optional<int64_t> Dictionary::Find(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

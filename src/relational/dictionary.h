@@ -3,7 +3,9 @@
 #ifndef CEXTEND_RELATIONAL_DICTIONARY_H_
 #define CEXTEND_RELATIONAL_DICTIONARY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,8 +33,17 @@ class Dictionary {
   int64_t size() const { return static_cast<int64_t>(strings_.size()); }
 
  private:
+  /// Hashes a std::string and a std::string_view alike, so a lookup by view
+  /// builds no std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, int64_t> index_;
+  std::unordered_map<std::string, int64_t, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace cextend
