@@ -107,6 +107,7 @@ Status PairSchema::Validate(const Table& r1, const Table& r2) const {
       return Status::InvalidArgument(
           "R1 and R2 column names must be disjoint; duplicate: " + b);
   }
+  CEXTEND_RETURN_IF_ERROR(RequireDistinctKeys(r1, key1, "R1 key"));
   return RequireDistinctKeys(r2, key2, "R2 key");
 }
 

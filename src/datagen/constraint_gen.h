@@ -53,7 +53,7 @@ StatusOr<std::vector<CardinalityConstraint>> GenerateCcs(
 /// (2,283 R1 and 1,000 R2 classes on the 250k-person census).
 ///
 /// Fails with InvalidArgument when `names` does not validate against the
-/// tables (PairSchema::Validate rejects NULL and duplicate R2 keys), when a
+/// tables (PairSchema::Validate rejects NULL and duplicate keys), when a
 /// condition does not bind or when it reads a column outside its side of
 /// the join view (key1 and the R1 attributes for r1_condition, the R2
 /// attributes for r2_condition), and with FailedPrecondition on a NULL or

@@ -76,6 +76,30 @@ TEST(PairSchemaTest, ValidateRejectsNullOrDuplicateR2Keys) {
   EXPECT_TRUE(ex.names.Validate(ex.persons, empty).ok());
 }
 
+// R1's key is checked the same way: R̂1 keeps it as its primary key.
+TEST(PairSchemaTest, ValidateRejectsNullOrDuplicateR1Keys) {
+  PaperExample ex = MakePaperExample();
+  const size_t pid = ex.persons.schema().IndexOrDie("pid");
+  const size_t last = ex.persons.NumRows() - 1;
+  struct Case {
+    int64_t key;
+    const char* message;
+  };
+  const Case cases[] = {
+      {kNullCode, "R1 key column 'pid' is NULL in row"},
+      {ex.persons.GetCode(0, pid), "R1 key column 'pid' repeats key"},
+  };
+  for (const Case& c : cases) {
+    Table persons = ex.persons.Clone();
+    persons.SetCode(last, pid, c.key);
+    const Status status = ex.names.Validate(persons, ex.housing);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_NE(status.ToString().find(c.message), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_TRUE(ex.names.Validate(ex.persons, ex.housing).ok());
+}
+
 TEST(JoinViewTest, MakeJoinViewCopiesR1AndNullsB) {
   PaperExample ex = MakePaperExample();
   auto v = MakeJoinView(ex.persons, ex.housing, ex.names);

@@ -2,8 +2,8 @@
 """Input checks of cextend_cli that fire before any solve.
 
 A malformed numeric flag prints the usage and exits 2 without writing an
-output file; an R2 table whose key column holds a NULL or a repeated key is
-refused with exit 1. Every case runs on a three-person instance whose
+output file; an R1 or R2 table whose key column holds a NULL or a repeated
+key is refused with exit 1. Every case runs on a three-person instance whose
 arguments are otherwise valid, so the check under test is the only reason a
 run can fail.
 
@@ -26,14 +26,14 @@ class CliArgsTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
-        self.write("persons.csv", PERSONS)
         self.write("spec.txt", SPEC)
 
     def write(self, name, text):
         with open(os.path.join(self.dir.name, name), "w") as f:
             f.write(text)
 
-    def run_cli(self, housing, *extra):
+    def run_cli(self, housing, *extra, persons=PERSONS):
+        self.write("persons.csv", persons)
         self.write("housing.csv", housing)
         return subprocess.run(
             [CLI, "--r1=persons.csv", "--r1-schema=pid:int,Rel:str,hid:int",
@@ -77,6 +77,19 @@ class CliArgsTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("NULL", proc.stderr)
         self.assertFalse(self.wrote_output())
+
+    def test_null_or_repeated_r1_key_is_refused(self):
+        housing = "hid,Area\n1,Chicago\n2,NYC\n"
+        for persons, message in [
+                ("pid,Rel,hid\n1,Owner,\n1,Owner,\n,Child,\n", "NULL"),
+                ("pid,Rel,hid\n1,Owner,\n2,Owner,\n1,Child,\n",
+                 "repeats key 1")]:
+            with self.subTest(persons=persons):
+                proc = self.run_cli(housing, persons=persons)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertIn("R1 key", proc.stderr)
+                self.assertIn(message, proc.stderr)
+                self.assertFalse(self.wrote_output())
 
 
 if __name__ == "__main__":
