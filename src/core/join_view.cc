@@ -24,10 +24,11 @@ Status RequireIntColumn(const Table& t, const std::string& name,
   return Status::Ok();
 }
 
-/// R2's keys must be non-NULL and distinct: phase II hands each partition
-/// its own candidate keys. A first pass finds NULLs and the key range; the
-/// second marks keys in a bitmap over that range, or in a hash set when the
-/// range is over 64 keys wide per row.
+/// A key column must hold non-NULL, distinct keys: R̂1 keeps R1's key as its
+/// primary key, and phase II hands each partition its own R2 keys. A first
+/// pass finds NULLs and the key range; the second marks keys in a bitmap
+/// over that range, or in a hash set when the range is over 64 keys wide per
+/// row.
 Status RequireDistinctKeys(const Table& t, const std::string& name,
                            const char* role) {
   const std::vector<int64_t>& keys =

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -20,20 +21,9 @@ constexpr size_t kNumAreas = 250;
 
 /// Rel labels, in the order of `kRelLabels`; `Person::rel` is one of these.
 enum Rel : uint8_t {
-  kRelOwner,
-  kRelSpouse,
-  kRelPartner,
-  kRelBioChild,
-  kRelAdoptedChild,
-  kRelStepChild,
-  kRelFosterChild,
-  kRelSibling,
-  kRelParent,
-  kRelParentInLaw,
-  kRelChildInLaw,
-  kRelGrandchild,
-  kRelHousemate,
-  kNumRels,
+  kRelOwner, kRelSpouse, kRelPartner, kRelBioChild, kRelAdoptedChild,
+  kRelStepChild, kRelFosterChild, kRelSibling, kRelParent, kRelParentInLaw,
+  kRelChildInLaw, kRelGrandchild, kRelHousemate, kNumRels
 };
 constexpr const char* kRelLabels[kNumRels] = {
     kOwner,      kSpouse,       kPartner, kBioChild, kAdoptedChild,
@@ -54,22 +44,21 @@ struct Household {
   int64_t owner_age;
   int64_t owner_multi;
   bool has_spouse_or_partner = false;
-  size_t members = 1;  // the owner
 };
 
-/// One string column's codes by label index. Each label is interned the
+/// One string column's labels and their codes. A label is interned the
 /// first time a row uses it, so the dictionary numbers labels in first-row
 /// order, as appending the rows' text would.
 class LabelCodes {
  public:
-  explicit LabelCodes(size_t num_labels)
-      : dict_(std::make_shared<Dictionary>()), codes_(num_labels, kNullCode) {}
+  explicit LabelCodes(std::vector<std::string> labels)
+      : dict_(std::make_shared<Dictionary>()),
+        labels_(std::move(labels)),
+        codes_(labels_.size(), kNullCode) {}
 
-  /// The code of label `label`, whose text `text()` is built on first use.
-  template <typename Text>
-  int64_t Code(size_t label, const Text& text) {
+  int64_t Code(size_t label) {
     int64_t& code = codes_[label];
-    if (code == kNullCode) code = dict_->Intern(text());
+    if (code == kNullCode) code = dict_->Intern(labels_[label]);
     return code;
   }
 
@@ -77,6 +66,7 @@ class LabelCodes {
 
  private:
   std::shared_ptr<Dictionary> dict_;
+  std::vector<std::string> labels_;
   std::vector<int64_t> codes_;
 };
 
@@ -172,7 +162,6 @@ bool TryAddMember(Rng& rng, Household& house, std::vector<Person>& persons) {
   if (pick.needs_single_spouse_slot) house.has_spouse_or_partner = true;
   persons.push_back(Person{house.hid, static_cast<int32_t>(age), pick.rel,
                            static_cast<uint8_t>(rng.Bernoulli(0.22) ? 1 : 0)});
-  ++house.members;
   return true;
 }
 
@@ -243,12 +232,20 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
                                            {"Tenure", DataType::kString}};
   std::vector<std::vector<int64_t>> housing_cols(
       2 + num_area_cols + num_flag_cols, std::vector<int64_t>(num_houses));
-  LabelCodes tenures(std::size(kTenures));
-  // Labels are cached by Area, which determines every Area column's label.
+  LabelCodes tenures({std::begin(kTenures), std::end(kTenures)});
+  std::vector<std::shared_ptr<Dictionary>> housing_dicts = {nullptr,
+                                                            tenures.dict()};
+  // Each Area column's labels are indexed by the Area drawn.
   std::vector<LabelCodes> area_labels;
   for (size_t i = 0; i < num_area_cols; ++i) {
-    housing_specs.push_back({kAreaColumns[i].name, DataType::kString});
-    area_labels.emplace_back(kNumAreas);
+    const AreaColumn& column = kAreaColumns[i];
+    housing_specs.push_back({column.name, DataType::kString});
+    std::vector<std::string> labels;
+    for (size_t area = 0; area < kNumAreas; ++area) {
+      labels.push_back(StrFormat(column.format, column.label(area)));
+    }
+    area_labels.emplace_back(std::move(labels));
+    housing_dicts.push_back(area_labels.back().dict());
   }
   for (size_t i = 0; i < num_flag_cols; ++i) {
     housing_specs.push_back({kFlagColumns[i].name, DataType::kInt64});
@@ -258,23 +255,14 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
     const size_t area = area_zipf.Draw(rng);
     const size_t tenure = rng.WeightedIndex(kTenureWeights);
     housing_cols[0][h] = houses[h].hid;
-    housing_cols[1][h] =
-        tenures.Code(tenure, [&] { return kTenures[tenure]; });
+    housing_cols[1][h] = tenures.Code(tenure);
     for (size_t i = 0; i < num_area_cols; ++i) {
-      const AreaColumn& column = kAreaColumns[i];
-      housing_cols[2 + i][h] = area_labels[i].Code(area, [&] {
-        return StrFormat(column.format, column.label(area));
-      });
+      housing_cols[2 + i][h] = area_labels[i].Code(area);
     }
     for (size_t i = 0; i < num_flag_cols; ++i) {
       housing_cols[2 + num_area_cols + i][h] =
           rng.Bernoulli(kFlagColumns[i].p) ? 1 : 0;
     }
-  }
-  std::vector<std::shared_ptr<Dictionary>> housing_dicts = {nullptr,
-                                                            tenures.dict()};
-  for (const LabelCodes& labels : area_labels) {
-    housing_dicts.push_back(labels.dict());
   }
   Table housing{Schema(housing_specs), std::move(housing_dicts),
                 std::move(housing_cols)};
@@ -289,12 +277,12 @@ StatusOr<CensusData> GenerateCensus(const CensusOptions& options) {
   const size_t n = persons.size();
   std::vector<std::vector<int64_t>> truth_cols(persons_schema.NumColumns(),
                                                std::vector<int64_t>(n));
-  LabelCodes rels(kNumRels);
+  LabelCodes rels({std::begin(kRelLabels), std::end(kRelLabels)});
   for (size_t i = 0; i < n; ++i) {
     const Person& p = persons[i];
     truth_cols[0][i] = static_cast<int64_t>(i) + 1;
     truth_cols[1][i] = p.age;
-    truth_cols[2][i] = rels.Code(p.rel, [&] { return kRelLabels[p.rel]; });
+    truth_cols[2][i] = rels.Code(p.rel);
     truth_cols[3][i] = p.multi_ling;
     truth_cols[4][i] = p.hid;
   }
